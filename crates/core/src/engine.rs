@@ -525,18 +525,44 @@ impl Engine {
         let _ = self.wal_append(rec);
     }
 
-    /// Take a fuzzy checkpoint now: persist a stamp-consistent store
-    /// snapshot plus the live-transaction intent table, then retire every
-    /// sealed log segment. Returns `Ok(true)` if a checkpoint was
-    /// written, `Ok(false)` if there is no WAL, the storage cannot dump
-    /// itself, or the writer is crashed; `Err` if the log is poisoned or
-    /// checkpoint I/O failed (which poisons it).
+    /// Take a fuzzy checkpoint now: capture what the store changed since
+    /// the previous checkpoint plus the live-transaction intent table
+    /// (the only step that stops other transactions), assemble and
+    /// persist the image on this thread while they keep committing, then
+    /// retire the log segments sealed at the capture. If a
+    /// cadence-triggered checkpoint is in flight on another thread, waits
+    /// for it and then takes its own. Returns `Ok(true)` if a checkpoint
+    /// was written, `Ok(false)` if there is no WAL, the storage cannot
+    /// capture itself, or the writer is crashed; `Err` if the log is
+    /// poisoned, a retained segment fails re-verification, or checkpoint
+    /// I/O failed (which poisons it).
     pub fn checkpoint(&self) -> Result<bool> {
-        let Some(w) = &self.wal else { return Ok(false) };
-        if let Some(j) = &self.deps.journal {
-            j.record(JournalKind::CheckpointBegin, 0, 0, 0, 0, 0, 0);
+        self.checkpoint_with(true)
+    }
+
+    /// Automatic checkpoint trigger, run after a transaction resolves
+    /// (no locks held); skipped while another checkpoint is in flight.
+    /// Errors are swallowed: a poisoned log surfaces through the next
+    /// commit's typed durability error, not here.
+    fn maybe_checkpoint(&self) {
+        if self.wal.as_ref().is_some_and(|w| w.wants_checkpoint()) {
+            let _ = self.checkpoint_with(false);
         }
-        match w.checkpoint(|| self.storage.checkpoint_dump()) {
+    }
+
+    /// `wait`: queue behind a checkpoint in flight instead of skipping.
+    fn checkpoint_with(&self, wait: bool) -> Result<bool> {
+        let Some(w) = &self.wal else { return Ok(false) };
+        // Journalled from inside the cut, so only a checkpoint that won
+        // the single flight on a healthy log leaves a `CheckpointBegin`.
+        let capture = |since| {
+            if let Some(j) = &self.deps.journal {
+                j.record(JournalKind::CheckpointBegin, 0, 0, 0, 0, 0, 0);
+            }
+            self.storage.checkpoint_delta(since)
+        };
+        let taken = if wait { w.checkpoint(capture) } else { w.try_checkpoint(capture) };
+        match taken {
             Ok(Some(outcome)) => {
                 Stats::bump(&self.deps.stats.checkpoints);
                 if let Some(j) = &self.deps.journal {
@@ -556,17 +582,6 @@ impl Engine {
             Err(e) => {
                 Stats::bump(&self.deps.stats.wal_io_errors);
                 Err(SemccError::Durability(e.to_string()))
-            }
-        }
-    }
-
-    /// Automatic checkpoint trigger, run after a transaction resolves
-    /// (no locks held). Errors are swallowed: a poisoned log surfaces
-    /// through the next commit's typed durability error, not here.
-    fn maybe_checkpoint(&self) {
-        if let Some(w) = &self.wal {
-            if w.wants_checkpoint() {
-                let _ = self.checkpoint();
             }
         }
     }

@@ -89,11 +89,14 @@ impl std::fmt::Display for WalError {
 impl std::error::Error for WalError {}
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, built at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-8, tables built at compile time.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes, which lets eight
+/// input bytes be folded per step with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -102,19 +105,54 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`. It frames every append under the writer
+/// state lock and covers whole checkpoint images, hence slicing-by-8.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    const T: &[[u32; 256]; 8] = &CRC32_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][(hi & 0xFF) as usize]
+            ^ T[2][((hi >> 8) & 0xFF) as usize]
+            ^ T[1][((hi >> 16) & 0xFF) as usize]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = T[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The one-byte-per-step CRC-32: the oracle [`crc32`] is tested against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -603,6 +641,35 @@ pub fn read_log_from(bytes: &[u8], base_lsn: u64) -> WalReadOutcome {
     WalReadOutcome { records, truncated_bytes: bytes.len() - pos }
 }
 
+/// Check a *sealed* segment frame by frame — length, CRC, a decodable
+/// record and nothing else in the frame, gapless LSNs, no trailing bytes —
+/// exactly what the verified read path demands of history it is about to
+/// trust, without keeping the records. Returns the LSN past its last
+/// frame; any damage is [`WalError::Corrupt`], a sealed segment having no
+/// torn tail to forgive.
+pub(crate) fn verify_sealed(bytes: &[u8], base_lsn: u64, seq: u64) -> Result<u64, WalError> {
+    let mut pos = 0usize;
+    let mut lsn = base_lsn;
+    while pos < bytes.len() {
+        match parse_frame_at(bytes, pos) {
+            Some((_, at, next)) if at == lsn => {
+                pos = next;
+                lsn += 1;
+            }
+            _ => {
+                return Err(WalError::Corrupt {
+                    lsn,
+                    detail: format!(
+                        "segment {seq} has {} unreadable bytes at checkpoint time",
+                        bytes.len() - pos
+                    ),
+                })
+            }
+        }
+    }
+    Ok(lsn)
+}
+
 /// Try to parse one complete, CRC-valid frame starting exactly at `pos`.
 /// Returns the record, its embedded LSN, and the offset past the frame.
 fn parse_frame_at(bytes: &[u8], pos: usize) -> Option<(WalRecord, u64, usize)> {
@@ -788,9 +855,65 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"hello"), 0x3610_A686);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b"hello"), 0x3610_A686);
+        }
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 == bytewise on every length (all remainders mod 8)
+        /// and every start alignment of the same buffer.
+        #[test]
+        fn crc32_slicing_matches_the_bytewise_oracle(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            skip in 0usize..9,
+        ) {
+            let tail = &data[skip.min(data.len())..];
+            proptest::prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
+    }
+
+    #[test]
+    fn verify_sealed_accepts_whole_segments_and_rejects_any_damage() {
+        let recs = sample_records();
+        let mut bytes = Vec::new();
+        for (i, rec) in recs.iter().enumerate() {
+            bytes.extend(encode_frame(40 + i as u64, rec));
+        }
+        assert_eq!(verify_sealed(&bytes, 40, 3).unwrap(), 40 + recs.len() as u64);
+        assert_eq!(verify_sealed(&[], 7, 0).unwrap(), 7, "an empty sealed segment is whole");
+        // Wrong base, a torn tail, and a flipped byte anywhere all fail,
+        // naming the first unreadable LSN.
+        assert!(matches!(verify_sealed(&bytes, 41, 3), Err(WalError::Corrupt { lsn: 41, .. })));
+        let torn = &bytes[..bytes.len() - 1];
+        let last = 40 + recs.len() as u64 - 1;
+        assert!(
+            matches!(verify_sealed(torn, 40, 3), Err(WalError::Corrupt { lsn, .. }) if lsn == last)
+        );
+        let first_len = 8 + u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+        let mut flipped = bytes.clone();
+        flipped[first_len + 9] ^= 0xFF;
+        assert!(matches!(verify_sealed(&flipped, 40, 3), Err(WalError::Corrupt { lsn: 41, .. })));
+        // So does a frame whose CRC is right but whose payload is not a
+        // record (an unknown tag) or not *only* a record (a junk byte).
+        let reframed = |payload: &[u8]| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend(crc32(payload).to_le_bytes());
+            frame.extend(payload);
+            frame.extend(&bytes[first_len..]);
+            frame
+        };
+        let payload = &bytes[8..first_len];
+        assert_eq!(verify_sealed(&reframed(payload), 40, 3).unwrap(), 40 + recs.len() as u64);
+        let mut bad_tag = payload.to_vec();
+        bad_tag[8] = 0xEE;
+        let junk = [payload, &[0u8]].concat();
+        for damaged in [bad_tag, junk] {
+            let err = verify_sealed(&reframed(&damaged), 40, 3);
+            assert!(matches!(err, Err(WalError::Corrupt { lsn: 40, .. })), "{err:?}");
+        }
     }
 
     #[test]

@@ -21,19 +21,19 @@
 //! **Checkpoint barrier.** The engine applies a store mutation first and
 //! appends its redo record second. The writer therefore exposes a
 //! reader-writer barrier: every apply+append pair holds a read guard, and
-//! [`WalWriter::checkpoint`] holds the write guard across reading the
-//! checkpoint LSN and dumping the store — making the cut exact (an effect
-//! is in the dump iff its record's LSN is below the checkpoint LSN).
+//! [`WalWriter::checkpoint_cut`] holds the write guard across reading the
+//! checkpoint LSN and capturing the store — making the cut exact (an
+//! effect is in the capture iff its record's LSN is below the checkpoint
+//! LSN). The checkpoint pipeline itself lives in [`super::checkpoint`].
 
-use super::checkpoint::{decode_checkpoint, encode_checkpoint, fold, CheckpointImage};
-use super::{encode_frame, read_log_from, read_log_verified, WalError, WalRecord};
+use super::checkpoint::{fold_live, Base, TopInfo};
+use super::{encode_frame, read_log_from, WalError, WalRecord};
 use crate::fault::{CrashPoint, FaultPlan, IoFaultPoint};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use semcc_semantics::StoreDump;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// When the log forces its buffered appends to durable storage.
@@ -144,35 +144,51 @@ pub struct CheckpointOutcome {
     pub bytes_dropped: usize,
 }
 
-struct Segment {
-    seq: u64,
-    base_lsn: u64,
-    /// Bytes that survived an fsync ("on disk").
-    durable: Vec<u8>,
-    /// Appended but not yet synced bytes (lost on crash).
-    buffer: Vec<u8>,
-    /// Prefix of `durable` already written to the backing file (dir-backed
-    /// logs only). `durable` never shrinks, so each sync writes just the
-    /// delta — without this a sync would rewrite every live segment in
-    /// full, making the per-commit cost grow with the log instead of with
-    /// the batch.
+pub(super) struct Segment {
+    pub(super) seq: u64,
+    pub(super) base_lsn: u64,
+    /// Every byte appended. Shared, because once the segment is sealed
+    /// its content never changes (only a crash cuts the unsynced tail
+    /// off, copy-on-write), so a checkpoint re-verifies it lock-free.
+    pub(super) bytes: Arc<Vec<u8>>,
+    /// Prefix of `bytes` that survived an fsync ("on disk"); the rest is
+    /// buffered and lost on a crash. A sync only moves this mark.
+    durable: usize,
+    /// Prefix of the durable bytes already written to the backing file
+    /// (dir-backed logs only): each sync writes just the delta — without
+    /// this a sync would rewrite every live segment in full, making the
+    /// per-commit cost grow with the log instead of with the batch.
     persisted: usize,
 }
 
 impl Segment {
     fn fresh(seq: u64, base_lsn: u64) -> Self {
-        Segment { seq, base_lsn, durable: Vec::new(), buffer: Vec::new(), persisted: 0 }
+        Segment { seq, base_lsn, bytes: Arc::default(), durable: 0, persisted: 0 }
     }
 
-    fn len(&self) -> usize {
-        self.durable.len() + self.buffer.len()
+    pub(super) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// An fsync reached the device: everything appended is durable.
+    pub(super) fn flush(&mut self) {
+        self.durable = self.bytes.len();
+    }
+
+    /// The machine died: the unsynced tail never reaches the device.
+    fn drop_unsynced(&mut self) {
+        if self.durable < self.bytes.len() {
+            Arc::make_mut(&mut self.bytes).truncate(self.durable);
+        }
+    }
+
+    /// What a reader finds: everything, or only what an fsync covered.
+    fn visible(&self, durable_only: bool) -> &[u8] {
+        &self.bytes[..if durable_only { self.durable } else { self.bytes.len() }]
     }
 
     fn image(&self, durable_only: bool) -> SegmentImage {
-        let mut bytes = self.durable.clone();
-        if !durable_only {
-            bytes.extend_from_slice(&self.buffer);
-        }
+        let bytes = self.visible(durable_only).to_vec();
         SegmentImage { seq: self.seq, base_lsn: self.base_lsn, bytes }
     }
 }
@@ -213,31 +229,60 @@ enum LeaderOutcome {
     Failed(WalError),
 }
 
-struct WriterState {
+pub(super) struct WriterState {
     /// Live segments, seq-ascending; the last one is active.
-    segments: Vec<Segment>,
+    pub(super) segments: Vec<Segment>,
+    /// Segments with a `seq` below this have no unsynced bytes, so a sync
+    /// walks only the tail that can (the active segment and whatever was
+    /// sealed since the last sync), not the whole live list.
+    flushed_below: u64,
     /// Checkpoint-retired segments (kept only under
     /// [`WalConfig::retain_for_audit`]).
-    truncated: Vec<Segment>,
+    pub(super) truncated: Vec<Segment>,
     /// Latest durable checkpoint image.
-    checkpoint: Option<Vec<u8>>,
+    pub(super) checkpoint: Option<Arc<Vec<u8>>>,
     /// The checkpoint image has reached the backing directory (dir-backed
     /// logs only): it is immutable once taken, so it is written once, not
     /// on every sync.
-    checkpoint_persisted: bool,
-    next_lsn: u64,
+    pub(super) checkpoint_persisted: bool,
+    /// What the next checkpoint merges its capture into (`None` until one
+    /// was installed by *this* writer: the next capture is a full one).
+    pub(super) base: Option<Arc<Base>>,
+    /// Analysis state of every transaction unresolved at `next_lsn`,
+    /// folded forward by each append — the checkpoint's intent table is a
+    /// copy of this, not a re-read of the log.
+    pub(super) table: BTreeMap<u64, TopInfo>,
+    pub(super) next_lsn: u64,
     next_seq: u64,
     /// Crash simulation killed the device (appends drop silently).
-    dead: bool,
+    pub(super) dead: bool,
     /// An I/O failure poisoned the log (appends fail loudly).
-    poisoned: Option<WalError>,
+    pub(super) poisoned: Option<WalError>,
     leaf_appends: u64,
     comp_appends: u64,
     total_appends: u64,
     recovery_appends: u64,
-    fsyncs: u64,
-    checkpoints: u64,
-    bytes_since_checkpoint: usize,
+    pub(super) fsyncs: u64,
+    pub(super) checkpoints: u64,
+}
+
+impl WriterState {
+    /// The simulated machine died: appends drop silently from here on and
+    /// nothing buffered reaches the device.
+    pub(super) fn die(&mut self) {
+        self.dead = true;
+        for seg in &mut self.segments {
+            seg.drop_unsynced();
+        }
+    }
+
+    /// The device took everything queued plus `partial`, a frame's torn
+    /// prefix, before it stopped.
+    fn write_torn(&mut self, partial: &[u8]) {
+        let active = self.segments.last_mut().expect("always one active segment");
+        Arc::make_mut(&mut active.bytes).extend_from_slice(partial);
+        self.segments.iter_mut().for_each(Segment::flush);
+    }
 }
 
 /// The segmented log writer. See the module docs for the design; the
@@ -251,11 +296,11 @@ struct WriterState {
 /// `checkpoint.img`, deleting retired segment files as checkpoints
 /// advance.
 pub struct WalWriter {
-    config: WalConfig,
+    pub(super) config: WalConfig,
     policy: FsyncPolicy,
-    faults: Option<Arc<FaultPlan>>,
-    dir: Option<PathBuf>,
-    state: Mutex<WriterState>,
+    pub(super) faults: Option<Arc<FaultPlan>>,
+    pub(super) dir: Option<PathBuf>,
+    pub(super) state: Mutex<WriterState>,
     /// The group-commit barrier (leader election + follower parking).
     /// Lock order: `state` → `group` is allowed (appends take `state`,
     /// drop it, then park on `group`); a leader holds `group` only to
@@ -263,7 +308,12 @@ pub struct WalWriter {
     group: Mutex<GroupState>,
     group_cv: Condvar,
     /// The apply/append-vs-checkpoint barrier (module docs).
-    barrier: RwLock<()>,
+    pub(super) barrier: RwLock<()>,
+    /// Bytes appended since the last checkpoint cut (the cadence counter;
+    /// an atomic so the per-transaction cadence check takes no lock).
+    pub(super) since_checkpoint: AtomicUsize,
+    /// Held from a checkpoint's cut to its install (single flight).
+    pub(super) checkpointing: Mutex<()>,
     /// Set while a recovery pass drives this writer, so
     /// [`CrashPoint::AtRecoveryAppend`] counts only recovery's appends.
     recovery_mode: AtomicBool,
@@ -283,9 +333,12 @@ impl WalWriter {
             dir,
             state: Mutex::new(WriterState {
                 segments: vec![Segment::fresh(0, 0)],
+                flushed_below: 0,
                 truncated: Vec::new(),
                 checkpoint: None,
                 checkpoint_persisted: false,
+                base: None,
+                table: BTreeMap::new(),
                 next_lsn: 0,
                 next_seq: 1,
                 dead: false,
@@ -296,7 +349,6 @@ impl WalWriter {
                 recovery_appends: 0,
                 fsyncs: 0,
                 checkpoints: 0,
-                bytes_since_checkpoint: 0,
             }),
             group: Mutex::new(GroupState {
                 durable_lsn: 0,
@@ -307,6 +359,8 @@ impl WalWriter {
             }),
             group_cv: Condvar::new(),
             barrier: RwLock::new(()),
+            since_checkpoint: AtomicUsize::new(0),
+            checkpointing: Mutex::new(()),
             recovery_mode: AtomicBool::new(false),
         }
     }
@@ -361,7 +415,8 @@ impl WalWriter {
     /// (quarantined corruption is refused), the last segment's torn tail
     /// is cut (exactly what a real open does before appending), and the
     /// writer continues appending after the last surviving record with
-    /// the carried-over checkpoint intact. Counters start from zero.
+    /// the carried-over checkpoint intact. Counters start from zero, and
+    /// so does the checkpoint base: the next checkpoint captures in full.
     pub fn resume(
         image: &LogImage,
         policy: FsyncPolicy,
@@ -379,8 +434,8 @@ impl WalWriter {
                 Segment {
                     seq: s.seq,
                     base_lsn: s.base_lsn,
-                    durable: s.bytes[..valid].to_vec(),
-                    buffer: Vec::new(),
+                    bytes: Arc::new(s.bytes[..valid].to_vec()),
+                    durable: valid,
                     persisted: 0,
                 }
             })
@@ -389,15 +444,18 @@ impl WalWriter {
             let base = parsed.checkpoint.as_ref().map_or(0, |cp| cp.cp_lsn);
             segments.push(Segment::fresh(0, base));
         }
-        let next_lsn = parsed.base_lsn + parsed.records.len() as u64;
-        let next_seq = segments.last().map_or(0, |s| s.seq) + 1;
+        let mut table = parsed.checkpoint.map(|cp| cp.table).unwrap_or_default();
+        for (i, rec) in parsed.records.iter().enumerate() {
+            fold_live(&mut table, parsed.base_lsn + i as u64, rec);
+        }
         let w = Self::build(policy, config, faults, None);
         {
             let mut st = w.state.lock();
+            st.next_lsn = parsed.base_lsn + parsed.records.len() as u64;
+            st.next_seq = segments.last().map_or(0, |s| s.seq) + 1;
             st.segments = segments;
-            st.checkpoint = image.checkpoint.clone();
-            st.next_lsn = next_lsn;
-            st.next_seq = next_seq;
+            st.checkpoint = image.checkpoint.clone().map(Arc::new);
+            st.table = table;
         }
         Ok(Arc::new(w))
     }
@@ -431,11 +489,12 @@ impl WalWriter {
     }
 
     /// Whether the byte-cadence configuration says it is time for the
-    /// engine to take a checkpoint.
+    /// engine to take a checkpoint. Lock-free (asked after every
+    /// transaction); a dead or poisoned log stops counting, and the one
+    /// checkpoint attempt it may still trigger resets the counter.
     pub fn wants_checkpoint(&self) -> bool {
         let Some(threshold) = self.config.checkpoint_bytes else { return false };
-        let st = self.state.lock();
-        !st.dead && st.poisoned.is_none() && st.bytes_since_checkpoint >= threshold
+        self.since_checkpoint.load(Ordering::Relaxed) >= threshold
     }
 
     /// Append one record, syncing and rotating per configuration.
@@ -530,18 +589,10 @@ impl WalWriter {
                     // queued reaches the device, plus a partial frame.
                     let frame = encode_frame(st.next_lsn, rec);
                     let keep = keep.clamp(1, frame.len().saturating_sub(1));
-                    for seg in &mut st.segments {
-                        let buffered = std::mem::take(&mut seg.buffer);
-                        seg.durable.extend_from_slice(&buffered);
-                    }
-                    let active = st.segments.last_mut().expect("always one active segment");
-                    active.durable.extend_from_slice(&frame[..keep]);
+                    st.write_torn(&frame[..keep]);
                     let _ = self.sync_dir(st); // best effort: we are dying
                 }
-                st.dead = true;
-                for seg in &mut st.segments {
-                    seg.buffer.clear();
-                }
+                st.die();
                 let seq = seq_hook.as_mut().map(|h| h());
                 return Ok((
                     AppendInfo {
@@ -569,12 +620,7 @@ impl WalWriter {
                 // frame becomes the torn tail a later open truncates.
                 let frame = encode_frame(st.next_lsn, rec);
                 let keep = keep.clamp(1, frame.len().saturating_sub(1));
-                for seg in &mut st.segments {
-                    let buffered = std::mem::take(&mut seg.buffer);
-                    seg.durable.extend_from_slice(&buffered);
-                }
-                let active = st.segments.last_mut().expect("always one active segment");
-                active.durable.extend_from_slice(&frame[..keep]);
+                st.write_torn(&frame[..keep]);
                 let _ = self.sync_dir(st);
                 let err =
                     WalError::Io(format!("short write on append #{nth}: {keep}/{}", frame.len()));
@@ -596,9 +642,10 @@ impl WalWriter {
         }
         let bytes = frame.len();
         let active = st.segments.last_mut().expect("always one active segment");
-        active.buffer.extend_from_slice(&frame);
+        Arc::make_mut(&mut active.bytes).extend_from_slice(&frame);
         st.next_lsn += 1;
-        st.bytes_since_checkpoint += bytes;
+        fold_live(&mut st.table, lsn, rec);
+        self.since_checkpoint.fetch_add(bytes, Ordering::Relaxed);
         // Commit-sequence linearization point: the record holds its LSN
         // and the state lock serializes us against every other append, so
         // drawing the number here makes LSN order == sequence order.
@@ -702,116 +749,7 @@ impl WalWriter {
         self.sync_locked(&mut st).unwrap_or(false)
     }
 
-    /// Take a fuzzy checkpoint. `dump` is called under the write barrier
-    /// (no apply+append pair in flight) and returns the store capture, or
-    /// `None` if the store cannot dump — then nothing happens.
-    ///
-    /// Returns `Ok(None)` when skipped (dead device or no dump),
-    /// `Err` when the log is poisoned, the retained records fail
-    /// validation (latent corruption is *quarantined here*, before any
-    /// history is dropped), or the image write's fsync fails.
-    pub fn checkpoint(
-        &self,
-        dump: impl FnOnce() -> Option<StoreDump>,
-    ) -> Result<Option<CheckpointOutcome>, WalError> {
-        let _barrier = self.barrier.write();
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        if st.dead {
-            return Ok(None);
-        }
-        if st.poisoned.is_some() {
-            return Err(WalError::Poisoned);
-        }
-        // Reset the cadence even if the capture is declined or fails, so
-        // a broken store does not retrigger on every commit.
-        st.bytes_since_checkpoint = 0;
-        let Some(dump) = dump() else { return Ok(None) };
-        let cp_lsn = st.next_lsn;
-        // Fold the unresolved-transaction table forward from the previous
-        // checkpoint over every retained record. A frame that fails
-        // validation here is committed history we are about to drop —
-        // refuse the checkpoint and quarantine instead.
-        let mut table = match &st.checkpoint {
-            Some(bytes) => decode_checkpoint(bytes)?.table,
-            None => BTreeMap::new(),
-        };
-        for seg in &st.segments {
-            let mut all = seg.durable.clone();
-            all.extend_from_slice(&seg.buffer);
-            let out = read_log_verified(&all, seg.base_lsn)?;
-            if out.truncated_bytes > 0 {
-                return Err(WalError::Corrupt {
-                    lsn: seg.base_lsn + out.records.len() as u64,
-                    detail: format!(
-                        "segment {} has {} unreadable bytes at checkpoint time",
-                        seg.seq, out.truncated_bytes
-                    ),
-                });
-            }
-            for (i, rec) in out.records.iter().enumerate() {
-                fold(&mut table, seg.base_lsn + i as u64, rec);
-            }
-        }
-        table.retain(|_, info| info.unresolved());
-        let image = encode_checkpoint(&CheckpointImage { cp_lsn, dump, table });
-        // Writing the image durably is itself a sync of the device: the
-        // injected pre-fsync crash and fsync fault both apply.
-        st.fsyncs += 1;
-        st.checkpoints += 1;
-        if let Some(cp) = self.faults.as_ref().and_then(|p| p.crash()) {
-            let die = match cp {
-                CrashPoint::AtCheckpoint { nth } => st.checkpoints == nth,
-                CrashPoint::BeforeFsync { nth } => st.fsyncs == nth,
-                _ => false,
-            };
-            if die {
-                // The machine died before the new image hit the platter:
-                // the previous checkpoint and all segments survive.
-                st.dead = true;
-                for seg in &mut st.segments {
-                    seg.buffer.clear();
-                }
-                return Ok(None);
-            }
-        }
-        if let Some(IoFaultPoint::FsyncError { nth }) = self.faults.as_ref().and_then(|p| p.io()) {
-            if st.fsyncs == nth {
-                let err = WalError::Io(format!("fsync failed writing checkpoint (fsync #{nth})"));
-                st.poisoned = Some(err.clone());
-                return Err(err);
-            }
-        }
-        st.checkpoint = Some(image);
-        st.checkpoint_persisted = false;
-        // The checkpoint declares the log durable up to cp_lsn: flush.
-        for seg in &mut st.segments {
-            let buffered = std::mem::take(&mut seg.buffer);
-            seg.durable.extend_from_slice(&buffered);
-        }
-        // Seal the active segment and retire everything sealed — every
-        // sealed segment now ends at or before cp_lsn.
-        self.rotate_locked(st);
-        let active = st.segments.pop().expect("rotate just pushed the new active");
-        let dropped = std::mem::replace(&mut st.segments, vec![active]);
-        let segments_dropped = dropped.len();
-        let bytes_dropped: usize = dropped.iter().map(Segment::len).sum();
-        if let Some(dir) = &self.dir {
-            for seg in &dropped {
-                let _ = std::fs::remove_file(dir.join(segment_file_name(seg.seq)));
-            }
-        }
-        if self.config.retain_for_audit {
-            st.truncated.extend(dropped);
-        }
-        if let Err(e) = self.sync_dir(st) {
-            st.poisoned = Some(e.clone());
-            return Err(e);
-        }
-        Ok(Some(CheckpointOutcome { cp_lsn, segments_dropped, bytes_dropped }))
-    }
-
-    fn rotate_locked(&self, st: &mut WriterState) {
+    pub(super) fn rotate_locked(&self, st: &mut WriterState) {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.segments.push(Segment::fresh(seq, st.next_lsn));
@@ -830,10 +768,7 @@ impl WalWriter {
             if st.fsyncs == nth {
                 // Crash before the sync completes: the buffer never
                 // reaches the device.
-                st.dead = true;
-                for seg in &mut st.segments {
-                    seg.buffer.clear();
-                }
+                st.die();
                 return Ok(false);
             }
         }
@@ -847,10 +782,13 @@ impl WalWriter {
                 return Err(err);
             }
         }
-        for seg in &mut st.segments {
-            let buffered = std::mem::take(&mut seg.buffer);
-            seg.durable.extend_from_slice(&buffered);
-        }
+        let flushed_below = st.flushed_below;
+        st.segments
+            .iter_mut()
+            .rev()
+            .take_while(|s| s.seq >= flushed_below)
+            .for_each(Segment::flush);
+        st.flushed_below = st.segments.last().expect("always one active segment").seq;
         if let Err(e) = self.sync_dir(st) {
             st.poisoned = Some(e.clone());
             return Err(e);
@@ -859,13 +797,13 @@ impl WalWriter {
     }
 
     /// Persist newly-durable bytes to the backing directory, if any.
-    /// Incremental: `durable` never shrinks, so each segment file is
-    /// appended with just the delta since the last successful sync, and
+    /// Incremental: the durable prefix never shrinks, so each segment file
+    /// is appended with just the delta since the last successful sync, and
     /// the (immutable) checkpoint image is written once — the cost of a
     /// sync is proportional to the batch it covers, not to the size of
     /// the live log. Real file I/O errors are typed, surfaced, and poison
     /// the log at the caller.
-    fn sync_dir(&self, st: &mut WriterState) -> Result<(), WalError> {
+    pub(super) fn sync_dir(&self, st: &mut WriterState) -> Result<(), WalError> {
         let Some(dir) = &self.dir else { return Ok(()) };
         if let Some(cp) = &st.checkpoint {
             if !st.checkpoint_persisted {
@@ -874,13 +812,13 @@ impl WalWriter {
             }
         }
         for seg in &mut st.segments {
-            if seg.persisted < seg.durable.len() {
+            if seg.persisted < seg.durable {
                 append_file(
                     &dir.join(segment_file_name(seg.seq)),
                     seg.persisted as u64,
-                    &seg.durable[seg.persisted..],
+                    &seg.bytes[seg.persisted..seg.durable],
                 )?;
-                seg.persisted = seg.durable.len();
+                seg.persisted = seg.durable;
             }
         }
         Ok(())
@@ -898,11 +836,7 @@ impl WalWriter {
     /// open would find on the device. The shard fleet kills nodes with
     /// this; in-process crash schedules use [`CrashPoint`] instead.
     pub fn power_fail(&self) {
-        let mut st = self.state.lock();
-        st.dead = true;
-        for seg in &mut st.segments {
-            seg.buffer.clear();
-        }
+        self.state.lock().die();
     }
 
     /// The poisoning error, if an I/O failure poisoned the log.
@@ -940,7 +874,7 @@ impl WalWriter {
     pub fn retained_bytes(&self) -> usize {
         let st = self.state.lock();
         st.segments.iter().map(Segment::len).sum::<usize>()
-            + st.checkpoint.as_ref().map_or(0, Vec::len)
+            + st.checkpoint.as_ref().map_or(0, |cp| cp.len())
     }
 
     /// The single-stream byte view a post-crash open would see: durable
@@ -952,14 +886,7 @@ impl WalWriter {
     pub fn surviving(&self) -> Vec<u8> {
         let st = self.state.lock();
         let halted = st.dead || st.poisoned.is_some();
-        let mut out = Vec::new();
-        for seg in &st.segments {
-            out.extend_from_slice(&seg.durable);
-            if !halted {
-                out.extend_from_slice(&seg.buffer);
-            }
-        }
-        out
+        st.segments.iter().flat_map(|seg| seg.visible(halted)).copied().collect()
     }
 
     /// The [`LogImage`] a post-crash open would find: the latest complete
@@ -969,7 +896,7 @@ impl WalWriter {
         let st = self.state.lock();
         let halted = st.dead || st.poisoned.is_some();
         LogImage {
-            checkpoint: st.checkpoint.clone(),
+            checkpoint: st.checkpoint.as_deref().cloned(),
             segments: st.segments.iter().map(|s| s.image(halted)).collect(),
         }
     }
@@ -994,7 +921,7 @@ impl WalWriter {
     }
 }
 
-fn segment_file_name(seq: u64) -> String {
+pub(super) fn segment_file_name(seq: u64) -> String {
     format!("wal-{seq:06}.seg")
 }
 
@@ -1050,6 +977,12 @@ mod tests {
     use super::super::{read_image, read_log};
     use super::*;
     use crate::fault::FaultSpec;
+    use semcc_semantics::{StoreDelta, StoreDump};
+
+    /// The capture of a store with nothing in it.
+    fn empty_store(_since: Option<u64>) -> Option<StoreDelta> {
+        Some(StoreDelta::full(StoreDump::default()))
+    }
 
     fn small_config() -> WalConfig {
         WalConfig { segment_bytes: 96, ..WalConfig::default() }
@@ -1091,8 +1024,7 @@ mod tests {
             w.append(rec).unwrap();
         }
         let before = w.retained_bytes();
-        let outcome =
-            w.checkpoint(|| Some(StoreDump::default())).unwrap().expect("store offered a dump");
+        let outcome = w.checkpoint(empty_store).unwrap().expect("store offered a dump");
         assert_eq!(outcome.cp_lsn, recs.len() as u64);
         assert!(outcome.segments_dropped >= 2, "sealed + just-sealed active");
         assert!(outcome.bytes_dropped > 0);
@@ -1117,7 +1049,7 @@ mod tests {
         for rec in &recs {
             w.append(rec).unwrap();
         }
-        w.checkpoint(|| Some(StoreDump::default())).unwrap().expect("checkpointed");
+        w.checkpoint(empty_store).unwrap().expect("checkpointed");
         w.append(&WalRecord::TopCommit { top: 9 }).unwrap();
         let full = w.surviving_full_image();
         assert!(full.checkpoint.is_none());
@@ -1203,9 +1135,40 @@ mod tests {
         // The verified read quarantines the mid-log damage...
         let err = read_image(&w.surviving_image()).unwrap_err();
         assert!(matches!(err, WalError::Corrupt { lsn: 1, .. }), "got {err:?}");
-        // ...and a checkpoint refuses to drop the damaged history.
-        let err = w.checkpoint(|| Some(StoreDump::default())).unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "got {err:?}");
+        // ...and a checkpoint refuses to drop the damaged history: it is
+        // quarantined after the cut but before anything is retired.
+        let bytes_before = w.surviving();
+        let err = w.checkpoint(empty_store).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { lsn: 1, .. }), "got {err:?}");
+        assert!(w.surviving_image().checkpoint.is_none(), "no image installed");
+        assert_eq!(w.surviving(), bytes_before, "every segment still there");
+        assert_eq!(w.checkpoints_taken(), 0);
+        // Refused, not poisoned — and not stuck in flight either.
+        assert!(w.poisoned().is_none());
+        assert!(matches!(w.checkpoint(empty_store), Err(WalError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn a_sync_reaches_unsynced_bytes_behind_an_empty_sealed_segment() {
+        // Every append fills its segment. After a first sync, a leaf sits
+        // unsynced in a sealed segment A, the active one, B, is empty, and
+        // a cut seals B too. The next sync must still reach back to A.
+        let leaf = &sample_records()[0];
+        let config = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        let w = WalWriter::with_config(FsyncPolicy::OnCommit, config);
+        assert!(w.append(&WalRecord::TopCommit { top: 0 }).unwrap().durable);
+        assert!(w.append(leaf).unwrap().rotated);
+        drop(w.checkpoint_cut(empty_store).unwrap().expect("healthy log"));
+        assert!(w.append(&WalRecord::TopCommit { top: 1 }).unwrap().durable);
+        w.power_fail();
+        assert_eq!(read_image(&w.surviving_image()).unwrap().records.len(), 3);
+        // And a sync is not charged for the segments before the tail: 40
+        // more commits leave 40 more sealed segments, each flushed once.
+        let w = WalWriter::with_config(FsyncPolicy::OnCommit, config);
+        for top in 0..40 {
+            assert!(w.append(&WalRecord::TopCommit { top }).unwrap().durable);
+            assert_eq!(w.state.lock().flushed_below, top + 1);
+        }
     }
 
     #[test]
@@ -1215,7 +1178,7 @@ mod tests {
         for rec in &recs {
             w.append(rec).unwrap();
         }
-        w.checkpoint(|| Some(StoreDump::default())).unwrap().expect("checkpointed");
+        w.checkpoint(empty_store).unwrap().expect("checkpointed");
         w.append(&WalRecord::TopCommit { top: 9 }).unwrap();
         let image = w.surviving_image();
 
@@ -1271,7 +1234,7 @@ mod tests {
                 from_disk.extend(read_log_from(&bytes, seg.base_lsn).records);
             }
             assert_eq!(from_disk, sample_records());
-            w.checkpoint(|| Some(StoreDump::default())).unwrap().expect("checkpointed");
+            w.checkpoint(empty_store).unwrap().expect("checkpointed");
             let names: Vec<String> = std::fs::read_dir(&dir)
                 .unwrap()
                 .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -1295,12 +1258,12 @@ mod tests {
         for rec in &recs[..4] {
             w.append(rec).unwrap();
         }
-        w.checkpoint(|| Some(StoreDump::default())).unwrap().expect("first checkpoint fine");
+        w.checkpoint(empty_store).unwrap().expect("first checkpoint fine");
         for rec in &recs[4..] {
             w.append(rec).unwrap();
         }
         let before = w.surviving_image();
-        assert!(w.checkpoint(|| Some(StoreDump::default())).unwrap().is_none(), "died");
+        assert!(w.checkpoint(empty_store).unwrap().is_none(), "died");
         assert!(w.crashed());
         let after = w.surviving_image();
         assert_eq!(after.checkpoint, before.checkpoint, "old image retained");

@@ -49,11 +49,15 @@ pub struct StoredObject {
     /// the write latch for pure bookkeeping measurably slows hot-object
     /// writers down.
     pub writers: AtomicU32,
+    /// Changed since the store's last checkpoint capture (and listed in
+    /// its shard's dirty list). Maintained by the store under the shard
+    /// latch; only meaningful while the store tracks dirtiness.
+    pub dirty: bool,
 }
 
-/// `writers` is transient runtime state (which transactions currently hold
-/// intent on *this* store), so a clone starts with no writers and equality
-/// ignores the field.
+/// `writers` and `dirty` are transient runtime state (which transactions
+/// currently hold intent on *this* store, what *its* checkpointer has yet
+/// to capture), so a clone starts with neither and equality ignores both.
 impl Clone for StoredObject {
     fn clone(&self) -> Self {
         StoredObject {
@@ -62,6 +66,7 @@ impl Clone for StoredObject {
             kind: self.kind.clone(),
             version: self.version,
             writers: AtomicU32::new(0),
+            dirty: false,
         }
     }
 }
@@ -80,7 +85,7 @@ impl Eq for StoredObject {}
 impl StoredObject {
     /// A fresh object at version 0 with no writers.
     pub fn new(type_id: TypeId, page: PageId, kind: ObjKind) -> Self {
-        StoredObject { type_id, page, kind, version: 0, writers: AtomicU32::new(0) }
+        StoredObject { type_id, page, kind, version: 0, writers: AtomicU32::new(0), dirty: false }
     }
 
     /// Declare write intent (sequentially consistent, see

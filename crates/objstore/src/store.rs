@@ -4,13 +4,84 @@ use crate::object::{ObjKind, StoredObject};
 use crate::pages::{PageAllocator, PagePolicy};
 use parking_lot::{Mutex, RwLock};
 use semcc_semantics::{
-    ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDump, TypeId,
-    Value, TYPE_ATOMIC,
+    ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta, StoreDump,
+    TypeId, Value, TYPE_ATOMIC,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SHARD_COUNT: usize = 64;
+
+/// Capture tokens are drawn process-wide, so a token issued by one store
+/// never equals one issued by another (0 is never issued).
+static NEXT_CAPTURE_TOKEN: AtomicU64 = AtomicU64::new(1);
+
+/// A shard's dirty list may grow to the shard's own size, or to this many
+/// ids if the shard is smaller, before tracking gives up on the interval.
+const DIRTY_LIST_FLOOR: usize = 1024;
+
+/// One latch's worth of the store: the objects plus the dirty tracking
+/// that [`Storage::checkpoint_delta`] drains, all under the same latch.
+#[derive(Default)]
+struct Shard {
+    objects: HashMap<ObjectId, StoredObject>,
+    /// Ids created, mutated or deleted since the last capture. A live
+    /// object is listed exactly while its `dirty` bit is set, so at most
+    /// once per interval; an id that no longer resolves is a tombstone.
+    dirty: Vec<ObjectId>,
+    /// Off until the first capture: a store nobody checkpoints records
+    /// nothing, and the first capture is a full one anyway. Off again
+    /// once the list outgrew its bound (captures stopped coming while
+    /// objects were created and deleted): the next capture is a full one.
+    tracking: bool,
+}
+
+/// List `id` as dirty — or, with the list at its bound for a shard of
+/// `live` objects, stop tracking: a capture of everything is no dearer
+/// than a delta that long, and the list must not grow without limit.
+fn list_dirty(dirty: &mut Vec<ObjectId>, tracking: &mut bool, live: usize, id: ObjectId) {
+    if dirty.len() < live.max(DIRTY_LIST_FLOOR) {
+        dirty.push(id);
+    } else {
+        *dirty = Vec::new();
+        *tracking = false;
+    }
+}
+
+impl Shard {
+    /// Install `obj` under `id`, dirty from birth.
+    fn insert(&mut self, id: ObjectId, mut obj: StoredObject) {
+        if self.tracking {
+            list_dirty(&mut self.dirty, &mut self.tracking, self.objects.len(), id);
+        }
+        obj.dirty = self.tracking;
+        self.objects.insert(id, obj);
+    }
+
+    /// The objects alone: a copied store starts untracked, like a new one.
+    fn copy(&self) -> Shard {
+        Shard { objects: self.objects.clone(), ..Shard::default() }
+    }
+
+    /// Remove `id`; its list entry (the one it had if dirty, a fresh one
+    /// otherwise) now reads as a tombstone.
+    fn remove(&mut self, id: ObjectId) -> Option<StoredObject> {
+        let removed = self.objects.remove(&id)?;
+        if self.tracking && !removed.dirty {
+            list_dirty(&mut self.dirty, &mut self.tracking, self.objects.len(), id);
+        }
+        Some(removed)
+    }
+}
+
+fn dump_object(id: ObjectId, obj: &StoredObject) -> ObjectDump {
+    let image = match &obj.kind {
+        ObjKind::Atomic(v) => ObjectImage::Atomic(v.clone()),
+        ObjKind::Tuple(t) => ObjectImage::Tuple(t.iter().map(|(n, f)| (n.clone(), *f)).collect()),
+        ObjKind::Set(s) => ObjectImage::Set(s.iter().map(|(k, m)| (*k, *m)).collect()),
+    };
+    ObjectDump { id, type_id: obj.type_id, version: obj.version, image }
+}
 
 /// A sharded, latch-protected in-memory object store.
 ///
@@ -26,7 +97,10 @@ const SHARD_COUNT: usize = 64;
 /// the lock table. A store-wide mutation epoch orders all mutations for
 /// the seqlock-style [`MemoryStore::snapshot`].
 pub struct MemoryStore {
-    shards: Vec<RwLock<HashMap<ObjectId, StoredObject>>>,
+    shards: Vec<RwLock<Shard>>,
+    /// The token [`Storage::checkpoint_delta`] issued last (0: none, or
+    /// invalidated). Read and written only with every shard latch held.
+    capture_token: AtomicU64,
     next_id: AtomicU64,
     allocator: Mutex<PageAllocator>,
     /// Store-wide mutation epoch: incremented (inside the shard latch) by
@@ -51,7 +125,8 @@ impl MemoryStore {
     /// Store with an explicit page policy.
     pub fn with_policy(policy: PagePolicy) -> Self {
         MemoryStore {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Shard::default())).collect(),
+            capture_token: AtomicU64::new(0),
             // ObjectId(0) is the database pseudo object.
             next_id: AtomicU64::new(1),
             allocator: Mutex::new(PageAllocator::new(policy)),
@@ -60,7 +135,7 @@ impl MemoryStore {
         }
     }
 
-    fn shard(&self, o: ObjectId) -> &RwLock<HashMap<ObjectId, StoredObject>> {
+    fn shard(&self, o: ObjectId) -> &RwLock<Shard> {
         &self.shards[(o.0 as usize) % SHARD_COUNT]
     }
 
@@ -82,7 +157,7 @@ impl MemoryStore {
 
     fn with_object<R>(&self, o: ObjectId, f: impl FnOnce(&StoredObject) -> Result<R>) -> Result<R> {
         let shard = self.shard(o).read();
-        let obj = shard.get(&o).ok_or(SemccError::NoSuchObject(o))?;
+        let obj = shard.objects.get(&o).ok_or(SemccError::NoSuchObject(o))?;
         f(obj)
     }
 
@@ -92,8 +167,18 @@ impl MemoryStore {
         f: impl FnOnce(&mut StoredObject) -> Result<R>,
     ) -> Result<R> {
         let mut shard = self.shard(o).write();
-        let obj = shard.get_mut(&o).ok_or(SemccError::NoSuchObject(o))?;
-        f(obj)
+        let Shard { objects, dirty, tracking } = &mut *shard;
+        let live = objects.len();
+        let obj = objects.get_mut(&o).ok_or(SemccError::NoSuchObject(o))?;
+        let before = obj.version;
+        let out = f(obj);
+        // Every physical mutation moves the stamp, so a moved stamp is the
+        // one place dirtiness is recorded.
+        if *tracking && !obj.dirty && obj.version != before {
+            obj.dirty = true;
+            list_dirty(dirty, tracking, live, o);
+        }
+        out
     }
 
     /// Force the next created object onto a fresh page (clustering control;
@@ -122,7 +207,7 @@ impl MemoryStore {
 
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().objects.len()).sum()
     }
 
     /// Number of pages allocated so far.
@@ -135,7 +220,7 @@ impl MemoryStore {
     pub fn atomic_state(&self) -> BTreeMap<ObjectId, Value> {
         let mut out = BTreeMap::new();
         for shard in &self.shards {
-            for (id, obj) in shard.read().iter() {
+            for (id, obj) in shard.read().objects.iter() {
                 if let ObjKind::Atomic(v) = &obj.kind {
                     out.insert(*id, v.clone());
                 }
@@ -149,7 +234,7 @@ impl MemoryStore {
     pub fn set_state(&self) -> BTreeMap<ObjectId, BTreeMap<u64, ObjectId>> {
         let mut out = BTreeMap::new();
         for shard in &self.shards {
-            for (id, obj) in shard.read().iter() {
+            for (id, obj) in shard.read().objects.iter() {
                 if let ObjKind::Set(s) = &obj.kind {
                     out.insert(*id, s.clone());
                 }
@@ -164,7 +249,7 @@ impl MemoryStore {
     fn restore(&self, id: ObjectId, obj: StoredObject) -> Result<()> {
         self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
         let mut shard = self.shard(id).write();
-        if shard.contains_key(&id) {
+        if shard.objects.contains_key(&id) {
             return Err(SemccError::Internal(format!("restore of live object {id:?}")));
         }
         shard.insert(id, obj);
@@ -216,13 +301,14 @@ impl MemoryStore {
         const OPTIMISTIC_ATTEMPTS: usize = 4;
         for _ in 0..OPTIMISTIC_ATTEMPTS {
             let before = self.mutations.load(Ordering::Acquire);
-            let shards: Vec<RwLock<HashMap<ObjectId, StoredObject>>> =
-                self.shards.iter().map(|s| RwLock::new(s.read().clone())).collect();
+            let shards: Vec<RwLock<Shard>> =
+                self.shards.iter().map(|s| RwLock::new(s.read().copy())).collect();
             let next_id = self.next_id.load(Ordering::Relaxed);
             let allocator = self.allocator.lock().clone();
             if self.mutations.load(Ordering::Acquire) == before {
                 return MemoryStore {
                     shards,
+                    capture_token: AtomicU64::new(0),
                     next_id: AtomicU64::new(next_id),
                     allocator: Mutex::new(allocator),
                     mutations: AtomicU64::new(before),
@@ -234,9 +320,10 @@ impl MemoryStore {
         // Contended fallback: take every shard read latch simultaneously,
         // so no writer can interleave between the per-shard clones.
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let shards = guards.iter().map(|g| RwLock::new((**g).clone())).collect();
+        let shards = guards.iter().map(|g| RwLock::new(g.copy())).collect();
         MemoryStore {
             shards,
+            capture_token: AtomicU64::new(0),
             next_id: AtomicU64::new(self.next_id.load(Ordering::Relaxed)),
             allocator: Mutex::new(self.allocator.lock().clone()),
             mutations: AtomicU64::new(self.mutations.load(Ordering::Acquire)),
@@ -255,7 +342,7 @@ impl MemoryStore {
     pub fn version_state(&self) -> BTreeMap<ObjectId, u64> {
         let mut out = BTreeMap::new();
         for shard in &self.shards {
-            for (id, obj) in shard.read().iter() {
+            for (id, obj) in shard.read().objects.iter() {
                 out.insert(*id, obj.version);
             }
         }
@@ -277,21 +364,7 @@ impl MemoryStore {
         let snap = self.snapshot();
         let mut objects: Vec<ObjectDump> = Vec::with_capacity(snap.object_count());
         for shard in &snap.shards {
-            for (id, obj) in shard.read().iter() {
-                let image = match &obj.kind {
-                    ObjKind::Atomic(v) => ObjectImage::Atomic(v.clone()),
-                    ObjKind::Tuple(t) => {
-                        ObjectImage::Tuple(t.iter().map(|(n, f)| (n.clone(), *f)).collect())
-                    }
-                    ObjKind::Set(s) => ObjectImage::Set(s.iter().map(|(k, m)| (*k, *m)).collect()),
-                };
-                objects.push(ObjectDump {
-                    id: *id,
-                    type_id: obj.type_id,
-                    version: obj.version,
-                    image,
-                });
-            }
+            objects.extend(shard.read().objects.iter().map(|(id, obj)| dump_object(*id, obj)));
         }
         objects.sort_by_key(|o| o.id);
         StoreDump { objects, next_id: snap.next_id.load(Ordering::Relaxed) }
@@ -303,9 +376,16 @@ impl MemoryStore {
     /// part of the durable state), and the id allocator resumes from the
     /// dump's position. Recovery calls this before replaying the log tail.
     pub fn load_dump(&self, dump: &StoreDump) -> Result<()> {
-        for shard in &self.shards {
-            shard.write().clear();
+        // Wholesale replacement: whatever a checkpointer captured before is
+        // no base for what is here now.
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        self.capture_token.store(0, Ordering::Relaxed);
+        for shard in &mut guards {
+            shard.objects.clear();
+            shard.dirty = Vec::new();
+            shard.tracking = false;
         }
+        drop(guards);
         for od in &dump.objects {
             let kind = match &od.image {
                 ObjectImage::Atomic(v) => ObjKind::Atomic(v.clone()),
@@ -315,8 +395,7 @@ impl MemoryStore {
             let page = self.allocator.lock().assign();
             let mut obj = StoredObject::new(od.type_id, page, kind);
             obj.version = od.version;
-            let mut shard = self.shard(od.id).write();
-            shard.insert(od.id, obj);
+            self.shard(od.id).write().insert(od.id, obj);
         }
         self.next_id.store(dump.next_id, Ordering::Relaxed);
         self.mutations.fetch_add(1, Ordering::SeqCst);
@@ -488,7 +567,7 @@ impl Storage for MemoryStore {
 
     fn delete(&self, o: ObjectId) -> Result<()> {
         let mut shard = self.shard(o).write();
-        let removed = shard.remove(&o);
+        let removed = shard.remove(o);
         if removed.is_some() {
             self.mutations.fetch_add(1, Ordering::SeqCst);
         }
@@ -575,6 +654,48 @@ impl Storage for MemoryStore {
 
     fn checkpoint_dump(&self) -> Option<StoreDump> {
         Some(self.dump())
+    }
+
+    /// O(dirty) when `since` is the token issued last and no shard gave up
+    /// tracking since, O(store) otherwise. Every shard latch is held at
+    /// once, so the capture, the reset of the dirty tracking and the new
+    /// token are one atomic step against every mutator.
+    fn checkpoint_delta(&self, since: Option<u64>) -> Option<StoreDelta> {
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        let token = NEXT_CAPTURE_TOKEN.fetch_add(1, Ordering::Relaxed);
+        let last = self.capture_token.swap(token, Ordering::Relaxed);
+        let full = since != Some(last) || guards.iter().any(|shard| !shard.tracking);
+        let mut objects = Vec::new();
+        let mut deleted = Vec::new();
+        for shard in &mut guards {
+            let Shard { objects: live, dirty, tracking } = &mut **shard;
+            if full {
+                dirty.clear();
+                *tracking = true;
+                objects.extend(live.iter_mut().map(|(id, obj)| {
+                    obj.dirty = false;
+                    dump_object(*id, obj)
+                }));
+                continue;
+            }
+            for id in dirty.drain(..) {
+                match live.get_mut(&id) {
+                    // Listed twice (deleted, then restored under its id):
+                    // the first visit already captured it.
+                    Some(obj) if !obj.dirty => {}
+                    Some(obj) => {
+                        obj.dirty = false;
+                        objects.push(dump_object(id, obj));
+                    }
+                    None => deleted.push(id),
+                }
+            }
+        }
+        let next_id = self.next_id.load(Ordering::Relaxed);
+        drop(guards);
+        deleted.sort_unstable();
+        deleted.dedup();
+        Some(StoreDelta { token, full, objects, deleted, next_id })
     }
 }
 
@@ -937,5 +1058,152 @@ mod tests {
         assert!(n.0 >= dump.next_id);
         // The trait hook reports the same capture.
         assert_eq!(s.checkpoint_dump().unwrap(), dump);
+    }
+
+    /// Fold a delta into a dump the way a checkpointer merges it into its
+    /// base: the differential oracle for every delta test.
+    fn apply(base: &mut StoreDump, delta: StoreDelta) {
+        if delta.full {
+            base.objects.clear();
+        }
+        base.objects.retain(|o| {
+            !delta.deleted.contains(&o.id) && !delta.objects.iter().any(|d| d.id == o.id)
+        });
+        base.objects.extend(delta.objects);
+        base.objects.sort_by_key(|o| o.id);
+        base.next_id = delta.next_id;
+    }
+
+    #[test]
+    fn delta_is_o_dirty_lists_each_object_once_and_merges_to_the_full_dump() {
+        let s = MemoryStore::new();
+        let atoms: Vec<ObjectId> =
+            (0..200).map(|i| s.create_atomic(TYPE_ATOMIC, Value::Int(i)).unwrap()).collect();
+        let set = s.create_set(TYPE_SET).unwrap();
+        let first = s.checkpoint_delta(None).unwrap();
+        assert!(first.full && first.deleted.is_empty());
+        assert_eq!(first.objects.len(), 201);
+        let mut base = StoreDump::default();
+        apply(&mut base, first.clone());
+        assert_eq!(base, s.dump());
+
+        // One hot object mutated many times, one set, one creation, one
+        // deletion of a clean object, one creation deleted again.
+        for i in 0..50 {
+            s.put(atoms[3], Value::Int(1000 + i)).unwrap();
+        }
+        s.set_insert(set, 1, atoms[4]).unwrap();
+        let born = s.create_atomic(TYPE_ATOMIC, Value::Int(-1)).unwrap();
+        s.delete(atoms[9]).unwrap();
+        let ghost = s.create_atomic(TYPE_ATOMIC, Value::Unit).unwrap();
+        s.delete(ghost).unwrap();
+        // Reads, failed writes and no-op removes dirty nothing.
+        s.get(atoms[5]).unwrap();
+        assert!(s.set_insert(set, 1, atoms[5]).is_err());
+        assert_eq!(s.set_remove(set, 77).unwrap(), None);
+
+        let second = s.checkpoint_delta(Some(first.token)).unwrap();
+        assert!(!second.full);
+        let mut ids: Vec<ObjectId> = second.objects.iter().map(|o| o.id).collect();
+        ids.sort();
+        assert_eq!(ids, vec![atoms[3], set, born], "each dirty object exactly once");
+        assert_eq!(second.deleted, vec![atoms[9], ghost], "tombstones, id-ascending");
+        apply(&mut base, second.clone());
+        assert_eq!(base, s.dump());
+
+        // Nothing happened since: the next delta is empty.
+        let third = s.checkpoint_delta(Some(second.token)).unwrap();
+        assert!(!third.full && third.objects.is_empty() && third.deleted.is_empty());
+    }
+
+    #[test]
+    fn stale_foreign_or_missing_token_forces_a_full_capture() {
+        let s = MemoryStore::new();
+        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
+        let other = MemoryStore::new();
+        other.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
+        let foreign = other.checkpoint_delta(None).unwrap().token;
+
+        let t1 = s.checkpoint_delta(None).unwrap().token;
+        s.put(a, Value::Int(2)).unwrap();
+        let t2 = s.checkpoint_delta(Some(t1)).unwrap();
+        assert!(!t2.full);
+        // t1 is stale now: a caller still holding it lost the interval
+        // t1..t2 (say its checkpoint died before install) and gets it all.
+        for since in [Some(t1), Some(foreign), Some(0), None] {
+            let d = s.checkpoint_delta(since).unwrap();
+            assert!(d.full, "since = {since:?}");
+            assert_eq!(d.objects.len(), 1);
+        }
+        // A full capture re-arms tracking: its own token is honoured.
+        let t3 = s.checkpoint_delta(None).unwrap().token;
+        s.put(a, Value::Int(3)).unwrap();
+        let d = s.checkpoint_delta(Some(t3)).unwrap();
+        assert!(!d.full);
+        assert_eq!(d.objects.len(), 1);
+        // Copies and reloaded stores honour nothing issued before.
+        assert!(s.snapshot().checkpoint_delta(Some(d.token)).unwrap().full);
+        let dump = s.dump();
+        s.load_dump(&dump).unwrap();
+        assert!(s.checkpoint_delta(Some(d.token)).unwrap().full);
+    }
+
+    #[test]
+    fn restore_under_a_deleted_id_is_captured_once() {
+        let s = MemoryStore::new();
+        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
+        let t = s.checkpoint_delta(None).unwrap().token;
+        s.put(a, Value::Int(2)).unwrap();
+        s.delete(a).unwrap();
+        s.restore_atomic(a, TYPE_ATOMIC, Value::Int(3)).unwrap();
+        let d = s.checkpoint_delta(Some(t)).unwrap();
+        assert_eq!(d.objects.len(), 1, "listed twice, captured once");
+        assert_eq!(d.objects[0].image, ObjectImage::Atomic(Value::Int(3)));
+        assert!(d.deleted.is_empty());
+        // Deleted, restored and deleted again: one tombstone.
+        s.delete(a).unwrap();
+        s.restore_atomic(a, TYPE_ATOMIC, Value::Int(4)).unwrap();
+        s.delete(a).unwrap();
+        let d = s.checkpoint_delta(Some(d.token)).unwrap();
+        assert!(d.objects.is_empty());
+        assert_eq!(d.deleted, vec![a]);
+    }
+
+    #[test]
+    fn an_uncheckpointed_store_records_nothing() {
+        let s = MemoryStore::new();
+        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
+        for i in 0..100 {
+            s.put(a, Value::Int(i)).unwrap();
+            let g = s.create_atomic(TYPE_ATOMIC, Value::Unit).unwrap();
+            s.delete(g).unwrap();
+        }
+        assert!(s.shards.iter().all(|sh| sh.read().dirty.is_empty()));
+    }
+
+    #[test]
+    fn the_dirty_list_is_bounded_when_captures_stop_coming() {
+        let s = MemoryStore::new();
+        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
+        let t = s.checkpoint_delta(None).unwrap().token;
+        // Nobody captures any more (the log died, say) while objects keep
+        // being created and deleted: every one leaves a tombstone.
+        let churn = 3 * SHARD_COUNT * DIRTY_LIST_FLOOR;
+        for _ in 0..churn {
+            let g = s.create_atomic(TYPE_ATOMIC, Value::Unit).unwrap();
+            s.delete(g).unwrap();
+        }
+        let listed: usize = s.shards.iter().map(|sh| sh.read().dirty.len()).sum();
+        assert!(listed <= SHARD_COUNT * DIRTY_LIST_FLOOR, "{listed} ids listed");
+        // The token is the one issued last, but the interval was given up
+        // on: the capture is full, and re-arms tracking.
+        s.put(a, Value::Int(2)).unwrap();
+        let d = s.checkpoint_delta(Some(t)).unwrap();
+        assert!(d.full && d.deleted.is_empty());
+        assert_eq!(d.objects.len(), 1);
+        s.put(a, Value::Int(3)).unwrap();
+        let d = s.checkpoint_delta(Some(d.token)).unwrap();
+        assert!(!d.full);
+        assert_eq!(d.objects.len(), 1);
     }
 }

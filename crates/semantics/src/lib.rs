@@ -46,5 +46,5 @@ pub use ids::{
     MethodId, ObjectId, PageId, TypeId, DB_OBJECT, TYPE_ATOMIC, TYPE_DB, TYPE_SET, TYPE_TUPLE,
 };
 pub use invocation::{GenericMethod, Invocation, MethodSel};
-pub use storage::{ObjectDump, ObjectImage, Storage, StoreDump};
+pub use storage::{ObjectDump, ObjectImage, Storage, StoreDelta, StoreDump};
 pub use value::Value;

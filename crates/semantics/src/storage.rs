@@ -51,6 +51,42 @@ pub struct StoreDump {
     pub next_id: u64,
 }
 
+/// What changed in a store since an earlier capture — the payload of an
+/// *incremental* fuzzy checkpoint (see [`Storage::checkpoint_delta`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StoreDelta {
+    /// Names this capture: pass it as `since` to the next
+    /// [`Storage::checkpoint_delta`] to get only what changed after it.
+    pub token: u64,
+    /// `objects` is the whole store (the receiver must forget whatever it
+    /// held before). `false` only when the store honoured `since`.
+    pub full: bool,
+    /// Captured objects, each id at most once, in no particular order:
+    /// every live object when `full`, otherwise those created or mutated
+    /// since `since`.
+    pub objects: Vec<ObjectDump>,
+    /// Tombstones: ids deleted since `since` (empty when `full`), each at
+    /// most once, never also in `objects`. May name ids the receiver never
+    /// saw (created and deleted inside the interval).
+    pub deleted: Vec<ObjectId>,
+    /// The store's id allocator position (as [`StoreDump::next_id`]).
+    pub next_id: u64,
+}
+
+impl StoreDelta {
+    /// A whole-store capture as the "everything is dirty" delta. `token`
+    /// 0 is never honoured as `since` by any store.
+    pub fn full(dump: StoreDump) -> Self {
+        StoreDelta {
+            token: 0,
+            full: true,
+            objects: dump.objects,
+            deleted: Vec::new(),
+            next_id: dump.next_id,
+        }
+    }
+}
+
 /// Physical object store interface.
 pub trait Storage: Send + Sync {
     /// Read the value of an atomic object.
@@ -167,5 +203,18 @@ pub trait Storage: Send + Sync {
     /// full log is retained).
     fn checkpoint_dump(&self) -> Option<StoreDump> {
         None
+    }
+
+    /// Stamp-consistent capture of what changed since the capture that
+    /// issued the token `since`. A store honours `since` only if it is the
+    /// token it issued **last**; for any other value (`None`, a stale or a
+    /// foreign token) it answers with a full capture, so a caller that
+    /// lost its base — a resumed log writer, a checkpoint that failed
+    /// between capture and install — is correct without saying so. The
+    /// default treats everything as dirty, which is right for any store
+    /// and for every decorator that forwards [`Storage::checkpoint_dump`].
+    fn checkpoint_delta(&self, since: Option<u64>) -> Option<StoreDelta> {
+        let _ = since;
+        self.checkpoint_dump().map(StoreDelta::full)
     }
 }

@@ -591,6 +591,38 @@ pub(crate) fn image_winners(image: &LogImage) -> Vec<u64> {
     }
 }
 
+/// Run `batch` on a checkpointing engine up to its injected crash, with a
+/// checkpoint installed before the crash *by construction*. Cadence
+/// checkpoints stop the other workers only for their cut, so the crash
+/// may overtake every one of them between cut and install — the
+/// scheduler decides. The run therefore opens with one transaction per
+/// worker followed by an explicit, quiesced [`Engine::checkpoint`]; that
+/// opening must end before the crash ordinal (an error otherwise: the
+/// parameters, not the scheduler, are at fault). The rest of the batch
+/// runs as ever, cadence checkpoints racing the writers up to the crash.
+///
+/// Returns the commit count and the recorded outcomes of both parts.
+fn run_to_a_crash_behind_a_checkpoint(
+    engine: &Arc<Engine>,
+    wal: &WalWriter,
+    mut batch: Vec<semcc_orderentry::TxnSpec>,
+    run: &RunParams,
+) -> Result<(u64, Vec<crate::executor::CommittedTxn>), String> {
+    let rest = batch.split_off(run.workers.clamp(1, batch.len()));
+    let head = run_workload(engine, batch, run);
+    if wal.crashed() {
+        return Err("the crash point fired before the opening checkpoint".into());
+    }
+    match engine.checkpoint() {
+        Ok(true) => {}
+        other => return Err(format!("the opening checkpoint was not taken: {other:?}")),
+    }
+    let tail = run_workload(engine, rest, run);
+    let mut outcomes = head.committed;
+    outcomes.extend(tail.committed);
+    Ok((head.metrics.committed + tail.metrics.committed, outcomes))
+}
+
 /// Run the B7c torture chain: workload + initial crash, then `chain`
 /// recovery passes where every non-final pass is crashed at a point in
 /// its *own* progress log (a different point each pass), resuming the
@@ -622,16 +654,19 @@ pub fn run_torture(params: &TortureParams) -> TortureReport {
         WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
     );
     let batch = w.batch(&db, params.txns);
-    let out = run_workload(
-        &engine,
-        batch,
-        &RunParams {
-            workers: params.workers,
-            max_retries: params.max_retries,
-            record_outcomes: true,
-            ..Default::default()
-        },
-    );
+    let run = RunParams {
+        workers: params.workers,
+        max_retries: params.max_retries,
+        record_outcomes: true,
+        ..Default::default()
+    };
+    let (committed, outcomes) = if params.checkpoint {
+        run_to_a_crash_behind_a_checkpoint(&engine, &wal, batch, &run)
+            .expect("checkpointing torture run")
+    } else {
+        let out = run_workload(&engine, batch, &run);
+        (out.metrics.committed, out.committed)
+    };
     let crashed = wal.crashed();
     let checkpoints_taken = wal.checkpoints_taken();
     let original = wal.surviving_image();
@@ -640,12 +675,12 @@ pub fn run_torture(params: &TortureParams) -> TortureReport {
     // `original` (their effects ride in the checkpoint's store dump).
     let winners = image_winners(&wal.surviving_full_image());
     let spec_of: HashMap<u64, &semcc_orderentry::TxnSpec> =
-        out.committed.iter().map(|c| (c.top.0, &c.spec)).collect();
+        outcomes.iter().map(|c| (c.top.0, &c.spec)).collect();
 
     // ---- the chain ----------------------------------------------------
     let mut image = original.clone();
     let mut report = TortureReport {
-        committed: out.metrics.committed,
+        committed,
         crashed,
         passes: 0,
         mid_crashes: 0,
@@ -823,15 +858,12 @@ pub fn run_checkpoint_parity(params: &TortureParams) -> Result<(), String> {
         WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
     );
     let batch = w.batch(&db, params.txns);
-    run_workload(
-        &engine,
-        batch,
-        &RunParams {
-            workers: params.workers,
-            max_retries: params.max_retries,
-            ..Default::default()
-        },
-    );
+    let run = RunParams {
+        workers: params.workers,
+        max_retries: params.max_retries,
+        ..Default::default()
+    };
+    run_to_a_crash_behind_a_checkpoint(&engine, &wal, batch, &run)?;
     if wal.checkpoints_taken() == 0 {
         return Err("workload took no checkpoint — parity proves nothing".into());
     }

@@ -249,28 +249,36 @@ fn lock_timeout_is_retried_to_success() {
             .build();
     let t = Target { item: db.items[0].item, order: db.items[0].orders[0].order };
 
-    let hold = Gate::new();
-    let g = Arc::clone(&hold);
+    let (hold, holding) = (Gate::new(), Gate::new());
+    let (g, locked) = (Arc::clone(&hold), Arc::clone(&holding));
     let (e1, e2) = (Arc::clone(&engine), Arc::clone(&engine));
 
     std::thread::scope(|s| {
-        let _unstick = OpenOnDrop::new([Arc::clone(&hold)]);
+        let _unstick = OpenOnDrop::new([Arc::clone(&hold), Arc::clone(&holding)]);
         let h1 = s.spawn(move || {
             let p = FnProgram::new("holder", move |ctx: &mut dyn MethodContext| {
                 ctx.call(t.item, "ShipOrder", vec![Value::Id(t.order)])?;
+                locked.open();
                 g.wait();
                 Ok(Value::Unit)
             });
             e1.execute(&p)
         });
-        // Open the gate once the waiter has burnt at least one attempt.
+        // The waiter starts only once the holder owns the lock...
+        holding.wait();
         let h2 = s.spawn(move || {
             let p = FnProgram::new("waiter", move |ctx: &mut dyn MethodContext| {
                 ctx.call(t.item, "ShipOrder", vec![Value::Id(t.order)])
             });
             e2.execute_with_retry(&p, 100)
         });
-        std::thread::sleep(Duration::from_millis(250));
+        // ...and the holder lets go once the waiter has burnt an attempt
+        // (observed, not assumed from a fixed sleep).
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while engine.stats().lock_timeouts < 1 {
+            assert!(std::time::Instant::now() < deadline, "the waiter never timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         hold.open();
         let (res, retries) = h2.join().unwrap();
         assert!(res.is_ok(), "retry must eventually succeed: {res:?}");
