@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Render a caught panic payload as an abort reason.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(ip) = payload.downcast_ref::<InjectedPanic>() {
         format!("injected panic at {}", ip.0)
     } else if let Some(s) = payload.downcast_ref::<&str>() {

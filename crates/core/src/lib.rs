@@ -55,7 +55,7 @@ pub use config::ProtocolConfig;
 pub use deadlock::WaitsForGraph;
 pub use discipline::DisciplineDeps;
 pub use discipline::{AcquireRequest, Discipline, GrantInfo};
-pub use engine::{Engine, EngineBuilder, FnProgram, TransactionProgram, TxnOutcome};
+pub use engine::{panic_message, Engine, EngineBuilder, FnProgram, TransactionProgram, TxnOutcome};
 pub use fault::{
     injected_panic, silence_injected_panics, CrashPoint, FaultPlan, FaultSite, FaultSpec,
     FaultyStorage, InjectedPanic, IoFaultPoint, ShardFaultPoint,

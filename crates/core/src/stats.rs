@@ -170,7 +170,8 @@ counters! {
     cascade_aborts,
     /// Distinct abort-dependency edges recorded in the dependency graph.
     dependency_edges,
-    /// Distributed transactions that touched more than one shard.
+    /// Acknowledged distributed transactions that touched more than one
+    /// shard (counted once, at the ack — not per retried attempt).
     cross_shard_txns,
     /// Prepare requests processed by shard participants (semantic
     /// open-nested piece commits and 2PC prepare votes alike).

@@ -14,12 +14,19 @@
 //! every conflicting transaction across the fleet for the whole commit
 //! round trip.
 //!
+//! Both protocols hand their pieces to one dispatch path (`dispatch.rs`)
+//! that never creates a thread per transaction: open-nested pieces on a
+//! fleet that simulates no latency run on the submitting thread, in shard
+//! order; with latency to overlap — and always under 2PC, whose
+//! participants must be live together — they go to parked, reused helpers.
+//!
 //! The coordinator's only durable state is its **decision log**. A commit
 //! decision is logged before any shard learns it; absence of a decision
 //! means abort (presumed abort). In-doubt participants — pieces prepared
 //! on a shard that crashed before the decision reached it — resolve
 //! deterministically against this log during shard recovery.
 
+use crate::dispatch::{Dispatched, Dispatcher};
 use crate::partition::PartitionMap;
 use crate::rpc::{FleetFaults, RetryPolicy, RpcError, ShardLink};
 use crate::shard::{DecisionGate, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport};
@@ -29,7 +36,7 @@ use semcc_core::{
     StatsSnapshot, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
-use semcc_semantics::Value;
+use semcc_semantics::{SemccError, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,18 +106,25 @@ impl Default for FleetConfig {
     }
 }
 
-/// The coordinator plus its shards — one logical distributed database.
-pub struct Coordinator {
+/// The shards and what a piece needs to reach one — shared with the
+/// dispatch helpers, so a shipped job owns its data.
+struct Fleet {
     cfg: FleetConfig,
-    pmap: PartitionMap,
     shards: Vec<Arc<ShardNode>>,
     faults: Arc<FleetFaults>,
+    stats: Stats,
+}
+
+/// The coordinator plus its shards — one logical distributed database.
+pub struct Coordinator {
+    fleet: Arc<Fleet>,
+    pmap: PartitionMap,
+    dispatch: Dispatcher,
     decision_log: Arc<WalWriter>,
     /// In-memory mirror of the decision log (gtid → commit). Volatile:
     /// a coordinator crash clears it; recovery reparses the log.
     decisions: Mutex<BTreeMap<u64, bool>>,
     next_gtid: AtomicU64,
-    stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
     down: AtomicBool,
     /// Gtids whose commit was acknowledged to the client, in ack order.
@@ -141,23 +155,21 @@ impl Coordinator {
             .collect();
         Coordinator {
             pmap,
-            shards,
-            faults,
+            dispatch: Dispatcher::default(),
             decision_log: WalWriter::new(FsyncPolicy::EveryAppend),
             decisions: Mutex::new(BTreeMap::new()),
             next_gtid: AtomicU64::new(1),
-            stats: Arc::new(Stats::default()),
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
             down: AtomicBool::new(false),
             acked: Mutex::new(Vec::new()),
-            cfg,
+            fleet: Arc::new(Fleet { cfg, shards, faults, stats: Stats::default() }),
         }
     }
 
     /// The fleet's shards.
     pub fn shards(&self) -> &[Arc<ShardNode>] {
-        &self.shards
+        &self.fleet.shards
     }
 
     /// The partition map.
@@ -192,26 +204,17 @@ impl Coordinator {
 
     /// Fleet-wide counters: the coordinator's own plus every shard's.
     pub fn fleet_stats(&self) -> StatsSnapshot {
-        let mut acc = self.stats.snapshot();
-        for s in &self.shards {
+        let mut acc = self.fleet.stats.snapshot();
+        for s in &self.fleet.shards {
             acc = crate::shard::merge_snapshots(&acc, &s.stats());
         }
         acc
     }
 
-    fn link(&self, gtid: u64, shard: usize) -> ShardLink<'_> {
-        ShardLink {
-            faults: &self.faults,
-            policy: self.cfg.retry,
-            stats: &self.stats,
-            seed: self.cfg.seed ^ gtid.wrapping_mul(0x9e37_79b9) ^ shard as u64,
-        }
-    }
-
-    fn net_pause(&self) {
-        if !self.cfg.net_delay.is_zero() {
-            std::thread::sleep(self.cfg.net_delay);
-        }
+    /// Dispatch helper threads created so far: none under open-nested
+    /// commit without simulated latency, else at most clients × shards.
+    pub fn dispatch_threads_created(&self) -> usize {
+        self.dispatch.threads_created()
     }
 
     fn journal_record(&self, kind: JournalKind, gtid: u64, aux: u64) {
@@ -234,6 +237,15 @@ impl Coordinator {
         Ok(())
     }
 
+    /// Acknowledge `gtid` to the client. A cross-shard transaction is
+    /// counted here, once — not per attempt of a retried submission.
+    fn ack(&self, gtid: u64, cross_shard: bool) {
+        if cross_shard {
+            Stats::bump(&self.fleet.stats.cross_shard_txns);
+        }
+        self.acked.lock().push(gtid);
+    }
+
     /// Submit one transaction under `protocol`. Returns the gtid (for
     /// audits) alongside the outcome; the `Ok` value is the single
     /// piece's value, or a `Value::List` of piece values in shard order
@@ -248,182 +260,89 @@ impl Coordinator {
             return (gtid, Err(RpcError::CoordinatorDown));
         }
         let pieces = self.pmap.split(spec);
-        if pieces.len() > 1 {
-            Stats::bump(&self.stats.cross_shard_txns);
-        }
-        let result = match protocol {
-            CommitProtocol::OpenNested => self.commit_open_nested(gtid, &pieces),
-            CommitProtocol::TwoPhase => self.commit_two_phase(gtid, &pieces),
+        // One-phase optimization: a single-shard transaction needs no
+        // prepare round — every real 2PC system short-circuits it, and
+        // charging the baseline for a round trip it would not make would
+        // rig the comparison.
+        let result = if protocol == CommitProtocol::TwoPhase && pieces.len() > 1 {
+            self.commit_two_phase(gtid, pieces)
+        } else {
+            self.commit_open_nested(gtid, pieces)
         };
         (gtid, result)
-    }
-
-    /// Dispatch one piece to its shard, re-running it locally after
-    /// retryable engine aborts (deadlock, lock timeout).
-    fn drive_piece(
-        &self,
-        gtid: u64,
-        shard_idx: usize,
-        piece: &TxnSpec,
-    ) -> Result<PieceAck, RpcError> {
-        let shard = &self.shards[shard_idx];
-        let link = self.link(gtid, shard_idx);
-        let mut attempt = 0u32;
-        loop {
-            match link.call(|| shard.run_piece(gtid, piece)) {
-                Err(e) if e.is_retryable_app() && attempt < self.cfg.max_piece_retries => {
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
     }
 
     fn commit_open_nested(
         &self,
         gtid: u64,
-        pieces: &[(usize, TxnSpec)],
+        pieces: Vec<(usize, TxnSpec)>,
     ) -> Result<Value, RpcError> {
-        // Pieces live on distinct shards and commit independently — fire
-        // them concurrently, exactly like the 2PC dispatch, so both
-        // protocols pay the same message latency and the comparison
-        // isolates the lock-hold window.
-        let outcomes: Vec<(usize, Result<PieceAck, RpcError>)> = if pieces.len() == 1 {
-            let (shard_idx, piece) = &pieces[0];
-            self.net_pause();
-            vec![(*shard_idx, self.drive_piece(gtid, *shard_idx, piece))]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pieces
-                    .iter()
-                    .map(|(shard_idx, piece)| {
-                        let idx = *shard_idx;
-                        scope.spawn(move || {
-                            self.net_pause();
-                            (idx, self.drive_piece(gtid, idx, piece))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("piece thread")).collect()
+        let cross_shard = pieces.len() > 1;
+        let jobs = pieces.into_iter().map(|(shard, piece)| {
+            let fleet = Arc::clone(&self.fleet);
+            (shard, move || {
+                fleet.net_pause();
+                fleet.drive_piece(gtid, shard, &piece)
             })
-        };
-        let mut acks: Vec<(usize, PieceAck)> = Vec::with_capacity(pieces.len());
-        let mut failure: Option<RpcError> = None;
-        for (idx, out) in outcomes {
-            match out {
-                Ok(ack) => acks.push((idx, ack)),
-                Err(e) => {
-                    // Prefer the retryable root cause over secondary
-                    // errors, as in the 2PC join loop.
-                    if failure
-                        .as_ref()
-                        .is_none_or(|f| !f.is_retryable_app() && e.is_retryable_app())
-                    {
-                        failure = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // Global abort. Compensate the pieces already committed; a
-            // shard that is unreachable resolves at its own recovery
-            // (presumed abort).
+        });
+        // With simulated latency the pieces overlap, exactly like the 2PC
+        // dispatch, so both protocols pay the same message latency and
+        // the comparison isolates the lock-hold window; with none the
+        // caller runs them itself.
+        let mut out = self.dispatch.run(jobs, self.fleet.sleeps());
+        if let Some(e) = out.failure.take() {
+            // Global abort. Compensate the pieces already committed.
             let _ = self.log_decision(gtid, false);
-            for (s, _) in &acks {
-                let link = self.link(gtid, *s);
-                let _ = link.call(|| self.shards[*s].resolve(gtid, false));
-            }
+            self.fleet.resolve(gtid, &out.acks, false);
             return Err(e);
         }
         // Every piece is locally durable: log the global commit decision.
         self.log_decision(gtid, true)?;
-        if self.faults.coordinator_crash() {
+        if self.fleet.faults.coordinator_crash() {
             // Crash mid-commit: decided but neither the shards nor the
             // client ever hear it. Recovery re-drives the decision.
             self.crash();
             return Err(RpcError::CoordinatorDown);
         }
-        for (s, _) in &acks {
-            let link = self.link(gtid, *s);
-            let _ = link.call(|| self.shards[*s].resolve(gtid, true));
-        }
-        self.acked.lock().push(gtid);
-        Ok(combine_values(acks))
+        self.fleet.resolve(gtid, &out.acks, true);
+        self.ack(gtid, cross_shard);
+        Ok(out.into_value())
     }
 
-    fn commit_two_phase(&self, gtid: u64, pieces: &[(usize, TxnSpec)]) -> Result<Value, RpcError> {
-        // One-phase optimization: a single-shard transaction needs no
-        // prepare round — every real 2PC system short-circuits it, and
-        // charging the baseline for a round trip it would not make would
-        // rig the comparison.
-        if pieces.len() == 1 {
-            return self.commit_open_nested(gtid, pieces);
-        }
-        let gate = DecisionGate::default();
-        let decided = std::thread::scope(|scope| {
-            let handles: Vec<_> = pieces
-                .iter()
-                .map(|(shard_idx, piece)| {
-                    let shard = Arc::clone(&self.shards[*shard_idx]);
-                    let gate = &gate;
-                    let idx = *shard_idx;
-                    let pause = self.cfg.net_delay;
-                    scope.spawn(move || {
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        let out = shard.run_piece_2pc(gtid, piece, gate);
-                        if out.is_err() {
-                            gate.fail();
-                        }
-                        (idx, out)
-                    })
-                })
-                .collect();
-            let all_ready = gate.wait_votes(pieces.len());
-            // Decision delivery: the participants sit on their locks for
-            // this entire round trip.
-            self.net_pause();
-            let commit = if all_ready {
-                // Presumed abort: the commit decision is durable before
-                // any participant may release locks and finish.
-                self.log_decision(gtid, true).is_ok()
-            } else {
-                let _ = self.log_decision(gtid, false);
-                false
-            };
-            gate.decide(commit);
-            let mut acks = Vec::new();
-            let mut failure: Option<RpcError> = None;
-            for h in handles {
-                match h.join().expect("piece thread") {
-                    (idx, Ok(ack)) => acks.push((idx, ack)),
-                    (_, Err(e)) => {
-                        // Prefer the *root cause* over the secondary
-                        // "global abort" errors of sibling pieces: a
-                        // contention victim (deadlock / lock timeout) is
-                        // retryable, the abort it triggered is not.
-                        if failure
-                            .as_ref()
-                            .is_none_or(|f| !f.is_retryable_app() && e.is_retryable_app())
-                        {
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            match (commit, failure) {
-                (true, None) => Ok(acks),
-                (_, Some(e)) => Err(e),
-                (false, None) => Err(RpcError::App(semcc_semantics::SemccError::Aborted(
-                    "2pc vote failed".into(),
-                ))),
-            }
+    fn commit_two_phase(
+        &self,
+        gtid: u64,
+        pieces: Vec<(usize, TxnSpec)>,
+    ) -> Result<Value, RpcError> {
+        let gate = Arc::new(DecisionGate::default());
+        let cohort = pieces.len();
+        // Participants block on the gate holding their locks, so each
+        // needs a thread of its own: all of them go to helpers.
+        let jobs = pieces.into_iter().map(|(shard, piece)| {
+            let (fleet, gate) = (Arc::clone(&self.fleet), Arc::clone(&gate));
+            (shard, move || {
+                fleet.net_pause();
+                fleet.shards[shard].run_piece_2pc(gtid, &piece, &gate)
+            })
         });
-        decided.map(|acks| {
-            self.acked.lock().push(gtid);
-            combine_values(acks)
-        })
+        let pending = self.dispatch.post(jobs, Some(&gate));
+        let all_ready = gate.wait_votes(cohort);
+        // Decision delivery: the participants sit on their locks for
+        // this entire round trip.
+        self.fleet.net_pause();
+        // Presumed abort: the commit decision is durable before any
+        // participant may release locks and finish.
+        let commit = self.log_decision(gtid, all_ready).is_ok() && all_ready;
+        gate.decide(commit);
+        let mut out = pending.collect(Dispatched::default());
+        if let Some(e) = out.failure.take() {
+            return Err(e);
+        }
+        if !commit {
+            return Err(RpcError::App(SemccError::Aborted("2pc vote failed".into())));
+        }
+        self.ack(gtid, true);
+        Ok(out.into_value())
     }
 
     /// Submit with transparent whole-transaction retries on contention
@@ -485,7 +404,7 @@ impl Coordinator {
         self.down.store(false, Ordering::Release);
         let mut redriven = 0;
         for (gtid, commit) in &rebuilt {
-            for shard in &self.shards {
+            for shard in &self.fleet.shards {
                 if !shard.is_dead() && shard.resolve(*gtid, *commit).is_ok() {
                     redriven += 1;
                 }
@@ -497,15 +416,51 @@ impl Coordinator {
     /// Recover one crashed shard against the current decision map.
     pub fn recover_shard(&self, idx: usize) -> Result<ShardRecoveryReport, String> {
         let decisions = self.decisions();
-        self.shards[idx].recover(&decisions)
+        self.fleet.shards[idx].recover(&decisions)
     }
 }
 
-fn combine_values(mut acks: Vec<(usize, PieceAck)>) -> Value {
-    acks.sort_by_key(|(s, _)| *s);
-    if acks.len() == 1 {
-        acks.remove(0).1.value
-    } else {
-        Value::List(acks.into_iter().map(|(_, a)| a.value).collect())
+impl Fleet {
+    /// Whether anything sleeps, i.e. concurrent pieces overlap something.
+    fn sleeps(&self) -> bool {
+        !(self.cfg.net_delay.is_zero() && self.cfg.op_delay.is_zero())
+    }
+
+    fn net_pause(&self) {
+        if !self.cfg.net_delay.is_zero() {
+            std::thread::sleep(self.cfg.net_delay);
+        }
+    }
+
+    fn link(&self, gtid: u64, shard: usize) -> ShardLink<'_> {
+        ShardLink {
+            faults: &self.faults,
+            policy: self.cfg.retry,
+            stats: &self.stats,
+            seed: self.cfg.seed ^ gtid.wrapping_mul(0x9e37_79b9) ^ shard as u64,
+        }
+    }
+
+    /// Dispatch one piece to its shard, re-running it locally after
+    /// retryable engine aborts (deadlock, lock timeout).
+    fn drive_piece(&self, gtid: u64, shard: usize, piece: &TxnSpec) -> Result<PieceAck, RpcError> {
+        let link = self.link(gtid, shard);
+        let mut attempt = 0u32;
+        loop {
+            match link.call(|| self.shards[shard].run_piece(gtid, piece)) {
+                Err(e) if e.is_retryable_app() && attempt < self.cfg.max_piece_retries => {
+                    attempt += 1;
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Deliver the decision to every shard that acked a piece. A shard
+    /// that is unreachable resolves at its own recovery (presumed abort).
+    fn resolve(&self, gtid: u64, acks: &[(usize, PieceAck)], commit: bool) {
+        for (s, _) in acks {
+            let _ = self.link(gtid, *s).call(|| self.shards[*s].resolve(gtid, commit));
+        }
     }
 }

@@ -25,6 +25,7 @@
 //!   crashes mid-commit.
 
 pub mod coordinator;
+mod dispatch;
 pub mod partition;
 pub mod rpc;
 pub mod shard;

@@ -43,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 use semcc_baselines::FlatObject2pl;
 use semcc_core::{
     read_image, recover_image, Engine, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig,
-    Stats, StatsSnapshot, WalConfig, WalRecord, WalWriter,
+    Stats, StatsSnapshot, TopId, WalConfig, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::{Invocation, SemccError, Storage, Value};
@@ -164,7 +164,7 @@ impl DecisionGate {
 /// One shard node.
 pub struct ShardNode {
     cfg: ShardConfig,
-    inner: Mutex<Option<ShardInner>>,
+    inner: Mutex<Option<Arc<ShardInner>>>,
     /// Pieces executed and acked but not yet resolved, by gtid. Volatile —
     /// a crash clears it; recovery rebuilds the in-doubt set from the
     /// participant log.
@@ -185,7 +185,7 @@ impl ShardNode {
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
             cfg,
-            inner: Mutex::new(Some(inner)),
+            inner: Mutex::new(Some(Arc::new(inner))),
             completed: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
             stats: Arc::new(Stats::default()),
@@ -243,6 +243,30 @@ impl ShardNode {
         inner.as_ref().map(|i| f(&i.engine, &i.db))
     }
 
+    /// The live engine stack: one refcount bump under the lock, so a
+    /// piece's critical section on `inner` is as short as it can be.
+    fn live(&self) -> Result<Arc<ShardInner>, RpcError> {
+        self.inner.lock().clone().ok_or(RpcError::ShardDown)
+    }
+
+    /// The participant record of `gtid`'s piece, durable before its local
+    /// commit (the prepare hook of both protocols).
+    fn log_prepare(
+        &self,
+        live: &ShardInner,
+        gtid: u64,
+        top: TopId,
+        comp: &[Invocation],
+    ) -> Result<(), SemccError> {
+        let rec = WalRecord::SubCommit { top: gtid, subtree: top.0 as u32, comp: comp.to_vec() };
+        live.part_log
+            .append(&rec)
+            .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
+        Stats::bump(&self.stats.prepares);
+        self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
+        Ok(())
+    }
+
     fn journal_record(&self, kind: JournalKind, gtid: u64, aux: u64) {
         if let Some(j) = &self.journal {
             j.record(kind, gtid, 0, 0, 0, gtid, aux);
@@ -264,28 +288,15 @@ impl ShardNode {
             self.crash();
             return Err(RpcError::ShardDown);
         }
-        let (engine, wal, part_log) = {
-            let inner = self.inner.lock();
-            let Some(i) = inner.as_ref() else { return Err(RpcError::ShardDown) };
-            (Arc::clone(&i.engine), Arc::clone(&i.wal), Arc::clone(&i.part_log))
-        };
-        let (_top, result) = engine.execute_open_prepared(spec, &mut |top, comp| {
-            part_log
-                .append(&WalRecord::SubCommit {
-                    top: gtid,
-                    subtree: top.0 as u32,
-                    comp: comp.to_vec(),
-                })
-                .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
-            Stats::bump(&self.stats.prepares);
-            self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
-            Ok(())
-        });
+        let live = self.live()?;
+        let (_top, result) = live
+            .engine
+            .execute_open_prepared(spec, &mut |top, comp| self.log_prepare(&live, gtid, top, comp));
         match result {
             Ok((outcome, comp)) => {
                 // Acked ⇒ durable: the commit record was fsynced under
                 // OnCommit unless the device died under us.
-                if wal.crashed() {
+                if live.wal.crashed() {
                     self.crash();
                     return Err(RpcError::ShardDown);
                 }
@@ -308,22 +319,11 @@ impl ShardNode {
         if self.is_dead() {
             return Err(RpcError::ShardDown);
         }
-        let (engine, part_log) = {
-            let inner = self.inner.lock();
-            let Some(i) = inner.as_ref() else { return Err(RpcError::ShardDown) };
-            (Arc::clone(&i.engine), Arc::clone(&i.part_log))
-        };
+        let live = self.live()?;
+        let part_log = &live.part_log;
         let voted = std::cell::Cell::new(false);
-        let (_top, result) = engine.execute_open_prepared(spec, &mut |top, comp| {
-            part_log
-                .append(&WalRecord::SubCommit {
-                    top: gtid,
-                    subtree: top.0 as u32,
-                    comp: comp.to_vec(),
-                })
-                .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
-            Stats::bump(&self.stats.prepares);
-            self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
+        let (_top, result) = live.engine.execute_open_prepared(spec, &mut |top, comp| {
+            self.log_prepare(&live, gtid, top, comp)?;
             voted.set(true);
             if gate.vote_and_wait() {
                 Ok(())
@@ -368,20 +368,14 @@ impl ShardNode {
             return Err(RpcError::ShardDown);
         }
         let Some(piece) = self.completed.lock().remove(&gtid) else { return Ok(()) };
-        let (engine, part_log) = {
-            let inner = self.inner.lock();
-            let Some(i) = inner.as_ref() else { return Err(RpcError::ShardDown) };
-            (Arc::clone(&i.engine), Arc::clone(&i.part_log))
-        };
-        if commit {
-            part_log
-                .append(&WalRecord::TopCommit { top: gtid })
-                .map_err(|_| RpcError::ShardDown)?;
+        let live = self.live()?;
+        let marker = if commit {
+            WalRecord::TopCommit { top: gtid }
         } else {
-            engine.compensate_transaction(piece.comp).map_err(RpcError::App)?;
-            part_log.append(&WalRecord::TopAbort { top: gtid }).map_err(|_| RpcError::ShardDown)?;
-        }
-        Ok(())
+            live.engine.compensate_transaction(piece.comp).map_err(RpcError::App)?;
+            WalRecord::TopAbort { top: gtid }
+        };
+        live.part_log.append(&marker).map(|_| ()).map_err(|_| RpcError::ShardDown)
     }
 
     /// Kill the shard: both logs lose their unsynced tails, volatile
@@ -528,7 +522,8 @@ impl ShardNode {
             return Err(format!("shard {} crashed mid-recovery (injected)", self.cfg.idx));
         }
 
-        *self.inner.lock() = Some(ShardInner { db: base, engine, wal: resumed, part_log });
+        *self.inner.lock() =
+            Some(Arc::new(ShardInner { db: base, engine, wal: resumed, part_log }));
         self.dead.store(false, Ordering::Release);
         Ok(report)
     }

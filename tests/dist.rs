@@ -11,10 +11,13 @@
 //! surface as a test failure, not a stuck CI job.
 
 use semcc::core::ShardFaultPoint;
-use semcc::dist::{CommitProtocol, Coordinator, FleetConfig};
-use semcc::orderentry::{Database, DbParams};
+use semcc::dist::{CommitProtocol, Coordinator, FleetConfig, RpcError};
+use semcc::orderentry::{Database, DbParams, ItemInfo, TxnSpec, Workload, WorkloadConfig};
+use semcc::semantics::Value;
+use semcc::sim::validate::canonical_shard_state;
 use semcc::sim::{run_fleet_crash_recover, FleetParams, FleetReport};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Hard per-run watchdog: distributed-recovery bugs tend to hang.
@@ -24,15 +27,20 @@ fn seed_offset() -> u64 {
     std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
-fn run_guarded(label: String, params: FleetParams) -> FleetReport {
+/// Run `f` on a thread of its own under the watchdog.
+fn guarded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(run_fleet_crash_recover(&params));
+        let _ = tx.send(f());
     });
     match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(report) => report,
-        Err(_) => panic!("fleet run {label} hung (> {RUN_TIMEOUT:?})"),
+        Ok(out) => out,
+        Err(_) => panic!("fleet run {label} hung or panicked (> {RUN_TIMEOUT:?})"),
     }
+}
+
+fn run_guarded(label: String, params: FleetParams) -> FleetReport {
+    guarded(&label, move || run_fleet_crash_recover(&params))
 }
 
 fn assert_sound(label: &str, report: &FleetReport) {
@@ -244,4 +252,253 @@ fn two_phase_baseline_converges_on_healthy_fleet() {
     let (acked, committed, acked_log) = rx.recv_timeout(RUN_TIMEOUT).expect("2pc healthy run hung");
     assert_eq!(acked, 24, "healthy 2pc fleet commits everything");
     assert_eq!(acked_log, committed, "every 2pc ack has a logged decision");
+}
+
+// ---- piece dispatch ---------------------------------------------------
+
+/// Tests whose fleets create dispatch helper threads run one at a time,
+/// so the thread-leak test can count helpers by name.
+static HELPER_TESTS: Mutex<()> = Mutex::new(());
+
+fn helper_tests() -> MutexGuard<'static, ()> {
+    HELPER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn small_db() -> DbParams {
+    DbParams { n_items: 16, orders_per_item: 4, ..Default::default() }
+}
+
+fn batch(db_params: &DbParams, seed: u64, txns: usize) -> Vec<TxnSpec> {
+    let reference = Database::build(db_params).expect("reference");
+    Workload::new(&reference, WorkloadConfig { seed, ..Default::default() }).batch(&reference, txns)
+}
+
+/// `clients` closed-loop clients drain `batch` through
+/// `submit_with_retry`; returns how many transactions committed.
+fn drain(
+    coord: &Coordinator,
+    batch: &[TxnSpec],
+    protocol: CommitProtocol,
+    clients: usize,
+) -> usize {
+    let (next, ok) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        for _ in 0..clients {
+            scope.spawn(|| {
+                while let Some(spec) = batch.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    if coord.submit_with_retry(spec, protocol, 10_000).1.is_ok() {
+                        ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    ok.into_inner()
+}
+
+/// No latency to overlap: the submitting thread runs the pieces itself
+/// and the fleet never creates a dispatch thread.
+#[test]
+fn zero_latency_open_nested_fleet_creates_no_dispatch_thread() {
+    guarded("caller-runs/no-threads", || {
+        let db_params = small_db();
+        let coord =
+            Coordinator::new(FleetConfig { db_params: db_params.clone(), ..Default::default() });
+        let cross: Vec<TxnSpec> = batch(&db_params, 3, 400)
+            .into_iter()
+            .filter(|spec| coord.partition().split(spec).len() > 1)
+            .collect();
+        assert!(cross.len() >= 50, "the mix yields cross-shard transactions");
+        let before = coord.fleet_stats().cross_shard_txns;
+        let mut acked = 0u64;
+        for spec in cross.iter().cycle().take(10_000) {
+            acked += u64::from(coord.submit(spec, CommitProtocol::OpenNested).1.is_ok());
+        }
+        assert!(acked > 5_000, "most of the 10 000 cross-shard submits commit: {acked}");
+        assert_eq!(coord.fleet_stats().cross_shard_txns - before, acked, "counted once, at ack");
+        assert_eq!(coord.dispatch_threads_created(), 0);
+    });
+}
+
+/// With latency to overlap, helpers are reused: their number is bounded
+/// by clients × shards, whatever the number of transactions.
+#[test]
+fn dispatch_threads_are_bounded_by_clients_times_shards_not_by_transactions() {
+    let _serial = helper_tests();
+    for protocol in [CommitProtocol::OpenNested, CommitProtocol::TwoPhase] {
+        guarded(&format!("helpers-bounded/{protocol:?}"), move || {
+            const CLIENTS: usize = 4;
+            let db_params = small_db();
+            let coord = Coordinator::new(FleetConfig {
+                db_params: db_params.clone(),
+                net_delay: Duration::from_micros(50),
+                lock_wait_timeout: Some(Duration::from_millis(10)),
+                ..Default::default()
+            });
+            let bound = CLIENTS * coord.shards().len();
+            for (seed, txns) in [(5, 100), (6, 600)] {
+                let batch = batch(&db_params, seed, txns);
+                assert_eq!(drain(&coord, &batch, protocol, CLIENTS), txns, "{protocol:?}");
+                let created = coord.dispatch_threads_created();
+                assert!(
+                    (1..=bound).contains(&created),
+                    "{protocol:?}: {created} helpers after {txns} more txns, bound {bound}"
+                );
+            }
+        });
+    }
+}
+
+/// A bounded pool would deadlock 2PC cohorts whose votes queue behind
+/// each other's parked participants; on-demand growth must not.
+#[test]
+fn two_phase_cohorts_never_starve_for_a_helper() {
+    let _serial = helper_tests();
+    guarded("2pc/no-starvation", || {
+        let db_params = small_db();
+        let coord = Coordinator::new(FleetConfig {
+            n_shards: 4,
+            db_params: db_params.clone(),
+            net_delay: Duration::from_micros(20),
+            lock_wait_timeout: Some(Duration::from_millis(10)),
+            low_level_2pl: true,
+            ..Default::default()
+        });
+        let batch = batch(&db_params, 17, 400);
+        assert_eq!(drain(&coord, &batch, CommitProtocol::TwoPhase, 8), 400);
+        assert_eq!(coord.acked().len(), 400);
+        assert!(coord.dispatch_threads_created() <= 8 * 4);
+        let stats = coord.fleet_stats();
+        assert!(stats.cross_shard_txns > 0 && stats.cross_shard_txns <= 400, "acks, not attempts");
+    });
+}
+
+/// Caller-runs stops at the first failed piece: the later pieces never
+/// start, so there is nothing to prepare and nothing to compensate. The
+/// concurrent path runs them all and compensates the one that committed.
+#[test]
+fn caller_runs_short_circuits_after_a_failed_first_piece() {
+    let _serial = helper_tests();
+    guarded("caller-runs/short-circuit", || {
+        for (net_delay, prepares, label) in
+            [(Duration::ZERO, 0, "caller-runs"), (Duration::from_micros(1), 1, "helpers")]
+        {
+            let db_params = small_db();
+            let coord = Coordinator::new(FleetConfig {
+                db_params: db_params.clone(),
+                net_delay,
+                ..Default::default()
+            });
+            let db = Database::build(&db_params).expect("reference");
+            let on = |shard: usize| {
+                let owned = |i: &&ItemInfo| coord.partition().owner_of_item(i.item) == shard;
+                db.items.iter().find(owned).expect("every shard owns an item")
+            };
+            // Shard 0's piece re-enters an existing order number and fails
+            // for good; shard 1's piece is a perfectly valid new order.
+            let spec = TxnSpec::NewOrders {
+                entries: vec![(on(0).item, on(0).orders[0].order_no), (on(1).item, 1_000_000)],
+                customer: 1,
+                quantity: 1,
+            };
+            assert_eq!(coord.partition().split(&spec).len(), 2);
+            let before = coord.fleet_stats();
+            let (_, out) = coord.submit(&spec, CommitProtocol::OpenNested);
+            assert!(matches!(&out, Err(RpcError::App(e)) if !e.is_retryable()), "{label}: {out:?}");
+            let d = coord.fleet_stats().delta(&before);
+            assert_eq!(d.prepares, prepares, "{label}: pieces that reached their commit point");
+            assert_eq!(
+                d.compensations > 0,
+                prepares > 0,
+                "{label}: compensations {}",
+                d.compensations
+            );
+            assert_eq!(d.cross_shard_txns, 0, "{label}: an aborted transaction is not counted");
+            assert!(coord.acked().is_empty() && coord.committed_gtids().is_empty());
+        }
+    });
+}
+
+/// One seeded batch, one client, both dispatch behaviours: same acks,
+/// same values, same final state on every shard.
+#[test]
+fn caller_runs_and_helper_dispatch_agree() {
+    let _serial = helper_tests();
+    guarded("dispatch/differential", || {
+        let db_params = small_db();
+        let batch = batch(&db_params, 23, 2_000);
+        let run = |net_delay: Duration| {
+            let coord = Coordinator::new(FleetConfig {
+                db_params: db_params.clone(),
+                net_delay,
+                ..Default::default()
+            });
+            let values: Vec<Option<Value>> = batch
+                .iter()
+                .map(|spec| coord.submit(spec, CommitProtocol::OpenNested).1.ok())
+                .collect();
+            let states: Vec<_> = coord
+                .shards()
+                .iter()
+                .map(|shard| {
+                    shard
+                        .with_live(|engine, db| {
+                            canonical_shard_state(
+                                engine.storage().as_ref(),
+                                db.items_set,
+                                coord.shards().len(),
+                                shard.idx(),
+                            )
+                        })
+                        .expect("shard is live")
+                        .expect("canonical projection")
+                })
+                .collect();
+            (coord.acked(), values, states, coord.dispatch_threads_created())
+        };
+        let (acked, values, states, threads) = run(Duration::ZERO);
+        let (acked_h, values_h, states_h, threads_h) = run(Duration::from_micros(1));
+        assert_eq!((threads, threads_h), (0, 1), "one path each");
+        assert!(acked.len() > 1_000, "most of the batch commits: {}", acked.len());
+        assert_eq!(acked, acked_h);
+        assert_eq!(values, values_h);
+        assert_eq!(states, states_h);
+    });
+}
+
+/// Dropping a coordinator joins its helpers: no thread outlives it.
+#[cfg(target_os = "linux")]
+#[test]
+fn dropping_a_coordinator_leaves_no_helper_thread_behind() {
+    fn helpers_alive() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == "semcc-dispatch")
+            .count()
+    }
+    let _serial = helper_tests();
+    guarded("dispatch/drop-joins", || {
+        let db_params = DbParams { n_items: 4, orders_per_item: 2, ..Default::default() };
+        let batch = batch(&db_params, 29, 8);
+        let start = helpers_alive();
+        for _ in 0..50 {
+            let coord = Coordinator::new(FleetConfig {
+                db_params: db_params.clone(),
+                net_delay: Duration::from_micros(1),
+                ..Default::default()
+            });
+            for spec in &batch {
+                let _ = coord.submit(spec, CommitProtocol::TwoPhase);
+            }
+            assert!(coord.dispatch_threads_created() > 0, "the batch has cross-shard work");
+            assert!(helpers_alive() > start, "helpers park between jobs");
+        }
+        // A joined thread may linger in /proc for an instant after it exits.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while helpers_alive() != start && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(helpers_alive(), start);
+    });
 }
