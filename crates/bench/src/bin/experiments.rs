@@ -1,253 +1,39 @@
-//! The experiment driver: regenerates every evaluation artifact.
+//! The experiment driver.
 //!
 //! ```text
-//! experiments [all|figures|fig1..fig7|b1|b2|b3|b4|b5|b8|b9|b10|b11|chaos|recover|torture|observe] [--quick]
+//! experiments b3|b11 [--quick]
 //! ```
 
 use semcc_bench::sweeps::{self, Scale};
-use semcc_bench::{figures, observe};
+use semcc_bench::tables::Table;
 
-fn print_and_save(title: &str, name: &str, table: semcc_bench::tables::Table) {
+fn print(title: &str, table: Table) {
     println!("=== {title} ===\n");
     println!("{}", table.render());
-    if let Some(path) = table.save_csv(name) {
-        println!("(csv written to {path})");
-    }
-    println!();
-}
-
-/// B9 also emits `BENCH_pr8.json` at the repo root (override with
-/// `SEMCC_B9_OUT`): the group-commit gate and the saturation audit in
-/// machine-readable form, uploaded by the CI bench-smoke job.
-fn run_b9(scale: Scale, quick: bool) {
-    let (table, json) = sweeps::b9_group_commit(scale, !quick);
-    print_and_save(
-        "B9: group commit (durable B2 cell, dir-backed log, oncommit vs never; saturation)",
-        "b9_group_commit",
-        table,
-    );
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json").to_string();
-    let out = std::env::var("SEMCC_B9_OUT").unwrap_or(default_out);
-    std::fs::write(&out, json).expect("write BENCH_pr8.json");
-    println!("(bench json written to {out})\n");
-}
-
-/// B10 also emits `BENCH_pr9.json` at the repo root (override with
-/// `SEMCC_B10_OUT`): the hot-spot gate — escrow + speculative Case-2
-/// grants vs the stock semantic protocol across the contention sweep —
-/// in machine-readable form, uploaded by the CI bench-smoke job.
-fn run_b10(scale: Scale, quick: bool) {
-    let (table, json) = sweeps::b10_hotspot(scale, !quick);
-    print_and_save(
-        "B10: hot-spot engine (escrow counters + speculative Case-2 grants vs stock semantic)",
-        "b10_hotspot",
-        table,
-    );
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json").to_string();
-    let out = std::env::var("SEMCC_B10_OUT").unwrap_or(default_out);
-    std::fs::write(&out, json).expect("write BENCH_pr9.json");
-    println!("(bench json written to {out})\n");
-}
-
-/// B11 also emits `BENCH_pr10.json` at the repo root (override with
-/// `SEMCC_B11_OUT`): the sharded-fleet gate — semantic open-nested
-/// cross-shard commit vs classic presumed-abort 2PC across shard-count ×
-/// cross-shard-ratio cells, plus the k-of-N availability audit — in
-/// machine-readable form, uploaded by the CI bench-smoke job.
-fn run_b11(scale: Scale, quick: bool) {
-    let (table, json) = sweeps::b11_sharded(scale, !quick);
-    print_and_save(
-        "B11: sharded fleet (semantic open-nested vs classic 2PC; cross-shard ratio sweep)",
-        "b11_sharded",
-        table,
-    );
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json").to_string();
-    let out = std::env::var("SEMCC_B11_OUT").unwrap_or(default_out);
-    std::fs::write(&out, json).expect("write BENCH_pr10.json");
-    println!("(bench json written to {out})\n");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let what = args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".into());
-    let trials = if quick { 5 } else { 25 };
-
-    let chaos_seeds: u64 = if quick { 2 } else { 8 };
-    let run_figures = |which: &str| match which {
-        "fig1" => figures::fig1(),
-        "fig2" => figures::fig2(),
-        "fig3" => figures::fig3(),
-        "fig4" => figures::fig4(),
-        "fig5" => figures::fig5(),
-        "fig6" => figures::fig6(),
-        "fig7" => figures::fig7(),
-        "containment" => figures::containment(),
-        _ => unreachable!(),
-    };
-
-    match what.as_str() {
-        "figures" => {
-            for f in ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "containment"] {
-                run_figures(f);
-            }
-            println!("{}", figures::summary().render());
-        }
-        f @ ("fig1" | "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "fig7") => run_figures(f),
-        "b1" => print_and_save(
-            "B1: throughput & blocking vs multiprogramming level (8 hot items, update-heavy mix)",
-            "b1_mpl",
-            sweeps::b1_mpl_sweep(scale),
-        ),
-        "b2" => print_and_save(
-            "B2: throughput vs data contention (number of items; MPL 8)",
-            "b2_contention",
-            sweeps::b2_contention_sweep(scale),
-        ),
-        "b3" => print_and_save(
+    match args.iter().find(|a| !a.starts_with("--")).map(String::as_str) {
+        Some("b3") => print(
             "B3: ablation of the Figure-9 commutative-ancestor machinery (bypass-heavy mix)",
-            "b3_ablation",
             sweeps::b3_ablation(scale),
         ),
-        "b4" => {
-            let (viol, cost) = sweeps::b4_bypassing(scale, trials);
-            print_and_save(
-                "B4a: serializability violations in crafted Figure-5 interleavings",
-                "b4a_violations",
-                viol,
+        Some("b11") => {
+            let (sweep, availability) = sweeps::b11_sharded(scale, !quick);
+            print(
+                "B11: sharded fleet (semantic open-nested vs classic 2PC; cross-shard ratio sweep)",
+                sweep,
             );
-            print_and_save(
-                "B4b: cost of bypassing vs encapsulated checks (semantic protocol)",
-                "b4b_bypass_cost",
-                cost,
-            );
-        }
-        "b5" => print_and_save(
-            "B5: transaction length sweep (orders per transaction; MPL 8)",
-            "b5_txn_length",
-            sweeps::b5_txn_length(scale),
-        ),
-        "b8" => print_and_save(
-            "B8: snapshot read path on/off across read ratios (4 hot items, MPL 8)",
-            "b8_read_path",
-            sweeps::b8_read_path(scale, !quick),
-        ),
-        "b9" => run_b9(scale, quick),
-        "b10" => run_b10(scale, quick),
-        "b11" => run_b11(scale, quick),
-        "chaos" => {
-            figures::containment();
-            print_and_save(
-                "B6: chaos sweep (fault mixes × seeds; containment audit)",
-                "b6_chaos",
-                sweeps::b6_chaos(scale, chaos_seeds),
-            );
-        }
-        "recover" => {
-            print_and_save(
-                "B7a: crash–recover–audit matrix (crash classes × mixes × seeds)",
-                "b7a_recover",
-                sweeps::b7_recover(scale, chaos_seeds),
-            );
-            print_and_save(
-                "B7b: logical-logging overhead (WAL off vs fsync=never, B2 contention cell)",
-                "b7b_wal_overhead",
-                sweeps::b7_wal_overhead(scale, !quick),
-            );
-        }
-        "torture" => {
-            print_and_save(
-                "B7c: torture matrix (crash → recover → crash-mid-recovery → recover chains)",
-                "b7c_torture",
-                sweeps::b7c_torture(scale, chaos_seeds),
-            );
-            print_and_save(
-                "B7d: disk-bound gate (log footprint with vs without checkpointing)",
-                "b7d_disk_bound",
-                sweeps::b7_disk_bound(scale),
-            );
-        }
-        "observe" => print_and_save(
-            "Observe: instrumented runs (journal + latency percentiles + lock-table sampler)",
-            "observe",
-            observe::observe_all(scale.txns, 8),
-        ),
-        "all" => {
-            for f in ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "containment"] {
-                run_figures(f);
-            }
-            println!("{}", figures::summary().render());
-            print_and_save(
-                "B1: throughput & blocking vs multiprogramming level (8 hot items, update-heavy mix)",
-                "b1_mpl",
-                sweeps::b1_mpl_sweep(scale),
-            );
-            print_and_save(
-                "B2: throughput vs data contention (number of items; MPL 8)",
-                "b2_contention",
-                sweeps::b2_contention_sweep(scale),
-            );
-            print_and_save(
-                "B3: ablation of the Figure-9 commutative-ancestor machinery (bypass-heavy mix)",
-                "b3_ablation",
-                sweeps::b3_ablation(scale),
-            );
-            let (viol, cost) = sweeps::b4_bypassing(scale, trials);
-            print_and_save(
-                "B4a: serializability violations in crafted Figure-5 interleavings",
-                "b4a_violations",
-                viol,
-            );
-            print_and_save(
-                "B4b: cost of bypassing vs encapsulated checks (semantic protocol)",
-                "b4b_bypass_cost",
-                cost,
-            );
-            print_and_save(
-                "B5: transaction length sweep (orders per transaction; MPL 8)",
-                "b5_txn_length",
-                sweeps::b5_txn_length(scale),
-            );
-            print_and_save(
-                "B8: snapshot read path on/off across read ratios (4 hot items, MPL 8)",
-                "b8_read_path",
-                sweeps::b8_read_path(scale, !quick),
-            );
-            print_and_save(
-                "B6: chaos sweep (fault mixes × seeds; containment audit)",
-                "b6_chaos",
-                sweeps::b6_chaos(scale, chaos_seeds),
-            );
-            print_and_save(
-                "B7a: crash–recover–audit matrix (crash classes × mixes × seeds)",
-                "b7a_recover",
-                sweeps::b7_recover(scale, chaos_seeds),
-            );
-            print_and_save(
-                "B7b: logical-logging overhead (WAL off vs fsync=never, B2 contention cell)",
-                "b7b_wal_overhead",
-                sweeps::b7_wal_overhead(scale, !quick),
-            );
-            print_and_save(
-                "B7c: torture matrix (crash → recover → crash-mid-recovery → recover chains)",
-                "b7c_torture",
-                sweeps::b7c_torture(scale, chaos_seeds),
-            );
-            print_and_save(
-                "B7d: disk-bound gate (log footprint with vs without checkpointing)",
-                "b7d_disk_bound",
-                sweeps::b7_disk_bound(scale),
-            );
-            run_b9(scale, quick);
-            run_b10(scale, quick);
-            run_b11(scale, quick);
+            print("B11: availability (kill 1 of 3 shards mid-batch, recover, audit)", availability);
         }
         other => {
-            eprintln!("unknown experiment {other:?}");
-            eprintln!(
-                "usage: experiments [all|figures|fig1..fig7|b1|b2|b3|b4|b5|b8|b9|b10|b11|chaos|recover|torture|observe] [--quick]"
-            );
+            if let Some(other) = other {
+                eprintln!("unknown experiment {other:?}");
+            }
+            eprintln!("usage: experiments b3|b11 [--quick]");
             std::process::exit(2);
         }
     }

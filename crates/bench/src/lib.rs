@@ -1,20 +1,15 @@
 //! # semcc-bench
 //!
-//! Experiment harness for the reproduction. The `experiments` binary
-//! regenerates every evaluation artifact:
+//! The `experiments` binary: the two ratio sweeps no `benchmark/` rep
+//! carries yet, printed as text tables on stdout.
 //!
-//! * `fig1`–`fig7` — the paper's figures (schema, compatibility matrices,
-//!   execution scenarios), executed and assertion-checked;
-//! * `b1`–`b5` — the quantitative evaluation the paper defers to its
-//!   companion performance work: protocol comparisons over the order-entry
-//!   workload (multiprogramming sweep, contention sweep, ancestor-rule
-//!   ablation, bypassing correctness/cost, transaction-length sweep);
-//! * Criterion micro-benchmarks (`cargo bench`) for the protocol
-//!   mechanisms themselves.
+//! * `b3` — ablation of the Figure-9 machinery (full protocol, parameter-
+//!   aware matrix, no ancestor rules, closed nesting) on a bypass-heavy mix;
+//! * `b11` — semantic open-nested commit vs classic 2PC on a sharded fleet
+//!   under simulated network latency, with the k-of-N availability audit.
 //!
-//! Results are printed as text tables and written as CSV into `results/`.
+//! Everything else quantitative is the benchmark's (`BENCHMARK.json`,
+//! `benchmark/README.md`); EXPERIMENTS.md maps the retired sweeps to it.
 
-pub mod figures;
-pub mod observe;
 pub mod sweeps;
 pub mod tables;

@@ -1,17 +1,10 @@
-//! The quantitative experiments B1–B7: parameter sweeps comparing the
-//! semantic protocol against its ablations and the conventional baselines
-//! on the paper's order-entry workload, plus the chaos (B6) and
-//! crash-recovery (B7) audits.
+//! The two sweeps: B3 (ablation of the Figure-9 machinery, with the
+//! parameter-aware matrix) and B11 (semantic open-nested commit vs classic
+//! 2PC on a sharded fleet under simulated network latency).
 
-use crate::figures::bypass_violation_trials;
 use crate::tables::Table;
-use semcc_core::{
-    CrashPoint, Engine, FaultSpec, FsyncPolicy, ProtocolConfig, WalConfig, WalWriter,
-};
 use semcc_orderentry::{Database, DbParams, MixWeights, Workload, WorkloadConfig};
-use semcc_semantics::Storage;
-use semcc_sim::{build_engine_cfg, build_engine_full, run_workload, ProtocolKind, RunParams};
-use std::sync::Arc;
+use semcc_sim::{run_workload, ProtocolKind, RunParams};
 use std::time::Duration;
 
 /// Simulated latency of one leaf (storage) operation, applied while its
@@ -46,17 +39,6 @@ impl Scale {
     }
 }
 
-/// Protocols included in the performance sweeps (the unsafe no-retention
-/// variant is excluded — comparing against an incorrect protocol's
-/// throughput would be meaningless).
-const PERF_PROTOCOLS: [ProtocolKind; 5] = [
-    ProtocolKind::Semantic,
-    ProtocolKind::SemanticNoAncestor,
-    ProtocolKind::ClosedNested,
-    ProtocolKind::Object2pl,
-    ProtocolKind::Page2pl,
-];
-
 fn measure(
     kind: ProtocolKind,
     db_params: &DbParams,
@@ -65,7 +47,7 @@ fn measure(
     workers: usize,
 ) -> semcc_sim::RunMetrics {
     let db = Database::build(db_params).expect("schema builds");
-    let engine = build_engine_cfg(kind, &db, None, OP_DELAY);
+    let engine = kind.builder(&db).op_delay(OP_DELAY).build();
     let mut w = Workload::new(&db, wl.clone());
     let batch = w.batch(&db, txns);
     eprintln!("[measure] {} workers={workers} txns={txns} ...", kind.name());
@@ -86,71 +68,6 @@ fn fmt_f(x: f64) -> String {
 
 fn fmt_pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
-}
-
-/// B1: throughput and blocking vs multiprogramming level.
-pub fn b1_mpl_sweep(scale: Scale) -> Table {
-    let mut t = Table::new(&[
-        "protocol", "workers", "txn/s", "block%", "aborts", "case1", "case2", "rootw",
-    ]);
-    let db_params = DbParams { n_items: 8, orders_per_item: 8, ..Default::default() };
-    let wl =
-        WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.8, ..Default::default() };
-    for &workers in &[1usize, 2, 4, 8, 16] {
-        for kind in PERF_PROTOCOLS {
-            let m = measure(kind, &db_params, &wl, scale.txns, workers);
-            t.row(vec![
-                kind.name().into(),
-                workers.to_string(),
-                fmt_f(m.throughput),
-                fmt_pct(m.block_ratio),
-                m.aborted_attempts.to_string(),
-                m.stats.case1_grants.to_string(),
-                m.stats.case2_waits.to_string(),
-                m.stats.root_waits.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
-/// B2: throughput vs data contention (number of items; fewer = hotter).
-/// Also reports the kernel's wake-up economy: targeted pokes delivered,
-/// re-tests after a wait, and how many wake-ups were spurious (the targeted
-/// scheme is the win iff `spurious` stays well below `retests`). The last
-/// columns are the robustness counters — deadlock victims, lock-wait
-/// timeouts and caught panics must all stay at zero in a healthy
-/// (fault-free) sweep; a non-zero cell flags a containment event.
-pub fn b2_contention_sweep(scale: Scale) -> Table {
-    let mut t = Table::new(&[
-        "protocol", "items", "txn/s", "p50us", "p95us", "p99us", "block%", "aborts", "targeted",
-        "retests", "spurious", "victims", "timeouts", "panics",
-    ]);
-    let wl =
-        WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.6, ..Default::default() };
-    for &items in &[2usize, 4, 8, 16, 32, 64] {
-        let db_params = DbParams { n_items: items, orders_per_item: 8, ..Default::default() };
-        for kind in PERF_PROTOCOLS {
-            let m = measure(kind, &db_params, &wl, scale.txns, 8);
-            t.row(vec![
-                kind.name().into(),
-                items.to_string(),
-                fmt_f(m.throughput),
-                m.commit_latency.p50_us.to_string(),
-                m.commit_latency.p95_us.to_string(),
-                m.commit_latency.p99_us.to_string(),
-                fmt_pct(m.block_ratio),
-                m.aborted_attempts.to_string(),
-                m.stats.targeted_wakeups.to_string(),
-                m.stats.retests.to_string(),
-                m.stats.spurious_wakeups.to_string(),
-                m.stats.victims.to_string(),
-                m.stats.lock_timeouts.to_string(),
-                m.stats.caught_panics.to_string(),
-            ]);
-        }
-    }
-    t
 }
 
 /// B3: ablation of the Figure-9 machinery on a bypass-heavy mix, including
@@ -193,874 +110,6 @@ pub fn b3_ablation(scale: Scale) -> Table {
     t
 }
 
-/// B4: correctness and cost of bypassing. Part 1: crafted Figure-5
-/// interleaving trials (violations detected). Part 2: throughput with
-/// bypassing vs encapsulated checks under the semantic protocol.
-pub fn b4_bypassing(scale: Scale, trials: usize) -> (Table, Table) {
-    let mut viol = Table::new(&["protocol", "trials", "serializability violations"]);
-    for kind in [
-        ProtocolKind::OpenNoRetention,
-        ProtocolKind::Semantic,
-        ProtocolKind::SemanticNoAncestor,
-        ProtocolKind::Object2pl,
-    ] {
-        let v = bypass_violation_trials(kind, trials);
-        viol.row(vec![kind.name().into(), trials.to_string(), format!("{v}/{trials}")]);
-    }
-
-    let mut cost = Table::new(&["check style", "check share", "txn/s", "block%", "rootw"]);
-    for &(label, bypass) in
-        &[("bypassing (TestStatus on orders)", true), ("encapsulated (Item::CheckOrder)", false)]
-    {
-        for &(share_label, checks) in &[("light", 2u32), ("heavy", 8u32)] {
-            let wl = WorkloadConfig {
-                mix: MixWeights {
-                    t0_new: 0,
-                    t1_ship: 3,
-                    t2_pay: 3,
-                    t3_check_shipped: checks,
-                    t4_check_paid: checks,
-                    t5_total: 1,
-                },
-                bypass_checks: bypass,
-                zipf_theta: 0.9,
-                ..Default::default()
-            };
-            let m = measure(
-                ProtocolKind::Semantic,
-                &DbParams { n_items: 6, orders_per_item: 8, ..Default::default() },
-                &wl,
-                scale.txns,
-                8,
-            );
-            cost.row(vec![
-                label.into(),
-                share_label.into(),
-                fmt_f(m.throughput),
-                fmt_pct(m.block_ratio),
-                m.stats.root_waits.to_string(),
-            ]);
-        }
-    }
-    (viol, cost)
-}
-
-/// B5: transaction length sweep (orders touched per transaction).
-pub fn b5_txn_length(scale: Scale) -> Table {
-    let mut t = Table::new(&["protocol", "targets/txn", "txn/s", "block%", "aborts"]);
-    for &len in &[1usize, 2, 4, 8] {
-        let wl = WorkloadConfig {
-            mix: MixWeights::update_heavy(),
-            zipf_theta: 0.6,
-            targets_per_txn: len,
-            ..Default::default()
-        };
-        let db_params = DbParams { n_items: 16, orders_per_item: 8, ..Default::default() };
-        for kind in PERF_PROTOCOLS {
-            let m = measure(kind, &db_params, &wl, scale.txns / len.max(1), 8);
-            t.row(vec![
-                kind.name().into(),
-                len.to_string(),
-                fmt_f(m.throughput),
-                fmt_pct(m.block_ratio),
-                m.aborted_attempts.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
-/// B6: chaos sweep — the three canonical fault mixes × a seed matrix
-/// through the order-entry workload. Reports what each run injected, what
-/// survived, and the containment audit (live transactions, leaked lock
-/// entries, serializability of the committed history). Every row must end
-/// `0  0  yes`; anything else is a containment bug.
-pub fn b6_chaos(scale: Scale, seeds: u64) -> Table {
-    let mut t = Table::new(&[
-        "mix",
-        "seed",
-        "committed",
-        "failed",
-        "injected",
-        "panics",
-        "timeouts",
-        "victims",
-        "live",
-        "leaked",
-        "serializable",
-    ]);
-    for (mix, spec) in semcc_sim::fault_mixes() {
-        for seed in 1..=seeds.max(1) {
-            let r = semcc_sim::run_chaos(&semcc_sim::ChaosParams {
-                seed,
-                txns: scale.txns.min(80),
-                faults: spec,
-                ..Default::default()
-            });
-            t.row(vec![
-                mix.into(),
-                seed.to_string(),
-                r.committed.to_string(),
-                r.failed.to_string(),
-                r.injected.to_string(),
-                r.caught_panics.to_string(),
-                r.lock_timeouts.to_string(),
-                r.victims.to_string(),
-                r.live_after.to_string(),
-                r.leaked_entries.to_string(),
-                if r.serializable { "yes".into() } else { "NO".into() },
-            ]);
-            assert!(r.contained(), "chaos run {mix}/seed{seed} escaped containment: {r:?}");
-        }
-    }
-    t
-}
-
-/// B7 part 1: the crash–recover–audit matrix — every canonical crash
-/// class × workload mix × seed, each run crashing the log device
-/// mid-workload, recovering onto a fresh store, and auditing the result
-/// against a serial replay of the log's committed prefix. Every row must
-/// end `yes  0  0`; anything else is a durability bug (asserted).
-pub fn b7_recover(scale: Scale, seeds: u64) -> Table {
-    let mut t = Table::new(&[
-        "class",
-        "mix",
-        "seed",
-        "committed",
-        "crashed",
-        "records",
-        "torn-bytes",
-        "winners",
-        "losers",
-        "replayed",
-        "comps",
-        "state==serial",
-        "live",
-        "leaked",
-    ]);
-    for (class, faults, fsync) in semcc_sim::crash_points() {
-        for (mix_name, mix) in semcc_sim::crash_mixes() {
-            for seed in 1..=seeds.max(1) {
-                let r = semcc_sim::run_crash_recover(&semcc_sim::CrashParams {
-                    seed,
-                    txns: scale.txns.min(80),
-                    faults,
-                    fsync,
-                    mix,
-                    ..Default::default()
-                });
-                t.row(vec![
-                    class.into(),
-                    mix_name.into(),
-                    seed.to_string(),
-                    r.committed.to_string(),
-                    if r.crashed { "yes".into() } else { "no".into() },
-                    r.surviving_records.to_string(),
-                    r.truncated_bytes.to_string(),
-                    r.winners.to_string(),
-                    r.losers.to_string(),
-                    r.replayed_actions.to_string(),
-                    r.recovery_compensations.to_string(),
-                    if r.state_matches { "yes".into() } else { "NO".into() },
-                    r.live_after.to_string(),
-                    r.leaked_entries.to_string(),
-                ]);
-                assert!(r.sound(), "crash run {class}/{mix_name}/seed{seed} unsound: {r:?}");
-            }
-        }
-    }
-    t
-}
-
-/// B7 part 2: the logging-overhead gate. The same B2-style contention
-/// cell is measured with the WAL off (the default) and with a *segmented,
-/// checkpointing* WAL on at `fsync=never` — segment rotation and the
-/// checkpoint machinery ride inside the measured cell, so the gate prices
-/// the full production logging path, not just the append. `strict` (full
-/// runs) asserts the on/off ratio stays within 5%; quick runs use a
-/// lenient bound since tiny batches are noisy.
-pub fn b7_wal_overhead(scale: Scale, strict: bool) -> Table {
-    let db_params = DbParams { n_items: 8, orders_per_item: 8, ..Default::default() };
-    let wl =
-        WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.6, ..Default::default() };
-    let measure_wal = |with_wal: bool| {
-        let db = Database::build(&db_params).expect("schema builds");
-        let mut builder =
-            Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-                .protocol(ProtocolConfig::semantic())
-                .op_delay(OP_DELAY);
-        if with_wal {
-            // Small segments so rotation is exercised many times inside
-            // the measured cell; a checkpoint cadence sized to fire about
-            // once per run — checkpoints briefly quiesce mutators for the
-            // stamp-consistent cut, so their cost is a *rate* (dump cost
-            // per cadence byte), and the gate prices it at a cadence that
-            // is still ~50× denser than a production setting.
-            let config = WalConfig {
-                segment_bytes: 4 << 10,
-                checkpoint_bytes: Some(32 << 10),
-                ..WalConfig::default()
-            };
-            builder = builder.wal(WalWriter::with_config(FsyncPolicy::Never, config));
-        }
-        let engine = builder.build();
-        let mut w = Workload::new(&db, wl.clone());
-        let batch = w.batch(&db, scale.txns);
-        run_workload(
-            &engine,
-            batch,
-            &RunParams { workers: 8, max_retries: 100_000, ..Default::default() },
-        )
-        .metrics
-    };
-    let off = measure_wal(false);
-    let on = measure_wal(true);
-    let ratio = on.throughput / off.throughput.max(f64::MIN_POSITIVE);
-
-    let mut t = Table::new(&[
-        "config",
-        "txn/s",
-        "wal appends",
-        "wal fsyncs",
-        "segs rotated",
-        "ckpts",
-        "on/off ratio",
-    ]);
-    t.row(vec![
-        "wal off (default)".into(),
-        fmt_f(off.throughput),
-        off.stats.wal_appends.to_string(),
-        off.stats.wal_fsyncs.to_string(),
-        off.stats.wal_segments_rotated.to_string(),
-        off.stats.checkpoints.to_string(),
-        "-".into(),
-    ]);
-    t.row(vec![
-        "wal on, segmented+ckpt, fsync=never".into(),
-        fmt_f(on.throughput),
-        on.stats.wal_appends.to_string(),
-        on.stats.wal_fsyncs.to_string(),
-        on.stats.wal_segments_rotated.to_string(),
-        on.stats.checkpoints.to_string(),
-        format!("{ratio:.3}"),
-    ]);
-    assert!(off.stats.wal_appends == 0, "logging must be off by default");
-    assert!(on.stats.wal_appends > 0, "the WAL run must actually log");
-    assert_eq!(on.stats.wal_fsyncs, 0, "fsync=never must never flush");
-    assert!(on.stats.wal_segments_rotated > 0, "the cell must rotate segments");
-    let floor = if strict { 0.95 } else { 0.60 };
-    assert!(
-        ratio >= floor,
-        "WAL fsync=never costs more than {:.0}% throughput (ratio {ratio:.3})",
-        (1.0 - floor) * 100.0
-    );
-    t
-}
-
-/// B7 part 3 (B7c): the torture matrix — crash → recover →
-/// crash-mid-recovery → recover chains across workload mixes and seeds.
-/// Odd seeds crash the log device early (no checkpoint); even seeds run a
-/// checkpointing workload with a late crash, so both recovery entry
-/// points (empty store and checkpoint dump) are tortured. Every chain
-/// must converge to the committed-prefix serial replay and to the state a
-/// single clean recovery reaches (asserted).
-pub fn b7c_torture(scale: Scale, seeds: u64) -> Table {
-    let mut t = Table::new(&[
-        "mix",
-        "seed",
-        "ckpt",
-        "committed",
-        "crashed",
-        "passes",
-        "mid-crashes",
-        "re-rec",
-        "ckpts",
-        "winners",
-        "state==serial",
-        "==clean",
-        "live",
-        "leaked",
-    ]);
-    for (mix_name, mix) in semcc_sim::crash_mixes() {
-        for seed in 1..=seeds.max(1) {
-            let checkpoint = seed % 2 == 0;
-            let (txns, faults) = if checkpoint {
-                // Checkpoints need runway before the crash.
-                (120, FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 160 }))
-            } else {
-                (scale.txns.min(80), semcc_sim::TortureParams::default().faults)
-            };
-            let r = semcc_sim::run_torture(&semcc_sim::TortureParams {
-                seed,
-                txns,
-                mix,
-                faults,
-                checkpoint,
-                ..Default::default()
-            });
-            t.row(vec![
-                mix_name.into(),
-                seed.to_string(),
-                if checkpoint { "yes".into() } else { "no".into() },
-                r.committed.to_string(),
-                if r.crashed { "yes".into() } else { "no".into() },
-                r.passes.to_string(),
-                r.mid_crashes.to_string(),
-                if r.rerecovery_detected { "yes".into() } else { "no".into() },
-                r.checkpoints_taken.to_string(),
-                r.winners.to_string(),
-                if r.state_matches { "yes".into() } else { "NO".into() },
-                if r.matches_clean_recovery { "yes".into() } else { "NO".into() },
-                r.live_after.to_string(),
-                r.leaked_entries.to_string(),
-            ]);
-            assert!(r.sound(), "torture chain {mix_name}/seed{seed} unsound: {r:?}");
-        }
-    }
-    t
-}
-
-/// B7 part 4: the disk-bound gate. The same long workload is logged twice
-/// — once with checkpointing (which retires sealed segments) and once
-/// without — and the live log footprint must stay bounded under
-/// checkpointing while the uncheckpointed log grows with the run
-/// (asserted: bounded < unbounded / 3).
-pub fn b7_disk_bound(scale: Scale) -> Table {
-    let db_params = DbParams { n_items: 8, orders_per_item: 8, ..Default::default() };
-    let run = |checkpoint: bool| {
-        let db = Database::build(&db_params).expect("schema builds");
-        let config = WalConfig {
-            segment_bytes: 2 << 10,
-            checkpoint_bytes: checkpoint.then_some(8 << 10),
-            ..WalConfig::default()
-        };
-        let wal = WalWriter::with_config(FsyncPolicy::Never, config);
-        let engine =
-            Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-                .protocol(ProtocolConfig::semantic())
-                .wal(Arc::clone(&wal))
-                .build();
-        let wl = WorkloadConfig {
-            mix: MixWeights::update_heavy(),
-            zipf_theta: 0.6,
-            ..Default::default()
-        };
-        let mut w = Workload::new(&db, wl);
-        // Long enough that the uncheckpointed log dwarfs the bounded
-        // footprint's floor (the checkpoint image + the live cadence).
-        let batch = w.batch(&db, scale.txns * 12);
-        let m = run_workload(
-            &engine,
-            batch,
-            &RunParams { workers: 8, max_retries: 100_000, ..Default::default() },
-        )
-        .metrics;
-        (wal.retained_bytes(), wal.checkpoints_taken(), m.stats.wal_bytes)
-    };
-    let (bounded, ckpts, logged_ck) = run(true);
-    let (unbounded, _, logged_no) = run(false);
-
-    let mut t = Table::new(&["config", "bytes logged", "ckpts", "live footprint"]);
-    t.row(vec![
-        "checkpointing (8 KiB cadence)".into(),
-        logged_ck.to_string(),
-        ckpts.to_string(),
-        bounded.to_string(),
-    ]);
-    t.row(vec!["no checkpoints".into(), logged_no.to_string(), "0".into(), unbounded.to_string()]);
-    assert!(ckpts > 0, "the checkpointing run must actually checkpoint");
-    assert!(
-        bounded * 3 < unbounded,
-        "checkpointing must bound the log footprint: {bounded} vs {unbounded} bytes"
-    );
-    t
-}
-
-/// B8: the snapshot read path — the same hot-item cell measured with the
-/// lock-free snapshot read path off and on, across read ratios. Uses zero
-/// op-delay: the path removes lock-manager work, not I/O (snapshot reads
-/// still pay the simulated leaf latency), so the interesting ratio is the
-/// CPU/blocking cost, which a sleep-dominated run would mask. `strict`
-/// (full runs) asserts the read-heavy cell speeds up and the write-only
-/// cell stays within 5%; quick runs only check the machinery engages.
-/// The hard ≥5× read-heavy gate lives in `benches/snapshot_reads.rs`.
-pub fn b8_read_path(scale: Scale, strict: bool) -> Table {
-    let db_params = DbParams { n_items: 4, orders_per_item: 8, ..Default::default() };
-    // At full-scale batch sizes a zero-delay cell finishes in single-digit
-    // milliseconds — far too short for a 5% throughput band. Strict runs
-    // multiply the batch so each measured cell lasts long enough that
-    // scheduler jitter averages out.
-    let txns = scale.txns * if strict { 25 } else { 1 };
-    let measure_cell = |pct: u32, snapshot: bool| {
-        let db = Database::build(&db_params).expect("schema builds");
-        let engine =
-            build_engine_full(ProtocolKind::Semantic, &db, None, Duration::ZERO, 0, snapshot);
-        let wl = WorkloadConfig {
-            mix: MixWeights::with_read_ratio(pct),
-            zipf_theta: 0.9,
-            ..Default::default()
-        };
-        let mut w = Workload::new(&db, wl);
-        let batch = w.batch(&db, txns);
-        run_workload(
-            &engine,
-            batch,
-            &RunParams { workers: 8, max_retries: 100_000, ..Default::default() },
-        )
-        .metrics
-    };
-
-    // Median over interleaved off/on repetitions (alternating which side
-    // goes first), because a single multi-worker run on a shared host
-    // swings far more than the 5% band the strict asserts police.
-    let reps = if strict { 5 } else { 1 };
-    let median = |mut runs: Vec<semcc_sim::RunMetrics>| {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        let mid = runs.len() / 2;
-        runs.swap_remove(mid)
-    };
-
-    let mut t = Table::new(&[
-        "read%",
-        "config",
-        "txn/s",
-        "snap-reads",
-        "validations",
-        "val-fails",
-        "promotes",
-        "on/off",
-    ]);
-    for &pct in &[0u32, 50, 95] {
-        let mut offs = Vec::with_capacity(reps);
-        let mut ons = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            if rep % 2 == 0 {
-                offs.push(measure_cell(pct, false));
-                ons.push(measure_cell(pct, true));
-            } else {
-                ons.push(measure_cell(pct, true));
-                offs.push(measure_cell(pct, false));
-            }
-        }
-        let (off, on) = (median(offs), median(ons));
-        let ratio = on.throughput / off.throughput.max(f64::MIN_POSITIVE);
-        for (label, m, r) in
-            [("snapshot off", &off, "-".to_string()), ("snapshot on", &on, format!("{ratio:.2}"))]
-        {
-            t.row(vec![
-                pct.to_string(),
-                label.into(),
-                fmt_f(m.throughput),
-                m.stats.snapshot_reads.to_string(),
-                m.stats.read_validations.to_string(),
-                m.stats.read_validation_failures.to_string(),
-                m.stats.snapshot_retries.to_string(),
-                r,
-            ]);
-        }
-        assert_eq!(off.stats.snapshot_reads, 0, "knob off must disable the path");
-        if pct > 0 {
-            assert!(on.stats.snapshot_reads > 0, "read mix must exercise snapshot reads");
-            assert!(on.stats.read_validations > 0, "snapshot commits must validate");
-        }
-        if strict {
-            if pct == 0 {
-                // This cell runs 8 workers regardless of the host's core
-                // count, so on small machines it is oversubscribed and the
-                // ratio carries scheduler noise well beyond the true
-                // bookkeeping cost. The precise <5% regression gate is
-                // enforced single-worker in `benches/snapshot_reads.rs`
-                // and recorded in BENCH_pr6.json; here we only catch a
-                // gross write-path regression.
-                assert!(ratio >= 0.80, "write-only cell regressed >20% (ratio {ratio:.3})");
-            }
-            if pct == 95 {
-                assert!(ratio >= 1.2, "read-heavy cell must benefit (ratio {ratio:.3})");
-            }
-        }
-    }
-    t
-}
-
-/// B9: group commit. The durable B2 contention cell — update-heavy mix
-/// against a *dir-backed* log (real segment files, real fsync) — measured
-/// at fsync=oncommit vs fsync=never across worker counts, plus the
-/// ≥10k-in-flight saturation cell pushed through the bounded session
-/// front-end. With a single committer every commit pays its own device
-/// sync; with many committers the leader-based barrier amortizes one sync
-/// over the whole parked batch, so the durable column must close on the
-/// fsync=never column as workers grow. `strict` (full runs) asserts the
-/// PR-8 gate: oncommit within 2× of never at ≥64 workers, and the
-/// saturation cell actually reaching ≥10k queued-or-executing sessions
-/// (its lost/duplicate-ack audit is inside `run_saturation` — an `Err`
-/// there is a panic here at any scale). Returns the table and the
-/// `BENCH_pr8.json` payload.
-pub fn b9_group_commit(scale: Scale, strict: bool) -> (Table, String) {
-    let db_params = DbParams { n_items: 16, orders_per_item: 8, ..Default::default() };
-    let wl =
-        WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.6, ..Default::default() };
-    let dir = std::env::temp_dir().join(format!("semcc-b9-{}", std::process::id()));
-    let measure_cell = |workers: usize, fsync: FsyncPolicy| {
-        let db = Database::build(&db_params).expect("schema builds");
-        let config = WalConfig { segment_bytes: 64 << 10, ..WalConfig::default() };
-        let wal = WalWriter::with_dir(fsync, config, &dir).expect("dir-backed wal");
-        let engine =
-            Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-                .protocol(ProtocolConfig::semantic())
-                .lock_wait_timeout(Duration::from_secs(10))
-                .op_delay(OP_DELAY)
-                .wal(Arc::clone(&wal))
-                .build();
-        let mut w = Workload::new(&db, wl.clone());
-        // Enough transactions that every worker commits several times —
-        // a 256-worker cell with fewer transactions than workers would
-        // never form a batch.
-        let batch = w.batch(&db, scale.txns.max(workers * 4));
-        let m = run_workload(
-            &engine,
-            batch,
-            &RunParams { workers, max_retries: 100_000, ..Default::default() },
-        )
-        .metrics;
-        (m, wal.fsyncs(), wal.group_commits())
-    };
-
-    let mut t = Table::new(&[
-        "cell",
-        "workers",
-        "fsync",
-        "txn/s",
-        "fsyncs",
-        "group commits",
-        "oncommit/never",
-    ]);
-    let mut cells_json: Vec<String> = Vec::new();
-    let mut ratios: Vec<(usize, f64)> = Vec::new();
-    let mut total_group_commits = 0u64;
-    for &workers in &[1usize, 16, 64, 256] {
-        let (never, never_fsyncs, never_groups) = measure_cell(workers, FsyncPolicy::Never);
-        let (on, on_fsyncs, on_groups) = measure_cell(workers, FsyncPolicy::OnCommit);
-        let ratio = on.throughput / never.throughput.max(f64::MIN_POSITIVE);
-        ratios.push((workers, ratio));
-        total_group_commits += on_groups;
-        for (policy, m, fsyncs, groups, r) in [
-            ("never", &never, never_fsyncs, never_groups, "-".to_string()),
-            ("oncommit", &on, on_fsyncs, on_groups, format!("{ratio:.3}")),
-        ] {
-            t.row(vec![
-                "b2-durable".into(),
-                workers.to_string(),
-                policy.into(),
-                fmt_f(m.throughput),
-                fsyncs.to_string(),
-                groups.to_string(),
-                r,
-            ]);
-            cells_json.push(format!(
-                "{{\"workers\":{workers},\"fsync\":\"{policy}\",\"txn_per_s\":{:.1},\
-                 \"fsyncs\":{fsyncs},\"group_commits\":{groups}}}",
-                m.throughput
-            ));
-        }
-        assert_eq!(never_fsyncs, 0, "fsync=never must never sync");
-        assert!(on_fsyncs > 0, "fsync=oncommit must sync");
-        if workers == 1 {
-            // A lone committer always elects itself leader: no follower
-            // acknowledgments can exist.
-            assert_eq!(on_groups, 0, "single-worker cell rode a batch that cannot exist");
-        }
-    }
-    assert!(
-        total_group_commits > 0,
-        "no commit ever rode another leader's sync — group commit never engaged"
-    );
-
-    // The saturation cell: thousands of sessions over a small fixed core
-    // pool, in-memory log at fsync=oncommit, audited for lost/duplicate
-    // acknowledgments and serial-replay equivalence inside the driver.
-    let sessions = if strict { 16_000 } else { (scale.txns * 25).min(2_000) };
-    let sat = semcc_sim::run_saturation(&semcc_sim::SaturationParams {
-        sessions,
-        core_threads: 4,
-        n_items: 4,
-        ..Default::default()
-    })
-    .unwrap_or_else(|e| panic!("saturation audit failed: {e}"));
-    let sat_tps = sat.committed as f64 / sat.elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-    t.row(vec![
-        "saturation".into(),
-        format!("{sessions}@4"),
-        "oncommit".into(),
-        fmt_f(sat_tps),
-        sat.fsyncs.to_string(),
-        sat.group_commits.to_string(),
-        format!("peak {}", sat.peak_in_flight),
-    ]);
-    assert_eq!(sat.committed + sat.failed, sessions as u64);
-
-    let gate_ratio = 0.5;
-    let high_mpl_ok = ratios.iter().filter(|(w, _)| *w >= 64).all(|(_, r)| *r >= gate_ratio);
-    let pass = if strict {
-        assert!(
-            high_mpl_ok,
-            "durable throughput not within 2x of fsync=never at >=64 workers: {ratios:?}"
-        );
-        assert!(
-            sat.peak_in_flight >= 10_000,
-            "saturation cell never reached 10k in-flight sessions (peak {})",
-            sat.peak_in_flight
-        );
-        true
-    } else {
-        high_mpl_ok && total_group_commits > 0
-    };
-
-    let ratio_rows: Vec<String> = ratios
-        .iter()
-        .map(|(w, r)| format!("{{\"workers\":{w},\"oncommit_over_never\":{r:.3}}}"))
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"group_commit\",\"mode\":\"{}\",\
-         \"gate\":{{\"min_oncommit_over_never_at_64\":{gate_ratio},\
-         \"min_peak_in_flight\":10000,\"lost_acks\":0,\"duplicate_acks\":0,\
-         \"scope\":\"durable B2 cell, dir-backed log, oncommit vs never; \
-         saturation cell audited by run_saturation\",\"pass\":{pass}}},\
-         \"ratios\":[{}],\"cells\":[{}],\
-         \"saturation\":{{\"sessions\":{},\"core_threads\":4,\"committed\":{},\
-         \"failed\":{},\"peak_in_flight\":{},\"fsyncs\":{},\"group_commits\":{},\
-         \"txn_per_s\":{:.1},\"elapsed_ms\":{}}}}}\n",
-        if strict { "full" } else { "quick" },
-        ratio_rows.join(","),
-        cells_json.join(","),
-        sat.sessions,
-        sat.committed,
-        sat.failed,
-        sat.peak_in_flight,
-        sat.fsyncs,
-        sat.group_commits,
-        sat_tps,
-        sat.elapsed.as_millis(),
-    );
-    (t, json)
-}
-
-/// B10: the hot-spot engine. A small, skewed order-entry population —
-/// every transaction hammers a handful of items, with the skew swept via
-/// the zipf theta — measured under three configurations per cell:
-///
-/// * `semantic` — the PR-1 protocol on the stock schema: `TotalPayment`
-///   scans the orders, `PayOrder` conflicts with it (and, without the
-///   parameter-aware matrix, with other `PayOrder`s) at the item level.
-/// * `semantic+escrow` — same protocol, escrow schema: `QOH`/`PaidTotal`
-///   are bounded escrow counters, `TotalPayment` reads the running
-///   counter, and the escrow matrix declares the Pay/Total and New/Total
-///   pairs compatible.
-/// * `escrow+speculation` — escrow schema plus speculative Case-2 grants
-///   (`ProtocolConfig::with_speculation`): the residual order-level
-///   conflicts (re-paying an order someone else is mid-pay on) are
-///   granted early against an abort-dependency edge instead of waiting
-///   for top-level commit.
-///
-/// Two mixes: the *hot-counter* cell (pays + totals only — the escrow
-/// paper's motivating workload) and a *mixed* cell that adds new-order
-/// and ship traffic. `strict` (full runs) asserts the PR-9 gate:
-/// `escrow+speculation` at least 2× the stock semantic protocol on every
-/// hot-counter cell with theta ≥ 1.2, and within 5% of it on the
-/// low-skew theta = 0.6 cells (the fast path must not tax uncontended
-/// runs). Returns the table and the `BENCH_pr9.json` payload.
-pub fn b10_hotspot(scale: Scale, strict: bool) -> (Table, String) {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Cfg {
-        Base,
-        Escrow,
-        Spec,
-    }
-    impl Cfg {
-        fn name(self) -> &'static str {
-            match self {
-                Cfg::Base => "semantic",
-                Cfg::Escrow => "semantic+escrow",
-                Cfg::Spec => "escrow+speculation",
-            }
-        }
-        fn kind(self) -> ProtocolKind {
-            match self {
-                Cfg::Base | Cfg::Escrow => ProtocolKind::Semantic,
-                Cfg::Spec => ProtocolKind::SemanticSpeculative,
-            }
-        }
-        fn escrow(self) -> bool {
-            !matches!(self, Cfg::Base)
-        }
-    }
-    const CFGS: [Cfg; 3] = [Cfg::Base, Cfg::Escrow, Cfg::Spec];
-
-    let hot_counter = MixWeights {
-        t0_new: 0,
-        t1_ship: 0,
-        t2_pay: 3,
-        t3_check_shipped: 0,
-        t4_check_paid: 0,
-        t5_total: 2,
-    };
-    let mixed = MixWeights {
-        t0_new: 1,
-        t1_ship: 2,
-        t2_pay: 2,
-        t3_check_shipped: 0,
-        t4_check_paid: 0,
-        t5_total: 2,
-    };
-    let mixes: [(&str, MixWeights); 2] = [("hot-counter", hot_counter), ("mixed", mixed)];
-    let thetas = [0.6f64, 0.99, 1.2, 1.5];
-
-    let measure_cell = |cfg: Cfg, mix: &MixWeights, theta: f64| {
-        let db_params =
-            DbParams { n_items: 4, orders_per_item: 8, escrow: cfg.escrow(), ..Default::default() };
-        let wl = WorkloadConfig { mix: *mix, zipf_theta: theta, ..Default::default() };
-        measure(cfg.kind(), &db_params, &wl, scale.txns, 8)
-    };
-
-    // Median over repetitions with a rotated config order (same rationale
-    // as B8: a single multi-worker run on a shared host swings far more
-    // than the 5% band the strict asserts police).
-    let reps = if strict { 3 } else { 1 };
-    let median = |mut runs: Vec<semcc_sim::RunMetrics>| {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        let mid = runs.len() / 2;
-        runs.swap_remove(mid)
-    };
-
-    let mut t = Table::new(&[
-        "mix", "theta", "config", "txn/s", "p99us", "block%", "case2", "escrow", "spec", "cascade",
-        "vs base",
-    ]);
-    let mut cells_json: Vec<String> = Vec::new();
-    let mut ratio_rows: Vec<String> = Vec::new();
-    let mut hot_ok = true;
-    let mut cool_ok = true;
-    let mut total_escrow_grants = 0u64;
-    let mut total_spec_grants = 0u64;
-    for (mix_name, mix) in &mixes {
-        for &theta in &thetas {
-            let mut runs: [Vec<semcc_sim::RunMetrics>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for rep in 0..reps {
-                for slot in 0..CFGS.len() {
-                    let i = (slot + rep) % CFGS.len();
-                    runs[i].push(measure_cell(CFGS[i], mix, theta));
-                }
-            }
-            let [base_runs, escrow_runs, spec_runs] = runs;
-            let (base, escrow, spec) = (median(base_runs), median(escrow_runs), median(spec_runs));
-            let ratio = spec.throughput / base.throughput.max(f64::MIN_POSITIVE);
-            for (cfg, m, r) in [
-                (Cfg::Base, &base, "-".to_string()),
-                (Cfg::Escrow, &escrow, {
-                    let er = escrow.throughput / base.throughput.max(f64::MIN_POSITIVE);
-                    format!("{er:.2}")
-                }),
-                (Cfg::Spec, &spec, format!("{ratio:.2}")),
-            ] {
-                t.row(vec![
-                    (*mix_name).into(),
-                    format!("{theta:.2}"),
-                    cfg.name().into(),
-                    fmt_f(m.throughput),
-                    m.commit_latency.p99_us.to_string(),
-                    fmt_pct(m.block_ratio),
-                    m.stats.case2_waits.to_string(),
-                    m.stats.escrow_grants.to_string(),
-                    m.stats.speculative_grants.to_string(),
-                    m.stats.cascade_aborts.to_string(),
-                    r,
-                ]);
-                cells_json.push(format!(
-                    "{{\"mix\":\"{mix_name}\",\"theta\":{theta:.2},\
-                     \"config\":\"{}\",\"txn_per_s\":{:.1},\"p99_us\":{},\
-                     \"block_ratio\":{:.4},\"case2_waits\":{},\"escrow_grants\":{},\
-                     \"speculative_grants\":{},\"cascade_aborts\":{},\
-                     \"dependency_edges\":{}}}",
-                    cfg.name(),
-                    m.throughput,
-                    m.commit_latency.p99_us,
-                    m.block_ratio,
-                    m.stats.case2_waits,
-                    m.stats.escrow_grants,
-                    m.stats.speculative_grants,
-                    m.stats.cascade_aborts,
-                    m.stats.dependency_edges,
-                ));
-                // Every transaction must eventually commit: the guard never
-                // trips (QOH starts at a million), and cascade-aborted
-                // dependents are retryable.
-                assert_eq!(m.failed, 0, "{mix_name}/theta={theta}/{}: gave up", cfg.name());
-                if cfg.escrow() {
-                    total_escrow_grants += m.stats.escrow_grants;
-                }
-                if cfg == Cfg::Spec {
-                    total_spec_grants += m.stats.speculative_grants;
-                } else {
-                    assert_eq!(
-                        m.stats.speculative_grants, 0,
-                        "speculation leaked into a non-speculative config"
-                    );
-                }
-            }
-            assert_eq!(base.stats.escrow_grants, 0, "escrow leaked into the stock schema");
-            ratio_rows.push(format!(
-                "{{\"mix\":\"{mix_name}\",\"theta\":{theta:.2},\"spec_over_base\":{ratio:.3}}}"
-            ));
-            if *mix_name == "hot-counter" && theta >= 1.2 {
-                hot_ok &= ratio >= 2.0;
-            }
-            if theta <= 0.6 {
-                cool_ok &= ratio >= 0.95;
-            }
-        }
-    }
-    assert!(total_escrow_grants > 0, "escrow cells never exercised the escrow ledger");
-
-    let pass = if strict {
-        assert!(
-            hot_ok,
-            "escrow+speculation below 2x stock semantic on a hot-counter theta>=1.2 cell:\n{}",
-            ratio_rows.join("\n")
-        );
-        assert!(
-            cool_ok,
-            "escrow+speculation regressed >5% on a theta=0.6 cell:\n{}",
-            ratio_rows.join("\n")
-        );
-        assert!(
-            total_spec_grants > 0,
-            "no cell ever granted speculatively — the fast path never engaged"
-        );
-        true
-    } else {
-        hot_ok && cool_ok
-    };
-
-    let json = format!(
-        "{{\"bench\":\"hotspot\",\"mode\":\"{}\",\
-         \"gate\":{{\"min_spec_over_base_hot\":2.0,\"hot_theta_min\":1.2,\
-         \"hot_mix\":\"hot-counter\",\"min_spec_over_base_cool\":0.95,\
-         \"cool_theta\":0.6,\"scope\":\"4 hot items, 8 orders each, MPL 8; \
-         stock semantic vs escrow schema vs escrow+speculative Case-2 grants\",\
-         \"pass\":{pass}}},\
-         \"totals\":{{\"escrow_grants\":{total_escrow_grants},\
-         \"speculative_grants\":{total_spec_grants}}},\
-         \"ratios\":[{}],\"cells\":[{}]}}\n",
-        if strict { "full" } else { "quick" },
-        ratio_rows.join(","),
-        cells_json.join(","),
-    );
-    (t, json)
-}
-
-// ---------------------------------------------------------------------
-// B11: sharded fleet — semantic open-nested vs classic 2PC
-// ---------------------------------------------------------------------
-
 /// B11: cross-shard commit on a partitioned fleet. Cells are
 /// `n_shards × cross-shard ratio`; each cell is measured under both
 /// protocols:
@@ -1081,9 +130,9 @@ pub fn b10_hotspot(scale: Scale, strict: bool) -> (Table, String) {
 /// spurious. `strict` (full runs) asserts the PR-10 gate — open-nested
 /// ≥2× classic 2PC on every `cross = 0.9` cell — plus the availability
 /// gate: a k-of-N partial-fleet crash/recover audit across seeds loses
-/// zero acked commits and leaves zero residue. Returns the table and the
-/// `BENCH_pr10.json` payload.
-pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, String) {
+/// zero acked commits and leaves zero residue. Returns the sweep table and
+/// the availability table.
+pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, Table) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use semcc_dist::{CommitProtocol, Coordinator, FleetConfig};
@@ -1188,8 +237,6 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, String) {
     let mut t = Table::new(&[
         "shards", "cross", "protocol", "txn/s", "retries", "xshard", "failed", "vs 2pc",
     ]);
-    let mut cells_json = Vec::new();
-    let mut ratio_rows = Vec::new();
     let mut gate_ok = true;
     for &n_shards in &shard_counts {
         for &cross in &ratios {
@@ -1222,17 +269,9 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, String) {
                     m.failed.to_string(),
                     r,
                 ]);
-                cells_json.push(format!(
-                    "{{\"shards\":{n_shards},\"cross\":{cross:.1},\"protocol\":\"{name}\",\
-                     \"txn_per_s\":{:.1},\"retries\":{},\"cross_shard_txns\":{},\"failed\":{}}}",
-                    m.throughput, m.retries, m.cross_shard, m.failed
-                ));
                 // Retry budgets are generous: every transaction must land.
                 assert_eq!(m.failed, 0, "b11 {n_shards}sh/{cross}/{name}: transactions gave up");
             }
-            ratio_rows.push(format!(
-                "{{\"shards\":{n_shards},\"cross\":{cross:.1},\"open_over_2pc\":{ratio:.3}}}"
-            ));
             if cross >= 0.9 {
                 gate_ok &= ratio >= 2.0;
             }
@@ -1242,7 +281,15 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, String) {
     // Availability gate: k-of-N partial-fleet crashes never lose an acked
     // commit and leave zero residue, across seeds.
     let avail_seeds = if strict { 4 } else { 2 };
-    let mut avail_rows = Vec::new();
+    let mut avail = Table::new(&[
+        "seed",
+        "acked",
+        "committed",
+        "lost acked",
+        "shard crashes",
+        "residue",
+        "sound",
+    ]);
     let mut avail_ok = true;
     for seed in 1..=avail_seeds {
         let report = semcc_sim::run_fleet_crash_recover(&semcc_sim::FleetParams {
@@ -1252,149 +299,22 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, String) {
             txns: scale.txns.min(48),
             ..Default::default()
         });
-        avail_ok &= report.sound() && report.lost_acked == 0;
-        avail_rows.push(format!(
-            "{{\"seed\":{seed},\"acked\":{},\"committed\":{},\"lost_acked\":{},\
-             \"shard_crashes\":{},\"sound\":{}}}",
-            report.acked,
-            report.committed,
-            report.lost_acked,
-            report.shard_crashes,
-            report.sound()
-        ));
+        avail_ok &= report.sound();
+        avail.row(vec![
+            seed.to_string(),
+            report.acked.to_string(),
+            report.committed.to_string(),
+            report.lost_acked.to_string(),
+            report.shard_crashes.to_string(),
+            report.residue_violations.len().to_string(),
+            if report.sound() { "yes".into() } else { "NO".into() },
+        ]);
         assert_eq!(report.lost_acked, 0, "b11 availability: acked commit lost (seed {seed})");
     }
 
-    let pass = if strict {
-        assert!(
-            gate_ok,
-            "open-nested below 2x classic 2PC on a cross=0.9 cell:\n{}",
-            ratio_rows.join("\n")
-        );
-        assert!(avail_ok, "partial-fleet availability audit failed:\n{}", avail_rows.join("\n"));
-        true
-    } else {
-        gate_ok && avail_ok
-    };
-
-    let json = format!(
-        "{{\"bench\":\"sharded\",\"mode\":\"{}\",\
-         \"gate\":{{\"min_open_over_2pc_cross\":2.0,\"cross_min\":0.9,\
-         \"scope\":\"8 hot items, 8 orders each, {CLIENTS} clients; semantic \
-         open-nested pieces vs classic 2PC with flat object locks held across \
-         the decision window\",\"pass\":{pass}}},\
-         \"availability\":{{\"kill\":1,\"n_shards\":3,\"pass\":{avail_ok},\
-         \"runs\":[{}]}},\
-         \"ratios\":[{}],\"cells\":[{}]}}\n",
-        if strict { "full" } else { "quick" },
-        avail_rows.join(","),
-        ratio_rows.join(","),
-        cells_json.join(","),
-    );
-    (t, json)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn b1_smoke() {
-        let t = b1_mpl_sweep(Scale { txns: 40 });
-        let text = t.render();
-        assert!(text.contains("semantic"));
-        assert!(text.contains("2pl/page"));
-        // 5 protocols × 5 MPLs + header + rule.
-        assert_eq!(text.lines().count(), 2 + 25);
+    if strict {
+        assert!(gate_ok, "open-nested below 2x classic 2PC on a cross=0.9 cell:\n{}", t.render());
+        assert!(avail_ok, "partial-fleet availability audit failed:\n{}", avail.render());
     }
-
-    #[test]
-    fn b6_smoke() {
-        let t = b6_chaos(Scale { txns: 20 }, 2);
-        let text = t.render();
-        // 3 mixes × 2 seeds + header + rule.
-        assert_eq!(text.lines().count(), 2 + 6, "{text}");
-        assert!(text.contains("storage-fault"), "{text}");
-        assert!(!text.contains("NO"), "non-serializable chaos row:\n{text}");
-    }
-
-    #[test]
-    fn b7_smoke() {
-        let t = b7_recover(Scale { txns: 30 }, 1);
-        let text = t.render();
-        // 4 crash classes × 3 mixes × 1 seed + header + rule.
-        assert_eq!(text.lines().count(), 2 + 12, "{text}");
-        assert!(text.contains("torn-tail"), "{text}");
-        assert!(!text.contains("NO"), "unsound crash row:\n{text}");
-    }
-
-    #[test]
-    fn b7_wal_overhead_smoke() {
-        let t = b7_wal_overhead(Scale { txns: 30 }, false);
-        let text = t.render();
-        assert!(text.contains("wal off (default)"), "{text}");
-        assert!(text.contains("fsync=never"), "{text}");
-    }
-
-    #[test]
-    fn b7c_torture_smoke() {
-        let t = b7c_torture(Scale { txns: 40 }, 2);
-        let text = t.render();
-        // 3 mixes × 2 seeds + header + rule.
-        assert_eq!(text.lines().count(), 2 + 6, "{text}");
-        assert!(!text.contains("NO"), "unsound torture row:\n{text}");
-    }
-
-    #[test]
-    fn b7_disk_bound_smoke() {
-        let t = b7_disk_bound(Scale { txns: 40 });
-        let text = t.render();
-        assert!(text.contains("checkpointing"), "{text}");
-        assert!(text.contains("no checkpoints"), "{text}");
-    }
-
-    #[test]
-    fn b8_read_path_smoke() {
-        let t = b8_read_path(Scale { txns: 30 }, false);
-        let text = t.render();
-        // 3 ratios × 2 configs + header + rule.
-        assert_eq!(text.lines().count(), 2 + 6, "{text}");
-        assert!(text.contains("snapshot on"), "{text}");
-        assert!(text.contains("snapshot off"), "{text}");
-    }
-
-    #[test]
-    fn b9_group_commit_smoke() {
-        let (t, json) = b9_group_commit(Scale { txns: 30 }, false);
-        let text = t.render();
-        // 4 worker counts × 2 policies + the saturation row + header + rule.
-        assert_eq!(text.lines().count(), 2 + 9, "{text}");
-        assert!(text.contains("oncommit"), "{text}");
-        assert!(text.contains("saturation"), "{text}");
-        assert!(json.contains("\"bench\":\"group_commit\""), "{json}");
-        assert!(json.contains("\"saturation\":"), "{json}");
-    }
-
-    #[test]
-    fn b10_hotspot_smoke() {
-        let (t, json) = b10_hotspot(Scale { txns: 24 }, false);
-        let text = t.render();
-        // 2 mixes × 4 thetas × 3 configs + header + rule.
-        assert_eq!(text.lines().count(), 2 + 24, "{text}");
-        assert!(text.contains("hot-counter"), "{text}");
-        assert!(text.contains("escrow+speculation"), "{text}");
-        assert!(json.contains("\"bench\":\"hotspot\""), "{json}");
-        assert!(json.contains("\"ratios\":"), "{json}");
-    }
-
-    #[test]
-    fn b4_violation_trials_smoke() {
-        let (viol, _cost) = b4_bypassing(Scale { txns: 30 }, 2);
-        let text = viol.render();
-        assert!(text.contains("open-nested/no-retention"));
-        // The unsafe protocol violates in every crafted trial.
-        assert!(text.contains("2/2"), "{text}");
-        // The semantic row shows zero violations.
-        assert!(text.contains("0/2"), "{text}");
-    }
+    (t, avail)
 }

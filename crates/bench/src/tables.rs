@@ -1,7 +1,6 @@
-//! Minimal text-table and CSV helpers for the experiment reports.
+//! A minimal column-aligned text table for the experiment reports.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple column-aligned table.
 pub struct Table {
@@ -46,34 +45,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the CSV under `results/` (best effort; reports the path).
-    pub fn save_csv(&self, name: &str) -> Option<String> {
-        let dir = Path::new("results");
-        std::fs::create_dir_all(dir).ok()?;
-        let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, self.csv()).ok()?;
-        Some(path.display().to_string())
-    }
 }
 
 #[cfg(test)]
@@ -81,23 +52,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_text_and_csv() {
+    fn renders_aligned_text() {
         let mut t = Table::new(&["proto", "txn/s"]);
         t.row(vec!["semantic".into(), "1234".into()]);
         t.row(vec!["2pl".into(), "99".into()]);
         let text = t.render();
         assert!(text.contains("semantic"));
         assert!(text.lines().count() == 4);
-        let csv = t.csv();
-        assert_eq!(csv.lines().next().unwrap(), "proto,txn/s");
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(&["a"]);
-        t.row(vec!["x,y".into()]);
-        assert!(t.csv().contains("\"x,y\""));
     }
 
     #[test]

@@ -186,6 +186,11 @@ pub struct EngineBuilder {
     faults: Option<Arc<FaultPlan>>,
     wal: Option<Arc<WalWriter>>,
     snapshot_reads: bool,
+    /// Builder-level overrides of two [`ProtocolConfig`] fields. Kept apart
+    /// from `config` so that they hold whichever side of
+    /// [`protocol`](Self::protocol) they were set on.
+    lock_wait_timeout: Option<Duration>,
+    journal_capacity: Option<usize>,
 }
 
 impl EngineBuilder {
@@ -203,6 +208,8 @@ impl EngineBuilder {
             faults: None,
             wal: None,
             snapshot_reads: true,
+            lock_wait_timeout: None,
+            journal_capacity: None,
         }
     }
 
@@ -233,7 +240,12 @@ impl EngineBuilder {
     }
 
     /// Configure the built-in semantic lock manager (ignored if a custom
-    /// discipline factory is installed).
+    /// discipline factory is installed). [`lock_wait_timeout`] and
+    /// [`journal_capacity`] set on this builder take precedence over the
+    /// config's fields, in either call order.
+    ///
+    /// [`lock_wait_timeout`]: Self::lock_wait_timeout
+    /// [`journal_capacity`]: Self::journal_capacity
     pub fn protocol(mut self, config: ProtocolConfig) -> Self {
         self.config = config;
         self
@@ -258,7 +270,7 @@ impl EngineBuilder {
     /// Override the lock-wait timeout (applies to any discipline; 0
     /// disables the backstop).
     pub fn lock_wait_timeout(mut self, timeout: Duration) -> Self {
-        self.config.lock_wait_timeout_ms = timeout.as_millis() as u64;
+        self.lock_wait_timeout = Some(timeout);
         self
     }
 
@@ -274,7 +286,7 @@ impl EngineBuilder {
     /// Enable the event journal with the given ring capacity (0 disables;
     /// applies to any discipline).
     pub fn journal_capacity(mut self, records: usize) -> Self {
-        self.config.journal_capacity = records;
+        self.journal_capacity = Some(records);
         self
     }
 
@@ -290,9 +302,16 @@ impl EngineBuilder {
 
     /// Build the engine.
     pub fn build(self) -> Arc<Engine> {
+        let mut config = self.config;
+        if let Some(timeout) = self.lock_wait_timeout {
+            config.lock_wait_timeout_ms = timeout.as_millis() as u64;
+        }
+        if let Some(records) = self.journal_capacity {
+            config.journal_capacity = records;
+        }
         let stats = Arc::new(Stats::default());
-        let journal = (self.config.journal_capacity > 0)
-            .then(|| Arc::new(EventJournal::new(self.config.journal_capacity)));
+        let journal = (config.journal_capacity > 0)
+            .then(|| Arc::new(EventJournal::new(config.journal_capacity)));
         let registry = Arc::new(Registry::new());
         let deps = DisciplineDeps {
             registry: Arc::clone(&registry),
@@ -302,13 +321,13 @@ impl EngineBuilder {
             sink: Arc::clone(&self.sink),
             router: Arc::new(self.catalog.router()),
             storage: Arc::clone(&self.storage),
-            lock_wait_timeout: self.config.lock_wait_timeout(),
+            lock_wait_timeout: config.lock_wait_timeout(),
             journal,
-            dep_graph: Arc::new(DepGraph::with_cap(registry, self.config.dep_wait_cap())),
+            dep_graph: Arc::new(DepGraph::with_cap(registry, config.dep_wait_cap())),
         };
         let discipline: Arc<dyn Discipline> = match self.discipline_factory {
             Some(f) => f(&deps),
-            None => SemanticLockManager::new(self.config, deps.clone()),
+            None => SemanticLockManager::new(config, deps.clone()),
         };
         let snapshot_enabled = self.snapshot_reads && self.storage.supports_versioning();
         Arc::new(Engine {
@@ -318,7 +337,7 @@ impl EngineBuilder {
             discipline,
             comp_retry_limit: self.comp_retry_limit,
             comp_retry_backoff: self.comp_retry_backoff,
-            max_backoff: self.config.max_backoff(),
+            max_backoff: config.max_backoff(),
             op_delay: self.op_delay,
             faults: self.faults,
             wal: self.wal,

@@ -608,6 +608,69 @@ mod tests {
         assert_differential(&fx, &h, &Requestor { node, inv: &inv, chain: &chain });
     }
 
+    /// The same differential on deep chains: depth {1, 2, 4, 8} × ancestor
+    /// layout {every ancestor on an object of its own, all ancestors on one
+    /// shared object} × {0, 10, 50} % commuting pairs among 16 methods
+    /// (seeded, so the grid is the same every run), with conflicting
+    /// `Put`/`Put` leaves under a retained holder. Depth ≥ 4 on the shared
+    /// object at density 0 is the full ancestor-pair sweep to a root wait.
+    #[test]
+    fn fast_path_matches_reference_on_deep_chains() {
+        const METHODS: u32 = 16;
+        for density_pct in [0u64, 10, 50] {
+            let mut lcg = 0x5EED_0000 + density_pct;
+            let mut matrix = CompatibilityMatrix::new();
+            for a in 0..METHODS {
+                for b in a..METHODS {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if (lcg >> 33) % 100 < density_pct {
+                        matrix.ok(MethodId(a), MethodId(b));
+                    } else {
+                        matrix.conflict(MethodId(a), MethodId(b));
+                    }
+                }
+            }
+            let mut catalog = Catalog::new();
+            let ty = catalog.register_type(TypeDef {
+                name: "Grid".into(),
+                kind: TypeKind::Encapsulated,
+                methods: vec![],
+                spec: Arc::new(matrix),
+            });
+            let fx = Fixture {
+                registry: Arc::new(Registry::new()),
+                router: catalog.router(),
+                stats: Stats::default(),
+                cfg: ProtocolConfig::semantic(),
+            };
+            for depth in [1u32, 2, 4, 8] {
+                for shared in [false, true] {
+                    let leaf_under = |private_obj: u64, first_method: u32| {
+                        let tree = fx.registry.begin();
+                        let mut parent = 0;
+                        for d in 0..depth {
+                            let obj = if shared { 500 } else { private_obj + u64::from(d) };
+                            let method = MethodId((first_method + d) % METHODS);
+                            let inv = Invocation::user(ObjectId(obj), ty, method, vec![]);
+                            parent = tree.add_child(parent, Arc::new(inv));
+                        }
+                        let leaf = tree.add_child(parent, Arc::new(put(7)));
+                        let node = NodeRef { top: tree.top(), idx: leaf };
+                        (tree.invocation(leaf), tree.chain(leaf), node)
+                    };
+                    let (inv, chain, node) = leaf_under(1000, 0);
+                    let holder = LockEntry { node, inv, chain, retained: true };
+                    let (inv, chain, node) = leaf_under(2000, depth);
+                    assert_differential(
+                        &fx,
+                        &holder,
+                        &Requestor { node, inv: &inv, chain: &chain },
+                    );
+                }
+            }
+        }
+    }
+
     /// The fast path must honour the reference's pair ordering: with two
     /// commutative ancestor pairs available, the bottom-most holder-side
     /// ancestor wins (outer loop over h, inner over r).

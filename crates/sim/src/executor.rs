@@ -2,10 +2,9 @@
 //!
 //! Latency accounting keeps two separate [`LatencyHistogram`]s: one for
 //! transactions that eventually committed, one for those that gave up after
-//! exhausting retries. The old single-sum design added failed transactions'
-//! latency to the numerator while dividing by the commit count, inflating
-//! the reported mean under contention; the two populations are now never
-//! mixed. Retried-attempt counts are split along the same line.
+//! exhausting retries, so a mean over commits never carries the time of a
+//! transaction that failed. Retried-attempt counts are split along the
+//! same line.
 
 use crate::metrics::RunMetrics;
 use parking_lot::Mutex;

@@ -41,9 +41,7 @@ pub use chaos::{
 };
 pub use executor::{run_workload, CommittedTxn, LockTableSample, RunOutcome, RunParams};
 pub use metrics::RunMetrics;
-pub use protocols::{
-    build_engine, build_engine_cfg, build_engine_full, build_engine_observed, ProtocolKind,
-};
+pub use protocols::{build_engine, ProtocolKind};
 pub use saturate::{run_saturation, SaturationParams, SaturationReport};
 pub use scenario::Gate;
 pub use treeview::TreeView;

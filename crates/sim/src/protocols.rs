@@ -1,7 +1,7 @@
 //! Registry of all concurrency control protocols under test.
 
 use semcc_baselines::{ClosedNested, FlatObject2pl, Page2pl};
-use semcc_core::{Discipline, Engine, HistorySink, ProtocolConfig};
+use semcc_core::{Discipline, Engine, EngineBuilder, HistorySink, ProtocolConfig};
 use semcc_orderentry::Database;
 use semcc_semantics::Storage;
 use serde::{Deserialize, Serialize};
@@ -68,79 +68,48 @@ impl ProtocolKind {
             ProtocolKind::ClosedNested => "closed-nested",
         }
     }
+
+    /// An [`EngineBuilder`] over the database with this protocol's lock
+    /// manager or discipline installed. Chain the builder's own knobs
+    /// (`op_delay`, `journal_capacity`, `snapshot_reads`, `sink`, ...) and
+    /// `build()`.
+    pub fn builder(self, db: &Database) -> EngineBuilder {
+        let builder =
+            Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog));
+        match self {
+            ProtocolKind::Semantic => builder.protocol(ProtocolConfig::semantic()),
+            ProtocolKind::SemanticSpeculative => {
+                builder.protocol(ProtocolConfig::semantic().with_speculation(true))
+            }
+            ProtocolKind::SemanticNoAncestor => {
+                builder.protocol(ProtocolConfig::no_ancestor_check())
+            }
+            ProtocolKind::OpenNoRetention => builder.protocol(ProtocolConfig::open_nested_plain()),
+            ProtocolKind::Object2pl => {
+                builder.discipline(|deps| FlatObject2pl::new(deps) as Arc<dyn Discipline>)
+            }
+            ProtocolKind::Page2pl => {
+                builder.discipline(|deps| Page2pl::new(deps) as Arc<dyn Discipline>)
+            }
+            ProtocolKind::ClosedNested => {
+                builder.discipline(|deps| ClosedNested::new(deps) as Arc<dyn Discipline>)
+            }
+        }
+    }
 }
 
-/// Build an engine over the database for the given protocol.
+/// Build an engine over the database for the given protocol, every other
+/// knob at its default.
 pub fn build_engine(
     kind: ProtocolKind,
     db: &Database,
     sink: Option<Arc<dyn HistorySink>>,
 ) -> Arc<Engine> {
-    build_engine_cfg(kind, db, sink, std::time::Duration::ZERO)
-}
-
-/// [`build_engine`] with a simulated per-leaf-operation latency (see
-/// [`semcc_core::EngineBuilder::op_delay`]).
-pub fn build_engine_cfg(
-    kind: ProtocolKind,
-    db: &Database,
-    sink: Option<Arc<dyn HistorySink>>,
-    op_delay: std::time::Duration,
-) -> Arc<Engine> {
-    build_engine_observed(kind, db, sink, op_delay, 0)
-}
-
-/// [`build_engine_cfg`] with an event journal of `journal_capacity`
-/// records attached (0 = disabled); the journal is reachable afterwards
-/// via [`Engine::journal`](semcc_core::Engine::journal).
-pub fn build_engine_observed(
-    kind: ProtocolKind,
-    db: &Database,
-    sink: Option<Arc<dyn HistorySink>>,
-    op_delay: std::time::Duration,
-    journal_capacity: usize,
-) -> Arc<Engine> {
-    build_engine_full(kind, db, sink, op_delay, journal_capacity, true)
-}
-
-/// [`build_engine_observed`] with the lock-free snapshot read path
-/// switchable (see [`semcc_core::EngineBuilder::snapshot_reads`]); the
-/// read-path benchmark uses `false` as its locked baseline.
-pub fn build_engine_full(
-    kind: ProtocolKind,
-    db: &Database,
-    sink: Option<Arc<dyn HistorySink>>,
-    op_delay: std::time::Duration,
-    journal_capacity: usize,
-    snapshot_reads: bool,
-) -> Arc<Engine> {
-    let mut builder =
-        Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-            .op_delay(op_delay)
-            .snapshot_reads(snapshot_reads);
-    if let Some(sink) = sink {
-        builder = builder.sink(sink);
+    let builder = kind.builder(db);
+    match sink {
+        Some(sink) => builder.sink(sink),
+        None => builder,
     }
-    // `.protocol(...)` replaces the whole config, so the journal knob is
-    // applied afterwards in every arm.
-    match kind {
-        ProtocolKind::Semantic => builder.protocol(ProtocolConfig::semantic()),
-        ProtocolKind::SemanticSpeculative => {
-            builder.protocol(ProtocolConfig::semantic().with_speculation(true))
-        }
-        ProtocolKind::SemanticNoAncestor => builder.protocol(ProtocolConfig::no_ancestor_check()),
-        ProtocolKind::OpenNoRetention => builder.protocol(ProtocolConfig::open_nested_plain()),
-        ProtocolKind::Object2pl => {
-            builder.discipline(|deps| FlatObject2pl::new(deps) as Arc<dyn Discipline>)
-        }
-        ProtocolKind::Page2pl => {
-            builder.discipline(|deps| Page2pl::new(deps) as Arc<dyn Discipline>)
-        }
-        ProtocolKind::ClosedNested => {
-            builder.discipline(|deps| ClosedNested::new(deps) as Arc<dyn Discipline>)
-        }
-    }
-    .journal_capacity(journal_capacity)
     .build()
 }
 
@@ -158,6 +127,26 @@ mod tests {
             let engine = build_engine(kind, &db, None);
             assert_eq!(engine.protocol_name(), kind.name(), "{kind:?}");
         }
+    }
+
+    /// Knobs chained onto `builder()` keep the kind's protocol, and the
+    /// builder's own knobs hold across a later `.protocol(..)`.
+    #[test]
+    fn builder_knobs_and_protocol_compose_in_either_order() {
+        let db =
+            Database::build(&DbParams { n_items: 2, orders_per_item: 1, ..Default::default() })
+                .unwrap();
+        let engine = ProtocolKind::SemanticSpeculative.builder(&db).journal_capacity(64).build();
+        assert_eq!(engine.protocol_name(), ProtocolKind::SemanticSpeculative.name());
+        assert!(engine.journal().is_some());
+
+        let engine = ProtocolKind::Semantic
+            .builder(&db)
+            .journal_capacity(64)
+            .protocol(ProtocolConfig::no_ancestor_check())
+            .build();
+        assert_eq!(engine.protocol_name(), ProtocolKind::SemanticNoAncestor.name());
+        assert!(engine.journal().is_some(), "journal capacity lost to a later .protocol()");
     }
 
     #[test]

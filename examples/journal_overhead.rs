@@ -1,18 +1,16 @@
 //! One-off A/B check: semantic throughput with the event journal on vs off.
 use semcc::orderentry::{Database, DbParams, MixWeights, Workload, WorkloadConfig};
-use semcc::sim::{build_engine_observed, run_workload, ProtocolKind, RunParams};
+use semcc::sim::{run_workload, ProtocolKind, RunParams};
 use std::time::Duration;
 
 fn run(journal: usize, txns: usize) -> f64 {
     let db = Database::build(&DbParams { n_items: 8, orders_per_item: 8, ..Default::default() })
         .unwrap();
-    let engine = build_engine_observed(
-        ProtocolKind::Semantic,
-        &db,
-        None,
-        Duration::from_nanos(100),
-        journal,
-    );
+    let engine = ProtocolKind::Semantic
+        .builder(&db)
+        .op_delay(Duration::from_nanos(100))
+        .journal_capacity(journal)
+        .build();
     let wl =
         WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.6, ..Default::default() };
     let mut w = Workload::new(&db, wl);

@@ -1,7 +1,7 @@
 //! Quick protocol shoot-out on the order-entry workload: semantic locking
 //! vs. closed nesting vs. object/page 2PL at a configurable
-//! multiprogramming level. (The full sweeps live in the `experiments`
-//! binary of `semcc-bench`.)
+//! multiprogramming level. (Measured comparisons are the benchmark's:
+//! `benchmark/README.md`, `baselines.semantic_over_2pl` on `oe_hot`.)
 //!
 //! ```text
 //! cargo run --release --example protocol_comparison [items] [txns] [workers]

@@ -9,7 +9,9 @@
 //! * a crash or fsync fault between cut and install keeps the previous
 //!   image and every segment, and recovery is exact either way;
 //! * the lock-held step captures O(dirty), not O(store);
-//! * racing checkpointers produce one checkpoint.
+//! * racing checkpointers produce one checkpoint;
+//! * under concurrent writers a cadence bounds the live log, and the log
+//!   is off unless attached (the one test here that runs worker threads).
 
 use semcc::core::wal::checkpoint::{
     decode_checkpoint, encode_checkpoint, fold, CheckpointCut, CheckpointImage,
@@ -23,6 +25,7 @@ use semcc::orderentry::{
 };
 use semcc::semantics::{MethodContext, SemccError, Storage, StoreDelta, Value};
 use semcc::sim::scenario::{Gate, OpenOnDrop};
+use semcc::sim::{run_workload, RunParams};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -306,4 +309,57 @@ fn racing_checkpointers_produce_one_checkpoint() {
     engine.execute(&TxnSpec::Pay(vec![bench_target(&db, 0)])).unwrap();
     assert_eq!(wal.checkpoints_taken(), 3, "the explicit checkpoint reset the cadence");
     assert_recovers_to(&wal, &db);
+}
+
+/// Eight concurrent writers, 2 KiB segments, `fsync=never`. With an 8 KiB
+/// checkpoint cadence the sealed segments below each checkpoint are
+/// retired and the live log stays bounded; without one the same run
+/// retains every byte it logged. Byte counts, no timing. On the way: an
+/// engine built without `.wal(..)` logs nothing, and `fsync=never` rotates
+/// segments without ever syncing.
+#[test]
+fn a_checkpoint_cadence_bounds_the_live_log_under_concurrent_writers() {
+    let run = |config: Option<WalConfig>| {
+        let db =
+            Database::build(&DbParams { n_items: 8, orders_per_item: 8, ..Default::default() })
+                .unwrap();
+        let wal = config.map(|config| WalWriter::with_config(FsyncPolicy::Never, config));
+        let engine = match &wal {
+            Some(wal) => engine_over(&db, wal),
+            None => {
+                Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
+                    .build()
+            }
+        };
+        let wl = WorkloadConfig {
+            mix: MixWeights::update_heavy(),
+            zipf_theta: 0.6,
+            ..Default::default()
+        };
+        let batch = Workload::new(&db, wl).batch(&db, 480);
+        let params = RunParams { workers: 8, max_retries: 100_000, ..Default::default() };
+        let metrics = run_workload(&engine, batch, &params).metrics;
+        assert_eq!(metrics.committed, 480);
+        (metrics.stats, wal)
+    };
+    let segments = WalConfig { segment_bytes: 2 << 10, ..WalConfig::default() };
+
+    let (off, _) = run(None);
+    assert_eq!((off.wal_appends, off.wal_bytes), (0, 0), "logging is off unless attached");
+
+    let (plain, wal) = run(Some(segments));
+    let unbounded = wal.expect("attached").retained_bytes();
+    assert!(plain.wal_appends > 0, "the attached log must log");
+    assert_eq!(plain.wal_fsyncs, 0, "fsync=never must never sync");
+    assert!(plain.wal_segments_rotated > 0, "480 transactions outgrow a 2 KiB segment");
+    assert_eq!(unbounded as u64, plain.wal_bytes, "without checkpoints nothing is retired");
+
+    let (_, wal) = run(Some(WalConfig { checkpoint_bytes: Some(8 << 10), ..segments }));
+    let wal = wal.expect("attached");
+    assert!(wal.checkpoints_taken() > 0, "the cadence must fire");
+    let bounded = wal.retained_bytes();
+    assert!(
+        bounded * 3 < unbounded,
+        "live log {bounded} B with checkpoints, {unbounded} B without"
+    );
 }

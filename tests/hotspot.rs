@@ -307,6 +307,41 @@ fn escrow_hot_cell_is_exact_under_the_speculative_protocol() {
     });
 }
 
+/// The hot-counter mix (pays and totals on two hot items) with the fast
+/// paths off: on the stock schema the ledger records no escrow grant, on
+/// the escrow schema every payment is one, and under the plain semantic
+/// protocol neither run grants speculatively. Every transaction commits.
+#[test]
+fn escrow_and_speculation_leave_no_trace_where_they_are_off() {
+    guarded("fast-paths-off", || {
+        for escrow in [false, true] {
+            let db = Database::build(&DbParams {
+                n_items: 2,
+                orders_per_item: 8,
+                escrow,
+                ..Default::default()
+            })
+            .unwrap();
+            let engine = build_engine(ProtocolKind::Semantic, &db, None);
+            let mix = MixWeights {
+                t0_new: 0,
+                t1_ship: 0,
+                t2_pay: 3,
+                t3_check_shipped: 0,
+                t4_check_paid: 0,
+                t5_total: 2,
+            };
+            let wl = WorkloadConfig { seed: 9, zipf_theta: 1.2, mix, ..Default::default() };
+            let batch = Workload::new(&db, wl).batch(&db, 120);
+            let out = run_workload(&engine, batch, &RunParams { workers: 8, ..Default::default() });
+            assert_eq!(out.metrics.failed, 0, "escrow={escrow}: {:?}", out.metrics);
+            let stats = out.metrics.stats;
+            assert_eq!(stats.escrow_grants > 0, escrow, "escrow={escrow}: {stats:?}");
+            assert_eq!(stats.speculative_grants, 0, "escrow={escrow}: {stats:?}");
+        }
+    });
+}
+
 /// The chaos audit of the containment suite, re-run with speculation
 /// enabled: injected storage faults, body panics and compensation faults
 /// seed holder aborts under live dependency edges, so cascade chains run

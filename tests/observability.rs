@@ -5,7 +5,7 @@
 
 use semcc::core::{validate_json_line, JournalKind};
 use semcc::orderentry::{Database, DbParams, MixWeights, Workload, WorkloadConfig};
-use semcc::sim::{build_engine_observed, run_workload, ProtocolKind, RunParams};
+use semcc::sim::{run_workload, ProtocolKind, RunParams};
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ fn small_db() -> Database {
 #[test]
 fn journal_drains_as_schema_valid_jsonl() {
     let db = small_db();
-    let engine = build_engine_observed(ProtocolKind::Semantic, &db, None, Duration::ZERO, 1 << 14);
+    let engine = ProtocolKind::Semantic.builder(&db).journal_capacity(1 << 14).build();
     let wl =
         WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.9, ..Default::default() };
     let mut w = Workload::new(&db, wl);
@@ -25,6 +25,7 @@ fn journal_drains_as_schema_valid_jsonl() {
     assert_eq!(out.metrics.committed, 60);
 
     let journal = engine.journal().expect("journal enabled");
+    assert_eq!(journal.dropped(), 0, "2^14 records hold a 60-transaction run");
     let jsonl = journal.to_jsonl();
     assert!(!jsonl.is_empty());
     let mut kinds = HashSet::new();
@@ -43,16 +44,36 @@ fn journal_drains_as_schema_valid_jsonl() {
     assert_eq!(commits as u64, out.metrics.committed);
 }
 
+/// The baselines journal through the shared kernel, so their journals
+/// carry its vocabulary; the Figure-9 decisions belong to the semantic
+/// discipline alone.
+#[test]
+fn baselines_journal_the_kernel_vocabulary_without_figure9_decisions() {
+    let db = small_db();
+    let engine = ProtocolKind::Object2pl.builder(&db).journal_capacity(1 << 14).build();
+    let mut w = Workload::new(
+        &db,
+        WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.9, ..Default::default() },
+    );
+    let batch = w.batch(&db, 20);
+    let out = run_workload(&engine, batch, &RunParams { workers: 4, ..Default::default() });
+    assert_eq!(out.metrics.committed, 20);
+    let kinds: Vec<JournalKind> =
+        engine.journal().expect("journal enabled").snapshot().iter().map(|r| r.kind).collect();
+    assert!(kinds.contains(&JournalKind::LockGrant), "kinds seen: {kinds:?}");
+    for figure9 in [JournalKind::Case1Grant, JournalKind::Case2Wait, JournalKind::RootWait] {
+        assert!(!kinds.contains(&figure9), "{figure9:?} journaled under flat 2PL");
+    }
+}
+
 #[test]
 fn sampler_and_percentiles_cover_a_contended_run() {
     let db = small_db();
-    let engine = build_engine_observed(
-        ProtocolKind::Semantic,
-        &db,
-        None,
-        Duration::from_nanos(100),
-        1 << 14,
-    );
+    let engine = ProtocolKind::Semantic
+        .builder(&db)
+        .op_delay(Duration::from_nanos(100))
+        .journal_capacity(1 << 14)
+        .build();
     let wl =
         WorkloadConfig { mix: MixWeights::update_heavy(), zipf_theta: 0.9, ..Default::default() };
     let mut w = Workload::new(&db, wl);

@@ -20,7 +20,7 @@ use semcc::orderentry::{
 use semcc::semantics::{
     CommutativitySpec, Invocation, MethodContext, MethodId, Storage, Value, TYPE_ATOMIC,
 };
-use semcc::sim::{build_engine_full, check_snapshot_reads, run_workload, ProtocolKind, RunParams};
+use semcc::sim::{build_engine, check_snapshot_reads, run_workload, ProtocolKind, RunParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -283,7 +283,7 @@ fn mixed_workload_snapshot_commits_pass_the_commit_order_validator() {
     let db = Database::build(&DbParams { n_items: 3, orders_per_item: 4, ..Default::default() })
         .unwrap();
     let initial = db.store.snapshot();
-    let engine = build_engine_full(ProtocolKind::Semantic, &db, None, Duration::ZERO, 0, true);
+    let engine = build_engine(ProtocolKind::Semantic, &db, None);
     let mut w = Workload::new(
         &db,
         WorkloadConfig { seed: 11, mix: MixWeights::with_read_ratio(60), ..Default::default() },
