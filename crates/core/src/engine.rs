@@ -213,6 +213,13 @@ impl EngineBuilder {
         }
     }
 
+    /// Replace the store the engine runs over — e.g. the same store behind
+    /// a [`FaultyStorage`](crate::fault::FaultyStorage) wrapper.
+    pub fn storage(mut self, storage: Arc<dyn Storage>) -> Self {
+        self.storage = storage;
+        self
+    }
+
     /// Enable or disable the snapshot read path for programs declaring
     /// [`TransactionProgram::read_only_hint`]. On by default; it only
     /// engages when the storage also reports
@@ -293,7 +300,8 @@ impl EngineBuilder {
     /// Attach a write-ahead log: the engine appends leaf redo records,
     /// subtransaction-commit records (carrying compensation intent) and
     /// top-level resolution records, making
-    /// [`recover`](crate::wal::recovery::recover) possible after a crash.
+    /// [`recover_image`](crate::wal::recovery::recover_image) possible after
+    /// a crash.
     /// Logging is off by default.
     pub fn wal(mut self, wal: Arc<WalWriter>) -> Self {
         self.wal = Some(wal);
@@ -610,14 +618,7 @@ impl Engine {
     /// program is contained: it aborts with
     /// [`SemccError::MethodPanicked`] like any other failure.
     pub fn execute(&self, prog: &dyn TransactionProgram) -> Result<TxnOutcome> {
-        self.execute_traced(prog).1
-    }
-
-    /// Like [`Engine::execute`], but also returns the attempt's `TopId`
-    /// even when it aborted (retry loops key their backoff on it).
-    pub fn execute_traced(&self, prog: &dyn TransactionProgram) -> (TopId, Result<TxnOutcome>) {
-        let (top, result) = self.execute_collecting(prog, None);
-        (top, result.map(|(outcome, _)| outcome))
+        self.execute_collecting(prog, None).1.map(|(outcome, _)| outcome)
     }
 
     /// Execute a transaction as an **open-nested piece** of a larger
@@ -628,17 +629,11 @@ impl Engine {
     /// the cross-shard window, paper Section 3/4 lifted one level up) uses
     /// this to compensate a committed piece if the *global* transaction
     /// later aborts. Read-only snapshot commits return an empty intent.
-    pub fn execute_open(
-        &self,
-        prog: &dyn TransactionProgram,
-    ) -> (TopId, Result<(TxnOutcome, Vec<Invocation>)>) {
-        self.execute_collecting(prog, None)
-    }
-
-    /// [`Engine::execute_open`] with a **prepare hook**: after the program
-    /// body succeeds but *before* the local commit record is written, the
-    /// callback sees the piece's `TopId` and its accumulated compensation
-    /// intent. A distributed participant durably logs its prepare record
+    ///
+    /// The **prepare hook** runs after the program body succeeds but
+    /// *before* the local commit record is written: the callback sees the
+    /// piece's `TopId` and its accumulated compensation intent. A
+    /// distributed participant durably logs its prepare record
     /// (gtid → compensation) here, guaranteeing the write-ordering
     /// invariant *prepare-record ⟶ local commit*: a crash between the two
     /// leaves a loser that generic recovery rolls back, never a committed
@@ -652,6 +647,8 @@ impl Engine {
         self.execute_collecting(prog, Some(prepare))
     }
 
+    /// The one execution path. Also returns the attempt's `TopId` when it
+    /// aborted (the retry loop keys its backoff on it).
     fn execute_collecting(
         &self,
         prog: &dyn TransactionProgram,
@@ -763,14 +760,14 @@ impl Engine {
     ) -> (Result<TxnOutcome>, u32) {
         let mut retries = 0;
         loop {
-            let (top, result) = self.execute_traced(prog);
+            let (top, result) = self.execute_collecting(prog, None);
             match result {
                 Err(ref e) if e.is_retryable() && retries < max_retries => {
                     retries += 1;
                     Stats::bump(&self.deps.stats.txn_retries);
-                    self.retry_backoff(top, retries);
+                    self.retry_backoff(top.0, retries);
                 }
-                other => return (other, retries),
+                other => return (other.map(|(outcome, _)| outcome), retries),
             }
         }
     }
@@ -916,39 +913,19 @@ impl Engine {
         result
     }
 
-    /// Exponential-backoff doubling stops here: shifting by more than the
-    /// attempt count's value width is undefined in release and a panic in
-    /// debug, and attempt counts run to the compensation-retry limit
-    /// (1000 by default) — far past the 63-bit shift width of `1u64 <<`.
-    const MAX_BACKOFF_SHIFT: u32 = 6;
-
     /// Default hard ceiling on any single backoff sleep, whatever the
     /// attempt count or configured base: a budget of 1000 compensation
     /// retries must stay in seconds, not minutes. Configurable per engine
     /// via [`ProtocolConfig::max_backoff_us`].
     pub const MAX_BACKOFF: Duration = Duration::from_millis(5);
 
-    /// Jittered, capped exponential backoff: deterministic for a given
-    /// seed (reproducible tests), decorrelated across competing
-    /// transactions, and bounded for *any* `attempt` value — the exponent
-    /// saturates at [`Self::MAX_BACKOFF_SHIFT`] and the product at `cap`
-    /// (default [`Self::MAX_BACKOFF`]).
-    fn backoff_duration(base: Duration, seed: u64, attempt: u32, cap: Duration) -> Duration {
-        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(attempt));
-        let exp = 1u64 << attempt.min(Self::MAX_BACKOFF_SHIFT);
-        let jitter = 0.5 + rng.random::<f64>(); // uniform in [0.5, 1.5)
-                                                // Cap *before* jittering so saturated retries stay decorrelated
-                                                // instead of all sleeping the identical ceiling.
-        let capped = (base.as_secs_f64() * exp as f64).min(cap.as_secs_f64());
-        Duration::from_secs_f64(capped * jitter)
-    }
-
-    /// Backoff before re-running an aborted attempt, seeded by its
-    /// `TopId`.
-    fn retry_backoff(&self, top: TopId, attempt: u32) {
-        std::thread::sleep(Self::backoff_duration(
+    /// Sleep out the [`backoff_duration`] of this engine's base and
+    /// ceiling before retry number `attempt` (of a transaction, seeded by
+    /// its `TopId`, or of one compensating invocation).
+    fn retry_backoff(&self, seed: u64, attempt: u32) {
+        std::thread::sleep(backoff_duration(
             self.comp_retry_backoff,
-            top.0,
+            seed,
             attempt,
             self.max_backoff,
         ));
@@ -1141,32 +1118,22 @@ impl Engine {
                         u64::from(attempts),
                     );
                 }
-                if let Some(plan) = &self.faults {
-                    if plan.should_fire(FaultSite::Compensation) {
-                        // An injected compensation fault is transient (a
-                        // crashed page write, say): retry it under the same
-                        // bounded budget as contention aborts, so the
-                        // recovery path exercises `CompensationFailure`
-                        // without being structurally excluded from faults.
-                        // Only a fault on every retry becomes terminal.
-                        if attempts < self.comp_retry_limit {
-                            attempts += 1;
-                            Stats::bump(&self.deps.stats.compensation_retries);
-                            std::thread::sleep(Self::backoff_duration(
-                                self.comp_retry_backoff,
-                                shared.tree.top().0 ^ inv.object.0,
-                                attempts,
-                                self.max_backoff,
-                            ));
-                            continue;
-                        }
-                        return Err(SemccError::CompensationFailed(format!(
-                            "{inv}: {}",
-                            SemccError::FaultInjected("compensation".into())
-                        )));
-                    }
-                }
-                match self.run_action(shared, 0, 0, inv.clone(), true) {
+                // An injected compensation fault is transient (a crashed
+                // page write, say), so it takes the same arm as a
+                // contention abort below: the recovery path exercises
+                // `CompensationFailure` without being structurally
+                // excluded from faults, and only a fault on every retry
+                // becomes terminal.
+                let injected = self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|plan| plan.should_fire(FaultSite::Compensation));
+                let run = if injected {
+                    Err(SemccError::FaultInjected("compensation".into()))
+                } else {
+                    self.run_action(shared, 0, 0, inv.clone(), true)
+                };
+                match run {
                     Ok(_) => {
                         // Abort-progress marker: tells recovery how many of
                         // the loser's logged intents were already applied
@@ -1180,19 +1147,16 @@ impl Engine {
                         }
                         break;
                     }
-                    Err(e) if e.is_retryable() && attempts < self.comp_retry_limit => {
+                    Err(e)
+                        if (injected || e.is_retryable()) && attempts < self.comp_retry_limit =>
+                    {
                         // Same seeded jittered backoff as the top-level
                         // retry path: colliding compensations (two aborts
                         // inverting the same object) must not retry in
                         // lockstep under contention.
                         attempts += 1;
                         Stats::bump(&self.deps.stats.compensation_retries);
-                        std::thread::sleep(Self::backoff_duration(
-                            self.comp_retry_backoff,
-                            shared.tree.top().0 ^ inv.object.0,
-                            attempts,
-                            self.max_backoff,
-                        ));
+                        self.retry_backoff(shared.tree.top().0 ^ inv.object.0, attempts);
                     }
                     Err(e) => {
                         return Err(SemccError::CompensationFailed(format!("{inv}: {e}")));
@@ -1625,7 +1589,29 @@ impl Engine {
     }
 }
 
-/// RAII backstop for [`Engine::execute_traced`]. Normal execution disarms
+/// Exponential-backoff doubling stops here: shifting by more than the
+/// attempt count's value width is undefined in release and a panic in
+/// debug, and attempt counts run to the compensation-retry limit
+/// (1000 by default) — far past the 63-bit shift width of `1u64 <<`.
+const MAX_BACKOFF_SHIFT: u32 = 6;
+
+/// Jittered, capped exponential backoff — the one retry backoff of the
+/// workspace (engine retries and compensation retries, the fleet's rpc
+/// link, the coordinator's whole-transaction retry). Deterministic for a
+/// given seed (reproducible tests), decorrelated across competing
+/// transactions, and bounded for *any* `attempt` value: the exponent
+/// saturates at six doublings and the product at `cap`, jittered by a
+/// factor uniform in [0.5, 1.5).
+pub fn backoff_duration(base: Duration, seed: u64, attempt: u32, cap: Duration) -> Duration {
+    let mut rng = StdRng::seed_from_u64(seed ^ u64::from(attempt));
+    let exp = 1u64 << attempt.min(MAX_BACKOFF_SHIFT);
+    // Cap *before* jittering so saturated retries stay decorrelated
+    // instead of all sleeping the identical ceiling.
+    let capped = (base.as_secs_f64() * exp as f64).min(cap.as_secs_f64());
+    Duration::from_secs_f64(capped * (0.5 + rng.random::<f64>()))
+}
+
+/// RAII backstop for [`Engine::execute`]. Normal execution disarms
 /// it after `commit`/`abort` ran; it only fires when the transaction
 /// unwinds past both — a panic inside the abort/compensation path itself,
 /// or an engine bug. It performs *hard containment*: no compensation (that
@@ -1950,15 +1936,15 @@ mod tests {
         let base = Duration::from_micros(200);
         let cap = Engine::MAX_BACKOFF;
         let ceiling = Duration::from_secs_f64(cap.as_secs_f64() * 1.5);
-        for attempt in [0, 1, Engine::MAX_BACKOFF_SHIFT, 63, 64, 65, 1000, u32::MAX] {
-            let d = Engine::backoff_duration(base, 7, attempt, cap);
+        for attempt in [0, 1, MAX_BACKOFF_SHIFT, 63, 64, 65, 1000, u32::MAX] {
+            let d = backoff_duration(base, 7, attempt, cap);
             assert!(d > Duration::ZERO, "attempt {attempt}: zero sleep");
             assert!(d <= ceiling, "attempt {attempt}: {d:?} above the jittered ceiling");
         }
         // Saturation: every attempt past the shift cap draws from the
         // same (capped) base, so only the jitter differs.
         let lo = Duration::from_secs_f64(cap.as_secs_f64() * 0.5);
-        let d = Engine::backoff_duration(base, 7, u32::MAX, cap);
+        let d = backoff_duration(base, 7, u32::MAX, cap);
         assert!(d >= lo, "saturated backoff stays near the ceiling, got {d:?}");
     }
 
@@ -1970,12 +1956,12 @@ mod tests {
         let base = Duration::from_micros(200);
         let cap = Engine::MAX_BACKOFF;
         assert_eq!(
-            Engine::backoff_duration(base, 42, 3, cap),
-            Engine::backoff_duration(base, 42, 3, cap),
+            backoff_duration(base, 42, 3, cap),
+            backoff_duration(base, 42, 3, cap),
             "same seed and attempt must reproduce"
         );
         let distinct: std::collections::BTreeSet<Duration> =
-            (0..16).map(|seed| Engine::backoff_duration(base, seed, 3, cap)).collect();
+            (0..16).map(|seed| backoff_duration(base, seed, 3, cap)).collect();
         assert!(distinct.len() > 8, "seeds must spread the jitter: {distinct:?}");
     }
 
@@ -1988,7 +1974,7 @@ mod tests {
         let base = Duration::from_micros(200);
         let tight = Duration::from_micros(300);
         for attempt in [4, 10, 100] {
-            let d = Engine::backoff_duration(base, 9, attempt, tight);
+            let d = backoff_duration(base, 9, attempt, tight);
             assert!(d <= Duration::from_secs_f64(tight.as_secs_f64() * 1.5));
         }
     }

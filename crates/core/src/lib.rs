@@ -55,7 +55,10 @@ pub use config::ProtocolConfig;
 pub use deadlock::WaitsForGraph;
 pub use discipline::DisciplineDeps;
 pub use discipline::{AcquireRequest, Discipline, GrantInfo};
-pub use engine::{panic_message, Engine, EngineBuilder, FnProgram, TransactionProgram, TxnOutcome};
+pub use engine::{
+    backoff_duration, panic_message, Engine, EngineBuilder, FnProgram, TransactionProgram,
+    TxnOutcome,
+};
 pub use fault::{
     injected_panic, silence_injected_panics, CrashPoint, FaultPlan, FaultSite, FaultSpec,
     FaultyStorage, InjectedPanic, IoFaultPoint, ShardFaultPoint,
@@ -74,9 +77,8 @@ pub use speculate::{DepGraph, RecordOutcome};
 pub use stats::{Stats, StatsSnapshot};
 pub use tree::{Chain, ChainLink, NodeState, Registry, TxnTree};
 pub use wal::checkpoint::{CheckpointImage, TopInfo};
-pub use wal::recovery::{recover, recover_image, RecoveryReport};
+pub use wal::recovery::{recover_image, RecoveryReport};
 pub use wal::{
-    read_image, read_log, read_log_from, read_log_verified, AppendInfo, CheckpointOutcome,
-    FsyncPolicy, LogImage, ParsedLog, RedoOp, SegmentImage, WalConfig, WalError, WalFailMode,
-    WalReadOutcome, WalRecord, WalWriter,
+    read_image, AppendInfo, CheckpointOutcome, FsyncPolicy, LogImage, ParsedLog, RedoOp,
+    SegmentImage, WalConfig, WalError, WalFailMode, WalRecord, WalWriter,
 };

@@ -28,7 +28,7 @@
 //!   is compensated by [`recovery`].
 //!
 //! Records are framed as `[len: u32][crc32: u32][payload]` with the
-//! record's LSN embedded in the payload; [`read_log`] stops at the first
+//! record's LSN embedded in the payload; [`read_image`] stops at the first
 //! torn or corrupt frame (torn-tail truncation on open) and verifies that
 //! LSNs are gapless. Appends are buffered and made durable by an fsync
 //! whose cadence is the [`FsyncPolicy`] knob; logging is **off by default**
@@ -608,19 +608,13 @@ impl<'a> Cursor<'a> {
 /// transaction's compensation list — far below this).
 const MAX_FRAME: usize = 1 << 20;
 
-/// Result of opening a log image.
+/// Result of parsing one segment's bytes.
 #[derive(Debug)]
-pub struct WalReadOutcome {
+pub(crate) struct WalReadOutcome {
     /// The surviving records, in LSN order (LSN = index).
     pub records: Vec<WalRecord>,
     /// Bytes discarded at the tail (torn frame, bad CRC, or garbage).
     pub truncated_bytes: usize,
-}
-
-/// Parse a log image whose first record carries LSN 0. See
-/// [`read_log_from`].
-pub fn read_log(bytes: &[u8]) -> WalReadOutcome {
-    read_log_from(bytes, 0)
 }
 
 /// Parse a log (segment) image whose first record carries LSN `base_lsn`,
@@ -628,7 +622,7 @@ pub fn read_log(bytes: &[u8]) -> WalReadOutcome {
 /// frame, CRC mismatch, undecodable payload, or LSN gap, and everything
 /// from that point on is reported as truncated. Every prefix that survives
 /// is internally consistent.
-pub fn read_log_from(bytes: &[u8], base_lsn: u64) -> WalReadOutcome {
+pub(crate) fn read_log_from(bytes: &[u8], base_lsn: u64) -> WalReadOutcome {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some((rec, lsn, next)) = parse_frame_at(bytes, pos) {
@@ -700,7 +694,7 @@ fn parse_frame_at(bytes: &[u8], pos: usize) -> Option<(WalRecord, u64, usize)> {
 /// middle of committed history (bit rot, a mangled sector) rather than at a
 /// torn tail, and the log must not be trusted — the caller gets
 /// [`WalError::Corrupt`] rather than a shortened prefix.
-pub fn read_log_verified(bytes: &[u8], base_lsn: u64) -> Result<WalReadOutcome, WalError> {
+fn read_log_verified(bytes: &[u8], base_lsn: u64) -> Result<WalReadOutcome, WalError> {
     let out = read_log_from(bytes, base_lsn);
     if out.truncated_bytes > 0 {
         let end_lsn = base_lsn + out.records.len() as u64;
@@ -792,6 +786,14 @@ pub fn read_image(image: &LogImage) -> Result<ParsedLog, WalError> {
 pub(crate) mod testutil {
     use super::*;
 
+    /// The bytes a post-crash open would find, for logs small enough to
+    /// sit in their first segment.
+    pub(crate) fn sole_segment(w: &WalWriter) -> Vec<u8> {
+        let mut image = w.surviving_image();
+        assert_eq!(image.segments.len(), 1, "the log rotated");
+        image.segments.remove(0).bytes
+    }
+
     pub(crate) fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::LeafRedo {
@@ -849,9 +851,18 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::sample_records;
+    use super::testutil::{sample_records, sole_segment};
     use super::*;
     use crate::fault::{CrashPoint, FaultPlan, FaultSpec};
+    use std::sync::Arc;
+
+    fn read_log(bytes: &[u8]) -> WalReadOutcome {
+        read_log_from(bytes, 0)
+    }
+
+    fn with_faults(policy: FsyncPolicy, plan: Arc<FaultPlan>) -> Arc<WalWriter> {
+        WalWriter::with_config_and_faults(policy, WalConfig::default(), plan)
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -923,7 +934,7 @@ mod tests {
             let info = w.append(rec).unwrap();
             assert!(info.appended && info.synced);
         }
-        let out = read_log(&w.surviving());
+        let out = read_log(&sole_segment(&w));
         assert_eq!(out.records, sample_records());
         assert_eq!(out.truncated_bytes, 0);
         assert_eq!(w.fsyncs(), sample_records().len() as u64);
@@ -936,7 +947,7 @@ mod tests {
             w.append(rec).unwrap();
         }
         w.flush();
-        let full = w.surviving();
+        let full = sole_segment(&w);
         let all = read_log(&full).records;
         assert_eq!(all.len(), sample_records().len());
         for cut in 0..full.len() {
@@ -953,7 +964,7 @@ mod tests {
             w.append(rec).unwrap();
         }
         w.flush();
-        let mut bytes = w.surviving();
+        let mut bytes = sole_segment(&w);
         let n = bytes.len();
         bytes[n - 3] ^= 0xFF; // corrupt the last frame's payload
         let out = read_log(&bytes);
@@ -971,7 +982,7 @@ mod tests {
             w.append(rec).unwrap();
         }
         w.flush();
-        let mut bytes = w.surviving();
+        let mut bytes = sole_segment(&w);
         // Corrupt one payload byte of the SECOND frame: later frames stay
         // fully valid, so this is mid-log damage, not a torn tail.
         let first_len = 8 + u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
@@ -991,14 +1002,14 @@ mod tests {
         assert_eq!(w.fsyncs(), 1);
         // Unsynced bytes still show up on a clean (non-crash) read.
         assert!(!w.append(leaf).unwrap().synced);
-        assert_eq!(read_log(&w.surviving()).records.len(), 4);
+        assert_eq!(read_log(&sole_segment(&w)).records.len(), 4);
     }
 
     #[test]
     fn crash_at_leaf_append_drops_that_append_and_the_rest() {
         let plan =
             FaultPlan::new(1, FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 2 }));
-        let w = WalWriter::with_faults(FsyncPolicy::EveryAppend, plan);
+        let w = with_faults(FsyncPolicy::EveryAppend, plan);
         let recs = sample_records();
         let mut accepted = 0;
         for rec in &recs {
@@ -1009,7 +1020,7 @@ mod tests {
         assert!(w.crashed());
         // Records 0 (leaf #1) survives; record 1 is leaf #2 → device dies.
         assert_eq!(accepted, 1);
-        let out = read_log(&w.surviving());
+        let out = read_log(&sole_segment(&w));
         assert_eq!(out.records, recs[..1]);
     }
 
@@ -1017,7 +1028,7 @@ mod tests {
     fn crash_before_fsync_loses_the_buffered_tail() {
         let plan =
             FaultPlan::new(1, FaultSpec::default().with_crash(CrashPoint::BeforeFsync { nth: 2 }));
-        let w = WalWriter::with_faults(FsyncPolicy::OnCommit, plan);
+        let w = with_faults(FsyncPolicy::OnCommit, plan);
         let leaf = &sample_records()[0];
         w.append(leaf).unwrap();
         assert!(w.append(&WalRecord::TopCommit { top: 1 }).unwrap().synced, "first fsync survives");
@@ -1026,7 +1037,7 @@ mod tests {
         let info = w.append(&WalRecord::TopCommit { top: 2 }).unwrap();
         assert!(info.appended && !info.synced, "second fsync is the crash point");
         assert!(w.crashed());
-        let out = read_log(&w.surviving());
+        let out = read_log(&sole_segment(&w));
         assert_eq!(out.records.len(), 2, "only the first synced group survives");
         assert!(matches!(out.records[1], WalRecord::TopCommit { top: 1 }));
     }
@@ -1037,13 +1048,13 @@ mod tests {
             1,
             FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 3, keep: 5 }),
         );
-        let w = WalWriter::with_faults(FsyncPolicy::Never, plan);
+        let w = with_faults(FsyncPolicy::Never, plan);
         let recs = sample_records();
         for rec in &recs {
             w.append(rec).unwrap();
         }
         assert!(w.crashed());
-        let bytes = w.surviving();
+        let bytes = sole_segment(&w);
         let out = read_log(&bytes);
         assert_eq!(out.records, recs[..2], "two whole records plus a torn third");
         assert_eq!(out.truncated_bytes, 5);
@@ -1055,7 +1066,7 @@ mod tests {
             1,
             FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 1, keep: 1 }),
         );
-        let w = WalWriter::with_faults(FsyncPolicy::EveryAppend, plan);
+        let w = with_faults(FsyncPolicy::EveryAppend, plan);
         assert!(!w.append(&WalRecord::TopCommit { top: 1 }).unwrap().appended);
         assert!(!w.append(&WalRecord::TopCommit { top: 2 }).unwrap().appended);
         assert!(!w.flush());
@@ -1068,7 +1079,7 @@ mod tests {
         w.append(&WalRecord::TopCommit { top: 1 }).unwrap();
         w.append(&WalRecord::TopCommit { top: 2 }).unwrap();
         w.flush();
-        let bytes = w.surviving();
+        let bytes = sole_segment(&w);
         // Drop the FIRST frame: the second frame's LSN (1) no longer
         // matches its position (0) → everything is discarded.
         let first_len = 8 + u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;

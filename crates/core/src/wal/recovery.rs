@@ -43,7 +43,7 @@
 //! crash→recover→crash-mid-recovery→recover chains against this.
 
 use super::checkpoint::{fold, TopInfo};
-use super::segment::{LogImage, SegmentImage, WalWriter};
+use super::segment::{LogImage, WalWriter};
 use super::{RedoOp, WalRecord};
 use crate::config::ProtocolConfig;
 use crate::engine::Engine;
@@ -99,24 +99,6 @@ impl Drop for RecoveryModeGuard {
             w.set_recovery_mode(false);
         }
     }
-}
-
-/// Rebuild a crashed engine's state from a flat single-segment log image
-/// starting at LSN 0 with no checkpoint and no progress writer — the
-/// pre-segmentation entry point, kept for its callers and tests. Mid-log
-/// corruption is quarantined exactly as in [`recover_image`].
-pub fn recover(
-    log: &[u8],
-    store: Arc<MemoryStore>,
-    catalog: Arc<Catalog>,
-    config: ProtocolConfig,
-    faults: Option<Arc<FaultPlan>>,
-) -> Result<(Arc<Engine>, RecoveryReport)> {
-    let image = LogImage {
-        checkpoint: None,
-        segments: vec![SegmentImage { seq: 0, base_lsn: 0, bytes: log.to_vec() }],
-    };
-    recover_image(&image, store, catalog, config, faults, None)
 }
 
 /// Rebuild a crashed engine's state from the surviving [`LogImage`].

@@ -375,13 +375,9 @@ impl WalWriter {
         Arc::new(Self::build(policy, config, None, None))
     }
 
-    /// A fresh in-memory log whose device dies at the plan's
-    /// [`CrashPoint`] and/or fails at its [`IoFaultPoint`], if set.
-    pub fn with_faults(policy: FsyncPolicy, faults: Arc<FaultPlan>) -> Arc<Self> {
-        Arc::new(Self::build(policy, WalConfig::default(), Some(faults), None))
-    }
-
-    /// [`WalWriter::with_config`] plus a fault plan.
+    /// [`WalWriter::with_config`] plus a fault plan: the device dies at
+    /// the plan's [`CrashPoint`] and/or fails at its [`IoFaultPoint`], if
+    /// set.
     pub fn with_config_and_faults(
         policy: FsyncPolicy,
         config: WalConfig,
@@ -877,21 +873,10 @@ impl WalWriter {
             + st.checkpoint.as_ref().map_or(0, |cp| cp.len())
     }
 
-    /// The single-stream byte view a post-crash open would see: durable
-    /// bytes only after a crash or poisoning, everything otherwise (a
-    /// clean shutdown flushes implicitly). Only meaningful while no
-    /// checkpoint has retired a segment — concatenation assumes the
-    /// segments are contiguous from LSN 0. Kept for the pre-segmentation
-    /// callers; new code uses [`WalWriter::surviving_image`].
-    pub fn surviving(&self) -> Vec<u8> {
-        let st = self.state.lock();
-        let halted = st.dead || st.poisoned.is_some();
-        st.segments.iter().flat_map(|seg| seg.visible(halted)).copied().collect()
-    }
-
     /// The [`LogImage`] a post-crash open would find: the latest complete
-    /// checkpoint plus the retained segments (durable bytes only after a
-    /// crash or poisoning).
+    /// checkpoint plus the retained segments — durable bytes only after a
+    /// crash or poisoning, everything otherwise (a clean shutdown flushes
+    /// implicitly).
     pub fn surviving_image(&self) -> LogImage {
         let st = self.state.lock();
         let halted = st.dead || st.poisoned.is_some();
@@ -973,8 +958,8 @@ impl std::fmt::Debug for WalWriter {
 
 #[cfg(test)]
 mod tests {
+    use super::super::read_image;
     use super::super::testutil::sample_records;
-    use super::super::{read_image, read_log};
     use super::*;
     use crate::fault::FaultSpec;
     use semcc_semantics::{StoreDelta, StoreDump};
@@ -1012,8 +997,6 @@ mod tests {
         let parsed = read_image(&image).unwrap();
         assert_eq!(parsed.records, recs);
         assert_eq!(parsed.base_lsn, 0);
-        // The flat byte view concatenates to the same records.
-        assert_eq!(read_log(&w.surviving()).records, recs);
     }
 
     #[test]
@@ -1137,11 +1120,14 @@ mod tests {
         assert!(matches!(err, WalError::Corrupt { lsn: 1, .. }), "got {err:?}");
         // ...and a checkpoint refuses to drop the damaged history: it is
         // quarantined after the cut but before anything is retired.
-        let bytes_before = w.surviving();
+        let retained = |w: &WalWriter| -> Vec<u8> {
+            w.surviving_image().segments.into_iter().flat_map(|s| s.bytes).collect()
+        };
+        let bytes_before = retained(&w);
         let err = w.checkpoint(empty_store).unwrap_err();
         assert!(matches!(err, WalError::Corrupt { lsn: 1, .. }), "got {err:?}");
         assert!(w.surviving_image().checkpoint.is_none(), "no image installed");
-        assert_eq!(w.surviving(), bytes_before, "every segment still there");
+        assert_eq!(retained(&w), bytes_before, "every segment still there");
         assert_eq!(w.checkpoints_taken(), 0);
         // Refused, not poisoned — and not stuck in flight either.
         assert!(w.poisoned().is_none());
@@ -1198,7 +1184,7 @@ mod tests {
             1,
             FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 3, keep: 5 }),
         );
-        let w = WalWriter::with_faults(FsyncPolicy::Never, plan);
+        let w = WalWriter::with_config_and_faults(FsyncPolicy::Never, WalConfig::default(), plan);
         for rec in &sample_records() {
             let _ = w.append(rec).unwrap();
         }
@@ -1397,7 +1383,8 @@ mod tests {
             1,
             FaultSpec::default().with_crash(CrashPoint::AtRecoveryAppend { nth: 2 }),
         );
-        let w = WalWriter::with_faults(FsyncPolicy::EveryAppend, plan);
+        let w =
+            WalWriter::with_config_and_faults(FsyncPolicy::EveryAppend, WalConfig::default(), plan);
         let rec = WalRecord::TopCommit { top: 1 };
         for _ in 0..5 {
             assert!(w.append(&rec).unwrap().appended, "inactive outside recovery mode");

@@ -32,8 +32,8 @@ use crate::rpc::{FleetFaults, RetryPolicy, RpcError, ShardLink};
 use crate::shard::{DecisionGate, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport};
 use parking_lot::Mutex;
 use semcc_core::{
-    read_image, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig, ShardFaultPoint, Stats,
-    StatsSnapshot, WalRecord, WalWriter,
+    backoff_duration, read_image, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig,
+    ShardFaultPoint, Stats, StatsSnapshot, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::{SemccError, Value};
@@ -345,6 +345,11 @@ impl Coordinator {
         Ok(out.into_value())
     }
 
+    /// Base of [`Coordinator::submit_with_retry`]'s backoff, and its
+    /// ceiling: the base after the six doublings the shared formula allows.
+    const RETRY_BASE: Duration = Duration::from_micros(20);
+    const RETRY_CAP: Duration = Duration::from_micros(20 << 6);
+
     /// Submit with transparent whole-transaction retries on contention
     /// aborts (the 2PC baseline needs this: cross-shard deadlocks are
     /// broken by lock-wait timeouts and retried). Returns the *last*
@@ -361,12 +366,15 @@ impl Coordinator {
             match out {
                 Err(ref e) if e.is_retryable_app() && retries < max_retries => {
                     retries += 1;
-                    // Exponential backoff with deterministic jitter:
+                    // Backoff seeded by the aborted attempt's gtid:
                     // immediate resubmission turns a hot-lock abort into
                     // a retry convoy that livelocks the whole fleet.
-                    let base = 20u64 << retries.min(6);
-                    let jitter = gtid.wrapping_mul(0x9e37_79b9).rotate_right(7) % base;
-                    std::thread::sleep(Duration::from_micros(base + jitter));
+                    std::thread::sleep(backoff_duration(
+                        Self::RETRY_BASE,
+                        gtid,
+                        retries,
+                        Self::RETRY_CAP,
+                    ));
                 }
                 other => return (gtid, other, retries),
             }

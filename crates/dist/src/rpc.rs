@@ -11,8 +11,7 @@
 //! are naturally idempotent). Fault points are ordinal-based and fire
 //! exactly once, so a bounded retry loop always converges.
 
-use rand::{Rng, SeedableRng};
-use semcc_core::{ShardFaultPoint, Stats};
+use semcc_core::{backoff_duration, ShardFaultPoint, Stats};
 use semcc_semantics::SemccError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -196,19 +195,16 @@ impl ShardLink<'_> {
                 Err(e) if e.is_transient() && attempt + 1 < self.policy.max_attempts => {
                     attempt += 1;
                     Stats::bump(&self.stats.shard_rpc_retries);
-                    std::thread::sleep(self.backoff(attempt));
+                    std::thread::sleep(backoff_duration(
+                        self.policy.base_backoff,
+                        self.seed,
+                        attempt,
+                        self.policy.max_backoff,
+                    ));
                 }
                 other => return other,
             }
         }
-    }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ u64::from(attempt));
-        let exp = 1u64 << attempt.min(6);
-        let capped = (self.policy.base_backoff.as_secs_f64() * exp as f64)
-            .min(self.policy.max_backoff.as_secs_f64());
-        Duration::from_secs_f64(capped * (0.5 + rng.random::<f64>()))
     }
 }
 

@@ -1,69 +1,28 @@
-//! Deterministic chaos sweeps: run the order-entry workload under an
-//! injected-fault schedule and check that every failure was *contained* —
-//! the engine ends with zero live transactions and zero lock-table
-//! entries, and the history of the surviving (committed) transactions is
-//! still semantically serializable (tree-reducible).
+//! Deterministic fault sweeps: run the order-entry workload on the audit
+//! [`Rig`] under an injected-fault schedule, then hold the wreck against
+//! the [`crate::validate`] oracles — [`run_chaos`] (storage errors, body
+//! panics, compensation faults: every failure *contained*),
+//! [`run_crash_recover`] / [`run_torture`] / [`run_checkpoint_parity`]
+//! (the log device dies; recovery, re-recovery and checkpoints reach the
+//! committed prefix), [`run_fsync_failure`] (a failed fsync poisons the
+//! log: acked = durable) and [`run_fleet_crash_recover`] (the sharded
+//! deployment under shard and coordinator crashes).
 //!
 //! Faults are drawn from a seeded [`FaultPlan`], so a failing run can be
-//! replayed exactly by its `(seed, spec)` pair. Three canonical mixes
-//! ([`fault_mixes`]) cover the injection sites: storage-level errors,
-//! method-body panics, and compensation-time failures (the latter armed
-//! together with storage faults, since compensation only runs on aborts).
+//! replayed exactly by its `(seed, spec)` pair.
 
-use crate::executor::{run_workload, RunParams};
-use crate::protocols::ProtocolKind;
-use crate::validate::{canonical_state, check_semantic_graph};
-use semcc_baselines::{ClosedNested, FlatObject2pl, Page2pl};
-use semcc_core::{
-    read_image, read_log, recover, recover_image, silence_injected_panics, CrashPoint, Discipline,
-    Engine, FaultPlan, FaultSpec, FaultyStorage, FsyncPolicy, IoFaultPoint, LogImage, MemorySink,
-    ProtocolConfig, WalConfig, WalRecord, WalWriter,
+use crate::executor::CommittedTxn;
+use crate::rig::{image_winners, AuditParams, Rig};
+use crate::validate::{
+    canonical_shard_state, check_committed_prefix, check_semantic_graph, Residue,
 };
-use semcc_orderentry::{Database, DbParams, MixWeights, Workload, WorkloadConfig};
-use semcc_semantics::Storage;
-use std::collections::HashMap;
+use semcc_core::{
+    CrashPoint, Engine, FaultPlan, FaultSpec, FsyncPolicy, IoFaultPoint, MemorySink,
+    RecoveryReport, StatsSnapshot, WalConfig, WalWriter,
+};
+use semcc_orderentry::{Database, DbParams, MixWeights, TxnSpec, Workload, WorkloadConfig};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// One chaos run's configuration.
-#[derive(Clone, Debug)]
-pub struct ChaosParams {
-    /// Seed for both the fault schedule and the workload generator.
-    pub seed: u64,
-    /// Transactions in the batch.
-    pub txns: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Fault probabilities.
-    pub faults: FaultSpec,
-    /// Protocol under test.
-    pub protocol: ProtocolKind,
-    /// Lock-wait timeout backstop (tight, so injected failures cannot
-    /// stall the run even if containment were broken).
-    pub lock_wait_timeout: Duration,
-    /// Retries per transaction (deadlock / lock-timeout only).
-    pub max_retries: u32,
-    /// Database size.
-    pub n_items: usize,
-    /// Orders per item.
-    pub orders_per_item: usize,
-}
-
-impl Default for ChaosParams {
-    fn default() -> Self {
-        ChaosParams {
-            seed: 42,
-            txns: 60,
-            workers: 4,
-            faults: FaultSpec::default(),
-            protocol: ProtocolKind::Semantic,
-            lock_wait_timeout: Duration::from_secs(2),
-            max_retries: 50,
-            n_items: 4,
-            orders_per_item: 4,
-        }
-    }
-}
 
 /// Outcome of one chaos run.
 #[derive(Debug)]
@@ -74,45 +33,30 @@ pub struct ChaosReport {
     pub failed: u64,
     /// Faults the plan actually injected.
     pub injected: u64,
-    /// Panics caught and converted into aborts.
-    pub caught_panics: u64,
-    /// Lock waits cut short by the timeout backstop.
-    pub lock_timeouts: u64,
-    /// Deadlock victims.
-    pub victims: u64,
-    /// Compensation retries.
-    pub compensation_retries: u64,
-    /// Transactions still registered after the run (must be 0).
-    pub live_after: usize,
-    /// Lock-table entries still held after the run (must be 0).
-    pub leaked_entries: usize,
-    /// Residual waits-for-graph state `(edges, cells, doomed, aborting)`
-    /// after the run (must be all zero — the stale-state audit).
-    pub wfg_residue: (usize, usize, usize, usize),
+    /// The engine's counters over the run (caught panics, lock timeouts,
+    /// deadlock victims, compensation retries, …).
+    pub stats: StatsSnapshot,
+    /// What the engine still held after the run (must be nothing).
+    pub residue: Residue,
     /// Whether the committed history passed the semantic graph check.
     pub serializable: bool,
-    /// Unabsorbed conflict edges in that graph.
-    pub graph_edges: usize,
 }
 
 impl ChaosReport {
     /// The containment invariant: everything cleaned up and the surviving
     /// history still tree-reducible.
     pub fn contained(&self) -> bool {
-        self.live_after == 0
-            && self.leaked_entries == 0
-            && self.wfg_residue == (0, 0, 0, 0)
-            && self.serializable
+        self.residue.check().is_ok() && self.serializable
     }
 }
 
-/// The canonical fault mixes used by the regression suite and CI.
+/// The canonical fault mixes used by the regression suite and CI: the
+/// three injection sites (the compensation site armed together with
+/// storage faults, since compensation only runs on aborts).
 pub fn fault_mixes() -> Vec<(&'static str, FaultSpec)> {
     vec![
         ("storage-fault", FaultSpec::storage(0.05)),
         ("body-panic", FaultSpec::body_panic(0.05)),
-        // Compensation only runs during aborts, so the compensation site
-        // is armed together with a storage-fault driver that causes them.
         (
             "compensation-fault",
             FaultSpec { storage_error: 0.05, compensation_error: 0.5, ..FaultSpec::default() },
@@ -120,79 +64,20 @@ pub fn fault_mixes() -> Vec<(&'static str, FaultSpec)> {
     ]
 }
 
-fn build_chaos_engine(
-    params: &ChaosParams,
-    db: &Database,
-    plan: &Arc<FaultPlan>,
-    sink: Arc<MemorySink>,
-) -> Arc<Engine> {
-    let store = FaultyStorage::new(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(plan));
-    let builder = Engine::builder(store as Arc<dyn Storage>, Arc::clone(&db.catalog))
-        .sink(sink)
-        .fault_plan(Arc::clone(plan));
-    // `.protocol(...)` replaces the whole config, so the timeout is
-    // applied afterwards in every arm.
-    match params.protocol {
-        ProtocolKind::Semantic => builder.protocol(ProtocolConfig::semantic()),
-        ProtocolKind::SemanticSpeculative => {
-            builder.protocol(ProtocolConfig::semantic().with_speculation(true))
-        }
-        ProtocolKind::SemanticNoAncestor => builder.protocol(ProtocolConfig::no_ancestor_check()),
-        ProtocolKind::OpenNoRetention => builder.protocol(ProtocolConfig::open_nested_plain()),
-        ProtocolKind::Object2pl => {
-            builder.discipline(|deps| FlatObject2pl::new(deps) as Arc<dyn Discipline>)
-        }
-        ProtocolKind::Page2pl => {
-            builder.discipline(|deps| Page2pl::new(deps) as Arc<dyn Discipline>)
-        }
-        ProtocolKind::ClosedNested => {
-            builder.discipline(|deps| ClosedNested::new(deps) as Arc<dyn Discipline>)
-        }
-    }
-    .lock_wait_timeout(params.lock_wait_timeout)
-    .build()
-}
-
 /// Run one chaos sweep: workload + injected faults, then audit the wreck.
-pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
-    silence_injected_panics();
-    let db = Database::build(&DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
-        ..Default::default()
-    })
-    .expect("database build");
-    let plan = FaultPlan::new(params.seed, params.faults);
+pub fn run_chaos(params: &AuditParams) -> ChaosReport {
+    let (rig, builder) = Rig::stage(params, None, true);
     let sink = MemorySink::new();
-    let engine = build_chaos_engine(params, &db, &plan, Arc::clone(&sink));
+    let engine = builder.sink(sink.clone()).build();
+    let out = rig.run(&engine, rig.batch.clone(), params.workers);
 
-    let mut w = Workload::new(&db, WorkloadConfig { seed: params.seed, ..Default::default() });
-    let batch = w.batch(&db, params.txns);
-    let out = run_workload(
-        &engine,
-        batch,
-        &RunParams {
-            workers: params.workers,
-            max_retries: params.max_retries,
-            ..Default::default()
-        },
-    );
-
-    let graph = check_semantic_graph(&sink.events(), engine.router());
-    let stats = out.metrics.stats;
     ChaosReport {
         committed: out.metrics.committed,
         failed: out.metrics.failed,
-        injected: plan.triggered(),
-        caught_panics: stats.caught_panics,
-        lock_timeouts: stats.lock_timeouts,
-        victims: stats.victims,
-        compensation_retries: stats.compensation_retries,
-        live_after: engine.live_transactions(),
-        leaked_entries: engine.lock_entries(),
-        wfg_residue: engine.wfg_residue(),
-        serializable: graph.serializable,
-        graph_edges: graph.edges,
+        injected: rig.plan.triggered(),
+        stats: out.metrics.stats,
+        residue: Residue::of(&engine),
+        serializable: check_semantic_graph(&sink.events(), engine.router()).serializable,
     }
 }
 
@@ -200,94 +85,55 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosReport {
 // Crash–recover–audit sweeps (write-ahead log + compensation recovery)
 // ---------------------------------------------------------------------
 
-/// One crash-recovery run's configuration.
-#[derive(Clone, Debug)]
-pub struct CrashParams {
-    /// Seed for the fault schedule and the workload generator.
-    pub seed: u64,
-    /// Transactions in the batch.
-    pub txns: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Fault spec — its [`CrashPoint`] decides where the log device dies;
-    /// the probabilistic sites may be armed too (e.g. body panics to force
-    /// aborts so `MidCompensation` has something to interrupt).
-    pub faults: FaultSpec,
-    /// The log's fsync cadence during the pre-crash run.
-    pub fsync: FsyncPolicy,
-    /// Transaction mix.
-    pub mix: MixWeights,
-    /// Lock-wait timeout backstop.
-    pub lock_wait_timeout: Duration,
-    /// Retries per transaction.
-    pub max_retries: u32,
-    /// Database size.
-    pub n_items: usize,
-    /// Orders per item.
-    pub orders_per_item: usize,
-}
-
-impl Default for CrashParams {
-    fn default() -> Self {
-        CrashParams {
-            seed: 42,
-            txns: 60,
-            workers: 4,
-            faults: FaultSpec::default(),
-            fsync: FsyncPolicy::EveryAppend,
-            mix: MixWeights::paper_uniform(),
-            lock_wait_timeout: Duration::from_secs(2),
-            max_retries: 50,
-            n_items: 4,
-            orders_per_item: 4,
-        }
-    }
-}
-
-/// Outcome of one crash–recover–audit run.
-#[derive(Debug)]
+/// Outcome of one crash–recover–audit run ([`run_crash_recover`]) or
+/// torture chain ([`run_torture`]).
+#[derive(Debug, Default)]
 pub struct CrashReport {
     /// Transactions the pre-crash process committed (including after the
     /// log device died — those are exactly the ones a crash erases).
     pub committed: u64,
     /// Whether the injected crash point actually fired.
     pub crashed: bool,
-    /// Records surviving in the log prefix.
-    pub surviving_records: usize,
-    /// Bytes discarded by torn-tail truncation on recovery open.
-    pub truncated_bytes: usize,
-    /// Transactions whose commit record survived (the committed prefix).
+    /// Checkpoints the pre-crash process took.
+    pub checkpoints_taken: u64,
+    /// Transactions whose commit record survived — the committed prefix.
+    /// Read from the full retained history, so stable across a chain
+    /// (recovery never appends a commit record).
     pub winners: usize,
-    /// Uncommitted-at-crash transactions compensated by recovery.
-    pub losers: usize,
-    /// Leaf redo records replayed.
-    pub replayed_actions: u64,
-    /// Compensating invocations recovery executed.
-    pub recovery_compensations: u64,
-    /// Recovery-time compensation failures (must be 0 unless injected).
+    /// What the one *clean* recovery of the surviving image did:
+    /// surviving records, truncated bytes, losers, replayed actions,
+    /// compensations. When that image carries a checkpoint, the same
+    /// recovery of the full retained log (no checkpoint) must rebuild the
+    /// identical store.
+    pub recovery: RecoveryReport,
+    /// Chained recovery passes actually run (final, clean one included).
+    pub passes: usize,
+    /// Chained passes that died mid-recovery at their injected crash.
+    pub mid_crashes: usize,
+    /// The chain's final pass saw a prior pass's progress mark (it knew
+    /// it was re-recovering).
+    pub rerecovery_detected: bool,
+    /// Compensation failures across every recovery pass (must be 0).
     pub compensation_failures: usize,
-    /// Recovered store equals the serial replay of the committed-prefix
-    /// history, in log commit order.
-    pub state_matches: bool,
-    /// Why the audit failed, when it did (for triage of CI sweeps).
+    /// Why the audit failed, when it did: a pass refused its image, no
+    /// chained pass ran clean, a recovered store — the clean recovery's,
+    /// or the chain's final one — is not the serial replay of the
+    /// committed-prefix history in log commit order, or checkpoint parity
+    /// broke.
     pub audit_failure: Option<String>,
-    /// Live transactions on the recovery engine afterwards (must be 0).
-    pub live_after: usize,
-    /// Lock-table entries on the recovery engine afterwards (must be 0).
-    pub leaked_entries: usize,
-    /// Waits-for residue on the recovery engine (must be all zero).
-    pub wfg_residue: (usize, usize, usize, usize),
+    /// What the last recovery engine still held (must be nothing).
+    pub residue: Residue,
 }
 
 impl CrashReport {
-    /// The recovery invariant: the crash consumed, nothing leaked, and the
-    /// store equal to a committed-prefix serial history.
+    /// The recovery invariant: every crash consumed, nothing leaked, and
+    /// every recovered store — so, for a chain, the chained one *and* the
+    /// one a single clean recovery reaches, which are therefore equal:
+    /// idempotent re-recovery — the committed-prefix serial history.
     pub fn sound(&self) -> bool {
-        self.state_matches
+        self.audit_failure.is_none()
             && self.compensation_failures == 0
-            && self.live_after == 0
-            && self.leaked_entries == 0
-            && self.wfg_residue == (0, 0, 0, 0)
+            && self.residue.check().is_ok()
     }
 }
 
@@ -337,186 +183,14 @@ pub fn crash_mixes() -> Vec<(&'static str, MixWeights)> {
     ]
 }
 
-/// Run a workload against a WAL whose device dies at the configured crash
-/// point, recover from the surviving prefix onto a fresh copy of the
-/// initial state, and audit: the recovered store must equal replaying the
-/// log's committed transactions serially, in log commit order, and the
-/// recovery engine must end clean (no live transactions, no lock entries,
-/// no waits-for residue).
-pub fn run_crash_recover(params: &CrashParams) -> CrashReport {
-    silence_injected_panics();
-    let db_params = DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
-        ..Default::default()
-    };
-    let db = Database::build(&db_params).expect("database build");
-    let plan = FaultPlan::new(params.seed, params.faults);
-    let wal = WalWriter::with_faults(params.fsync, Arc::clone(&plan));
-    let store = FaultyStorage::new(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&plan));
-    let engine = Engine::builder(store as Arc<dyn Storage>, Arc::clone(&db.catalog))
-        .protocol(ProtocolConfig::semantic())
-        .lock_wait_timeout(params.lock_wait_timeout)
-        .fault_plan(Arc::clone(&plan))
-        .wal(Arc::clone(&wal))
-        .build();
-
-    let mut w = Workload::new(
-        &db,
-        WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
-    );
-    let batch = w.batch(&db, params.txns);
-    let out = run_workload(
-        &engine,
-        batch,
-        &RunParams {
-            workers: params.workers,
-            max_retries: params.max_retries,
-            record_outcomes: true,
-            ..Default::default()
-        },
-    );
-
-    // ---- the crash: only the surviving log image carries over ---------
-    let crashed = wal.crashed();
-    let log = wal.surviving();
-    let spec_of: HashMap<u64, &semcc_orderentry::TxnSpec> =
-        out.committed.iter().map(|c| (c.top.0, &c.spec)).collect();
-
-    // ---- recover onto a fresh copy of the deterministic initial state -
-    let base = Database::build(&db_params).expect("recovery base build");
-    let (recovered, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-    )
-    .expect("recovery");
-
-    // ---- audit: committed-prefix serial replay ------------------------
-    // Winners in log commit order; their specs replayed serially on
-    // another fresh initial state must reach the recovered state (order
-    // numbers are baked into the specs, so the replay is deterministic).
-    let serial = Database::build(&db_params).expect("serial replay build");
-    let serial_engine =
-        Engine::builder(Arc::clone(&serial.store) as Arc<dyn Storage>, Arc::clone(&serial.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .build();
-    let mut audit_failure: Option<String> = None;
-    for rec in &read_log(&log).records {
-        let WalRecord::TopCommit { top } = rec else { continue };
-        match spec_of.get(top) {
-            Some(spec) => {
-                if let Err(e) = serial_engine.execute(*spec) {
-                    audit_failure =
-                        Some(format!("serial replay of winner {top} ({spec:?}) failed: {e}"));
-                    break;
-                }
-            }
-            // A logged winner the process never saw commit cannot happen:
-            // the commit record is appended before the outcome returns.
-            None => {
-                audit_failure = Some(format!("logged winner {top} has no recorded outcome"));
-                break;
-            }
-        }
-    }
-    if audit_failure.is_none() {
-        let got = canonical_state(recovered.storage().as_ref(), base.items_set);
-        let want = canonical_state(serial.store.as_ref() as &dyn Storage, serial.items_set);
-        match (got, want) {
-            (Ok(g), Ok(w)) if g == w => {}
-            (Ok(g), Ok(w)) => {
-                audit_failure =
-                    Some(format!("recovered state != serial replay:\n got: {g:?}\nwant: {w:?}"))
-            }
-            (g, w) => audit_failure = Some(format!("canonical projection failed: {g:?} / {w:?}")),
-        }
-    }
-    let state_matches = audit_failure.is_none();
-
-    CrashReport {
-        committed: out.metrics.committed,
-        crashed,
-        surviving_records: report.surviving_records,
-        truncated_bytes: report.truncated_bytes,
-        winners: report.winners,
-        losers: report.losers,
-        replayed_actions: report.replayed_actions,
-        recovery_compensations: report.compensations,
-        compensation_failures: report.failures.len(),
-        state_matches,
-        audit_failure,
-        live_after: recovered.live_transactions(),
-        leaked_entries: recovered.lock_entries(),
-        wfg_residue: recovered.wfg_residue(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// B7c torture: crash → recover → crash-mid-recovery → recover chains
-// ---------------------------------------------------------------------
-
-/// One torture run's configuration: an initial crash, then a chain of
-/// recovery passes of which every non-final one is itself crashed.
-#[derive(Clone, Debug)]
-pub struct TortureParams {
-    /// Seed for the fault schedule and the workload generator.
-    pub seed: u64,
-    /// Transactions in the batch.
-    pub txns: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Fault spec of the *initial* crash (pre-crash process).
-    pub faults: FaultSpec,
-    /// Fsync cadence of the pre-crash run.
-    pub fsync: FsyncPolicy,
-    /// Transaction mix.
-    pub mix: MixWeights,
-    /// Recovery passes: every pass but the last crashes at an
-    /// [`CrashPoint::AtRecoveryAppend`] point; the last runs clean.
-    /// Must be ≥ 2 for the harness to prove anything about re-recovery.
-    pub chain: usize,
-    /// `nth` of the first mid-recovery crash (later passes shift it, so
-    /// each pass dies somewhere else in its own progress log).
-    pub recovery_crash_nth: u64,
-    /// Run the pre-crash workload with automatic checkpointing.
-    pub checkpoint: bool,
-    /// Lock-wait timeout backstop.
-    pub lock_wait_timeout: Duration,
-    /// Retries per transaction.
-    pub max_retries: u32,
-    /// Database size.
-    pub n_items: usize,
-    /// Orders per item.
-    pub orders_per_item: usize,
-}
-
-impl Default for TortureParams {
-    fn default() -> Self {
-        TortureParams {
-            seed: 42,
-            txns: 60,
-            workers: 4,
-            faults: FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 25 }),
-            fsync: FsyncPolicy::EveryAppend,
-            mix: MixWeights { t0_new: 2, ..MixWeights::paper_uniform() },
-            chain: 2,
-            recovery_crash_nth: 2,
-            checkpoint: false,
-            lock_wait_timeout: Duration::from_secs(2),
-            max_retries: 50,
-            n_items: 4,
-            orders_per_item: 4,
-        }
-    }
-}
+/// `nth` of a torture chain's first mid-recovery crash (later passes
+/// shift it, so each pass dies somewhere else in its own progress log).
+const RECOVERY_CRASH_NTH: u64 = 2;
 
 /// The segmented-log configuration every torture run uses: segments small
 /// enough that any realistic batch rotates several times, and (when
 /// enabled) a checkpoint cadence that fires mid-run. History is retained
-/// so the checkpoint-parity audit can compare against the full log.
+/// so the audits can read the winners of the full log.
 fn torture_wal_config(checkpoint: bool) -> WalConfig {
     WalConfig {
         segment_bytes: 4096,
@@ -526,75 +200,126 @@ fn torture_wal_config(checkpoint: bool) -> WalConfig {
     }
 }
 
-/// Outcome of one torture chain.
-#[derive(Debug)]
-pub struct TortureReport {
-    /// Transactions the pre-crash process committed.
-    pub committed: u64,
-    /// Whether the initial crash point fired.
-    pub crashed: bool,
-    /// Recovery passes actually run (final, clean one included).
-    pub passes: usize,
-    /// Passes that died mid-recovery at their injected crash point.
-    pub mid_crashes: usize,
-    /// The final pass saw a prior pass's progress mark (it knew it was
-    /// re-recovering).
-    pub rerecovery_detected: bool,
-    /// Checkpoints the pre-crash process took.
-    pub checkpoints_taken: u64,
-    /// Winners of the original surviving image (stable across the chain:
-    /// recovery never appends a commit record).
-    pub winners: usize,
-    /// Compensation failures across every pass (must be 0).
-    pub compensation_failures: usize,
-    /// Final recovered store equals the committed-prefix serial replay.
-    pub state_matches: bool,
-    /// Final chained state equals a single *clean* recovery of the
-    /// original image — the idempotency proof.
-    pub matches_clean_recovery: bool,
-    /// Why the audit failed, when it did.
-    pub audit_failure: Option<String>,
-    /// Live transactions on the final engine (must be 0).
-    pub live_after: usize,
-    /// Lock-table entries on the final engine (must be 0).
-    pub leaked_entries: usize,
-    /// Waits-for residue on the final engine (must be all zero).
-    pub wfg_residue: (usize, usize, usize, usize),
+/// Run a workload against a WAL whose device dies at the configured crash
+/// point, recover from the surviving image onto a fresh copy of the
+/// initial state, and audit: the recovered store must equal replaying the
+/// log's committed transactions serially, in log commit order, and the
+/// recovery engine must end clean.
+pub fn run_crash_recover(params: &AuditParams) -> CrashReport {
+    crash_recover_audit(params, WalConfig::default(), 0)
 }
 
-impl TortureReport {
-    /// The torture invariant: every crash consumed, the chain converged to
-    /// the same state a single clean recovery reaches, that state is the
-    /// committed-prefix serial replay, and nothing leaked.
-    pub fn sound(&self) -> bool {
-        self.state_matches
-            && self.matches_clean_recovery
-            && self.compensation_failures == 0
-            && self.live_after == 0
-            && self.leaked_entries == 0
-            && self.wfg_residue == (0, 0, 0, 0)
+/// Run the B7c torture chain: [`run_crash_recover`] on a segmented log,
+/// then `chain` more recovery passes where every non-final pass is
+/// crashed at a point in its *own* progress log (a different point each
+/// pass), resuming the next pass from the wreckage the crashed one left.
+/// The final state must be the committed-prefix serial replay too — the
+/// state the single clean recovery reached.
+pub fn run_torture(params: &AuditParams) -> CrashReport {
+    assert!(params.chain >= 2, "a torture chain needs at least one crashed pass");
+    crash_recover_audit(params, torture_wal_config(params.checkpoint), params.chain)
+}
+
+fn crash_recover_audit(params: &AuditParams, config: WalConfig, chain: usize) -> CrashReport {
+    let (rig, builder) = Rig::stage(params, Some(config), true);
+    let engine = builder.build();
+    let (committed, outcomes) = if params.checkpoint {
+        run_to_a_crash_behind_a_checkpoint(&rig, &engine, params.workers)
+            .expect("checkpointing torture run")
+    } else {
+        let out = rig.run(&engine, rig.batch.clone(), params.workers);
+        (out.metrics.committed, out.committed)
+    };
+    let mut report = CrashReport {
+        committed,
+        crashed: rig.wal().crashed(),
+        checkpoints_taken: rig.wal().checkpoints_taken(),
+        ..Default::default()
+    };
+    report.audit_failure = audit_recovery(&rig, params.seed, chain, &outcomes, &mut report).err();
+    report
+}
+
+/// Recover what survived the crash — only the log image carries over —
+/// and audit it; with `chain > 0`, then torture it.
+fn audit_recovery(
+    rig: &Rig,
+    seed: u64,
+    chain: usize,
+    outcomes: &[CommittedTxn],
+    report: &mut CrashReport,
+) -> Result<(), String> {
+    let original = rig.wal().surviving_image();
+    // Winners come from the *full* retained history: checkpointing retires
+    // sealed segments, so pre-checkpoint commit records are absent from
+    // `original` (their effects ride in the checkpoint's store dump).
+    let winners = image_winners(&rig.wal().surviving_full_image())?;
+    report.winners = winners.len();
+
+    let (base, clean, recovery) = Rig::recover(&original, None)?;
+    report.compensation_failures = recovery.failures.len();
+    report.recovery = recovery;
+    report.residue = Residue::of(&clean);
+    Rig::check_prefix(&winners, outcomes, clean.storage().as_ref())?;
+    if original.checkpoint.is_some() && rig.wal().config().retain_for_audit {
+        // Checkpoint parity. Winners that committed before the checkpoint
+        // live only in its dump, not as records — so the checkpointed
+        // image's winner set is a (usually strict) subset of the full
+        // log's; and recovering from the full log with no checkpoint must
+        // rebuild the identical store dump: objects, values *and version
+        // stamps*, the strongest equality the store can express.
+        let all: HashSet<&u64> = winners.iter().collect();
+        if let Some(top) = image_winners(&original)?.iter().find(|top| !all.contains(top)) {
+            return Err(format!("winner {top} in checkpointed image missing from full log"));
+        }
+        let (full_base, _, full) = Rig::recover(&rig.wal().surviving_full_image(), None)?;
+        report.compensation_failures += full.failures.len();
+        if base.store.dump() != full_base.store.dump() {
+            return Err("recover-from-checkpoint != recover-from-full-log: dumps differ".into());
+        }
     }
-}
-
-/// Winners (`TopCommit` tops) of a log image, in commit order.
-pub(crate) fn image_winners(image: &LogImage) -> Vec<u64> {
-    match read_image(image) {
-        Ok(parsed) => parsed
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::TopCommit { top } => Some(*top),
-                _ => None,
-            })
-            .collect(),
-        Err(_) => Vec::new(),
+    if chain == 0 {
+        return Ok(());
     }
+    report.residue.check().map_err(|e| format!("clean recovery: {e}"))?;
+
+    let mut image = original;
+    let mut last = None;
+    for pass in 0..chain {
+        // Every non-final pass dies at a (shifting) point of its own
+        // progress log; the final pass runs clean.
+        let progress_faults = (pass + 1 < chain).then(|| {
+            let nth = RECOVERY_CRASH_NTH + pass as u64;
+            let crash = FaultSpec::default().with_crash(CrashPoint::AtRecoveryAppend { nth });
+            FaultPlan::new(seed ^ pass as u64, crash)
+        });
+        let config = rig.wal().config();
+        let progress = WalWriter::resume(&image, FsyncPolicy::EveryAppend, progress_faults, config)
+            .map_err(|e| format!("resume for pass {pass} refused: {e}"))?;
+        let (_base, recovered, recovery) = Rig::recover(&image, Some(Arc::clone(&progress)))
+            .map_err(|e| format!("pass {pass}: {e}"))?;
+        report.passes += 1;
+        report.compensation_failures += recovery.failures.len();
+        if progress.crashed() {
+            // The pass died mid-recovery: only its progress log survives;
+            // the store it was building is lost with the "machine".
+            report.mid_crashes += 1;
+            image = progress.surviving_image();
+            continue;
+        }
+        report.rerecovery_detected = recovery.rerecovery;
+        report.residue = Residue::of(&recovered);
+        last = Some(recovered);
+    }
+    let chained = last.ok_or("no clean final pass (every pass crashed)")?;
+    Rig::check_prefix(&winners, outcomes, chained.storage().as_ref())
+        .map_err(|e| format!("chained recovery: {e}"))
 }
 
-/// Run `batch` on a checkpointing engine up to its injected crash, with a
-/// checkpoint installed before the crash *by construction*. Cadence
-/// checkpoints stop the other workers only for their cut, so the crash
-/// may overtake every one of them between cut and install — the
+/// Run the rig's batch on a checkpointing engine up to its injected
+/// crash, with a checkpoint installed before the crash *by construction*.
+/// Cadence checkpoints stop the other workers only for their cut, so the
+/// crash may overtake every one of them between cut and install — the
 /// scheduler decides. The run therefore opens with one transaction per
 /// worker followed by an explicit, quiesced [`Engine::checkpoint`]; that
 /// opening must end before the crash ordinal (an error otherwise: the
@@ -603,417 +328,72 @@ pub(crate) fn image_winners(image: &LogImage) -> Vec<u64> {
 ///
 /// Returns the commit count and the recorded outcomes of both parts.
 fn run_to_a_crash_behind_a_checkpoint(
+    rig: &Rig,
     engine: &Arc<Engine>,
-    wal: &WalWriter,
-    mut batch: Vec<semcc_orderentry::TxnSpec>,
-    run: &RunParams,
-) -> Result<(u64, Vec<crate::executor::CommittedTxn>), String> {
-    let rest = batch.split_off(run.workers.clamp(1, batch.len()));
-    let head = run_workload(engine, batch, run);
-    if wal.crashed() {
+    workers: usize,
+) -> Result<(u64, Vec<CommittedTxn>), String> {
+    let mut opening = rig.batch.clone();
+    let rest = opening.split_off(workers.clamp(1, opening.len()));
+    let head = rig.run(engine, opening, workers);
+    if rig.wal().crashed() {
         return Err("the crash point fired before the opening checkpoint".into());
     }
     match engine.checkpoint() {
         Ok(true) => {}
         other => return Err(format!("the opening checkpoint was not taken: {other:?}")),
     }
-    let tail = run_workload(engine, rest, run);
+    let tail = rig.run(engine, rest, workers);
     let mut outcomes = head.committed;
     outcomes.extend(tail.committed);
     Ok((head.metrics.committed + tail.metrics.committed, outcomes))
 }
 
-/// Run the B7c torture chain: workload + initial crash, then `chain`
-/// recovery passes where every non-final pass is crashed at a point in
-/// its *own* progress log (a different point each pass), resuming the
-/// next pass from the wreckage the crashed one left. Audits that the
-/// final state equals both (a) the serial replay of the committed prefix
-/// and (b) a single clean recovery of the original image — idempotent
-/// re-recovery.
-pub fn run_torture(params: &TortureParams) -> TortureReport {
-    silence_injected_panics();
-    assert!(params.chain >= 2, "a torture chain needs at least one crashed pass");
-    let db_params = DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
-        ..Default::default()
-    };
-    let config = torture_wal_config(params.checkpoint);
-    let db = Database::build(&db_params).expect("database build");
-    let plan = FaultPlan::new(params.seed, params.faults);
-    let wal = WalWriter::with_config_and_faults(params.fsync, config, Arc::clone(&plan));
-    let store = FaultyStorage::new(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&plan));
-    let engine = Engine::builder(store as Arc<dyn Storage>, Arc::clone(&db.catalog))
-        .protocol(ProtocolConfig::semantic())
-        .lock_wait_timeout(params.lock_wait_timeout)
-        .fault_plan(Arc::clone(&plan))
-        .wal(Arc::clone(&wal))
-        .build();
-    let mut w = Workload::new(
-        &db,
-        WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
-    );
-    let batch = w.batch(&db, params.txns);
-    let run = RunParams {
-        workers: params.workers,
-        max_retries: params.max_retries,
-        record_outcomes: true,
-        ..Default::default()
-    };
-    let (committed, outcomes) = if params.checkpoint {
-        run_to_a_crash_behind_a_checkpoint(&engine, &wal, batch, &run)
-            .expect("checkpointing torture run")
-    } else {
-        let out = run_workload(&engine, batch, &run);
-        (out.metrics.committed, out.committed)
-    };
-    let crashed = wal.crashed();
-    let checkpoints_taken = wal.checkpoints_taken();
-    let original = wal.surviving_image();
-    // Winners come from the *full* retained history: checkpointing retires
-    // sealed segments, so pre-checkpoint commit records are absent from
-    // `original` (their effects ride in the checkpoint's store dump).
-    let winners = image_winners(&wal.surviving_full_image());
-    let spec_of: HashMap<u64, &semcc_orderentry::TxnSpec> =
-        outcomes.iter().map(|c| (c.top.0, &c.spec)).collect();
-
-    // ---- the chain ----------------------------------------------------
-    let mut image = original.clone();
-    let mut report = TortureReport {
-        committed,
-        crashed,
-        passes: 0,
-        mid_crashes: 0,
-        rerecovery_detected: false,
-        checkpoints_taken,
-        winners: winners.len(),
-        compensation_failures: 0,
-        state_matches: false,
-        matches_clean_recovery: false,
-        audit_failure: None,
-        live_after: 0,
-        leaked_entries: 0,
-        wfg_residue: (0, 0, 0, 0),
-    };
-    let mut last: Option<(Arc<Engine>, Database)> = None;
-    for pass in 0..params.chain {
-        let final_pass = pass + 1 == params.chain;
-        let base = Database::build(&db_params).expect("recovery base build");
-        // Every non-final pass dies at a (shifting) point of its own
-        // progress log; the final pass runs clean.
-        let progress_faults = if final_pass {
-            None
-        } else {
-            Some(FaultPlan::new(
-                params.seed ^ pass as u64,
-                FaultSpec::default().with_crash(CrashPoint::AtRecoveryAppend {
-                    nth: params.recovery_crash_nth + pass as u64,
-                }),
-            ))
-        };
-        let progress =
-            match WalWriter::resume(&image, FsyncPolicy::EveryAppend, progress_faults, config) {
-                Ok(w) => w,
-                Err(e) => {
-                    report.audit_failure = Some(format!("resume for pass {pass} refused: {e}"));
-                    return report;
-                }
-            };
-        let (recovered, rr) = match recover_image(
-            &image,
-            Arc::clone(&base.store),
-            Arc::clone(&base.catalog),
-            ProtocolConfig::semantic(),
-            None,
-            Some(Arc::clone(&progress)),
-        ) {
-            Ok(done) => done,
-            Err(e) => {
-                report.audit_failure = Some(format!("recovery pass {pass} failed: {e}"));
-                return report;
-            }
-        };
-        report.passes += 1;
-        report.compensation_failures += rr.failures.len();
-        if progress.crashed() {
-            // The pass died mid-recovery: only its progress log survives;
-            // the store it was building is lost with the "machine".
-            report.mid_crashes += 1;
-            image = progress.surviving_image();
-            continue;
-        }
-        report.rerecovery_detected = rr.rerecovery;
-        report.live_after = recovered.live_transactions();
-        report.leaked_entries = recovered.lock_entries();
-        report.wfg_residue = recovered.wfg_residue();
-        last = Some((recovered, base));
-    }
-    let Some((recovered, base)) = last else {
-        report.audit_failure = Some("no clean final pass (every pass crashed)".into());
-        return report;
-    };
-
-    // ---- audit 1: committed-prefix serial replay ----------------------
-    // Winners were read from the full retained history before the chain
-    // started: recovery appends no commit records, so the set is invariant
-    // across the chain (checked implicitly by audit 2's clean recovery of
-    // the original image).
-    let serial = Database::build(&db_params).expect("serial replay build");
-    let serial_engine =
-        Engine::builder(Arc::clone(&serial.store) as Arc<dyn Storage>, Arc::clone(&serial.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .build();
-    for top in &winners {
-        match spec_of.get(top) {
-            Some(spec) => {
-                if let Err(e) = serial_engine.execute(*spec) {
-                    report.audit_failure =
-                        Some(format!("serial replay of winner {top} failed: {e}"));
-                    return report;
-                }
-            }
-            None => {
-                report.audit_failure = Some(format!("logged winner {top} has no recorded outcome"));
-                return report;
-            }
-        }
-    }
-    let got = canonical_state(recovered.storage().as_ref(), base.items_set);
-    let want = canonical_state(serial.store.as_ref() as &dyn Storage, serial.items_set);
-    match (got, want) {
-        (Ok(g), Ok(w)) if g == w => report.state_matches = true,
-        (Ok(g), Ok(w)) => {
-            report.audit_failure =
-                Some(format!("chained state != serial replay:\n got: {g:?}\nwant: {w:?}"));
-            return report;
-        }
-        (g, w) => {
-            report.audit_failure = Some(format!("canonical projection failed: {g:?} / {w:?}"));
-            return report;
-        }
-    }
-
-    // ---- audit 2: idempotency against a single clean recovery ---------
-    let clean_base = Database::build(&db_params).expect("clean recovery base build");
-    match recover_image(
-        &original,
-        Arc::clone(&clean_base.store),
-        Arc::clone(&clean_base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-        None,
-    ) {
-        Ok((clean_engine, _)) => {
-            let chained = canonical_state(recovered.storage().as_ref(), base.items_set);
-            let clean = canonical_state(clean_engine.storage().as_ref(), clean_base.items_set);
-            match (chained, clean) {
-                (Ok(a), Ok(b)) if a == b => report.matches_clean_recovery = true,
-                (Ok(a), Ok(b)) => {
-                    report.audit_failure = Some(format!(
-                        "chained recovery diverged from clean recovery:\n chained: {a:?}\n clean: {b:?}"
-                    ));
-                }
-                (a, b) => {
-                    report.audit_failure =
-                        Some(format!("canonical projection failed: {a:?} / {b:?}"));
-                }
-            }
-        }
-        Err(e) => report.audit_failure = Some(format!("clean recovery failed: {e}")),
-    }
-    report
-}
-
-/// Checkpoint parity: run a checkpointing workload to a crash, then
-/// recover twice — once from the checkpointed image (checkpoint + live
-/// segments) and once from the full retained log with no checkpoint —
-/// and require byte-identical store dumps (objects, versions, ids) and
-/// identical winner sets. Proves the fuzzy checkpoint's cut is exact.
-pub fn run_checkpoint_parity(params: &TortureParams) -> Result<(), String> {
-    silence_injected_panics();
-    let db_params = DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
-        ..Default::default()
-    };
-    // Aggressive cadence so several checkpoints land mid-run.
-    let config = WalConfig {
-        segment_bytes: 2048,
-        checkpoint_bytes: Some(8 << 10),
-        retain_for_audit: true,
-        ..WalConfig::default()
-    };
-    let db = Database::build(&db_params).expect("database build");
-    let plan = FaultPlan::new(params.seed, params.faults);
-    let wal = WalWriter::with_config_and_faults(params.fsync, config, Arc::clone(&plan));
-    let store = FaultyStorage::new(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&plan));
-    let engine = Engine::builder(store as Arc<dyn Storage>, Arc::clone(&db.catalog))
-        .protocol(ProtocolConfig::semantic())
-        .lock_wait_timeout(params.lock_wait_timeout)
-        .fault_plan(Arc::clone(&plan))
-        .wal(Arc::clone(&wal))
-        .build();
-    let mut w = Workload::new(
-        &db,
-        WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
-    );
-    let batch = w.batch(&db, params.txns);
-    let run = RunParams {
-        workers: params.workers,
-        max_retries: params.max_retries,
-        ..Default::default()
-    };
-    run_to_a_crash_behind_a_checkpoint(&engine, &wal, batch, &run)?;
-    if wal.checkpoints_taken() == 0 {
-        return Err("workload took no checkpoint — parity proves nothing".into());
-    }
-    let from_checkpoint = wal.surviving_image();
-    let from_full_log = wal.surviving_full_image();
-    // Winners that committed before the checkpoint live only in the
-    // checkpoint's dump, not as records — so the checkpointed image's
-    // winner set is a (usually strict) subset of the full log's.
-    let full_winners: std::collections::HashSet<u64> =
-        image_winners(&from_full_log).into_iter().collect();
-    for top in image_winners(&from_checkpoint) {
-        if !full_winners.contains(&top) {
-            return Err(format!("winner {top} in checkpointed image missing from full log"));
-        }
-    }
-    let run = |image: &LogImage| -> Result<(Arc<Engine>, Database), String> {
-        let base = Database::build(&db_params).expect("parity base build");
-        let (engine, rr) = recover_image(
-            image,
-            Arc::clone(&base.store),
-            Arc::clone(&base.catalog),
-            ProtocolConfig::semantic(),
-            None,
-            None,
-        )
-        .map_err(|e| format!("parity recovery failed: {e}"))?;
-        if !rr.failures.is_empty() {
-            return Err(format!("parity recovery had compensation failures: {:?}", rr.failures));
-        }
-        Ok((engine, base))
-    };
-    let (_a, base_a) = run(&from_checkpoint)?;
-    let (_b, base_b) = run(&from_full_log)?;
-    // Full store dumps compare objects, values *and version stamps*: the
-    // strongest equality the store can express.
-    if base_a.store.dump() != base_b.store.dump() {
-        let a = canonical_state(base_a.store.as_ref() as &dyn Storage, base_a.items_set);
-        let b = canonical_state(base_b.store.as_ref() as &dyn Storage, base_b.items_set);
-        return Err(format!(
-            "recover-from-checkpoint != recover-from-full-log\n checkpoint: {a:?}\n full log: {b:?}"
-        ));
-    }
-    Ok(())
+/// Checkpoint parity: run a checkpointing workload to a crash under an
+/// aggressive cadence, so several checkpoints land mid-run, and let
+/// [`run_crash_recover`]'s audit recover twice — from the checkpointed
+/// image and from the full retained log. Proves the fuzzy checkpoint's
+/// cut is exact.
+pub fn run_checkpoint_parity(params: &AuditParams) -> CrashReport {
+    let config = WalConfig { segment_bytes: 2048, ..torture_wal_config(true) };
+    crash_recover_audit(&AuditParams { checkpoint: true, ..params.clone() }, config, 0)
 }
 
 /// Fsync-failure audit: run a group-commit workload whose log device
-/// fails an fsync mid-run (poisoning the log), then check the fsyncgate
-/// invariant — no transaction was acknowledged whose commit record is
-/// not durable, and the *live* store equals the serial replay of exactly
-/// the acknowledged transactions (failed commits were compensated).
-pub fn run_fsync_failure(seed: u64, txns: usize, nth: u64) -> Result<(), String> {
-    run_fsync_failure_at(seed, txns, nth, 4)
-}
-
-/// [`run_fsync_failure`] with an explicit worker count: at ≥16 workers the
-/// failing fsync is a group-commit *batch* leader's, so the audit also
-/// proves that no follower in the failed batch was acknowledged.
-pub fn run_fsync_failure_at(
-    seed: u64,
-    txns: usize,
-    nth: u64,
-    workers: usize,
-) -> Result<(), String> {
-    silence_injected_panics();
-    let db_params = DbParams { n_items: 4, orders_per_item: 4, ..Default::default() };
-    let db = Database::build(&db_params).expect("database build");
-    let plan = FaultPlan::new(seed, FaultSpec::default().with_io(IoFaultPoint::FsyncError { nth }));
-    let wal = WalWriter::with_config_and_faults(
-        FsyncPolicy::OnCommit,
-        torture_wal_config(false),
-        Arc::clone(&plan),
-    );
-    let engine =
-        Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .lock_wait_timeout(Duration::from_secs(2))
-            .wal(Arc::clone(&wal))
-            .build();
-    let mut w = Workload::new(&db, WorkloadConfig { seed, ..Default::default() });
-    let batch = w.batch(&db, txns);
-    let out = run_workload(
-        &engine,
-        batch,
-        &RunParams { workers, max_retries: 50, record_outcomes: true, ..Default::default() },
-    );
-    if wal.poisoned().is_none() {
-        return Err("the fsync fault never fired — nothing audited".into());
-    }
-    let durable: std::collections::HashSet<u64> =
-        image_winners(&wal.surviving_image()).into_iter().collect();
-    // Snapshot readers write no log record — durability is only promised
-    // to locking-path commits. A reader that fails snapshot validation
-    // falls back to the locking path and logs a `TopCommit` like any
-    // updater, so the audit keys on the path taken, not on the spec.
-    let acked: Vec<&crate::executor::CommittedTxn> =
-        out.committed.iter().filter(|c| !c.snapshot).collect();
-    for c in &acked {
-        if !durable.contains(&c.top.0) {
-            return Err(format!(
-                "transaction {} was acknowledged but its commit record is not durable",
-                c.top.0
-            ));
-        }
-    }
-    if durable.len() != acked.len() {
-        return Err(format!(
-            "durable winners ({}) != acknowledged locking-path commits ({})",
-            durable.len(),
-            acked.len()
-        ));
-    }
-    // Live-store audit: serial replay of the acked set.
-    let serial = Database::build(&db_params).expect("serial replay build");
-    let serial_engine =
-        Engine::builder(Arc::clone(&serial.store) as Arc<dyn Storage>, Arc::clone(&serial.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .build();
-    for rec in &read_image(&wal.surviving_image())
-        .map_err(|e| format!("surviving image unreadable: {e}"))?
-        .records
-    {
-        let WalRecord::TopCommit { top } = rec else { continue };
-        let spec = acked
-            .iter()
-            .find(|c| c.top.0 == *top)
-            .map(|c| &c.spec)
-            .ok_or_else(|| format!("durable winner {top} has no acknowledged outcome"))?;
-        serial_engine
-            .execute(spec)
-            .map_err(|e| format!("serial replay of winner {top} failed: {e}"))?;
-    }
-    let got = canonical_state(db.store.as_ref() as &dyn Storage, db.items_set);
-    let want = canonical_state(serial.store.as_ref() as &dyn Storage, serial.items_set);
-    match (got, want) {
-        (Ok(g), Ok(w)) if g == w => Ok(()),
-        (Ok(g), Ok(w)) => Err(format!(
-            "live state after poisoning != serial replay of acked set\n got: {g:?}\nwant: {w:?}"
-        )),
-        (g, w) => Err(format!("canonical projection failed: {g:?} / {w:?}")),
-    }
+/// fails the `nth` fsync mid-run (poisoning the log), then check the
+/// fsyncgate invariant — no transaction was acknowledged whose commit
+/// record is not durable, and the *live* store equals the serial replay
+/// of exactly the acknowledged transactions (failed commits were
+/// compensated). At ≥ 16 workers the failing fsync is a group-commit
+/// *batch* leader's, so the audit also proves that no follower in the
+/// failed batch was acknowledged.
+pub fn run_fsync_failure(seed: u64, txns: usize, nth: u64, workers: usize) -> Result<(), String> {
+    let params = AuditParams {
+        seed,
+        txns,
+        workers,
+        faults: FaultSpec::default().with_io(IoFaultPoint::FsyncError { nth }),
+        fsync: FsyncPolicy::OnCommit,
+        ..Default::default()
+    };
+    let (rig, builder) = Rig::stage(&params, Some(torture_wal_config(false)), false);
+    let out = rig.run(&builder.build(), rig.batch.clone(), workers);
+    rig.check_fsyncgate(&out.committed)
 }
 
 // ---------------------------------------------------------------------
 // Partial-fleet crash / recover / audit (the sharded deployment)
 // ---------------------------------------------------------------------
 
+/// Database scale of every fleet audit.
+const FLEET_N_ITEMS: usize = 6;
+const FLEET_ORDERS_PER_ITEM: usize = 3;
+
 /// One partial-fleet chaos run: drive the workload through the sharded
 /// coordinator, kill `kill`-of-`n_shards` shards at seeded points in the
 /// batch (plus whatever the injected [`ShardFaultPoint`] kills on its
 /// own), recover everything, and audit.
+///
+/// [`ShardFaultPoint`]: semcc_core::ShardFaultPoint
 #[derive(Clone, Debug)]
 pub struct FleetParams {
     /// Seed for the workload, the kill schedule, and the rpc backoff.
@@ -1026,17 +406,12 @@ pub struct FleetParams {
     pub kill: usize,
     /// Injected fleet fault, if any.
     pub fault: Option<semcc_core::ShardFaultPoint>,
-    /// Crash (and recover) the coordinator after the batch as well.
+    /// Crash the (by then idle) coordinator after the batch, so the
+    /// settle phase starts from its decision log alone.
     pub coordinator_crash: bool,
     /// Crash each killed shard *again* mid-recovery before the final
     /// recovery pass (the double-crash case).
     pub double_crash: bool,
-    /// Transaction mix.
-    pub mix: MixWeights,
-    /// Database size.
-    pub n_items: usize,
-    /// Orders per item.
-    pub orders_per_item: usize,
 }
 
 impl Default for FleetParams {
@@ -1049,9 +424,6 @@ impl Default for FleetParams {
             fault: None,
             coordinator_crash: false,
             double_crash: false,
-            mix: MixWeights::default(),
-            n_items: 6,
-            orders_per_item: 3,
         }
     }
 }
@@ -1059,8 +431,6 @@ impl Default for FleetParams {
 /// Outcome of one partial-fleet run.
 #[derive(Debug)]
 pub struct FleetReport {
-    /// Transactions submitted.
-    pub submitted: usize,
     /// Commits acknowledged to the client.
     pub acked: usize,
     /// Commit decisions durably logged by the coordinator.
@@ -1071,20 +441,17 @@ pub struct FleetReport {
     pub cross_shard: u64,
     /// Total shard crashes (scheduled kills + fault-injected).
     pub shard_crashes: u64,
-    /// In-doubt pieces resolved during shard recovery.
-    pub in_doubt: usize,
-    /// In-doubt pieces kept (commit decision found).
+    /// In-doubt pieces kept (commit decision found) by shard recovery.
     pub kept: usize,
-    /// In-doubt pieces compensated (presumed abort).
-    pub compensated: usize,
     /// Acked commits whose decision is missing after recovery (MUST be 0:
     /// an acked commit may never be lost, whatever crashed).
     pub lost_acked: usize,
-    /// Residue violations (live txns / leaked locks / wfg / speculation
-    /// edges still present on a quiescent recovered shard).
+    /// One entry per shard that is still dead or whose [`Residue`] is
+    /// not clean after the settle phase.
     pub residue_violations: Vec<String>,
-    /// First state-audit failure, if any: a shard's recovered slice did
-    /// not equal the serial replay of the committed prefix.
+    /// First state-audit failure, if any: a recovery step failed, or a
+    /// shard's recovered slice did not equal the serial replay of the
+    /// committed prefix.
     pub audit_failure: Option<String>,
 }
 
@@ -1101,12 +468,11 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use semcc_dist::{CommitProtocol, Coordinator, FleetConfig};
-    use std::collections::BTreeMap;
 
-    silence_injected_panics();
+    semcc_core::silence_injected_panics();
     let db_params = DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
+        n_items: FLEET_N_ITEMS,
+        orders_per_item: FLEET_ORDERS_PER_ITEM,
         ..Default::default()
     };
     let coord = Coordinator::new(FleetConfig {
@@ -1129,14 +495,14 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
         kills.push((at, v));
     }
 
-    let reference = Database::build(&db_params).expect("workload reference build");
-    let mut w = Workload::new(
-        &reference,
-        WorkloadConfig { seed: params.seed, mix: params.mix, ..Default::default() },
-    );
-    let batch = w.batch(&reference, params.txns);
+    // Never executed on: the workload is generated against it, and the
+    // state audit replays the committed prefix on copies of it.
+    let reference = Database::build(&db_params).expect("reference build");
+    let batch =
+        Workload::new(&reference, WorkloadConfig { seed: params.seed, ..Default::default() })
+            .batch(&reference, params.txns);
 
-    let mut specs: BTreeMap<u64, semcc_orderentry::TxnSpec> = BTreeMap::new();
+    let mut specs: BTreeMap<u64, TxnSpec> = BTreeMap::new();
     let mut acked_ok = 0usize;
     let mut failed = 0usize;
     for (i, spec) in batch.iter().enumerate() {
@@ -1211,96 +577,68 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
 
     // ---- audits -------------------------------------------------------
     let committed = coord.committed_gtids();
-    let committed_set: std::collections::HashSet<u64> = committed.iter().copied().collect();
+    let committed_set: HashSet<u64> = committed.iter().copied().collect();
     let lost_acked = coord.acked().iter().filter(|g| !committed_set.contains(g)).count();
 
-    let mut residue_violations = Vec::new();
-    for shard in coord.shards() {
-        match shard.residue() {
-            Some((0, 0, (0, 0, 0, 0), 0)) => {}
-            Some(r) => residue_violations.push(format!(
-                "shard {}: residue {r:?} (live, locks, wfg, speculation)",
-                shard.idx()
-            )),
-            None => residue_violations.push(format!("shard {} still dead", shard.idx())),
-        }
-    }
+    let residue_violations = coord
+        .shards()
+        .iter()
+        .filter_map(|shard| match shard.with_live(|engine, _| Residue::of(engine).check()) {
+            Some(Ok(())) => None,
+            Some(Err(e)) => Some(format!("shard {}: {e}", shard.idx())),
+            None => Some(format!("shard {} still dead", shard.idx())),
+        })
+        .collect();
 
-    // State audit: each recovered shard's slice must equal the serial
-    // replay of its pieces of the committed prefix, in decision order.
     if audit_failure.is_none() {
-        'shards: for shard in coord.shards() {
-            let idx = shard.idx();
-            let serial = Database::build(&db_params).expect("serial replay build");
-            let serial_engine = Engine::builder(
-                Arc::clone(&serial.store) as Arc<dyn Storage>,
-                Arc::clone(&serial.catalog),
-            )
-            .protocol(ProtocolConfig::semantic())
-            .build();
-            for gtid in &committed {
-                let Some(spec) = specs.get(gtid) else {
-                    audit_failure = Some(format!("committed gtid {gtid} was never submitted"));
-                    break 'shards;
-                };
-                for (s, piece) in coord.partition().split(spec) {
-                    if s != idx {
-                        continue;
-                    }
-                    if let Err(e) = serial_engine.execute(&piece) {
-                        audit_failure = Some(format!(
-                            "serial replay of gtid {gtid} piece on shard {idx} failed: {e}"
-                        ));
-                        break 'shards;
-                    }
-                }
-            }
-            let want = crate::validate::canonical_shard_state(
-                serial.store.as_ref() as &dyn Storage,
-                serial.items_set,
-                params.n_shards,
-                idx,
-            );
-            let got = shard.with_live(|engine, db| {
-                crate::validate::canonical_shard_state(
-                    engine.storage().as_ref(),
-                    db.items_set,
-                    params.n_shards,
-                    idx,
-                )
-            });
-            match (got, want) {
-                (Some(Ok(g)), Ok(w)) if g == w => {}
-                (Some(Ok(g)), Ok(w)) => {
-                    audit_failure = Some(format!(
-                        "shard {idx} state != committed-prefix replay\n got: {g:?}\nwant: {w:?}"
-                    ));
-                    break 'shards;
-                }
-                (g, w) => {
-                    audit_failure =
-                        Some(format!("shard {idx} canonical projection failed: {g:?} / {w:?}"));
-                    break 'shards;
-                }
-            }
-        }
+        audit_failure = check_fleet_state(&coord, &committed, &specs, &reference).err();
     }
 
     let stats = coord.fleet_stats();
     FleetReport {
-        submitted: params.txns,
         acked: acked_ok,
         committed: committed.len(),
         failed,
         cross_shard: stats.cross_shard_txns,
         shard_crashes: stats.shard_crashes,
-        in_doubt: reports.iter().map(|r| r.in_doubt).sum(),
         kept: reports.iter().map(|r| r.kept).sum(),
-        compensated: reports.iter().map(|r| r.compensated).sum(),
         lost_acked,
         residue_violations,
         audit_failure,
     }
+}
+
+/// The fleet's state audit: each recovered shard's slice must equal the
+/// serial replay, on the initial state `fresh`, of its pieces of the
+/// committed prefix, in decision order.
+fn check_fleet_state(
+    coord: &semcc_dist::Coordinator,
+    committed: &[u64],
+    specs: &BTreeMap<u64, TxnSpec>,
+    fresh: &Database,
+) -> Result<(), String> {
+    let n_shards = coord.shards().len();
+    let mut pieces: Vec<Vec<TxnSpec>> = vec![Vec::new(); n_shards];
+    for gtid in committed {
+        let spec =
+            specs.get(gtid).ok_or_else(|| format!("committed gtid {gtid} was never submitted"))?;
+        for (shard, piece) in coord.partition().split(spec) {
+            pieces[shard].push(piece);
+        }
+    }
+    for shard in coord.shards() {
+        let idx = shard.idx();
+        let winners: Vec<&TxnSpec> = pieces[idx].iter().collect();
+        shard
+            .with_live(|engine, _| {
+                check_committed_prefix(fresh, &winners, engine.storage().as_ref(), |store| {
+                    canonical_shard_state(store, fresh.items_set, n_shards, idx)
+                })
+            })
+            .unwrap_or_else(|| Err("still dead".into()))
+            .map_err(|e| format!("shard {idx}: {e}"))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1309,7 +647,7 @@ mod tests {
 
     #[test]
     fn fault_free_chaos_commits_everything() {
-        let report = run_chaos(&ChaosParams { txns: 20, ..Default::default() });
+        let report = run_chaos(&AuditParams { txns: 20, ..Default::default() });
         assert_eq!(report.committed, 20);
         assert_eq!(report.failed, 0);
         assert_eq!(report.injected, 0);
@@ -1318,7 +656,7 @@ mod tests {
 
     #[test]
     fn storage_faults_are_contained_and_deterministic() {
-        let p = ChaosParams {
+        let p = AuditParams {
             seed: 7,
             txns: 40,
             faults: FaultSpec::storage(0.10),
@@ -1332,7 +670,7 @@ mod tests {
         // transactions every time: fully reproducible outcome counts.
         // (Under multiple workers only the *draw sequence* is fixed; the
         // thread interleaving decides which transaction eats each draw.)
-        let serial = ChaosParams { workers: 1, ..p };
+        let serial = AuditParams { workers: 1, ..p };
         let b = run_chaos(&serial);
         let c = run_chaos(&serial);
         assert_eq!((b.committed, b.failed, b.injected), (c.committed, c.failed, c.injected));
@@ -1340,23 +678,23 @@ mod tests {
 
     #[test]
     fn body_panics_are_contained() {
-        let report = run_chaos(&ChaosParams {
+        let report = run_chaos(&AuditParams {
             seed: 11,
             txns: 40,
             faults: FaultSpec::body_panic(0.10),
             ..Default::default()
         });
-        assert!(report.caught_panics > 0, "{report:?}");
+        assert!(report.stats.caught_panics > 0, "{report:?}");
         assert!(report.contained(), "{report:?}");
     }
 
     #[test]
     fn crash_free_run_recovers_every_committed_transaction() {
-        let report = run_crash_recover(&CrashParams { txns: 20, ..Default::default() });
+        let report = run_crash_recover(&AuditParams { txns: 20, ..Default::default() });
         assert!(!report.crashed, "{report:?}");
         assert_eq!(report.winners as u64, report.committed, "{report:?}");
-        assert_eq!(report.losers, 0, "{report:?}");
-        assert!(report.replayed_actions > 0, "{report:?}");
+        assert_eq!(report.recovery.losers, 0, "{report:?}");
+        assert!(report.recovery.replayed_actions > 0, "{report:?}");
         assert!(report.sound(), "{report:?}");
     }
 
@@ -1364,7 +702,7 @@ mod tests {
     fn leaf_append_crash_recovers_to_the_committed_prefix() {
         let (_, faults, fsync) = crash_points().remove(0);
         let report =
-            run_crash_recover(&CrashParams { seed: 3, faults, fsync, ..Default::default() });
+            run_crash_recover(&AuditParams { seed: 3, faults, fsync, ..Default::default() });
         assert!(report.crashed, "the crash point must fire: {report:?}");
         assert!(
             (report.winners as u64) < report.committed,
@@ -1377,15 +715,15 @@ mod tests {
     fn torn_tail_crash_truncates_and_still_recovers() {
         let (_, faults, fsync) = crash_points().remove(3);
         let report =
-            run_crash_recover(&CrashParams { seed: 5, faults, fsync, ..Default::default() });
+            run_crash_recover(&AuditParams { seed: 5, faults, fsync, ..Default::default() });
         assert!(report.crashed, "{report:?}");
-        assert!(report.truncated_bytes > 0, "the torn frame must be dropped: {report:?}");
+        assert!(report.recovery.truncated_bytes > 0, "the torn frame must be dropped: {report:?}");
         assert!(report.sound(), "{report:?}");
     }
 
     #[test]
     fn creation_heavy_mix_exercises_creation_redo() {
-        let report = run_crash_recover(&CrashParams {
+        let report = run_crash_recover(&AuditParams {
             seed: 9,
             mix: crash_mixes().remove(0).1,
             ..Default::default()
@@ -1393,9 +731,20 @@ mod tests {
         assert!(report.sound(), "{report:?}");
     }
 
+    /// The torture defaults of the acceptance sweep: the leaf-append
+    /// crash class on the creation-extended mix.
+    fn torture(seed: u64) -> AuditParams {
+        AuditParams {
+            seed,
+            faults: crash_points().remove(0).1,
+            mix: crash_mixes().remove(0).1,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn torture_chain_converges_after_a_crashed_recovery() {
-        let report = run_torture(&TortureParams { seed: 3, ..Default::default() });
+        let report = run_torture(&torture(3));
         assert!(report.crashed, "the initial crash must fire: {report:?}");
         assert_eq!(report.mid_crashes, 1, "one crashed pass in a depth-2 chain: {report:?}");
         assert!(report.rerecovery_detected, "the final pass must see the mark: {report:?}");
@@ -1405,8 +754,7 @@ mod tests {
     #[test]
     fn torture_chain_with_checkpointing_converges() {
         let params_chain = 3usize;
-        let report = run_torture(&TortureParams {
-            seed: 5,
+        let report = run_torture(&AuditParams {
             txns: 120,
             checkpoint: true,
             chain: params_chain,
@@ -1414,7 +762,7 @@ mod tests {
             // device dies — otherwise the run never checkpoints and the
             // test degenerates to the plain torture chain.
             faults: FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 160 }),
-            ..Default::default()
+            ..torture(5)
         });
         assert!(report.crashed, "{report:?}");
         assert!(report.checkpoints_taken > 0, "the run must checkpoint: {report:?}");
@@ -1430,23 +778,5 @@ mod tests {
         );
         assert!(report.rerecovery_detected, "{report:?}");
         assert!(report.sound(), "{report:?}");
-    }
-
-    #[test]
-    fn checkpoint_parity_holds_under_a_crash() {
-        run_checkpoint_parity(&TortureParams {
-            seed: 7,
-            txns: 120,
-            // Late crash: several checkpoints must land before the log
-            // device dies, or the parity differential proves nothing.
-            faults: FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 160 }),
-            ..Default::default()
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn fsync_failure_never_acknowledges_an_undurable_commit() {
-        run_fsync_failure(11, 40, 5).unwrap();
     }
 }

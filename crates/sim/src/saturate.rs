@@ -11,61 +11,41 @@
 //! barrier.
 //!
 //! The run is audited with the same fsyncgate discipline as
-//! [`crate::chaos::run_fsync_failure`], end-to-end through the service:
-//! an *acknowledged* update session (its ticket resolved `Ok`) must have
-//! a durable `TopCommit` record, exactly once — zero lost acks, zero
-//! duplicate acks — and the live store must equal the serial replay of
-//! the durable winners in log order. With an injected fsync fault the
-//! same invariant holds on the poisoned log's surviving prefix.
+//! [`crate::chaos::run_fsync_failure`] (the rig's `check_fsyncgate`),
+//! end-to-end through the service: an *acknowledged* update session (its
+//! ticket resolved `Ok`) must have a durable `TopCommit` record, exactly
+//! once — zero lost acks, zero duplicate acks — and the live store must
+//! equal the serial replay of the durable winners in log order. With an
+//! injected fsync fault the same invariant holds on the poisoned log's
+//! surviving prefix.
 
-use crate::chaos::image_winners;
-use crate::validate::canonical_state;
-use semcc_core::{
-    read_image, silence_injected_panics, Engine, FaultPlan, FaultSpec, FsyncPolicy, IoFaultPoint,
-    ProtocolConfig, WalConfig, WalRecord, WalWriter,
-};
-use semcc_orderentry::{Database, DbParams, TxnSpec, Workload, WorkloadConfig};
-use semcc_semantics::{SemccError, Storage};
+use crate::executor::CommittedTxn;
+use crate::rig::{AuditParams, Rig};
+use semcc_core::{FaultSpec, FsyncPolicy, IoFaultPoint, WalConfig};
+use semcc_semantics::SemccError;
 use semcc_service::{Service, ServiceConfig, Ticket};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Lock-wait backstop of a saturation run.
+const LOCK_WAIT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One saturation run's configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SaturationParams {
-    /// Seed for the workload generator (and the fault plan, if armed).
-    pub seed: u64,
-    /// Sessions to submit (the in-flight target).
+    /// Sessions to submit (the in-flight target; the service admits them
+    /// all, so the feeder parks every session at once).
     pub sessions: usize,
     /// Fixed core pool size — the only threads running transactions.
     pub core_threads: usize,
-    /// Admission bound handed to the service (≥ `sessions` lets the
-    /// feeder park every session at once).
-    pub max_in_flight: usize,
-    /// WAL sync policy (the saturation gate runs `OnCommit`).
-    pub fsync: FsyncPolicy,
     /// Inject [`IoFaultPoint::FsyncError`] at this sync ordinal, turning
     /// the run into a batch-fsyncgate audit. `None`: clean run.
     pub fsync_fault_at: Option<u64>,
-    /// Database scale.
-    pub n_items: usize,
-    /// Orders per item.
-    pub orders_per_item: usize,
 }
 
 impl Default for SaturationParams {
     fn default() -> Self {
-        SaturationParams {
-            seed: 42,
-            sessions: 10_000,
-            core_threads: 8,
-            max_in_flight: usize::MAX,
-            fsync: FsyncPolicy::OnCommit,
-            fsync_fault_at: None,
-            n_items: 8,
-            orders_per_item: 4,
-        }
+        SaturationParams { sessions: 10_000, core_threads: 8, fsync_fault_at: None }
     }
 }
 
@@ -73,8 +53,6 @@ impl Default for SaturationParams {
 /// hold one of these).
 #[derive(Clone, Copy, Debug)]
 pub struct SaturationReport {
-    /// Sessions submitted.
-    pub sessions: usize,
     /// Sessions whose ticket resolved `Ok` (acknowledged commits).
     pub committed: u64,
     /// Sessions whose ticket resolved `Err`.
@@ -84,173 +62,70 @@ pub struct SaturationReport {
     pub peak_in_flight: usize,
     /// Device syncs the log performed (group-commit leaders).
     pub fsyncs: u64,
-    /// Commits acknowledged as group-commit followers.
-    pub group_commits: u64,
-    /// Wall-clock time from first submit to last resolution.
-    pub elapsed: Duration,
 }
 
 /// Run the saturation workload and audit it. `Err` describes the first
 /// violated invariant.
 pub fn run_saturation(params: &SaturationParams) -> Result<SaturationReport, String> {
-    silence_injected_panics();
-    let db_params = DbParams {
-        n_items: params.n_items,
-        orders_per_item: params.orders_per_item,
+    let faults = match params.fsync_fault_at {
+        Some(nth) => FaultSpec::default().with_io(IoFaultPoint::FsyncError { nth }),
+        None => FaultSpec::default(),
+    };
+    let staged = AuditParams {
+        txns: params.sessions,
+        faults,
+        fsync: FsyncPolicy::OnCommit,
         ..Default::default()
     };
-    let db = Database::build(&db_params).expect("database build");
     let config = WalConfig { segment_bytes: 16 << 10, ..WalConfig::default() };
-    let wal = match params.fsync_fault_at {
-        Some(nth) => WalWriter::with_config_and_faults(
-            params.fsync,
-            config,
-            FaultPlan::new(
-                params.seed,
-                FaultSpec::default().with_io(IoFaultPoint::FsyncError { nth }),
-            ),
-        ),
-        None => WalWriter::with_config(params.fsync, config),
-    };
-    let engine =
-        Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .lock_wait_timeout(Duration::from_secs(5))
-            .wal(Arc::clone(&wal))
-            .build();
+    let (rig, builder) = Rig::stage(&staged, Some(config), false);
     let svc = Service::start(
-        Arc::clone(&engine),
+        builder.lock_wait_timeout(LOCK_WAIT_TIMEOUT).build(),
         ServiceConfig {
             core_threads: params.core_threads,
-            max_in_flight: params.max_in_flight,
+            max_in_flight: usize::MAX,
             max_retries: 1000,
         },
     );
 
-    let mut w = Workload::new(&db, WorkloadConfig { seed: params.seed, ..Default::default() });
-    let specs = w.batch(&db, params.sessions);
-    let started = Instant::now();
     let mut peak_in_flight = 0;
-    let tickets: Vec<(TxnSpec, Ticket)> = specs
-        .into_iter()
+    let tickets: Vec<Ticket> = rig
+        .batch
+        .iter()
         .enumerate()
         .map(|(i, spec)| {
             let ticket = svc.submit(Arc::new(spec.clone()));
             if i % 512 == 0 {
                 peak_in_flight = peak_in_flight.max(svc.in_flight());
             }
-            (spec, ticket)
+            ticket
         })
         .collect();
     peak_in_flight = peak_in_flight.max(svc.in_flight());
 
-    let mut committed = 0u64;
     let mut failed = 0u64;
-    // top id -> spec, for every acknowledged *locking-path* commit —
-    // exactly the sessions that logged a `TopCommit` record. Snapshot
-    // commits (pure readers that validated) log nothing; a reader that
-    // fell back to the locking path logs like any updater and is audited
-    // like one.
-    let mut acked: HashMap<u64, TxnSpec> = HashMap::new();
-    for (spec, ticket) in tickets {
+    let mut acked: Vec<CommittedTxn> = Vec::new();
+    for (input_idx, (spec, ticket)) in rig.batch.iter().zip(tickets).enumerate() {
         match ticket.wait().0 {
-            Ok(outcome) => {
-                committed += 1;
-                if !outcome.snapshot && acked.insert(outcome.top.0, spec).is_some() {
-                    return Err(format!("duplicate acknowledgment for top {}", outcome.top.0));
-                }
-            }
+            Ok(out) => acked.push(CommittedTxn {
+                input_idx,
+                spec: spec.clone(),
+                top: out.top,
+                value: out.value,
+                snapshot: out.snapshot,
+                commit_seq: out.commit_seq,
+            }),
             Err(SemccError::Cancelled) => return Err("service cancelled a session".into()),
             Err(_) => failed += 1,
         }
     }
-    let elapsed = started.elapsed();
-    let (fsyncs, group_commits) = (wal.fsyncs(), wal.group_commits());
     svc.shutdown();
 
-    if params.fsync_fault_at.is_some() && wal.poisoned().is_none() {
-        return Err("the injected fsync fault never fired — nothing audited".into());
-    }
-    // Zero lost acks, zero phantom winners: acknowledged updaters and
-    // durable TopCommit records must be the same set, both directions.
-    let durable: HashSet<u64> = image_winners(&wal.surviving_image()).into_iter().collect();
-    for top in acked.keys() {
-        if !durable.contains(top) {
-            return Err(format!("session {top} was acknowledged but its commit is not durable"));
-        }
-    }
-    if durable.len() != acked.len() {
-        return Err(format!(
-            "durable winners ({}) != acknowledged update sessions ({})",
-            durable.len(),
-            acked.len()
-        ));
-    }
-    // Crash-recover audit: the live store equals the serial replay of the
-    // durable winners, in log order.
-    let serial = Database::build(&db_params).expect("serial replay build");
-    let serial_engine =
-        Engine::builder(Arc::clone(&serial.store) as Arc<dyn Storage>, Arc::clone(&serial.catalog))
-            .protocol(ProtocolConfig::semantic())
-            .build();
-    for rec in &read_image(&wal.surviving_image())
-        .map_err(|e| format!("surviving image unreadable: {e}"))?
-        .records
-    {
-        let WalRecord::TopCommit { top } = rec else { continue };
-        let spec = acked.get(top).ok_or_else(|| format!("durable winner {top} was never acked"))?;
-        serial_engine
-            .execute(spec)
-            .map_err(|e| format!("serial replay of winner {top} failed: {e}"))?;
-    }
-    let got = canonical_state(db.store.as_ref() as &dyn Storage, db.items_set)
-        .map_err(|e| format!("live projection failed: {e}"))?;
-    let want = canonical_state(serial.store.as_ref() as &dyn Storage, serial.items_set)
-        .map_err(|e| format!("serial projection failed: {e}"))?;
-    if got != want {
-        return Err(format!(
-            "live state != serial replay of acked sessions\n got: {got:?}\nwant: {want:?}"
-        ));
-    }
+    rig.check_fsyncgate(&acked)?;
     Ok(SaturationReport {
-        sessions: params.sessions,
-        committed,
+        committed: acked.len() as u64,
         failed,
         peak_in_flight,
-        fsyncs,
-        group_commits,
-        elapsed,
+        fsyncs: rig.wal().fsyncs(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_saturation_run_is_audited_clean() {
-        let report = run_saturation(&SaturationParams {
-            sessions: 300,
-            core_threads: 4,
-            n_items: 4,
-            ..Default::default()
-        })
-        .expect("clean saturation run");
-        assert_eq!(report.committed + report.failed, 300);
-        assert!(report.committed > 0);
-        assert!(report.fsyncs > 0);
-    }
-
-    #[test]
-    fn saturation_run_with_fsync_fault_still_has_no_lost_acks() {
-        let report = run_saturation(&SaturationParams {
-            sessions: 200,
-            core_threads: 4,
-            n_items: 4,
-            fsync_fault_at: Some(10),
-            ..Default::default()
-        })
-        .expect("faulted saturation run audited clean");
-        assert!(report.failed > 0, "the poisoned log must fail some sessions");
-    }
 }

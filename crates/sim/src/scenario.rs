@@ -1,10 +1,14 @@
 //! Deterministic scenario orchestration: gates to hold transactions open at
 //! precise points, and event waits on a [`MemorySink`] to observe protocol
 //! decisions (blocked / granted / completed). Together these reproduce the
-//! paper's Figures 4–7 interleavings exactly.
+//! paper's Figures 4–7 interleavings exactly. Also the two things every
+//! seeded sweep of the root test suites shares: the wall-clock watchdog
+//! ([`guarded`]) and the seed window ([`seed_window`]).
 
 use parking_lot::{Condvar, Mutex};
-use semcc_core::{Event, MemorySink, NodeRef, Stamped, TopId};
+use semcc_core::{panic_message, Event, MemorySink, NodeRef, Stamped, TopId};
+use std::ops::RangeInclusive;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,6 +74,38 @@ impl Drop for OpenOnDrop {
 
 /// Default timeout for scenario event waits.
 pub const SCENARIO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Hard watchdog of one harness run: containment, recovery and front-end
+/// bugs tend to manifest as hangs.
+pub const RUN_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Run `f` on a thread of its own under the [`RUN_TIMEOUT`] watchdog: a
+/// hang must surface as a test failure, not a stuck CI job. A run that
+/// panics fails at once with its own message, not as a hang.
+pub fn guarded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(RUN_TIMEOUT) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("{label} hung (> {RUN_TIMEOUT:?})"),
+        // The sender was dropped unsent: `f` unwound.
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(payload) => panic!("{label} panicked: {}", panic_message(payload)),
+            Ok(()) => unreachable!("the worker sends before it returns"),
+        },
+    }
+}
+
+/// The `n` seeds of a sweep: `1..=n`, shifted by the
+/// `SEMCC_CHAOS_SEED_OFFSET` environment variable (CI sets it to cover
+/// more schedules than a local run).
+pub fn seed_window(n: u64) -> RangeInclusive<u64> {
+    let offset: u64 =
+        std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
+    (offset + 1)..=(offset + n)
+}
 
 /// Wait until an event matching `pred` is recorded; panics with `what` on
 /// timeout (scenarios are deterministic — a timeout is a bug).
@@ -147,6 +183,22 @@ mod tests {
         }
         assert!(g.is_open());
         g.wait(); // after opening, wait returns immediately
+    }
+
+    #[test]
+    fn guarded_returns_the_value_of_a_run_that_finishes() {
+        assert_eq!(guarded("fine", || 7), 7);
+    }
+
+    /// A panicking run drops its sender at once; the watchdog must report
+    /// the panic itself — immediately — rather than a hang.
+    #[test]
+    fn guarded_reports_a_panicking_run_with_its_own_message() {
+        let started = std::time::Instant::now();
+        let caught = std::panic::catch_unwind(|| guarded("doomed", || panic!("boom at step 3")));
+        let message = panic_message(caught.expect_err("the panic must propagate"));
+        assert!(message.contains("doomed panicked: boom at step 3"), "{message}");
+        assert!(started.elapsed() < Duration::from_secs(1), "reported as a hang: {message}");
     }
 
     #[test]

@@ -1,25 +1,13 @@
-//! Serializability validators.
-//!
-//! Two independent oracles, used together in the correctness experiments:
-//!
-//! 1. [`check_state_equivalence`] — the ground truth for small histories:
-//!    does *some* serial order of the committed transactions reproduce the
-//!    observed final state and every transaction's return values?
-//!    (Behavioral equivalence in the paper's sense, projected onto the
-//!    canonical observable state: identifiers assigned to freshly created
-//!    objects are normalized away.)
-//! 2. [`check_semantic_graph`] — a conflict-graph test on the recorded
-//!    history that mirrors the protocol's own criterion: two actions of
-//!    different transactions conflict iff they operate on the same object,
-//!    do not commute, and have **no commutative ancestor pair on a common
-//!    object** (conflicts between implementation-level actions are absorbed
-//!    by commutative ancestors, exactly as in the Figure-9 test). Acyclic ⇒
-//!    semantically serializable in the serialization order of the graph.
+//! The oracles: every check that says "this run was right" (listed in
+//! the crate docs). The serial-replay ones share one executor, `replay`.
 
 use crate::executor::CommittedTxn;
 use semcc_core::{Engine, Event, NodeRef, Stamped, TopId};
 use semcc_objstore::MemoryStore;
-use semcc_semantics::{Catalog, Invocation, ObjectId, Result, SemanticsRouter, Storage, Value};
+use semcc_orderentry::{Database, TxnSpec};
+use semcc_semantics::{
+    Catalog, Invocation, ObjectId, Result, SemanticsRouter, SemccError, Storage, Value,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -74,28 +62,131 @@ pub fn canonical_shard_state(
         .collect())
 }
 
-/// Replay `order` serially on a copy of `initial`; return the canonical
-/// final state and per-transaction values, or `None` if a replayed
-/// transaction fails.
-fn replay(
+/// Execute `specs` serially, in the order given, on a copy of `initial`.
+/// Returns the resulting store and each transaction's return value, or
+/// the position and error of the first transaction that fails.
+fn replay<'a>(
     initial: &MemoryStore,
     catalog: &Arc<Catalog>,
-    items_set: ObjectId,
-    committed: &[CommittedTxn],
-    order: &[usize],
-) -> Option<(CanonicalDb, Vec<Value>)> {
+    specs: impl IntoIterator<Item = &'a TxnSpec>,
+) -> std::result::Result<(Arc<MemoryStore>, Vec<Value>), (usize, SemccError)> {
     let store = Arc::new(initial.snapshot());
     let engine =
         Engine::builder(Arc::clone(&store) as Arc<dyn Storage>, Arc::clone(catalog)).build();
-    let mut values = vec![Value::Unit; committed.len()];
-    for &i in order {
-        match engine.execute(&committed[i].spec) {
-            Ok(out) => values[i] = out.value,
-            Err(_) => return None,
+    let mut values = Vec::new();
+    for (k, spec) in specs.into_iter().enumerate() {
+        values.push(engine.execute(spec).map_err(|e| (k, e))?.value);
+    }
+    Ok((store, values))
+}
+
+/// The committed-prefix oracle: `got`, under `project`
+/// ([`canonical_state`], or [`canonical_shard_state`] for one shard's
+/// slice), must equal the serial replay of `winners` — the specs of
+/// exactly the transactions that count as committed, in commit order — on
+/// `fresh`, a new build of the initial state `got` started from (builds
+/// are deterministic and order numbers are baked into the specs, so the
+/// replay is too). The error names the winner that failed to replay, or
+/// carries both states.
+pub fn check_committed_prefix(
+    fresh: &Database,
+    winners: &[&TxnSpec],
+    got: &dyn Storage,
+    project: impl Fn(&dyn Storage) -> Result<CanonicalDb>,
+) -> std::result::Result<(), String> {
+    let (want, _) = replay(&fresh.store, &fresh.catalog, winners.iter().copied())
+        .map_err(|(k, e)| format!("serial replay of winner #{k} ({:?}) failed: {e}", winners[k]))?;
+    match (project(got), project(want.as_ref())) {
+        (Ok(g), Ok(w)) if g == w => Ok(()),
+        (Ok(g), Ok(w)) => {
+            Err(format!("state != serial replay of the committed prefix\n got: {g:?}\nwant: {w:?}"))
+        }
+        (g, w) => Err(format!("canonical projection failed: {g:?} / {w:?}")),
+    }
+}
+
+/// The specs of `winners` (transaction ids in commit order), looked up
+/// among the recorded outcomes. A logged winner the process never saw
+/// commit cannot happen — the commit record is appended before the
+/// outcome returns — so a miss is an error, not a skip.
+pub(crate) fn winner_specs<'a>(
+    winners: &[u64],
+    outcomes: &'a [CommittedTxn],
+) -> std::result::Result<Vec<&'a TxnSpec>, String> {
+    let spec_of: HashMap<u64, &TxnSpec> = outcomes.iter().map(|c| (c.top.0, &c.spec)).collect();
+    winners
+        .iter()
+        .map(|top| {
+            spec_of
+                .get(top)
+                .copied()
+                .ok_or_else(|| format!("logged winner {top} has no recorded outcome"))
+        })
+        .collect()
+}
+
+/// The acked = durable oracle (fsyncgate), both directions: every
+/// acknowledged commit has a durable commit record — exactly one — and
+/// every durable commit record belongs to an acknowledged commit.
+/// Snapshot commits write no log record, so durability is only promised
+/// to locking-path commits; a reader that failed validation fell back to
+/// the locking path and logged a `TopCommit` like any updater, which is
+/// why `outcomes` are filtered by the path taken, not by the spec.
+pub fn check_acked_durable(
+    outcomes: &[CommittedTxn],
+    durable: &[u64],
+) -> std::result::Result<(), String> {
+    let durable_set: HashSet<u64> = durable.iter().copied().collect();
+    let mut acked: HashSet<u64> = HashSet::new();
+    for c in outcomes.iter().filter(|c| !c.snapshot) {
+        if !acked.insert(c.top.0) {
+            return Err(format!("duplicate acknowledgment for top {}", c.top.0));
+        }
+        if !durable_set.contains(&c.top.0) {
+            return Err(format!(
+                "transaction {} was acknowledged but its commit record is not durable",
+                c.top.0
+            ));
         }
     }
-    let state = canonical_state(store.as_ref(), items_set).ok()?;
-    Some((state, values))
+    match durable.iter().find(|top| !acked.contains(top)) {
+        Some(top) => Err(format!("durable winner {top} was never acknowledged")),
+        None => Ok(()),
+    }
+}
+
+/// What a quiescent engine must not hold.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Residue {
+    /// Transactions still registered.
+    pub live: usize,
+    /// Lock-table entries still held or queued.
+    pub lock_entries: usize,
+    /// Waits-for-graph state `(edges, cells, doomed, aborting)`.
+    pub wfg: (usize, usize, usize, usize),
+    /// Abort-dependency edges of speculative grants.
+    pub speculation_edges: usize,
+}
+
+impl Residue {
+    /// Probe an engine.
+    pub fn of(engine: &Engine) -> Self {
+        Residue {
+            live: engine.live_transactions(),
+            lock_entries: engine.lock_entries(),
+            wfg: engine.wfg_residue(),
+            speculation_edges: engine.speculation_edges(),
+        }
+    }
+
+    /// The residue oracle: every component is zero.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        if *self == Residue::default() {
+            Ok(())
+        } else {
+            Err(format!("engine not quiescent: {self:?}"))
+        }
+    }
 }
 
 /// Search for a serial order of `committed` that reproduces the observed
@@ -116,9 +207,13 @@ pub fn check_state_equivalence(
     let observed_values: Vec<Value> = committed.iter().map(|c| c.value.clone()).collect();
 
     let matches = |order: &[usize]| -> bool {
-        replay(initial, catalog, items_set, committed, order)
-            .map(|(state, values)| state == observed_state && values == observed_values)
-            .unwrap_or(false)
+        let Ok((store, values)) =
+            replay(initial, catalog, order.iter().map(|&i| &committed[i].spec))
+        else {
+            return false;
+        };
+        canonical_state(store.as_ref(), items_set).is_ok_and(|state| state == observed_state)
+            && order.iter().zip(&values).all(|(&i, v)| *v == observed_values[i])
     };
 
     // Engine-id order (very likely the serialization order under locking).
@@ -199,20 +294,18 @@ pub fn check_snapshot_reads(
     catalog: &Arc<Catalog>,
     committed: &[CommittedTxn],
 ) -> std::result::Result<SnapshotReport, String> {
-    let store = Arc::new(initial.snapshot());
-    let engine =
-        Engine::builder(Arc::clone(&store) as Arc<dyn Storage>, Arc::clone(catalog)).build();
     let mut order: Vec<&CommittedTxn> = committed.iter().collect();
     order.sort_by_key(|c| c.commit_seq);
+    let (_, values) =
+        replay(initial, catalog, order.iter().map(|c| &c.spec)).map_err(|(k, e)| {
+            format!("replay of input {} ({}) failed: {e}", order[k].input_idx, order[k].spec.kind())
+        })?;
 
     let mut report = SnapshotReport { checked: 0, replayed: 0, mismatches: Vec::new() };
-    for c in order {
-        let out = engine.execute(&c.spec).map_err(|e| {
-            format!("replay of input {} ({}) failed: {e}", c.input_idx, c.spec.kind())
-        })?;
+    for (c, value) in order.iter().zip(&values) {
         if c.snapshot {
             report.checked += 1;
-            if out.value != c.value {
+            if *value != c.value {
                 report.mismatches.push(c.input_idx);
             }
         } else {
@@ -571,6 +664,188 @@ mod tests {
         let report = check_snapshot_reads(&initial, &db.catalog, &out.committed).unwrap();
         assert!(!report.ok());
         assert_eq!(report.mismatches, vec![forged_idx]);
+    }
+
+    // ---- the three audit oracles, shown to fail ---------------------
+
+    /// A live store that ran `NewOrders` then `Ship` of the order it
+    /// created (so the pair does not commute: the shipment needs the
+    /// order to exist), a fresh build of the same initial state, and the
+    /// two specs.
+    fn create_then_ship() -> (Database, Database, TxnSpec, TxnSpec) {
+        let (live, fresh) = (small_db(), small_db());
+        let engine = build_engine(ProtocolKind::Semantic, &live, None);
+        let item = &live.items[0];
+        let order_no = live.next_order_no;
+        let create =
+            TxnSpec::NewOrders { entries: vec![(item.item, order_no)], customer: 7, quantity: 3 };
+        engine.execute(&create).unwrap();
+        let orders = live.store.field(item.item, "Orders").unwrap();
+        let (_, order) =
+            live.store.set_scan(orders).unwrap().into_iter().find(|(k, _)| *k == order_no).unwrap();
+        let ship = TxnSpec::Ship(vec![semcc_orderentry::Target { item: item.item, order }]);
+        engine.execute(&ship).unwrap();
+        (live, fresh, create, ship)
+    }
+
+    /// The whole-database projection for [`check_committed_prefix`].
+    fn whole(db: &Database) -> impl Fn(&dyn Storage) -> Result<CanonicalDb> {
+        let items_set = db.items_set;
+        move |store| canonical_state(store, items_set)
+    }
+
+    #[test]
+    fn committed_prefix_accepts_the_winners_in_commit_order() {
+        let (live, fresh, create, ship) = create_then_ship();
+        check_committed_prefix(&fresh, &[&create, &ship], live.store.as_ref(), whole(&fresh))
+            .unwrap();
+    }
+
+    #[test]
+    fn committed_prefix_rejects_a_dropped_winner() {
+        let (live, fresh, create, _ship) = create_then_ship();
+        let err = check_committed_prefix(&fresh, &[&create], live.store.as_ref(), whole(&fresh))
+            .unwrap_err();
+        assert!(err.contains("state != serial replay") && err.contains("want:"), "{err}");
+    }
+
+    #[test]
+    fn committed_prefix_rejects_a_surviving_loser_effect() {
+        let (live, fresh, create, ship) = create_then_ship();
+        // A loser's payment that was never undone: not among the winners,
+        // still in the state.
+        let t = semcc_orderentry::Target {
+            item: live.items[0].item,
+            order: live.items[0].orders[0].order,
+        };
+        build_engine(ProtocolKind::Semantic, &live, None).execute(&TxnSpec::Pay(vec![t])).unwrap();
+        let err =
+            check_committed_prefix(&fresh, &[&create, &ship], live.store.as_ref(), whole(&fresh))
+                .unwrap_err();
+        assert!(err.contains("state != serial replay"), "{err}");
+        // Item 1 is owned by shard 1 of 2: the leak shows in that slice
+        // and only there.
+        let slice = |shard| {
+            check_committed_prefix(&fresh, &[&create, &ship], live.store.as_ref(), |store| {
+                canonical_shard_state(store, fresh.items_set, 2, shard)
+            })
+        };
+        assert!(slice(1).is_err());
+        slice(0).unwrap();
+    }
+
+    #[test]
+    fn committed_prefix_rejects_a_swapped_non_commuting_pair() {
+        let (live, fresh, create, ship) = create_then_ship();
+        let err =
+            check_committed_prefix(&fresh, &[&ship, &create], live.store.as_ref(), whole(&fresh))
+                .unwrap_err();
+        assert!(err.contains("serial replay of winner #0"), "{err}");
+    }
+
+    #[test]
+    fn winner_specs_rejects_a_winner_without_an_outcome() {
+        let outcomes = [acked(4, false)];
+        assert_eq!(winner_specs(&[4], &outcomes).unwrap().len(), 1);
+        let err = winner_specs(&[4, 5], &outcomes).unwrap_err();
+        assert!(err.contains("winner 5 has no recorded outcome"), "{err}");
+    }
+
+    fn acked(top: u64, snapshot: bool) -> CommittedTxn {
+        CommittedTxn {
+            input_idx: 0,
+            spec: TxnSpec::Total(ObjectId(0)),
+            top: TopId(top),
+            value: Value::Unit,
+            snapshot,
+            commit_seq: top,
+        }
+    }
+
+    #[test]
+    fn acked_durable_accepts_equal_sets_and_ignores_snapshot_commits() {
+        let outcomes = [acked(1, false), acked(2, false), acked(3, true)];
+        check_acked_durable(&outcomes, &[2, 1]).unwrap();
+    }
+
+    #[test]
+    fn acked_durable_rejects_an_acked_top_that_is_not_durable() {
+        let outcomes = [acked(1, false), acked(2, false)];
+        let err = check_acked_durable(&outcomes, &[1]).unwrap_err();
+        assert!(err.contains("transaction 2 was acknowledged but"), "{err}");
+        // A reader that fell back to the locking path is audited like an
+        // updater: only the path taken exempts a commit.
+        let err = check_acked_durable(&[acked(3, false)], &[]).unwrap_err();
+        assert!(err.contains("transaction 3"), "{err}");
+    }
+
+    #[test]
+    fn acked_durable_rejects_a_durable_top_that_was_never_acked() {
+        let outcomes = [acked(1, false), acked(3, true)];
+        let err = check_acked_durable(&outcomes, &[1, 9]).unwrap_err();
+        assert!(err.contains("durable winner 9 was never acknowledged"), "{err}");
+        // A snapshot commit's id in the log is just as wrong.
+        let err = check_acked_durable(&outcomes, &[1, 3]).unwrap_err();
+        assert!(err.contains("durable winner 3"), "{err}");
+    }
+
+    #[test]
+    fn acked_durable_rejects_a_duplicate_acknowledgment() {
+        let outcomes = [acked(1, false), acked(1, false)];
+        let err = check_acked_durable(&outcomes, &[1]).unwrap_err();
+        assert!(err.contains("duplicate acknowledgment for top 1"), "{err}");
+    }
+
+    #[test]
+    fn residue_rejects_each_nonzero_component() {
+        Residue::default().check().unwrap();
+        let dirty = [
+            Residue { live: 1, ..Default::default() },
+            Residue { lock_entries: 1, ..Default::default() },
+            Residue { wfg: (1, 0, 0, 0), ..Default::default() },
+            Residue { wfg: (0, 1, 0, 0), ..Default::default() },
+            Residue { wfg: (0, 0, 1, 0), ..Default::default() },
+            Residue { wfg: (0, 0, 0, 1), ..Default::default() },
+            Residue { speculation_edges: 1, ..Default::default() },
+        ];
+        for residue in dirty {
+            let err = residue.check().unwrap_err();
+            assert!(err.contains("not quiescent"), "{residue:?}: {err}");
+        }
+    }
+
+    /// The probe reads the engine: a transaction parked mid-flight shows
+    /// up as a live transaction holding lock entries, and is gone once it
+    /// commits.
+    #[test]
+    fn residue_probe_sees_a_transaction_in_flight() {
+        use crate::scenario::{Gate, OpenOnDrop};
+        use semcc_core::FnProgram;
+        use semcc_semantics::MethodContext;
+        let db = small_db();
+        let engine = build_engine(ProtocolKind::Semantic, &db, None);
+        let t =
+            semcc_orderentry::Target { item: db.items[0].item, order: db.items[0].orders[0].order };
+        let (entered, hold) = (Gate::new(), Gate::new());
+        std::thread::scope(|s| {
+            let _unstick = OpenOnDrop::new([Arc::clone(&hold)]);
+            let (e, g) = (Arc::clone(&entered), Arc::clone(&hold));
+            let prog = FnProgram::new("parked", move |ctx: &mut dyn MethodContext| {
+                ctx.call(t.item, "ShipOrder", vec![Value::Id(t.order)])?;
+                e.open();
+                g.wait();
+                Ok(Value::Unit)
+            });
+            let engine = &engine;
+            let worker = s.spawn(move || engine.execute(&prog));
+            entered.wait();
+            let busy = Residue::of(engine);
+            assert!(busy.live == 1 && busy.lock_entries > 0, "{busy:?}");
+            assert!(busy.check().is_err());
+            hold.open();
+            worker.join().unwrap().unwrap();
+        });
+        Residue::of(&engine).check().unwrap();
     }
 
     #[test]

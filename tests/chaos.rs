@@ -12,25 +12,10 @@ use semcc::core::{
 };
 use semcc::orderentry::{Database, DbParams, Target};
 use semcc::semantics::{MethodContext, SemccError, Storage, Value};
-use semcc::sim::scenario::{await_blocked, top_of_label, Gate, OpenOnDrop};
-use semcc::sim::{fault_mixes, run_chaos, ChaosParams, ChaosReport};
-use std::sync::mpsc;
+use semcc::sim::scenario::{await_blocked, guarded, seed_window, top_of_label, Gate, OpenOnDrop};
+use semcc::sim::{fault_mixes, run_chaos, AuditParams};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Hard per-run watchdog: containment bugs tend to manifest as hangs.
-const RUN_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn run_guarded(label: String, params: ChaosParams) -> ChaosReport {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_chaos(&params));
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(report) => report,
-        Err(_) => panic!("chaos run {label} hung (> {RUN_TIMEOUT:?})"),
-    }
-}
 
 /// The acceptance sweep: 8 seeds × the three canonical fault mixes, each
 /// run must terminate, clean up completely, and leave a tree-reducible
@@ -38,28 +23,20 @@ fn run_guarded(label: String, params: ChaosParams) -> ChaosReport {
 /// `SEMCC_CHAOS_SEED_OFFSET` to cover more schedules than local runs.
 #[test]
 fn chaos_sweep_is_contained_across_seeds_and_mixes() {
-    let offset: u64 =
-        std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
     for (mix, spec) in fault_mixes() {
         let mut injected_total = 0;
-        for seed in (offset + 1)..=(offset + 8) {
-            let label = format!("{mix}/seed{seed}");
-            let report = run_guarded(
-                label.clone(),
-                ChaosParams { seed, txns: 40, faults: spec, ..Default::default() },
-            );
+        for seed in seed_window(8) {
+            let label = format!("chaos/{mix}/seed{seed}");
+            let params = AuditParams { seed, txns: 40, faults: spec, ..Default::default() };
+            let report = guarded(&label, move || run_chaos(&params));
             assert_eq!(
                 report.committed + report.failed,
                 40,
                 "{label}: every transaction must resolve: {report:?}"
             );
-            assert_eq!(report.live_after, 0, "{label}: live transactions leaked: {report:?}");
-            assert_eq!(report.leaked_entries, 0, "{label}: lock entries leaked: {report:?}");
-            assert_eq!(
-                report.wfg_residue,
-                (0, 0, 0, 0),
-                "{label}: waits-for graph retained state: {report:?}"
-            );
+            if let Err(residue) = report.residue.check() {
+                panic!("{label}: {residue}: {report:?}");
+            }
             assert!(report.serializable, "{label}: surviving history not serializable: {report:?}");
             injected_total += report.injected;
         }

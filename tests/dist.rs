@@ -14,33 +14,16 @@ use semcc::core::ShardFaultPoint;
 use semcc::dist::{CommitProtocol, Coordinator, FleetConfig, RpcError};
 use semcc::orderentry::{Database, DbParams, ItemInfo, TxnSpec, Workload, WorkloadConfig};
 use semcc::semantics::Value;
+use semcc::sim::scenario::{guarded, seed_window};
 use semcc::sim::validate::canonical_shard_state;
 use semcc::sim::{run_fleet_crash_recover, FleetParams, FleetReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Hard per-run watchdog: distributed-recovery bugs tend to hang.
-const RUN_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn seed_offset() -> u64 {
-    std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// Run `f` on a thread of its own under the watchdog.
-fn guarded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(out) => out,
-        Err(_) => panic!("fleet run {label} hung or panicked (> {RUN_TIMEOUT:?})"),
-    }
-}
-
-fn run_guarded(label: String, params: FleetParams) -> FleetReport {
-    guarded(&label, move || run_fleet_crash_recover(&params))
+/// One fleet crash/recover/audit cycle under the watchdog.
+fn run(label: &str, params: FleetParams) -> FleetReport {
+    guarded(label, move || run_fleet_crash_recover(&params))
 }
 
 fn assert_sound(label: &str, report: &FleetReport) {
@@ -59,12 +42,10 @@ fn assert_sound(label: &str, report: &FleetReport) {
 /// equal the committed-prefix replay.
 #[test]
 fn healthy_fleet_commits_and_converges() {
-    for seed in (seed_offset() + 1)..=(seed_offset() + 4) {
-        let report = run_guarded(
-            format!("healthy/seed{seed}"),
-            FleetParams { seed, kill: 0, ..Default::default() },
-        );
-        assert_sound(&format!("healthy/seed{seed}"), &report);
+    for seed in seed_window(4) {
+        let label = format!("healthy/seed{seed}");
+        let report = run(&label, FleetParams { seed, kill: 0, ..Default::default() });
+        assert_sound(&label, &report);
         assert_eq!(report.failed, 0, "no faults injected, nothing may fail: {report:?}");
         assert!(report.cross_shard > 0, "the default mix must produce cross-shard txns");
     }
@@ -73,13 +54,12 @@ fn healthy_fleet_commits_and_converges() {
 /// k-of-N partial-fleet kill at seeded points mid-batch.
 #[test]
 fn partial_fleet_kill_recovers_without_losing_acked_commits() {
-    let offset = seed_offset();
     for n_shards in [2usize, 4] {
         for kill in 1..n_shards.min(3) {
-            for seed in (offset + 1)..=(offset + 4) {
+            for seed in seed_window(4) {
                 let label = format!("kill{kill}of{n_shards}/seed{seed}");
-                let report = run_guarded(
-                    label.clone(),
+                let report = run(
+                    &label,
                     FleetParams { seed, n_shards, kill, txns: 48, ..Default::default() },
                 );
                 assert_sound(&label, &report);
@@ -94,12 +74,11 @@ fn partial_fleet_kill_recovers_without_losing_acked_commits() {
 /// may be left in doubt as a winner.
 #[test]
 fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
-    let offset = seed_offset();
     for nth in [3u64, 9, 17] {
-        for seed in (offset + 1)..=(offset + 3) {
+        for seed in seed_window(3) {
             let label = format!("before-prepare/nth{nth}/seed{seed}");
-            let report = run_guarded(
-                label.clone(),
+            let report = run(
+                &label,
                 FleetParams {
                     seed,
                     kill: 0,
@@ -119,13 +98,12 @@ fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
 /// the in-doubt piece from the decision log and keep it.
 #[test]
 fn crash_after_decision_resolves_in_doubt_from_decision_log() {
-    let offset = seed_offset();
     let mut kept_total = 0usize;
     for nth in [2u64, 7, 13] {
-        for seed in (offset + 1)..=(offset + 3) {
+        for seed in seed_window(3) {
             let label = format!("after-decision/nth{nth}/seed{seed}");
-            let report = run_guarded(
-                label.clone(),
+            let report = run(
+                &label,
                 FleetParams {
                     seed,
                     kill: 0,
@@ -149,12 +127,11 @@ fn crash_after_decision_resolves_in_doubt_from_decision_log() {
 /// the only survivor; recovery must re-drive it and no state may diverge.
 #[test]
 fn coordinator_crash_mid_commit_redrives_from_decision_log() {
-    let offset = seed_offset();
     for nth in [1u64, 5, 11] {
-        for seed in (offset + 1)..=(offset + 3) {
+        for seed in seed_window(3) {
             let label = format!("coord-crash/nth{nth}/seed{seed}");
-            let report = run_guarded(
-                label.clone(),
+            let report = run(
+                &label,
                 FleetParams {
                     seed,
                     kill: 0,
@@ -173,6 +150,18 @@ fn coordinator_crash_mid_commit_redrives_from_decision_log() {
             );
         }
     }
+    // The same death with nothing in flight: the coordinator is killed
+    // *idle*, after the batch, while a shard is still down — so the whole
+    // settle phase (shard recovery, every re-driven decision) starts from
+    // the decision log alone.
+    for seed in seed_window(3) {
+        let label = format!("coord-crash/idle/seed{seed}");
+        let report =
+            run(&label, FleetParams { seed, coordinator_crash: true, ..Default::default() });
+        assert_sound(&label, &report);
+        assert!(report.shard_crashes >= 1, "{label}: a shard must be down at the crash");
+        assert!(report.acked > 0, "{label}: nothing was acknowledged before the crash");
+    }
 }
 
 /// Crash window 4: a killed shard crashes *again* in the middle of its
@@ -180,11 +169,10 @@ fn coordinator_crash_mid_commit_redrives_from_decision_log() {
 /// The second recovery must converge without re-compensating.
 #[test]
 fn double_crash_during_shard_recovery_converges() {
-    let offset = seed_offset();
-    for seed in (offset + 1)..=(offset + 4) {
+    for seed in seed_window(4) {
         let label = format!("double-crash/seed{seed}");
-        let report = run_guarded(
-            label.clone(),
+        let report = run(
+            &label,
             FleetParams {
                 seed,
                 n_shards: 3,
@@ -203,16 +191,15 @@ fn double_crash_during_shard_recovery_converges() {
 /// state divergence or duplicated effects.
 #[test]
 fn transport_faults_are_absorbed_by_retry_and_idempotence() {
-    let offset = seed_offset();
     for (name, fault) in [
         ("drop", ShardFaultPoint::DropRequest { nth: 4 }),
         ("delay", ShardFaultPoint::DelayRequest { nth: 4 }),
         ("fail", ShardFaultPoint::FailRequest { nth: 4 }),
     ] {
-        for seed in (offset + 1)..=(offset + 3) {
+        for seed in seed_window(3) {
             let label = format!("transport-{name}/seed{seed}");
-            let report = run_guarded(
-                label.clone(),
+            let report = run(
+                &label,
                 FleetParams { seed, kill: 0, fault: Some(fault), ..Default::default() },
             );
             assert_sound(&label, &report);
@@ -225,31 +212,23 @@ fn transport_faults_are_absorbed_by_retry_and_idempotence() {
 /// it is a correctness peer, only slower under contention.
 #[test]
 fn two_phase_baseline_converges_on_healthy_fleet() {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let (acked, committed, acked_log) = guarded("2pc/healthy", || {
         let db_params = DbParams { n_items: 6, orders_per_item: 3, ..Default::default() };
         let coord = Coordinator::new(FleetConfig {
             n_shards: 2,
             db_params: db_params.clone(),
             ..Default::default()
         });
-        let reference = Database::build(&db_params).expect("reference");
-        let mut w = semcc::orderentry::Workload::new(
-            &reference,
-            semcc::orderentry::WorkloadConfig { seed: 11, ..Default::default() },
-        );
         let mut acked = 0usize;
-        for spec in w.batch(&reference, 24) {
+        for spec in batch(&db_params, 11, 24) {
             let (_gtid, out, _retries) =
                 coord.submit_with_retry(&spec, CommitProtocol::TwoPhase, 10);
             if out.is_ok() {
                 acked += 1;
             }
         }
-        let committed = coord.committed_gtids().len();
-        let _ = tx.send((acked, committed, coord.acked().len()));
+        (acked, coord.committed_gtids().len(), coord.acked().len())
     });
-    let (acked, committed, acked_log) = rx.recv_timeout(RUN_TIMEOUT).expect("2pc healthy run hung");
     assert_eq!(acked, 24, "healthy 2pc fleet commits everything");
     assert_eq!(acked_log, committed, "every 2pc ack has a logged decision");
 }

@@ -12,26 +12,12 @@ use semcc::semantics::{
     Catalog, CompatibilityMatrix, Invocation, MethodContext, MethodDef, MethodId, ObjectId,
     SemccError, Storage, TypeDef, TypeId, TypeKind, Value, TYPE_ATOMIC,
 };
-use semcc::sim::scenario::Gate;
+use semcc::sim::scenario::{guarded, Gate};
 use semcc::sim::{
-    build_engine, fault_mixes, run_chaos, run_workload, ChaosParams, ProtocolKind, RunParams,
+    build_engine, fault_mixes, run_chaos, run_workload, AuditParams, ProtocolKind, RunParams,
 };
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Hard watchdog for the gate-orchestrated scenarios.
-const SCENARIO_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn guarded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(SCENARIO_TIMEOUT) {
-        Ok(v) => v,
-        Err(_) => panic!("scenario {label} hung (> {SCENARIO_TIMEOUT:?})"),
-    }
-}
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -352,14 +338,14 @@ fn chaos_with_speculation_stays_contained() {
     for (mix, spec) in fault_mixes() {
         for seed in 1..=4 {
             let label = format!("speculative/{mix}/seed{seed}");
-            let params = ChaosParams {
+            let params = AuditParams {
                 seed,
                 txns: 40,
                 faults: spec,
                 protocol: ProtocolKind::SemanticSpeculative,
                 ..Default::default()
             };
-            let report = guarded(&label.clone(), move || run_chaos(&params));
+            let report = guarded(&label, move || run_chaos(&params));
             assert_eq!(
                 report.committed + report.failed,
                 40,

@@ -10,34 +10,19 @@
 //! stuck CI job.
 
 use semcc::core::{
-    read_log, recover, recover_image, CrashPoint, Engine, Event, FaultPlan, FaultSpec, FnProgram,
-    FsyncPolicy, IoFaultPoint, LogImage, MemorySink, ProtocolConfig, SegmentImage,
+    read_image, recover_image, CrashPoint, Engine, Event, FaultPlan, FaultSpec, FnProgram,
+    FsyncPolicy, IoFaultPoint, LogImage, MemorySink, ProtocolConfig, RecoveryReport,
     TransactionProgram, WalConfig, WalRecord, WalWriter,
 };
 use semcc::orderentry::{Database, DbParams, Target, HOOK_SHIP_AFTER_CHANGE_STATUS};
 use semcc::semantics::{MethodContext, SemccError, Storage, Value};
-use semcc::sim::scenario::Gate;
+use semcc::sim::scenario::{guarded, seed_window, Gate};
 use semcc::sim::{
     crash_mixes, crash_points, run_checkpoint_parity, run_crash_recover, run_fsync_failure,
-    run_fsync_failure_at, run_torture, CrashParams, CrashReport, TortureParams, TortureReport,
+    run_torture, AuditParams,
 };
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Hard per-run watchdog: recovery bugs tend to manifest as hangs.
-const RUN_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn run_guarded(label: String, params: CrashParams) -> CrashReport {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_crash_recover(&params));
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(report) => report,
-        Err(_) => panic!("crash-recovery run {label} hung (> {RUN_TIMEOUT:?})"),
-    }
-}
 
 /// The acceptance sweep: 8 seeds × three workload mixes × the four
 /// canonical crash classes. Every run must recover to exactly the serial
@@ -46,18 +31,14 @@ fn run_guarded(label: String, params: CrashParams) -> CrashReport {
 /// shifts the seed window via `SEMCC_CHAOS_SEED_OFFSET`.
 #[test]
 fn crash_recover_audit_sweep_across_seeds_mixes_and_crash_points() {
-    let offset: u64 =
-        std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
     for (class, faults, fsync) in crash_points() {
         let mut crashes = 0u32;
         let mut erased = 0u32;
         for (mix_name, mix) in crash_mixes() {
-            for seed in (offset + 1)..=(offset + 8) {
-                let label = format!("{mix_name}/{class}/seed{seed}");
-                let report = run_guarded(
-                    label.clone(),
-                    CrashParams { seed, faults, fsync, mix, ..Default::default() },
-                );
+            for seed in seed_window(8) {
+                let label = format!("crash-recover/{mix_name}/{class}/seed{seed}");
+                let params = AuditParams { seed, faults, fsync, mix, ..Default::default() };
+                let report = guarded(&label, move || run_crash_recover(&params));
                 assert!(report.sound(), "{label}: recovery unsound: {report:?}");
                 if report.crashed {
                     crashes += 1;
@@ -74,17 +55,6 @@ fn crash_recover_audit_sweep_across_seeds_mixes_and_crash_points() {
     }
 }
 
-fn run_torture_guarded(label: String, params: TortureParams) -> TortureReport {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_torture(&params));
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(report) => report,
-        Err(_) => panic!("torture run {label} hung (> {RUN_TIMEOUT:?})"),
-    }
-}
-
 /// The B7c acceptance sweep: 8 seeds × three workload mixes, each run a
 /// crash → recover → crash-mid-recovery → recover chain. Every chain must
 /// converge to the committed-prefix serial replay *and* to the state a
@@ -93,16 +63,14 @@ fn run_torture_guarded(label: String, params: TortureParams) -> TortureReport {
 /// crash and the re-recovery detection must each fire somewhere.
 #[test]
 fn torture_sweep_double_crash_chains_converge_across_seeds_and_mixes() {
-    let offset: u64 =
-        std::env::var("SEMCC_CHAOS_SEED_OFFSET").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
     let (mut crashes, mut mid_crashes, mut rerecoveries, mut erased) = (0u32, 0u32, 0u32, 0u32);
+    // The initial crash of every chain: the leaf-append class.
+    let (_, faults, _) = crash_points().remove(0);
     for (mix_name, mix) in crash_mixes() {
-        for seed in (offset + 1)..=(offset + 8) {
+        for seed in seed_window(8) {
             let label = format!("torture/{mix_name}/seed{seed}");
-            let report = run_torture_guarded(
-                label.clone(),
-                TortureParams { seed, mix, ..Default::default() },
-            );
+            let params = AuditParams { seed, faults, mix, ..Default::default() };
+            let report = guarded(&label, move || run_torture(&params));
             assert!(report.sound(), "{label}: torture chain unsound: {report:?}");
             crashes += report.crashed as u32;
             mid_crashes += report.mid_crashes as u32;
@@ -122,23 +90,18 @@ fn torture_sweep_double_crash_chains_converge_across_seeds_and_mixes() {
 #[test]
 fn checkpoint_parity_differential_across_seeds() {
     for seed in [7, 19, 31] {
-        run_torture_parity(seed);
-    }
-}
-
-fn run_torture_parity(seed: u64) {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_checkpoint_parity(&TortureParams {
+        let params = AuditParams {
             seed,
             txns: 120,
+            // Late crash: several checkpoints must land before the log
+            // device dies, or the parity differential proves nothing.
             faults: FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 160 }),
+            mix: crash_mixes().remove(0).1,
             ..Default::default()
-        }));
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(result) => result.unwrap_or_else(|e| panic!("parity seed {seed}: {e}")),
-        Err(_) => panic!("checkpoint parity run seed {seed} hung (> {RUN_TIMEOUT:?})"),
+        };
+        let report = guarded(&format!("parity/seed{seed}"), move || run_checkpoint_parity(&params));
+        assert!(report.sound(), "parity seed {seed}: {report:?}");
+        assert!(report.checkpoints_taken > 0, "seed {seed}: no checkpoint — parity proves nothing");
     }
 }
 
@@ -148,21 +111,21 @@ fn run_torture_parity(seed: u64) {
 #[test]
 fn fsync_failure_acknowledgement_audit_across_seeds() {
     for (seed, nth) in [(11, 5), (23, 9), (37, 3)] {
-        run_fsync_failure(seed, 40, nth)
+        run_fsync_failure(seed, 40, nth, 4)
             .unwrap_or_else(|e| panic!("fsync audit seed {seed} nth {nth}: {e}"));
     }
 }
 
 /// Batch fsyncgate: with 16 workers the failing fsync belongs to a
 /// group-commit *leader*, so the poisoned sync covers a whole batch of
-/// parked followers. The audit inside [`run_fsync_failure_at`] proves no
+/// parked followers. The audit inside [`run_fsync_failure`] proves no
 /// member of the failed batch — leader or follower — was acknowledged
 /// without a durable commit record, and that the live store equals the
 /// serial replay of exactly the acknowledged set.
 #[test]
 fn fsync_failure_in_a_group_commit_batch_leaves_no_partial_acks() {
     for (seed, nth) in [(13, 4), (29, 8), (41, 2)] {
-        run_fsync_failure_at(seed, 60, nth, 16)
+        run_fsync_failure(seed, 60, nth, 16)
             .unwrap_or_else(|e| panic!("batch fsync audit seed {seed} nth {nth}: {e}"));
     }
 }
@@ -178,16 +141,14 @@ fn torn_tail_inside_a_group_commit_batch_recovers_sound() {
     let (mut crashes, mut erased) = (0u32, 0u32);
     for seed in 1..=6 {
         let label = format!("torn-batch/seed{seed}");
-        let report = run_guarded(
-            label.clone(),
-            CrashParams {
-                seed,
-                workers: 8,
-                faults: FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 40, keep: 5 }),
-                fsync: FsyncPolicy::OnCommit,
-                ..Default::default()
-            },
-        );
+        let params = AuditParams {
+            seed,
+            workers: 8,
+            faults: FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 40, keep: 5 }),
+            fsync: FsyncPolicy::OnCommit,
+            ..Default::default()
+        };
+        let report = guarded(&label, move || run_crash_recover(&params));
         assert!(report.sound(), "{label}: recovery unsound: {report:?}");
         crashes += report.crashed as u32;
         erased += ((report.winners as u64) < report.committed) as u32;
@@ -213,7 +174,7 @@ fn ship_two(db: &Database) -> impl TransactionProgram {
 /// but whose `TopCommit` record was torn off by the crash: a loser with
 /// surviving compensation intents. Uses a dry run to count the appends, so
 /// the torn frame is exactly the commit record.
-fn losing_log() -> Vec<u8> {
+fn losing_log() -> LogImage {
     let dry = db2();
     let wal = WalWriter::new(FsyncPolicy::EveryAppend);
     let engine =
@@ -230,7 +191,8 @@ fn losing_log() -> Vec<u8> {
         1,
         FaultSpec::default().with_crash(CrashPoint::TornTail { nth: total, keep: 1 }),
     );
-    let wal = WalWriter::with_faults(FsyncPolicy::EveryAppend, plan);
+    let wal =
+        WalWriter::with_config_and_faults(FsyncPolicy::EveryAppend, WalConfig::default(), plan);
     let engine =
         Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
             .protocol(ProtocolConfig::semantic())
@@ -240,23 +202,32 @@ fn losing_log() -> Vec<u8> {
     // The process itself still commits — only the log record is torn.
     engine.execute(&prog).expect("crashed run still commits in-process");
     assert!(wal.crashed(), "the torn-tail crash must fire on the commit append");
-    wal.surviving()
+    wal.surviving_image()
+}
+
+/// One recovery pass over `image` onto `base`, no progress log.
+fn recover_onto(
+    image: &LogImage,
+    base: &Database,
+    faults: Option<Arc<FaultPlan>>,
+) -> Result<(Arc<Engine>, RecoveryReport), SemccError> {
+    recover_image(
+        image,
+        Arc::clone(&base.store),
+        Arc::clone(&base.catalog),
+        ProtocolConfig::semantic(),
+        faults,
+        None,
+    )
 }
 
 /// Recovery compensates a loser from its logged intents and leaves the
 /// store at the initial state (both ShipOrders undone).
 #[test]
 fn recovery_compensates_a_loser_back_to_the_initial_state() {
-    let log = losing_log();
+    let image = losing_log();
     let base = db2();
-    let (engine, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-    )
-    .expect("recovery");
+    let (engine, report) = recover_onto(&image, &base, None).expect("recovery");
     assert_eq!(report.winners, 0, "{report:?}");
     assert_eq!(report.losers, 1, "{report:?}");
     assert!(report.truncated_bytes > 0, "the torn commit frame must be dropped: {report:?}");
@@ -287,10 +258,7 @@ fn recovery_compensates_a_loser_back_to_the_initial_state() {
 #[test]
 fn double_crash_recovery_converges_to_the_clean_recovery_state() {
     semcc::core::silence_injected_panics();
-    let image = LogImage {
-        checkpoint: None,
-        segments: vec![SegmentImage { seq: 0, base_lsn: 0, bytes: losing_log() }],
-    };
+    let image = losing_log();
 
     // Pass 0: dies at its second recovery append (the first compensation
     // record — the RecoveryMark before it is already durable).
@@ -359,7 +327,8 @@ fn mid_log_corruption_is_quarantined_not_silently_truncated() {
     let db = db2();
     let plan =
         FaultPlan::new(1, FaultSpec::default().with_io(IoFaultPoint::CorruptFrame { nth: 3 }));
-    let wal = WalWriter::with_faults(FsyncPolicy::EveryAppend, plan);
+    let wal =
+        WalWriter::with_config_and_faults(FsyncPolicy::EveryAppend, WalConfig::default(), plan);
     let engine =
         Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
             .protocol(ProtocolConfig::semantic())
@@ -378,14 +347,8 @@ fn mid_log_corruption_is_quarantined_not_silently_truncated() {
     engine.execute(&pay).expect("second transaction commits");
 
     let base = db2();
-    let err = recover(
-        &wal.surviving(),
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-    )
-    .expect_err("mid-log corruption must be a hard error");
+    let err = recover_onto(&wal.surviving_image(), &base, None)
+        .expect_err("mid-log corruption must be a hard error");
     let msg = err.to_string();
     assert!(
         msg.contains("corrupt") || msg.contains("Corrupt"),
@@ -420,16 +383,9 @@ fn recovery_replay_bumps_versions_identically_to_the_live_path() {
     });
     assert!(engine.execute(&prog).is_err(), "the loser must abort");
 
-    let log = wal.surviving();
+    let image = wal.surviving_image();
     let base = db2();
-    let (_, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-    )
-    .expect("recovery");
+    let (_, report) = recover_onto(&image, &base, None).expect("recovery");
     assert!(report.failures.is_empty(), "{report:?}");
     assert!(report.replayed_actions > 0, "{report:?}");
     assert_eq!(
@@ -444,20 +400,13 @@ fn recovery_replay_bumps_versions_identically_to_the_live_path() {
 /// are visible in the stats.
 #[test]
 fn recovery_retries_injected_compensation_faults_to_success() {
-    let log = losing_log();
+    let image = losing_log();
     let base = db2();
     let plan = FaultPlan::new(
         9,
         FaultSpec { compensation_error: 1.0, ..FaultSpec::default() }.with_max_triggers(2),
     );
-    let (engine, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        Some(Arc::clone(&plan)),
-    )
-    .expect("recovery");
+    let (engine, report) = recover_onto(&image, &base, Some(Arc::clone(&plan))).expect("recovery");
     assert_eq!(plan.triggered(), 2, "both budgeted faults must fire");
     assert!(report.failures.is_empty(), "retries must absorb the faults: {report:?}");
     assert_eq!(report.compensations, 4, "{report:?}");
@@ -473,17 +422,11 @@ fn recovery_retries_injected_compensation_faults_to_success() {
 /// continues — the engine still ends clean.
 #[test]
 fn recovery_surfaces_unabsorbable_compensation_faults() {
-    let log = losing_log();
+    let image = losing_log();
     let base = db2();
     let plan = FaultPlan::new(9, FaultSpec { compensation_error: 1.0, ..FaultSpec::default() });
-    let (engine, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        Some(plan),
-    )
-    .expect("recovery itself must not error");
+    let (engine, report) =
+        recover_onto(&image, &base, Some(plan)).expect("recovery itself must not error");
     assert_eq!(report.failures.len(), 1, "{report:?}");
     let (_, msg) = &report.failures[0];
     assert!(msg.contains("compensation"), "failure must name the injected cause: {msg}");
@@ -557,7 +500,7 @@ fn recovery_compensates_deep_intents_exposed_before_their_subcommit() {
             .build();
     let t = Target { item: db.items[0].item, order: db.items[0].orders[0].order };
 
-    let log = std::thread::scope(|s| {
+    let image = std::thread::scope(|s| {
         let e = Arc::clone(&engine);
         s.spawn(move || {
             let p = FnProgram::new("loser-ship", move |ctx: &mut dyn MethodContext| {
@@ -577,15 +520,15 @@ fn recovery_compensates_deep_intents_exposed_before_their_subcommit() {
             ctx.call(t.item, "PayOrder", vec![Value::Id(t.order), Value::Money(7)])
         });
         engine.execute(&p).expect("the commuting payment must commit");
-        let log = wal.surviving();
+        let image = wal.surviving_image();
         armed.store(false, std::sync::atomic::Ordering::SeqCst);
         body_gate.open();
-        log
+        image
     });
 
     // The crash image must show the exposure gap this record closes:
     // a SubIntent for the shipped bit, no SubCommit from the loser.
-    let records = read_log(&log).records;
+    let records = read_image(&image).expect("the crash image parses").records;
     let loser = records
         .iter()
         .find_map(|r| match r {
@@ -599,14 +542,7 @@ fn recovery_compensates_deep_intents_exposed_before_their_subcommit() {
     );
 
     let base = Database::build(&params).unwrap();
-    let (_, report) = recover(
-        &log,
-        Arc::clone(&base.store),
-        Arc::clone(&base.catalog),
-        ProtocolConfig::semantic(),
-        None,
-    )
-    .expect("recovery");
+    let (_, report) = recover_onto(&image, &base, None).expect("recovery");
     assert_eq!(report.winners, 1, "{report:?}");
     assert_eq!(report.losers, 1, "{report:?}");
     assert!(report.compensations >= 1, "the orphan intent must run: {report:?}");

@@ -8,34 +8,17 @@
 //! watchdog-guarded — a parked continuation that is never resolved is a
 //! service bug and must surface as a test failure, not a hung job.
 
-use semcc::sim::{run_saturation, SaturationParams, SaturationReport};
-use std::sync::mpsc;
-use std::time::Duration;
-
-/// Hard per-run watchdog: front-end bugs tend to manifest as hangs.
-const RUN_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn run_guarded(label: &str, params: SaturationParams) -> Result<SaturationReport, String> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_saturation(&params));
-    });
-    match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(result) => result,
-        Err(_) => panic!("saturation run {label} hung (> {RUN_TIMEOUT:?})"),
-    }
-}
+use semcc::sim::scenario::guarded;
+use semcc::sim::{run_saturation, SaturationParams};
 
 /// Hundreds of sessions over a four-thread core pool, durable log at
 /// `fsync=oncommit`: every ticket resolves exactly once and the
 /// acknowledged set equals the durable set (audited inside the driver).
 #[test]
 fn saturated_sessions_resolve_exactly_once_with_durable_acks() {
-    let report = run_guarded(
-        "clean",
-        SaturationParams { sessions: 400, core_threads: 4, n_items: 4, ..Default::default() },
-    )
-    .expect("saturation audit");
+    let params = SaturationParams { sessions: 400, core_threads: 4, ..Default::default() };
+    let report =
+        guarded("saturation/clean", move || run_saturation(&params)).expect("saturation audit");
     assert_eq!(report.committed + report.failed, 400);
     assert!(report.committed > 0, "{report:?}");
     assert!(report.fsyncs > 0, "durable commits must sync: {report:?}");
@@ -48,17 +31,9 @@ fn saturated_sessions_resolve_exactly_once_with_durable_acks() {
 /// invariant through the whole service stack.
 #[test]
 fn saturated_sessions_survive_a_poisoned_log_with_no_lost_acks() {
-    let report = run_guarded(
-        "fsync-fault",
-        SaturationParams {
-            sessions: 300,
-            core_threads: 4,
-            n_items: 4,
-            fsync_fault_at: Some(8),
-            ..Default::default()
-        },
-    )
-    .expect("faulted saturation audit");
+    let params = SaturationParams { sessions: 300, core_threads: 4, fsync_fault_at: Some(8) };
+    let report = guarded("saturation/fsync-fault", move || run_saturation(&params))
+        .expect("faulted saturation audit");
     assert!(report.failed > 0, "the poisoned log must fail sessions: {report:?}");
     assert_eq!(report.committed + report.failed, 300);
 }

@@ -314,7 +314,7 @@ fn mixed_workload_snapshot_commits_pass_the_commit_order_validator() {
 /// a durable prefix.
 #[test]
 fn snapshot_validation_order_equals_durable_commit_order_under_group_commit() {
-    use semcc::core::{read_log, FsyncPolicy, WalRecord, WalWriter};
+    use semcc::core::{read_image, FsyncPolicy, WalRecord, WalWriter};
     use std::collections::HashMap;
 
     let db = Database::build(&DbParams { n_items: 3, orders_per_item: 4, ..Default::default() })
@@ -353,7 +353,7 @@ fn snapshot_validation_order_equals_durable_commit_order_under_group_commit() {
         out.committed.iter().filter(|c| !c.snapshot).map(|c| (c.top.0, c.commit_seq)).collect();
     let mut durable_commits = 0usize;
     let mut last_seq = 0u64;
-    for rec in &read_log(&wal.surviving()).records {
+    for rec in &read_image(&wal.surviving_image()).expect("the log parses").records {
         let WalRecord::TopCommit { top } = rec else { continue };
         let seq = *seq_of
             .get(top)
