@@ -25,16 +25,6 @@ pub struct ProtocolConfig {
     pub retain_locks: bool,
     /// Search ancestor chains for commutative pairs (Figure 9, Cases 1/2).
     pub ancestor_check: bool,
-    /// Lock-wait timeout in milliseconds (0 disables it). A backstop
-    /// against missed wake-ups: a request that waits longer than this
-    /// aborts with [`SemccError::LockTimeout`](semcc_semantics::SemccError)
-    /// instead of hanging forever. Generous by default so it never fires
-    /// under healthy operation.
-    pub lock_wait_timeout_ms: u64,
-    /// Capacity of the per-engine [event journal](crate::journal) ring
-    /// buffer (records). 0 — the default — disables journaling entirely:
-    /// the hot path then pays a single branch per would-be record.
-    pub journal_capacity: usize,
     /// Speculative grant of Case-2 waits (controlled lock violation, after
     /// Bamboo): a requestor that commutes with the holder's retained set
     /// but is blocked on an uncommitted ancestor is granted early, with an
@@ -43,29 +33,7 @@ pub struct ProtocolConfig {
     /// the dependent cascade-aborts through the ordinary compensation
     /// machinery. Off by default.
     pub speculative_case2: bool,
-    /// Commit-wait backstop for speculative abort-dependency edges, in
-    /// milliseconds (see [`crate::speculate::DepGraph::wait_commit`]).
-    /// Must be positive; the partial-fleet chaos harness tightens it so a
-    /// crashed-shard cycle resolves in bounded time.
-    pub dep_wait_cap_ms: u64,
-    /// Ceiling for the seeded exponential retry backoff, in microseconds
-    /// (applied in [`Engine`](crate::engine::Engine) retry loops and
-    /// compensation replay). Must be positive.
-    pub max_backoff_us: u64,
 }
-
-/// Default lock-wait timeout: long enough that it never fires under
-/// healthy operation (deadlocks are detected, wake-ups are targeted), short
-/// enough that a lost wake-up surfaces as an abort instead of a hang.
-pub const DEFAULT_LOCK_WAIT_TIMEOUT_MS: u64 = 30_000;
-
-/// Default commit-wait cap for speculative dependency edges — matches the
-/// historical hardcoded 2s `DEP_WAIT_CAP`.
-pub const DEFAULT_DEP_WAIT_CAP_MS: u64 = 2_000;
-
-/// Default retry-backoff ceiling — matches the historical hardcoded 5ms
-/// `MAX_BACKOFF`.
-pub const DEFAULT_MAX_BACKOFF_US: u64 = 5_000;
 
 impl ProtocolConfig {
     /// The full protocol of the paper (Section 4).
@@ -74,11 +42,7 @@ impl ProtocolConfig {
             name: "semantic",
             retain_locks: true,
             ancestor_check: true,
-            lock_wait_timeout_ms: DEFAULT_LOCK_WAIT_TIMEOUT_MS,
-            journal_capacity: 0,
             speculative_case2: false,
-            dep_wait_cap_ms: DEFAULT_DEP_WAIT_CAP_MS,
-            max_backoff_us: DEFAULT_MAX_BACKOFF_US,
         }
     }
 
@@ -89,11 +53,7 @@ impl ProtocolConfig {
             name: "semantic/no-ancestor",
             retain_locks: true,
             ancestor_check: false,
-            lock_wait_timeout_ms: DEFAULT_LOCK_WAIT_TIMEOUT_MS,
-            journal_capacity: 0,
             speculative_case2: false,
-            dep_wait_cap_ms: DEFAULT_DEP_WAIT_CAP_MS,
-            max_backoff_us: DEFAULT_MAX_BACKOFF_US,
         }
     }
 
@@ -104,11 +64,7 @@ impl ProtocolConfig {
             name: "open-nested/no-retention",
             retain_locks: false,
             ancestor_check: true,
-            lock_wait_timeout_ms: DEFAULT_LOCK_WAIT_TIMEOUT_MS,
-            journal_capacity: 0,
             speculative_case2: false,
-            dep_wait_cap_ms: DEFAULT_DEP_WAIT_CAP_MS,
-            max_backoff_us: DEFAULT_MAX_BACKOFF_US,
         }
     }
 
@@ -120,48 +76,6 @@ impl ProtocolConfig {
             self.name = "semantic/speculative";
         }
         self
-    }
-
-    /// Override the lock-wait timeout (0 disables it).
-    pub fn with_lock_timeout_ms(mut self, ms: u64) -> Self {
-        self.lock_wait_timeout_ms = ms;
-        self
-    }
-
-    /// Enable the event journal with the given ring capacity (0 disables).
-    pub fn with_journal_capacity(mut self, records: usize) -> Self {
-        self.journal_capacity = records;
-        self
-    }
-
-    /// Override the speculative commit-wait cap (milliseconds, clamped to
-    /// at least 1).
-    pub fn with_dep_wait_cap_ms(mut self, ms: u64) -> Self {
-        self.dep_wait_cap_ms = ms.max(1);
-        self
-    }
-
-    /// Override the retry-backoff ceiling (microseconds, clamped to at
-    /// least 1).
-    pub fn with_max_backoff_us(mut self, us: u64) -> Self {
-        self.max_backoff_us = us.max(1);
-        self
-    }
-
-    /// The timeout as a `Duration`, `None` when disabled.
-    pub fn lock_wait_timeout(&self) -> Option<std::time::Duration> {
-        (self.lock_wait_timeout_ms > 0)
-            .then(|| std::time::Duration::from_millis(self.lock_wait_timeout_ms))
-    }
-
-    /// The speculative commit-wait cap as a `Duration`.
-    pub fn dep_wait_cap(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.dep_wait_cap_ms.max(1))
-    }
-
-    /// The retry-backoff ceiling as a `Duration`.
-    pub fn max_backoff(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.max_backoff_us.max(1))
     }
 }
 
@@ -189,50 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_timeout_knob() {
-        let s = ProtocolConfig::semantic();
-        assert_eq!(s.lock_wait_timeout_ms, DEFAULT_LOCK_WAIT_TIMEOUT_MS);
-        assert!(s.lock_wait_timeout().is_some());
-        let off = s.with_lock_timeout_ms(0);
-        assert_eq!(off.lock_wait_timeout(), None);
-        let tight = s.with_lock_timeout_ms(50);
-        assert_eq!(tight.lock_wait_timeout(), Some(std::time::Duration::from_millis(50)));
-    }
-
-    #[test]
     fn speculation_knob() {
         assert!(!ProtocolConfig::semantic().speculative_case2, "off by default");
         assert!(!ProtocolConfig::no_ancestor_check().speculative_case2);
         assert!(!ProtocolConfig::open_nested_plain().speculative_case2);
         assert!(ProtocolConfig::semantic().with_speculation(true).speculative_case2);
-    }
-
-    #[test]
-    fn wait_cap_and_backoff_defaults_match_historical_constants() {
-        // Satellite regression guard: the lifted knobs default to exactly
-        // the values that were hardcoded before they became configurable.
-        let s = ProtocolConfig::semantic();
-        assert_eq!(s.dep_wait_cap_ms, 2_000);
-        assert_eq!(s.dep_wait_cap(), std::time::Duration::from_secs(2));
-        assert_eq!(s.max_backoff_us, 5_000);
-        assert_eq!(s.max_backoff(), std::time::Duration::from_millis(5));
-        for cfg in [ProtocolConfig::no_ancestor_check(), ProtocolConfig::open_nested_plain()] {
-            assert_eq!(cfg.dep_wait_cap_ms, DEFAULT_DEP_WAIT_CAP_MS);
-            assert_eq!(cfg.max_backoff_us, DEFAULT_MAX_BACKOFF_US);
-        }
-        let tight = s.with_dep_wait_cap_ms(50).with_max_backoff_us(200);
-        assert_eq!(tight.dep_wait_cap(), std::time::Duration::from_millis(50));
-        assert_eq!(tight.max_backoff(), std::time::Duration::from_micros(200));
-        // Zero is clamped rather than producing a degenerate spin.
-        let clamped = s.with_dep_wait_cap_ms(0).with_max_backoff_us(0);
-        assert_eq!(clamped.dep_wait_cap_ms, 1);
-        assert_eq!(clamped.max_backoff_us, 1);
-    }
-
-    #[test]
-    fn journal_knob() {
-        assert_eq!(ProtocolConfig::semantic().journal_capacity, 0, "off by default");
-        let on = ProtocolConfig::semantic().with_journal_capacity(4096);
-        assert_eq!(on.journal_capacity, 4096);
     }
 }

@@ -41,10 +41,10 @@ pub struct DisciplineDeps {
     pub storage: Arc<dyn Storage>,
     /// Lock-wait timeout backstop applied by the kernel's block path
     /// (`None` disables it). Populated from
-    /// [`ProtocolConfig::lock_wait_timeout`](crate::config::ProtocolConfig).
+    /// [`EngineBuilder::lock_wait_timeout`](crate::engine::EngineBuilder::lock_wait_timeout).
     pub lock_wait_timeout: Option<Duration>,
     /// The structured event journal (`None` when disabled). Populated from
-    /// [`ProtocolConfig::journal_capacity`](crate::config::ProtocolConfig);
+    /// [`EngineBuilder::journal_capacity`](crate::engine::EngineBuilder::journal_capacity);
     /// the kernel, the conflict test and the engine all write through this
     /// handle, so every discipline emits the same event vocabulary.
     pub journal: Option<Arc<EventJournal>>,

@@ -11,7 +11,9 @@
 //!   open nested transactions — the `exec-transaction` procedure of the
 //!   paper's **Figure 8** (lock request with FCFS queueing, waits-for sets,
 //!   recursive child execution, conversion of completed children's locks
-//!   into retained locks, release of everything at top-level commit);
+//!   into retained locks, release of everything at top-level commit). Every
+//!   top-level transaction begins in one place and ends in one place
+//!   (`engine/lifecycle.rs`: `begin`, `finish_top`), whatever its outcome;
 //! * [`lock::conflict::test_conflict`] is the `test-conflict` function of
 //!   the paper's **Figure 9**: commutativity first, same-transaction
 //!   transparency, then the search for a *commutative ancestor pair* on the
@@ -80,5 +82,5 @@ pub use wal::checkpoint::{CheckpointImage, TopInfo};
 pub use wal::recovery::{recover_image, RecoveryReport};
 pub use wal::{
     read_image, AppendInfo, CheckpointOutcome, FsyncPolicy, LogImage, ParsedLog, RedoOp,
-    SegmentImage, WalConfig, WalError, WalFailMode, WalRecord, WalWriter,
+    SegmentImage, WalConfig, WalError, WalRecord, WalWriter,
 };

@@ -38,9 +38,7 @@ use std::time::Duration;
 /// transaction is blocked on while the dependent waits for the holder's
 /// subtransaction). Timing out conservatively cascade-aborts the
 /// dependent, which is retryable — the same resolution the lock-wait
-/// timeout applies to lost wake-ups. This is the *default*; the cap is
-/// configurable per engine via
-/// [`ProtocolConfig::dep_wait_cap_ms`](crate::config::ProtocolConfig).
+/// timeout applies to lost wake-ups.
 pub const DEP_WAIT_CAP: Duration = Duration::from_secs(2);
 
 /// Outcome of recording a dependency edge.

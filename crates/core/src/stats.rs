@@ -112,8 +112,11 @@ counters! {
     victims,
     /// Lock waits aborted by the timeout backstop.
     lock_timeouts,
-    /// Panics caught at a method-body or program boundary and converted
-    /// into ordinary aborts.
+    /// Panics caught at the engine's one panic seam — around a program, a
+    /// method body or a snapshot attempt — and converted into ordinary
+    /// failures (an abort; for a snapshot attempt, a promotion to the
+    /// locking path, where a deterministic panic is caught and counted
+    /// again).
     caught_panics,
     /// Compensating invocations re-run after a retryable failure.
     compensation_retries,

@@ -44,8 +44,7 @@ pub mod recovery;
 pub mod segment;
 
 pub use segment::{
-    AppendInfo, CheckpointOutcome, FsyncPolicy, LogImage, SegmentImage, WalConfig, WalFailMode,
-    WalWriter,
+    AppendInfo, CheckpointOutcome, FsyncPolicy, LogImage, SegmentImage, WalConfig, WalWriter,
 };
 
 use checkpoint::CheckpointImage;

@@ -14,7 +14,7 @@
 //! buffered bytes is unknowable, so re-trying the sync could silently drop
 //! acknowledged history (the "fsyncgate" class of bugs) — instead every
 //! subsequent append returns [`WalError::Poisoned`] and the engine
-//! degrades per [`WalFailMode`]. Poisoning is *observable* (typed errors),
+//! refuses every new transaction. Poisoning is *observable* (typed errors),
 //! unlike the crash-simulation `dead` state, which silently swallows
 //! appends exactly as a dead machine would.
 //!
@@ -49,18 +49,6 @@ pub enum FsyncPolicy {
     EveryAppend,
 }
 
-/// How the engine behaves once the log is poisoned.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WalFailMode {
-    /// Every new transaction fails with a durability error until the
-    /// operator intervenes (the conservative default).
-    #[default]
-    FailStop,
-    /// Read-only transactions may still run on the lock-free snapshot
-    /// path (which never touches the log); anything that writes fails.
-    ReadOnly,
-}
-
 /// Writer configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalConfig {
@@ -70,8 +58,6 @@ pub struct WalConfig {
     /// (`None`: only explicit [`Engine::checkpoint`](crate::Engine)
     /// calls checkpoint).
     pub checkpoint_bytes: Option<usize>,
-    /// Degradation mode once the log is poisoned.
-    pub fail_mode: WalFailMode,
     /// Keep checkpoint-retired segments in memory so audit harnesses can
     /// compare recover-from-checkpoint against recover-from-full-log.
     /// Production configurations leave this off — retired segments are
@@ -81,12 +67,7 @@ pub struct WalConfig {
 
 impl Default for WalConfig {
     fn default() -> Self {
-        WalConfig {
-            segment_bytes: 64 << 10,
-            checkpoint_bytes: None,
-            fail_mode: WalFailMode::FailStop,
-            retain_for_audit: false,
-        }
+        WalConfig { segment_bytes: 64 << 10, checkpoint_bytes: None, retain_for_audit: false }
     }
 }
 
@@ -464,11 +445,6 @@ impl WalWriter {
     /// The writer configuration.
     pub fn config(&self) -> WalConfig {
         self.config
-    }
-
-    /// Poisoned-log degradation mode.
-    pub fn fail_mode(&self) -> WalFailMode {
-        self.config.fail_mode
     }
 
     /// Enter/leave recovery mode (recovery-driven appends count toward

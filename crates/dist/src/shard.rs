@@ -258,9 +258,8 @@ impl ShardNode {
         top: TopId,
         comp: &[Invocation],
     ) -> Result<(), SemccError> {
-        let rec = WalRecord::SubCommit { top: gtid, subtree: top.0 as u32, comp: comp.to_vec() };
         live.part_log
-            .append(&rec)
+            .append(&participant_record(gtid, top, comp)?)
             .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
         Stats::bump(&self.stats.prepares);
         self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
@@ -557,4 +556,32 @@ pub fn merge_snapshots(a: &StatsSnapshot, b: &StatsSnapshot) -> StatsSnapshot {
         .collect();
     let borrowed: Vec<(&str, u64)> = pairs.iter().map(|&(n, v)| (n, v)).collect();
     StatsSnapshot::from_field_pairs(&borrowed)
+}
+
+/// The participant record of `gtid`'s piece. The frame stores the piece's
+/// local transaction id in 32 bits and recovery widens it back to compare
+/// against the main log's winners, so an id past `u32::MAX` cannot be
+/// recorded faithfully: the prepare fails, rather than log an id recovery
+/// would match against the wrong local transaction.
+fn participant_record(gtid: u64, top: TopId, comp: &[Invocation]) -> Result<WalRecord, SemccError> {
+    let subtree = u32::try_from(top.0).map_err(|_| {
+        SemccError::Durability(format!(
+            "participant log: local transaction id {} does not fit the record's 32-bit field",
+            top.0
+        ))
+    })?;
+    Ok(WalRecord::SubCommit { top: gtid, subtree, comp: comp.to_vec() })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn participant_record_refuses_a_local_id_past_32_bits() {
+        let rec = participant_record(7, TopId(u64::from(u32::MAX)), &[]).unwrap();
+        assert_eq!(rec, WalRecord::SubCommit { top: 7, subtree: u32::MAX, comp: vec![] });
+        let err = participant_record(7, TopId(u64::from(u32::MAX) + 1), &[]).unwrap_err();
+        assert!(matches!(err, SemccError::Durability(_)), "typed, not truncated: {err:?}");
+    }
 }

@@ -23,9 +23,10 @@
 //! latches making each operation individually atomic; isolation is the lock
 //! manager's job (crate `semcc-core`) — with one read-side exception: every
 //! object carries a **version stamp** (bumped on each physical mutation)
-//! and a **write-intent count**, which let pure readers run entirely
-//! outside the lock manager on a [`StoreSnapshot`] and validate their read
-//! set at commit instead of locking it.
+//! and a **write-intent count** (`get_versioned` / `object_version` /
+//! `begin_object_write`), which let the engine's snapshot read path run pure
+//! readers entirely outside the lock manager and validate their read set at
+//! commit instead of locking it.
 
 pub mod object;
 pub mod pages;
@@ -33,4 +34,4 @@ pub mod store;
 
 pub use object::{ObjKind, StoredObject};
 pub use pages::PagePolicy;
-pub use store::{MemoryStore, StoreSnapshot};
+pub use store::MemoryStore;

@@ -331,12 +331,6 @@ impl MemoryStore {
         }
     }
 
-    /// Open a [`StoreSnapshot`]: a cheap handle for lock-free consistent
-    /// reads, validated against the per-object version stamps.
-    pub fn begin_snapshot(&self) -> StoreSnapshot<'_> {
-        StoreSnapshot { store: self, reads: Mutex::new(BTreeMap::new()) }
-    }
-
     /// The version stamp of every live object (observability / recovery
     /// parity audits).
     pub fn version_state(&self) -> BTreeMap<ObjectId, u64> {
@@ -400,78 +394,6 @@ impl MemoryStore {
         self.next_id.store(dump.next_id, Ordering::Relaxed);
         self.mutations.fetch_add(1, Ordering::SeqCst);
         Ok(())
-    }
-}
-
-/// A cheap consistent-read handle over a [`MemoryStore`].
-///
-/// Reads go straight to the live store (no copy, no lock-table entry) and
-/// record the version stamp of every object they touch — the *first* stamp
-/// seen per object; observing a different stamp on a re-read fails the
-/// read immediately, because the handle's reads would no longer describe
-/// one point in time. [`StoreSnapshot::validate`] rechecks every recorded
-/// stamp: unchanged and writer-free means every read saw committed state
-/// that is still current, i.e. the whole read set is a consistent cut.
-pub struct StoreSnapshot<'s> {
-    store: &'s MemoryStore,
-    reads: Mutex<BTreeMap<ObjectId, u64>>,
-}
-
-impl StoreSnapshot<'_> {
-    fn record(&self, o: ObjectId, version: u64) -> Result<()> {
-        match self.reads.lock().entry(o) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(version);
-                Ok(())
-            }
-            std::collections::btree_map::Entry::Occupied(e) if *e.get() == version => Ok(()),
-            _ => Err(SemccError::SnapshotIneligible(format!(
-                "object {o:?} moved between snapshot reads"
-            ))),
-        }
-    }
-
-    /// Read an atomic object's value.
-    pub fn get(&self, o: ObjectId) -> Result<Value> {
-        let (v, ver) = self.store.get_versioned(o)?;
-        self.record(o, ver)?;
-        Ok(v)
-    }
-
-    /// Member of a set under `key`.
-    pub fn set_select(&self, s: ObjectId, key: u64) -> Result<Option<ObjectId>> {
-        let (m, ver) = self.store.set_select_versioned(s, key)?;
-        self.record(s, ver)?;
-        Ok(m)
-    }
-
-    /// All `(key, member)` pairs of a set.
-    pub fn set_scan(&self, s: ObjectId) -> Result<Vec<(u64, ObjectId)>> {
-        let (pairs, ver) = self.store.set_scan_versioned(s)?;
-        self.record(s, ver)?;
-        Ok(pairs)
-    }
-
-    /// Component `name` of a tuple (immutable after creation — no stamp
-    /// needs recording).
-    pub fn field(&self, o: ObjectId, name: &str) -> Result<ObjectId> {
-        self.store.field(o, name)
-    }
-
-    /// Objects read so far.
-    pub fn reads(&self) -> usize {
-        self.reads.lock().len()
-    }
-
-    /// Recheck every recorded stamp against the live store: `true` iff the
-    /// whole read set is still at its recorded versions with no write
-    /// intent — the reads form a consistent committed cut.
-    pub fn validate(&self) -> bool {
-        let reads = self.reads.lock();
-        reads.iter().all(|(o, ver)| {
-            matches!(self.store.object_version(*o), Ok((cur, writers))
-                if cur == *ver && writers == 0)
-        })
     }
 }
 
@@ -895,66 +817,27 @@ mod tests {
     }
 
     #[test]
-    fn store_snapshot_validates_stable_reads_and_rejects_moved_ones() {
+    fn a_write_intent_invalidates_a_recorded_stamp_until_it_ends() {
         let s = MemoryStore::new();
         let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
-        let b = s.create_atomic(TYPE_ATOMIC, Value::Int(2)).unwrap();
-        let set = s.create_set(TYPE_SET).unwrap();
-        s.set_insert(set, 1, a).unwrap();
-
-        let snap = s.begin_snapshot();
-        assert_eq!(snap.get(a).unwrap(), Value::Int(1));
-        assert_eq!(snap.set_select(set, 1).unwrap(), Some(a));
-        assert_eq!(snap.set_scan(set).unwrap(), vec![(1, a)]);
-        assert_eq!(snap.reads(), 2, "a and set; re-reads of the set dedup");
-        assert!(snap.validate(), "nothing moved");
-
-        // An unrelated write leaves the snapshot valid.
-        s.put(b, Value::Int(9)).unwrap();
-        assert!(snap.validate());
-
-        // A write to a read object invalidates it.
-        s.put(a, Value::Int(5)).unwrap();
-        assert!(!snap.validate());
-    }
-
-    #[test]
-    fn store_snapshot_fails_validation_under_write_intent() {
-        let s = MemoryStore::new();
-        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
-        let snap = s.begin_snapshot();
-        snap.get(a).unwrap();
+        let (_, seen) = s.get_versioned(a).unwrap();
         s.begin_object_write(a).unwrap();
-        assert!(!snap.validate(), "in-progress writer must fail validation");
+        assert_eq!(s.object_version(a).unwrap(), (seen, 1), "in-progress writer: invalid");
         s.end_object_write(a);
-        assert!(snap.validate(), "writer gone without mutating: reads were committed state");
+        assert_eq!(s.object_version(a).unwrap(), (seen, 0), "writer gone without mutating");
     }
 
     #[test]
-    fn store_snapshot_rejects_rereads_of_a_moved_object() {
-        let s = MemoryStore::new();
-        let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
-        let snap = s.begin_snapshot();
-        snap.get(a).unwrap();
-        s.put(a, Value::Int(2)).unwrap();
-        let err = snap.get(a).unwrap_err();
-        assert!(
-            matches!(err, SemccError::SnapshotIneligible(_)),
-            "a re-read at a different stamp is not one point in time: {err:?}"
-        );
-    }
-
-    #[test]
-    fn store_snapshot_validates_across_version_wraparound() {
+    fn a_version_stamp_wraps_around_as_an_ordinary_value() {
         let s = MemoryStore::new();
         let a = s.create_atomic(TYPE_ATOMIC, Value::Int(1)).unwrap();
         s.force_version(a, u64::MAX).unwrap();
-        let snap = s.begin_snapshot();
-        snap.get(a).unwrap();
-        assert!(snap.validate(), "stamp u64::MAX is an ordinary value");
+        let (_, seen) = s.get_versioned(a).unwrap();
+        assert_eq!(s.object_version(a).unwrap(), (u64::MAX, 0));
         s.put(a, Value::Int(2)).unwrap();
-        assert_eq!(s.object_version(a).unwrap().0, 0, "stamp wrapped");
-        assert!(!snap.validate(), "the wrapped stamp still differs from the recorded one");
+        let (now, _) = s.object_version(a).unwrap();
+        assert_eq!(now, 0, "stamp wrapped");
+        assert_ne!(now, seen, "the wrapped stamp still differs from the recorded one");
     }
 
     #[test]

@@ -137,9 +137,13 @@ impl Inner {
                 }
             };
             let result = self.engine.execute_with_retry(&*session.program, self.cfg.max_retries);
+            // Free the admission slot before resolving: a client holding
+            // its ack must find the slot free (`Ticket::wait` returning
+            // implies `try_submit` is not refused on this session's account).
+            // A parked submitter is woken only afterwards, so it does not
+            // compete with the ack for this core.
+            self.queue.lock().in_flight -= 1;
             session.ticket.resolve(result);
-            let mut q = self.queue.lock();
-            q.in_flight -= 1;
             self.space_cv.notify_one();
         }
     }

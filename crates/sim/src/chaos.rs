@@ -196,7 +196,6 @@ fn torture_wal_config(checkpoint: bool) -> WalConfig {
         segment_bytes: 4096,
         checkpoint_bytes: checkpoint.then_some(8 << 10),
         retain_for_audit: true,
-        ..WalConfig::default()
     }
 }
 
