@@ -196,9 +196,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(!h.is_finished(), "foreign writer blocks on the inherited lock");
 
-        t1.complete(0);
+        let waiters = t1.complete(0);
         cn.top_finished(t1.top());
-        d.hub.node_finished(NodeRef::root(t1.top()));
+        drop(waiters);
         assert!(h.join().unwrap().waited);
         assert_eq!(cn.locked_objects(), 1);
     }

@@ -14,6 +14,7 @@ use crate::notify::WaitCell;
 use crate::stats::Stats;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -35,6 +36,15 @@ struct WfgInner {
 #[derive(Default)]
 pub struct WaitsForGraph {
     inner: Mutex<WfgInner>,
+    /// How many entries `inner` held after its last mutation. While it
+    /// reads 0, [`is_doomed`](Self::is_doomed) and [`forget`](Self::forget)
+    /// are answered by this one load: an uncontended transaction never
+    /// takes the latch. `Release`/`Acquire` pair the store with that load
+    /// alone; a non-zero reading is followed up under the latch. A
+    /// transaction never misses its own entries: it made them itself, or —
+    /// a doom mark — was given them while it had edges in the graph, which
+    /// it removes under the latch before it asks.
+    live: AtomicUsize,
     /// Optional engine counters mirrored on victim selection.
     stats: Option<Arc<Stats>>,
 }
@@ -56,7 +66,27 @@ impl WaitsForGraph {
 
     /// Empty graph whose victim selections also bump `stats.victims`.
     pub fn with_stats(stats: Arc<Stats>) -> Self {
-        WaitsForGraph { inner: Mutex::default(), stats: Some(stats) }
+        WaitsForGraph { stats: Some(stats), ..Self::default() }
+    }
+
+    /// Every mutation: run `f` under the latch, then publish the size.
+    fn mutate<R>(&self, f: impl FnOnce(&mut WfgInner) -> R) -> R {
+        let mut inner = self.inner.lock();
+        let out = f(&mut inner);
+        let live =
+            inner.edges.len() + inner.cells.len() + inner.doomed.len() + inner.aborting.len();
+        self.live.store(live, Ordering::Release);
+        out
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live.load(Ordering::Acquire) == 0
+    }
+
+    /// Hold the latch (contention tests: the fast paths must not need it).
+    #[doc(hidden)]
+    pub fn hold_latch(&self) -> impl Sized + '_ {
+        self.inner.lock()
     }
 
     /// Find a cycle through `start`; returns the members of one cycle.
@@ -85,63 +115,66 @@ impl WaitsForGraph {
     ///
     /// Runs victim selection until no cycle through `waiter` remains.
     pub fn block(&self, waiter: TopId, blockers: &[TopId], cell: &Arc<WaitCell>) -> BlockDecision {
-        let mut inner = self.inner.lock();
-        if inner.doomed.contains(&waiter) {
-            return BlockDecision::VictimSelf;
-        }
-        let set: HashSet<TopId> = blockers.iter().copied().filter(|b| *b != waiter).collect();
-        if set.is_empty() {
-            return BlockDecision::Wait;
-        }
-        inner.edges.insert(waiter, set);
-        inner.cells.insert(waiter, Arc::clone(cell));
-
-        while let Some(cycle) = Self::find_cycle(&inner, waiter) {
-            // Youngest (largest id) non-aborting member is the victim.
-            let victim = cycle.iter().copied().filter(|t| !inner.aborting.contains(t)).max();
-            let Some(victim) = victim else {
-                // Every member is aborting — compensation transactions are
-                // retried by the engine, so just wait.
-                break;
-            };
-            inner.victims += 1;
-            if let Some(stats) = &self.stats {
-                Stats::bump(&stats.victims);
-            }
-            inner.doomed.insert(victim);
-            inner.edges.remove(&victim);
-            if victim == waiter {
-                inner.cells.remove(&waiter);
+        self.mutate(|inner| {
+            if inner.doomed.contains(&waiter) {
                 return BlockDecision::VictimSelf;
             }
-            if let Some(c) = inner.cells.remove(&victim) {
-                c.kill();
+            let set: HashSet<TopId> = blockers.iter().copied().filter(|b| *b != waiter).collect();
+            if set.is_empty() {
+                return BlockDecision::Wait;
             }
-        }
-        BlockDecision::Wait
+            inner.edges.insert(waiter, set);
+            inner.cells.insert(waiter, Arc::clone(cell));
+
+            while let Some(cycle) = Self::find_cycle(inner, waiter) {
+                // Youngest (largest id) non-aborting member is the victim.
+                let victim = cycle.iter().copied().filter(|t| !inner.aborting.contains(t)).max();
+                let Some(victim) = victim else {
+                    // Every member is aborting — compensation transactions are
+                    // retried by the engine, so just wait.
+                    break;
+                };
+                inner.victims += 1;
+                if let Some(stats) = &self.stats {
+                    Stats::bump(&stats.victims);
+                }
+                inner.doomed.insert(victim);
+                inner.edges.remove(&victim);
+                if victim == waiter {
+                    inner.cells.remove(&waiter);
+                    return BlockDecision::VictimSelf;
+                }
+                if let Some(c) = inner.cells.remove(&victim) {
+                    c.kill();
+                }
+            }
+            BlockDecision::Wait
+        })
     }
 
     /// The waiter resumed (granted, re-testing, or erroring out): remove its
     /// edges.
     pub fn unblock(&self, waiter: TopId) {
-        let mut inner = self.inner.lock();
-        inner.edges.remove(&waiter);
-        inner.cells.remove(&waiter);
+        self.mutate(|inner| {
+            inner.edges.remove(&waiter);
+            inner.cells.remove(&waiter);
+        });
     }
 
     /// Was this transaction doomed by victim selection?
     pub fn is_doomed(&self, top: TopId) -> bool {
-        self.inner.lock().doomed.contains(&top)
+        !self.is_empty() && self.inner.lock().doomed.contains(&top)
     }
 
     /// Transition a transaction into its abort path: it can no longer be
     /// victimized, and its doom mark is consumed.
     pub fn begin_abort(&self, top: TopId) {
-        let mut inner = self.inner.lock();
-        inner.doomed.remove(&top);
-        inner.aborting.insert(top);
-        inner.edges.remove(&top);
-        inner.cells.remove(&top);
+        self.mutate(|inner| {
+            inner.doomed.remove(&top);
+            inner.aborting.insert(top);
+            inner.edges.remove(&top);
+            inner.cells.remove(&top);
+        });
     }
 
     /// The transaction finished (commit or abort): clear every trace.
@@ -157,14 +190,18 @@ impl WaitsForGraph {
     /// phantom cycles — and thus spurious victims — possible and leaking
     /// memory across long runs. Called on every top-level exit.
     pub fn forget(&self, top: TopId) {
-        let mut inner = self.inner.lock();
-        inner.doomed.remove(&top);
-        inner.aborting.remove(&top);
-        inner.edges.remove(&top);
-        inner.cells.remove(&top);
-        inner.edges.retain(|_, targets| {
-            targets.remove(&top);
-            !targets.is_empty()
+        if self.is_empty() {
+            return;
+        }
+        self.mutate(|inner| {
+            inner.doomed.remove(&top);
+            inner.aborting.remove(&top);
+            inner.edges.remove(&top);
+            inner.cells.remove(&top);
+            inner.edges.retain(|_, targets| {
+                targets.remove(&top);
+                !targets.is_empty()
+            });
         });
     }
 

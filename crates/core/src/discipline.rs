@@ -7,7 +7,7 @@
 //! lock and when to release.
 
 use crate::deadlock::WaitsForGraph;
-use crate::history::HistorySink;
+use crate::history::{Event, HistorySink};
 use crate::ids::{NodeRef, TopId};
 use crate::journal::EventJournal;
 use crate::kernel::LockTableDump;
@@ -22,12 +22,13 @@ use std::time::Duration;
 /// Shared infrastructure a discipline needs: built once by the
 /// [`EngineBuilder`](crate::engine::EngineBuilder) and handed to the
 /// discipline factory so that engine and discipline agree on registry,
-/// notification hub, waits-for graph and counters.
+/// waits-for graph and counters.
 #[derive(Clone)]
 pub struct DisciplineDeps {
-    /// Live transaction trees.
+    /// Live transaction trees (which also carry the completion
+    /// subscriptions of their own nodes).
     pub registry: Arc<Registry>,
-    /// Node completion notifications.
+    /// Unused: see [`CompletionHub`].
     pub hub: Arc<CompletionHub>,
     /// Shared deadlock detector.
     pub wfg: Arc<WaitsForGraph>,
@@ -53,6 +54,17 @@ pub struct DisciplineDeps {
     /// [`ProtocolConfig::speculative_case2`](crate::config::ProtocolConfig)
     /// is on (a single relaxed load otherwise).
     pub dep_graph: Arc<DepGraph>,
+}
+
+impl DisciplineDeps {
+    /// Hand `event()` to the sink if it listens. The one way the engine and
+    /// the kernel publish an event: under [`NullSink`](crate::NullSink) the
+    /// event is never built.
+    pub fn emit(&self, event: impl FnOnce() -> Event) {
+        if self.sink.is_listening() {
+            self.sink.record(event());
+        }
+    }
 }
 
 /// A lock acquisition request for one action of a transaction tree.

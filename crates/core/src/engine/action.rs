@@ -40,7 +40,7 @@ impl Engine {
         // A direct child of the root *is* a depth-1 subtree root.
         let subtree = if parent == 0 { child } else { caller_subtree };
         let node = NodeRef { top: tree.top(), idx: child };
-        self.deps.sink.record(Event::ActionStart {
+        self.deps.emit(|| Event::ActionStart {
             node,
             parent: NodeRef { top: node.top, idx: parent },
             inv: Arc::clone(&inv),
@@ -48,7 +48,7 @@ impl Engine {
         let done = self.perform(txn, node, parent, subtree, &inv, compensating);
         self.finish_node(tree, child, done.is_ok());
         if done.is_ok() {
-            self.deps.sink.record(Event::ActionComplete { node });
+            self.deps.emit(|| Event::ActionComplete { node });
             self.journal_record(JournalKind::SubCommit, node, 0, 0);
         }
         done
@@ -268,7 +268,7 @@ impl Engine {
                 // Surface *both* failures: the compensation error is
                 // chained onto the original abort cause instead of
                 // shadowing it.
-                self.deps.sink.record(Event::CompensationFailure {
+                self.deps.emit(|| Event::CompensationFailure {
                     top: txn.top(),
                     error: ce.to_string(),
                     original: e.to_string(),

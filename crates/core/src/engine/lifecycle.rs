@@ -76,9 +76,9 @@ pub(super) enum Ending<'a> {
 }
 
 impl Engine {
-    pub(super) fn begin(&self, label: String, wal_alias: Option<u64>) -> Txn<'_> {
+    pub(super) fn begin(&self, label: impl FnOnce() -> String, wal_alias: Option<u64>) -> Txn<'_> {
         let tree = self.deps.registry.begin();
-        self.deps.sink.record(Event::TopBegin { top: tree.top(), label });
+        self.deps.emit(|| Event::TopBegin { top: tree.top(), label: label() });
         Txn {
             engine: self,
             tree,
@@ -143,44 +143,36 @@ impl Engine {
     /// Count and publish a top-level transaction's terminal event (also the
     /// whole ending of a snapshot commit, which holds nothing to release).
     pub(super) fn top_ended(&self, top: TopId, ending: Ending<'_>) {
-        let (counter, event, kind, aux) = match ending {
-            Ending::Committed => {
-                (&self.deps.stats.commits, Event::TopCommit { top }, JournalKind::TopCommit, 0)
-            }
-            Ending::Aborted(reason) => (
-                &self.deps.stats.aborts,
-                Event::TopAbort { top, reason: reason.to_string() },
-                JournalKind::TopAbort,
-                0,
-            ),
-            Ending::Contained => (
-                &self.deps.stats.aborts,
-                Event::TopAbort { top, reason: "unwound past abort: hard containment".into() },
-                JournalKind::TopAbort,
-                1,
-            ),
+        let stats = &self.deps.stats;
+        let (counter, kind, aux) = match ending {
+            Ending::Committed => (&stats.commits, JournalKind::TopCommit, 0),
+            Ending::Aborted(_) => (&stats.aborts, JournalKind::TopAbort, 0),
+            Ending::Contained => (&stats.aborts, JournalKind::TopAbort, 1),
         };
         Stats::bump(counter);
-        self.deps.sink.record(event);
+        self.deps.emit(|| match ending {
+            Ending::Committed => Event::TopCommit { top },
+            Ending::Aborted(reason) => Event::TopAbort { top, reason: reason.to_string() },
+            Ending::Contained => {
+                Event::TopAbort { top, reason: "unwound past abort: hard containment".into() }
+            }
+        });
         self.journal_record(kind, NodeRef::root(top), 0, aux);
     }
 
-    /// A node reached its final state: mark it, retain a committed
-    /// subtransaction's locks (the root's went in `top_finished`), resolve
-    /// its speculative dependents — a commit turns their grant into an
-    /// ordinary Case 1, an abort cascades — and wake its waiters.
+    /// A node reached its final state: mark it — which is also what turns
+    /// the locks of a committed subtransaction's children into retained
+    /// ones — let the discipline count (or, without retention, release)
+    /// those (the root's went in `top_finished`), resolve the node's
+    /// speculative dependents — a commit turns their grant into an ordinary
+    /// Case 1, an abort cascades — and only then wake its waiters.
     pub(super) fn finish_node(&self, tree: &TxnTree, idx: u32, committed: bool) {
-        if committed {
-            tree.complete(idx);
-            if idx != 0 {
-                self.discipline.node_completed(tree, idx);
-            }
-        } else {
-            tree.abort(idx);
+        let waiters = if committed { tree.complete(idx) } else { tree.abort(idx) };
+        if committed && idx != 0 {
+            self.discipline.node_completed(tree, idx);
         }
-        let node = NodeRef { top: tree.top(), idx };
-        self.deps.dep_graph.node_done(node, committed);
-        self.deps.hub.node_finished(node);
+        self.deps.dep_graph.node_done(NodeRef { top: tree.top(), idx }, committed);
+        drop(waiters);
     }
 
     /// Make the transaction durable, then end it. `Err` leaves it open —
@@ -224,7 +216,7 @@ impl Engine {
         // schema without proper inverses (or an injected chaos fault); they
         // are surfaced in the event stream but cannot stop the abort.
         if let Err(e) = self.compensate_list(txn, comp, true) {
-            self.deps.sink.record(Event::CompensationFailure {
+            self.deps.emit(|| Event::CompensationFailure {
                 top,
                 error: e.to_string(),
                 original: reason.to_string(),
@@ -267,7 +259,7 @@ impl Engine {
         for inv in comp.into_iter().rev() {
             let mut attempts = 0;
             loop {
-                self.deps.sink.record(Event::Compensate { top, inv: Arc::new(inv.clone()) });
+                self.deps.emit(|| Event::Compensate { top, inv: Arc::new(inv.clone()) });
                 Stats::bump(&self.deps.stats.compensations);
                 let node = NodeRef::root(top);
                 self.journal_record(JournalKind::Compensation, node, inv.object.0, attempts.into());

@@ -6,7 +6,7 @@
 //! acquires its semantic lock through the configured [`Discipline`]
 //! (possibly waiting), runs the method body (which recursively invokes
 //! further methods — the dynamic method invocation hierarchy), and on
-//! completion converts the children's locks into retained locks and
+//! completion — which is what makes the children's locks retained locks —
 //! notifies waiters.
 //!
 //! **Aborts are compensation-based** (paper Section 3): committed
@@ -350,8 +350,8 @@ impl Engine {
         if let Some(err) = self.log.poisoned() {
             let top = self.deps.registry.allocate_top();
             let reason = SemccError::Durability(format!("write-ahead log poisoned: {err}"));
-            self.deps.sink.record(Event::TopBegin { top, label: prog.label() });
-            self.deps.sink.record(Event::TopAbort { top, reason: reason.to_string() });
+            self.deps.emit(|| Event::TopBegin { top, label: prog.label() });
+            self.deps.emit(|| Event::TopAbort { top, reason: reason.to_string() });
             return (top, Err(reason));
         }
         if self.snapshot_enabled && prog.read_only_hint() {
@@ -362,7 +362,7 @@ impl Engine {
             // locking path below (a fresh top-level transaction).
             Stats::bump(&self.deps.stats.snapshot_retries);
         }
-        let txn = self.begin(prog.label(), None);
+        let txn = self.begin(|| prog.label(), None);
         let top = txn.top();
         let mut ctx = ExecCtx::new(&txn, 0, 0, false);
         let run = self.contain(|| prog.run(&mut ctx));
@@ -437,7 +437,7 @@ impl Engine {
         alias: Option<u64>,
     ) -> Result<usize> {
         let n = intents.len();
-        let txn = self.begin("recovery-compensation".into(), alias);
+        let txn = self.begin(|| "recovery-compensation".into(), alias);
         // An aliased commit appends nothing, so it cannot fail; an
         // unaliased one can (poisoned log) and then aborts like a failed
         // compensation.

@@ -95,7 +95,7 @@ impl Engine {
         // the interleaved event order cannot express. The sim crate's
         // `check_snapshot_reads` validates snapshot transactions against
         // the commit order instead of the event graph.
-        self.deps.sink.record(Event::TopBegin { top, label: prog.label() });
+        self.deps.emit(|| Event::TopBegin { top, label: prog.label() });
         self.top_ended(top, Ending::Committed);
         Some((top, Ok(TxnOutcome { top, value, snapshot: true, commit_seq })))
     }

@@ -8,7 +8,6 @@
 use crate::ids::{NodeRef, TopId};
 use parking_lot::{Condvar, Mutex};
 use semcc_semantics::Invocation;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,24 +110,33 @@ pub struct Stamped {
 pub trait HistorySink: Send + Sync {
     /// Record one event; returns its global sequence number.
     fn record(&self, ev: Event) -> u64;
+
+    /// Whether anybody reads what [`record`](HistorySink::record) is given.
+    /// [`DisciplineDeps::emit`](crate::discipline::DisciplineDeps::emit) asks
+    /// first: a sink answering `false` costs no `Event` and no shared write.
+    fn is_listening(&self) -> bool {
+        true
+    }
 }
 
-/// Discards everything (constant overhead).
+/// Nobody is listening: events are not even built.
 #[derive(Default)]
-pub struct NullSink {
-    seq: AtomicU64,
-}
+pub struct NullSink;
 
 impl NullSink {
     /// New sink.
     pub fn new() -> Self {
-        Self::default()
+        NullSink
     }
 }
 
 impl HistorySink for NullSink {
     fn record(&self, _ev: Event) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+        0
+    }
+
+    fn is_listening(&self) -> bool {
+        false
     }
 }
 
@@ -204,10 +212,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_counts() {
-        let s = NullSink::new();
-        assert_eq!(s.record(Event::TopCommit { top: TopId(1) }), 0);
-        assert_eq!(s.record(Event::TopCommit { top: TopId(1) }), 1);
+    fn null_sink_does_not_listen_and_memory_sink_does() {
+        assert!(!NullSink::new().is_listening());
+        assert!(MemorySink::new().is_listening());
     }
 
     #[test]

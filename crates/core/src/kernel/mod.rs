@@ -14,10 +14,11 @@
 //!   waiting requests), enqueue and wait on conflict, grant otherwise —
 //!   and returns a [`KernelGuard`] once the lock is held;
 //! * [`ConcurrencyKernel::finish`] disposes of a granted entry with an
-//!   [`Outcome`]: convert to a *retained* lock, release it, or migrate
-//!   ownership to the parent node (closed-nested inheritance);
-//!   [`ConcurrencyKernel::finish_top`] releases everything a top-level
-//!   transaction still holds.
+//!   [`Outcome`]: release it, or migrate ownership to the parent node
+//!   (closed-nested inheritance); [`ConcurrencyKernel::finish_top`]
+//!   releases everything a top-level transaction still holds. A *retained*
+//!   lock (open nesting, paper Section 4.2) is no third outcome: the tree
+//!   knows it ([`TxnTree::is_retained`](crate::tree::TxnTree::is_retained)).
 //!
 //! Wake-ups are **targeted** (no broadcast re-test): a blocked request
 //! records the entry ids its conflict scan failed against and is poked
@@ -40,6 +41,7 @@ use crate::journal::JournalKind;
 use crate::notify::{WaitCell, WaitOutcome};
 use crate::stats::Stats;
 use parking_lot::Mutex;
+use semcc_objstore::CacheLine;
 use semcc_semantics::{Result, SemccError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -100,8 +102,6 @@ pub struct KernelGuard {
 /// How [`ConcurrencyKernel::finish`] disposes of a granted entry.
 #[derive(Clone, Copy, Debug)]
 pub enum Outcome {
-    /// Convert into a *retained* lock (open nesting, paper Section 4.2).
-    Retain,
     /// Release the entry and wake its dependents.
     Release,
     /// Migrate ownership to the parent node (closed-nested inheritance);
@@ -177,7 +177,8 @@ pub struct LockTableDump {
     pub keys: usize,
     /// Granted entries currently held (not retained).
     pub held: usize,
-    /// Granted entries converted into retained locks.
+    /// Granted entries that are retained locks: their owner's parent has
+    /// committed.
     pub retained: usize,
     /// Queued (waiting) requests.
     pub waiting: usize,
@@ -231,14 +232,17 @@ impl std::fmt::Display for LockTableDump {
 }
 
 /// The shared sequencing core. Owns the 64-way sharded lock table and the
-/// equally sharded held-locks release index.
+/// equally sharded held-locks release index, each shard on cache lines of
+/// its own.
 pub struct ConcurrencyKernel<P> {
     policy: P,
     deps: DisciplineDeps,
-    shards: Vec<Mutex<HashMap<LockKey, KernelQueue>>>,
+    shards: Sharded<HashMap<LockKey, KernelQueue>>,
     /// Keys on which each top-level transaction holds granted entries.
-    held: Vec<Mutex<HashMap<TopId, HashSet<LockKey>>>>,
+    held: Sharded<HashMap<TopId, HashSet<LockKey>>>,
 }
+
+type Sharded<T> = Vec<CacheLine<Mutex<T>>>;
 
 impl<P: KernelPolicy> ConcurrencyKernel<P> {
     /// A kernel over the engine's shared infrastructure.
@@ -246,8 +250,8 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
         ConcurrencyKernel {
             policy,
             deps,
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
-            held: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARD_COUNT).map(|_| CacheLine::default()).collect(),
+            held: (0..SHARD_COUNT).map(|_| CacheLine::default()).collect(),
         }
     }
 
@@ -302,9 +306,12 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
     }
 
     fn held_shard(&self, top: TopId) -> &Mutex<HashMap<TopId, HashSet<LockKey>>> {
-        &self.held[(top.0 as usize) % SHARD_COUNT]
+        &self.held[(top.0 as usize) % SHARD_COUNT].0
     }
 
+    /// Index a fresh grant for `finish_top`. Called after the shard latch
+    /// is dropped: only the granted transaction's own thread reads its
+    /// index entry, and it does so later.
     fn note_held(&self, top: TopId, key: LockKey) {
         self.held_shard(top).lock().entry(top).or_default().insert(key);
     }
@@ -336,9 +343,9 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
         let mut waited = false;
         // The timeout backstop spans the whole request, not one episode:
         // a request that keeps re-testing without ever being granted still
-        // hits the deadline.
-        let deadline =
-            self.deps.lock_wait_timeout.map(|timeout| std::time::Instant::now() + timeout);
+        // hits the deadline. It runs from the first time the request
+        // blocks, so a request that never waits reads no clock.
+        let mut deadline = None;
 
         loop {
             if waited {
@@ -351,7 +358,8 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                     } else {
                         Stats::bump(&stats.immediate_grants);
                     }
-                    self.deps.sink.record(Event::Granted { node: req.node, waited });
+                    self.note_held(req.owner.top, req.key);
+                    self.deps.emit(|| Event::Granted { node: req.node, waited });
                     self.journal(
                         JournalKind::LockGrant,
                         req.node,
@@ -368,8 +376,11 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                         Stats::bump(&stats.spurious_wakeups);
                     }
                     waited = true;
+                    deadline = deadline.or_else(|| {
+                        self.deps.lock_wait_timeout.map(|t| std::time::Instant::now() + t)
+                    });
                     Stats::bump(&stats.wait_episodes);
-                    self.deps.sink.record(Event::Blocked { node: req.node, on: blockers.clone() });
+                    self.deps.emit(|| Event::Blocked { node: req.node, on: blockers.clone() });
                     self.journal(
                         JournalKind::LockWait,
                         req.node,
@@ -400,7 +411,7 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                     // Subscribe to the completion of every blocker node;
                     // already-finished blockers simply do not count.
                     for b in &blockers {
-                        self.deps.hub.subscribe(*b, &cell, &self.deps.registry);
+                        self.deps.registry.subscribe(*b, &cell);
                     }
 
                     loop {
@@ -433,8 +444,8 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                         // blocker completion, which would change the
                         // registry state the conflict test reads) proves a
                         // re-scan would reproduce the last one: swallow the
-                        // poke and sleep on. The waits-for edges and hub
-                        // subscriptions stay armed.
+                        // poke and sleep on. The waits-for edges and the
+                        // completion subscriptions stay armed.
                         // (A vanished queue means every entry left — real
                         // progress, so the re-scan proceeds.)
                         let suppress = cell.was_poked()
@@ -511,12 +522,9 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                             .expect("granted ticket vanished from its wait queue")
                             .entry
                     }
-                    None => KernelEntry {
-                        eid: q.alloc_eid(),
-                        owner: req.owner,
-                        retained: false,
-                        mode: req.mode.clone(),
-                    },
+                    None => {
+                        KernelEntry { eid: q.alloc_eid(), owner: req.owner, mode: req.mode.clone() }
+                    }
                 };
                 if self.policy.absorbs() {
                     if let Some(pos) = q.granted.iter().position(|e| e.owner == entry.owner) {
@@ -524,12 +532,10 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                         // The absorbed entry disappears; notify anyone who
                         // blocked on it while it was queued.
                         q.entries_removed(&[entry.eid], &self.deps.stats);
-                        self.note_held(req.owner.top, req.key);
                         return Scan::Granted;
                     }
                 }
                 q.granted.push(entry);
-                self.note_held(req.owner.top, req.key);
                 return Scan::Granted;
             }
 
@@ -546,12 +552,7 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
                     let eid = q.alloc_eid();
                     q.waiting.push(Waiter {
                         ticket: t,
-                        entry: KernelEntry {
-                            eid,
-                            owner: req.owner,
-                            retained: false,
-                            mode: req.mode.clone(),
-                        },
+                        entry: KernelEntry { eid, owner: req.owner, mode: req.mode.clone() },
                         cell: Arc::clone(&cell),
                         conflict_srcs: srcs,
                         enqueued_at: std::time::Instant::now(),
@@ -590,20 +591,6 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
     pub fn finish(&self, key: LockKey, owner: NodeRef, outcome: Outcome) -> bool {
         let stats = &self.deps.stats;
         let found = self.with_existing_queue(key, |q| match outcome {
-            Outcome::Retain => {
-                if let Some(e) = q.granted.iter_mut().find(|e| e.owner == owner) {
-                    if !e.retained {
-                        e.set_retained();
-                        Stats::bump(&stats.retained_conversions);
-                    }
-                    // A conversion wakes nobody: the conflict test ignores
-                    // the retained flag; the owner's completion itself is
-                    // delivered through the completion hub.
-                    true
-                } else {
-                    false
-                }
-            }
             Outcome::Release => {
                 let mut removed: InlineVec<u64, 8> = InlineVec::new();
                 q.granted.retain(|e| {
@@ -710,7 +697,8 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
             d.keys += shard.len();
             for q in shard.values() {
                 for e in &q.granted {
-                    if e.retained {
+                    let tree = self.deps.registry.tree(e.owner.top);
+                    if tree.is_some_and(|t| t.is_retained(e.owner.idx)) {
                         d.retained += 1;
                     } else {
                         d.held += 1;

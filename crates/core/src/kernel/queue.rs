@@ -99,22 +99,11 @@ pub struct KernelEntry {
     /// Lock-ownership identity: the acquiring node for the nested
     /// disciplines, the transaction root for flat 2PL.
     pub owner: NodeRef,
-    /// Whether the lock was converted into a *retained* lock.
-    pub retained: bool,
     /// Discipline payload.
     pub mode: EntryMode,
 }
 
 impl KernelEntry {
-    /// Mark the entry retained (kept coherent with the semantic control
-    /// block's own flag for debugging output).
-    pub(crate) fn set_retained(&mut self) {
-        self.retained = true;
-        if let EntryMode::Semantic(e) = &mut self.mode {
-            e.retained = true;
-        }
-    }
-
     /// Fold another entry's r/w mode into this one (lock upgrade on
     /// same-owner absorption or parent inheritance). Semantic entries are
     /// never merged.
@@ -225,7 +214,6 @@ mod tests {
         KernelEntry {
             eid: q.alloc_eid(),
             owner: node,
-            retained: false,
             mode: EntryMode::Semantic(LockEntry {
                 node,
                 inv: tree.invocation(leaf),

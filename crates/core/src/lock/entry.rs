@@ -22,19 +22,14 @@ pub struct LockEntry {
     /// chain can be cached at request time; completion states are looked up
     /// live in the registry.
     pub chain: Chain,
-    /// Whether the lock was converted into a *retained* lock (the owning
-    /// subtransaction's parent has completed).
+    /// Unused — [`TxnTree::is_retained`](crate::tree::TxnTree::is_retained)
+    /// is the answer; kept only because `benchmark/src/probes.rs`, which no
+    /// change claiming a gain may edit, writes it in a struct literal.
     pub retained: bool,
 }
 
 impl std::fmt::Debug for LockEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "LockEntry({} holds {}{})",
-            self.node,
-            self.inv,
-            if self.retained { ", retained" } else { "" }
-        )
+        write!(f, "LockEntry({} holds {})", self.node, self.inv)
     }
 }

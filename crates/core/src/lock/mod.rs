@@ -14,8 +14,10 @@
 //! 3. Otherwise acquire the lock and proceed.
 //!
 //! On subtransaction completion the locks acquired **for its children**
-//! are converted into retained locks (or released, in the no-retention
-//! ablation); at top-level end every lock of the transaction is released.
+//! become retained locks (or are released, in the no-retention ablation);
+//! at top-level end every lock of the transaction is released. The
+//! conflict test reads completion states from the tree, so the parent's
+//! commit *is* the conversion ([`TxnTree::is_retained`]): no table visit.
 //!
 //! Queueing, blocking and waking live in the shared
 //! [`ConcurrencyKernel`]; this module contributes the Figure-9 conflict
@@ -147,13 +149,19 @@ impl Discipline for SemanticLockManager {
     fn node_completed(&self, tree: &TxnTree, idx: u32) {
         // "After completing the execution of the children, the locks that
         // have been acquired for the children are converted into retained
-        // locks" — or released in the Section-3 (no-retention) variant.
+        // locks": marking the node committed did that, so there is only
+        // the conversion to count.
+        if self.cfg.retain_locks {
+            let converted = tree.committed_children(idx) as u64;
+            Stats::add(&self.deps.stats.retained_conversions, converted);
+            return;
+        }
+        // The Section-3 (no-retention) variant releases them instead.
         let top = tree.top();
-        let outcome = if self.cfg.retain_locks { Outcome::Retain } else { Outcome::Release };
         for child in tree.children(idx) {
             let obj = tree.invocation(child).object;
             let node = NodeRef { top, idx: child };
-            self.kernel.finish(LockKey::Object(obj), node, outcome);
+            self.kernel.finish(LockKey::Object(obj), node, Outcome::Release);
         }
     }
 
@@ -270,10 +278,10 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert_eq!(mgr.waiting_count(), 1, "T2 is queued");
 
-        // Commit T1: release and wake.
-        t1.complete(0);
+        // Commit T1: release, then wake.
+        let waiters = t1.complete(0);
         mgr.top_finished(t1.top());
-        d.hub.node_finished(NodeRef::root(t1.top()));
+        drop(waiters);
         let grant = h.join().unwrap();
         assert!(grant.waited);
         assert_eq!(mgr.waiting_count(), 0);

@@ -1,17 +1,15 @@
 //! Blocking and wake-up machinery.
 //!
 //! A blocked lock requestor "waits for the completion of all transactions /
-//! subtransactions in its waits-for set" (paper Figure 8). The
-//! [`CompletionHub`] delivers exactly those notifications; in addition, a
-//! waiter is *poked* by the [`kernel`](crate::kernel) when an entry it
-//! found itself in conflict with leaves its lock queue, after which it
-//! re-runs the conflict test. A waiter can also be *killed* by the deadlock
-//! detector.
+//! subtransactions in its waits-for set" (paper Figure 8). A [`WaitCell`]
+//! subscribed to those nodes
+//! ([`Registry::subscribe`](crate::tree::Registry::subscribe)) receives
+//! exactly those notifications; in addition, a waiter is *poked* by the
+//! [`kernel`](crate::kernel) when an entry it found itself in conflict with
+//! leaves its lock queue, after which it re-runs the conflict test. A waiter
+//! can also be *killed* by the deadlock detector.
 
-use crate::ids::NodeRef;
-use crate::tree::Registry;
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -136,58 +134,24 @@ impl WaitCell {
     }
 }
 
-/// Delivers "node completed" notifications to wait cells.
-///
-/// The subscription check and the completion notification are serialized by
-/// the hub lock, and nodes are marked finished in the tree **before**
-/// [`CompletionHub::node_finished`] is called — together this closes the
-/// race where a node completes between the conflict test and the
-/// subscription (the subscriber then simply observes it as finished and
-/// does not wait for it).
+/// An empty shell: completion subscriptions live in the waited-for tree
+/// ([`TxnTree::subscribe`](crate::tree::TxnTree::subscribe)). The name and
+/// [`DisciplineDeps::hub`](crate::discipline::DisciplineDeps) survive only
+/// because `benchmark/src/probes.rs`, which no change claiming a gain may
+/// edit, writes both in a struct literal.
 #[derive(Default)]
-pub struct CompletionHub {
-    waiters: Mutex<HashMap<NodeRef, Vec<Arc<WaitCell>>>>,
-}
+pub struct CompletionHub;
 
 impl CompletionHub {
-    /// Fresh hub.
+    /// The shell.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Subscribe `cell` to the completion of `node`. If the node is already
-    /// finished (per the registry), the subscription is skipped and the
-    /// cell's pending count is not incremented.
-    pub fn subscribe(&self, node: NodeRef, cell: &Arc<WaitCell>, registry: &Registry) {
-        let mut waiters = self.waiters.lock();
-        if registry.is_finished(node) {
-            return;
-        }
-        cell.add_pending();
-        waiters.entry(node).or_default().push(Arc::clone(cell));
-    }
-
-    /// A node committed or aborted: wake everyone subscribed to it. The
-    /// caller must have marked the node finished in its tree first.
-    pub fn node_finished(&self, node: NodeRef) {
-        let cells = self.waiters.lock().remove(&node);
-        if let Some(cells) = cells {
-            for c in cells {
-                c.complete_one();
-            }
-        }
-    }
-
-    /// Number of nodes with live subscriptions (tests / introspection).
-    pub fn subscription_count(&self) -> usize {
-        self.waiters.lock().len()
+        CompletionHub
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TopId;
     use std::time::Duration;
 
     #[test]
@@ -273,44 +237,5 @@ mod tests {
         cell.kill();
         // Even with a deadline already in the past, the kill is reported.
         assert_eq!(cell.wait_deadline(Some(Instant::now())), WaitOutcome::Killed);
-    }
-
-    #[test]
-    fn hub_skips_finished_nodes() {
-        let registry = Registry::new();
-        let tree = registry.begin();
-        let hub = CompletionHub::new();
-        let cell = WaitCell::new();
-
-        let root = NodeRef::root(tree.top());
-        tree.complete(0);
-        hub.subscribe(root, &cell, &registry);
-        assert!(!cell.would_wait(), "finished node adds no pending count");
-        assert_eq!(hub.subscription_count(), 0);
-    }
-
-    #[test]
-    fn hub_delivers_completion() {
-        let registry = Registry::new();
-        let tree = registry.begin();
-        let hub = CompletionHub::new();
-        let cell = WaitCell::new();
-        let root = NodeRef::root(tree.top());
-
-        hub.subscribe(root, &cell, &registry);
-        assert!(cell.would_wait());
-        tree.complete(0);
-        hub.node_finished(root);
-        assert_eq!(cell.wait(), WaitOutcome::Retest);
-        assert_eq!(hub.subscription_count(), 0);
-    }
-
-    #[test]
-    fn hub_unknown_tree_is_finished() {
-        let registry = Registry::new();
-        let hub = CompletionHub::new();
-        let cell = WaitCell::new();
-        hub.subscribe(NodeRef::root(TopId(999)), &cell, &registry);
-        assert!(!cell.would_wait());
     }
 }

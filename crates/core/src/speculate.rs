@@ -21,8 +21,9 @@
 //! recording, under the kernel's shard lock) and the engine (edge
 //! resolution at node completion, commit-time waiting). Lock order is
 //! strictly `shard lock → graph mutex`; the graph never calls back into
-//! the kernel. A relaxed atomic edge counter keeps the no-speculation and
-//! no-edges fast paths to a single load.
+//! the kernel. Two atomic counts keep a run without speculation off the
+//! graph mutex altogether: no live edge makes `node_done` a single load,
+//! no recorded dependent makes `wait_commit` and `clear` one.
 
 use crate::ids::{NodeRef, TopId};
 use crate::tree::Registry;
@@ -77,9 +78,15 @@ pub struct DepGraph {
     registry: Arc<Registry>,
     inner: Mutex<GraphInner>,
     resolved: Condvar,
-    /// Live (unresolved) edge count; `0` makes [`DepGraph::node_done`] and
-    /// [`DepGraph::wait_commit`] a single relaxed load.
+    /// Live (unresolved) edge count; `0` makes [`DepGraph::node_done`] a
+    /// single relaxed load.
     live_edges: AtomicUsize,
+    /// `deps.len()`, stored under the mutex after every change to it; `0`
+    /// makes [`DepGraph::wait_commit`] and [`DepGraph::clear`] a single
+    /// load. Only a transaction's own thread creates its `deps` entry (in
+    /// [`DepGraph::record`], from its own conflict test), so the thread
+    /// asking about `top` never reads a 0 that misses `top`.
+    dependents: AtomicUsize,
     /// Commit-wait backstop applied in [`DepGraph::wait_commit`].
     wait_cap: Duration,
 }
@@ -99,8 +106,20 @@ impl DepGraph {
             inner: Mutex::new(GraphInner::default()),
             resolved: Condvar::new(),
             live_edges: AtomicUsize::new(0),
+            dependents: AtomicUsize::new(0),
             wait_cap: cap.max(Duration::from_millis(1)),
         }
+    }
+
+    fn no_dependents(&self) -> bool {
+        self.dependents.load(Ordering::Acquire) == 0
+    }
+
+    /// Hold the graph mutex (contention tests: the fast paths must not
+    /// need it).
+    #[doc(hidden)]
+    pub fn hold_latch(&self) -> impl Sized + '_ {
+        self.inner.lock()
     }
 
     /// Record that `dependent` (a top-level transaction) was speculatively
@@ -127,6 +146,7 @@ impl DepGraph {
         if !state.pending.insert(holder) {
             return RecordOutcome::Recorded { new_edge: false };
         }
+        self.dependents.store(g.deps.len(), Ordering::Release);
         g.holders.entry(holder).or_default().push(dependent);
         self.live_edges.fetch_add(1, Ordering::Relaxed);
         RecordOutcome::Recorded { new_edge: true }
@@ -164,17 +184,8 @@ impl DepGraph {
     /// `Err(None)` on the configured commit-wait timeout backstop
     /// (default [`DEP_WAIT_CAP`]).
     pub fn wait_commit(&self, top: TopId) -> Result<(), Option<NodeRef>> {
-        if self.live_edges.load(Ordering::Relaxed) == 0 {
-            // No live edges anywhere — but an aborted-edge verdict for us
-            // may already be parked (its edge is no longer live).
-            let mut g = self.inner.lock();
-            match g.deps.get(&top).and_then(|s| s.aborted) {
-                Some(h) => {
-                    g.deps.remove(&top);
-                    return Err(Some(h));
-                }
-                None => return Ok(()),
-            }
+        if self.no_dependents() {
+            return Ok(());
         }
         let deadline = std::time::Instant::now() + self.wait_cap;
         let mut g = self.inner.lock();
@@ -191,6 +202,7 @@ impl DepGraph {
                 Some(Ok(())) => return Ok(()),
                 Some(err) => {
                     g.deps.remove(&top);
+                    self.dependents.store(g.deps.len(), Ordering::Release);
                     return err;
                 }
                 None => {}
@@ -204,8 +216,7 @@ impl DepGraph {
 
     /// Forget a dependent's edges (after its commit or abort completed).
     pub fn clear(&self, top: TopId) {
-        if self.live_edges.load(Ordering::Relaxed) == 0 {
-            self.inner.lock().deps.remove(&top);
+        if self.no_dependents() {
             return;
         }
         let mut g = self.inner.lock();
@@ -214,6 +225,7 @@ impl DepGraph {
 
     fn clear_locked(&self, g: &mut GraphInner, top: TopId) {
         let Some(state) = g.deps.remove(&top) else { return };
+        self.dependents.store(g.deps.len(), Ordering::Release);
         let purged = state.pending.len();
         if purged > 0 {
             for node in &state.pending {

@@ -3,15 +3,41 @@
 //! Cheap relaxed atomics, snapshotted for reporting. The Case-1 / Case-2 /
 //! root-wait counters quantify how often the paper's commutative-ancestor
 //! rules fire — the ablation experiment B3 is built on them.
+//!
+//! A transaction bumps some thirty of them, so [`Stats`] keeps [`BANKS`]
+//! copies of the counter block, each on cache lines of its own: a thread
+//! bumps the bank it was dealt (`stats.commits` dereferences to it) and
+//! [`Stats::snapshot`] sums them.
 
+use semcc_objstore::CacheLine;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Counter banks per [`Stats`], dealt to threads round-robin. Threads that
+/// share one pay cache traffic, never a count.
+pub const BANKS: usize = 8;
+
+static NEXT_BANK: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static BANK: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+fn bank_of_this_thread() -> usize {
+    BANK.with(|bank| {
+        if bank.get() == usize::MAX {
+            bank.set(NEXT_BANK.fetch_add(1, Ordering::Relaxed) % BANKS);
+        }
+        bank.get()
+    })
+}
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
-        /// Live protocol counters.
+        /// One bank of live protocol counters (see [`Stats`]).
         #[derive(Default)]
-        pub struct Stats {
+        pub struct Counters {
             $($(#[$doc])* pub $name: AtomicU64,)+
         }
 
@@ -22,10 +48,10 @@ macro_rules! counters {
         }
 
         impl Stats {
-            /// Snapshot all counters.
+            /// Snapshot all counters: each the sum over the banks.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    $($name: self.banks.iter().map(|b| b.$name.load(Ordering::Relaxed)).sum(),)+
                 }
             }
         }
@@ -189,6 +215,20 @@ counters! {
     shard_crashes,
 }
 
+/// Live protocol counters; dereferences to the calling thread's bank.
+#[derive(Default)]
+pub struct Stats {
+    banks: [CacheLine<Counters>; BANKS],
+}
+
+impl std::ops::Deref for Stats {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.banks[bank_of_this_thread()]
+    }
+}
+
 impl Stats {
     /// Relaxed increment helper.
     pub fn bump(counter: &AtomicU64) {
@@ -218,6 +258,18 @@ mod tests {
         assert_eq!(snap.lock_requests, 2);
         assert_eq!(snap.case1_grants, 1);
         assert_eq!(snap.case2_waits, 0);
+    }
+
+    #[test]
+    fn snapshot_sums_what_other_threads_bumped() {
+        let s = Stats::default();
+        Stats::bump(&s.commits);
+        std::thread::scope(|scope| {
+            for _ in 0..2 * BANKS {
+                scope.spawn(|| Stats::add(&s.commits, 10));
+            }
+        });
+        assert_eq!(s.snapshot().commits, 1 + 20 * BANKS as u64);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! operates on the database pseudo object (paper footnote 2).
 
 use crate::ids::{NodeRef, TopId};
+use crate::notify::WaitCell;
 use parking_lot::RwLock;
+use semcc_objstore::CacheLine;
 use semcc_semantics::{Invocation, ObjectId, DB_OBJECT, TYPE_DB};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +97,27 @@ impl std::ops::Deref for Chain {
     }
 }
 
-#[derive(Debug)]
 struct Node {
     parent: Option<u32>,
     inv: Arc<Invocation>,
     state: NodeState,
     children: Vec<u32>,
+    /// Wait cells subscribed to this node reaching its final state.
+    waiters: Vec<Arc<WaitCell>>,
+}
+
+/// The wait cells subscribed to a node when it reached its final state.
+/// Dropping this delivers the completion to each of them: a caller with
+/// work to do first (release the node's locks, resolve its speculative
+/// dependents) holds on to it until then; no caller can forget the wake-up.
+pub struct Finished(Vec<Arc<WaitCell>>);
+
+impl Drop for Finished {
+    fn drop(&mut self) {
+        for cell in &self.0 {
+            cell.complete_one();
+        }
+    }
 }
 
 /// The tree of one top-level transaction.
@@ -122,6 +139,7 @@ impl TxnTree {
                 inv: root_inv,
                 state: NodeState::Active,
                 children: Vec::new(),
+                waiters: Vec::new(),
             }]),
         })
     }
@@ -140,19 +158,44 @@ impl TxnTree {
             inv,
             state: NodeState::Active,
             children: Vec::new(),
+            waiters: Vec::new(),
         });
         nodes[parent as usize].children.push(idx);
         idx
     }
 
     /// Mark a node committed.
-    pub fn complete(&self, idx: u32) {
-        self.nodes.write()[idx as usize].state = NodeState::Committed;
+    pub fn complete(&self, idx: u32) -> Finished {
+        self.finish(idx, NodeState::Committed)
     }
 
     /// Mark a node aborted.
-    pub fn abort(&self, idx: u32) {
-        self.nodes.write()[idx as usize].state = NodeState::Aborted;
+    pub fn abort(&self, idx: u32) -> Finished {
+        self.finish(idx, NodeState::Aborted)
+    }
+
+    fn finish(&self, idx: u32, state: NodeState) -> Finished {
+        let mut nodes = self.nodes.write();
+        let node = &mut nodes[idx as usize];
+        node.state = state;
+        Finished(std::mem::take(&mut node.waiters))
+    }
+
+    /// Subscribe `cell` to the node reaching its final state: one more
+    /// pending completion on the cell, delivered by the node's [`Finished`].
+    /// Refused (`false`, cell untouched) if the node has finished. Check and
+    /// registration share the state change's lock, so a node finishing
+    /// before this call is seen as finished and one finishing after it
+    /// wakes the cell: never neither.
+    pub fn subscribe(&self, idx: u32, cell: &Arc<WaitCell>) -> bool {
+        let mut nodes = self.nodes.write();
+        let node = &mut nodes[idx as usize];
+        if node.state.is_finished() {
+            return false;
+        }
+        cell.add_pending();
+        node.waiters.push(Arc::clone(cell));
+        true
     }
 
     /// Current state of a node.
@@ -168,6 +211,22 @@ impl TxnTree {
     /// The children of a node (snapshot).
     pub fn children(&self, idx: u32) -> Vec<u32> {
         self.nodes.read()[idx as usize].children.clone()
+    }
+
+    /// How many children of a node have committed.
+    pub fn committed_children(&self, idx: u32) -> usize {
+        let nodes = self.nodes.read();
+        let committed = |c: &&u32| nodes[**c as usize].state == NodeState::Committed;
+        nodes[idx as usize].children.iter().filter(committed).count()
+    }
+
+    /// Whether a lock owned by this node is a *retained* lock (paper
+    /// Section 4.2: the locks acquired for the children become retained
+    /// when the parent completes), i.e. whether the node's parent has
+    /// committed. Nothing records the conversion; this is it.
+    pub fn is_retained(&self, idx: u32) -> bool {
+        let nodes = self.nodes.read();
+        nodes[idx as usize].parent.is_some_and(|p| nodes[p as usize].state == NodeState::Committed)
     }
 
     /// The parent of a node.
@@ -222,16 +281,22 @@ impl std::fmt::Debug for TxnTree {
     }
 }
 
-/// Global registry of live transaction trees.
+/// Global registry of live transaction trees, sharded by [`TopId`] so that
+/// transactions beginning and ending on different threads write different
+/// cache lines.
 ///
 /// Trees are registered at transaction begin and dropped after all locks of
 /// the transaction are gone; a status query for a dropped tree answers
 /// "finished", which is exactly what late readers (conflict tests racing
 /// with a commit) need.
 pub struct Registry {
-    trees: RwLock<HashMap<TopId, Arc<TxnTree>>>,
+    shards: Vec<CacheLine<RwLock<Trees>>>,
     next: AtomicU64,
 }
+
+type Trees = HashMap<TopId, Arc<TxnTree>>;
+
+const REGISTRY_SHARDS: usize = 64;
 
 impl Default for Registry {
     fn default() -> Self {
@@ -242,22 +307,28 @@ impl Default for Registry {
 impl Registry {
     /// Empty registry.
     pub fn new() -> Self {
-        Registry { trees: RwLock::new(HashMap::new()), next: AtomicU64::new(1) }
+        Registry {
+            shards: (0..REGISTRY_SHARDS).map(|_| CacheLine(RwLock::default())).collect(),
+            next: AtomicU64::new(1),
+        }
+    }
+
+    fn shard(&self, top: TopId) -> &RwLock<Trees> {
+        &self.shards[top.0 as usize % REGISTRY_SHARDS].0
     }
 
     /// Begin a new top-level transaction: allocate an id and a tree.
     pub fn begin(&self) -> Arc<TxnTree> {
-        let top = TopId(self.next.fetch_add(1, Ordering::Relaxed));
+        let top = self.allocate_top();
         let tree = TxnTree::new(top);
-        self.trees.write().insert(top, Arc::clone(&tree));
+        self.shard(top).write().insert(top, Arc::clone(&tree));
         tree
     }
 
     /// Allocate a top-level id *without* registering a tree — for snapshot
     /// read transactions, which never hold locks, so nothing ever needs to
     /// query their status (unregistered ids answer "finished", the right
-    /// answer for a committed-or-promoted snapshot attempt). Skipping the
-    /// registry keeps the lock-free read path off this global write lock.
+    /// answer for a committed-or-promoted snapshot attempt).
     pub fn allocate_top(&self) -> TopId {
         TopId(self.next.fetch_add(1, Ordering::Relaxed))
     }
@@ -274,26 +345,32 @@ impl Registry {
 
     /// Look up a live tree.
     pub fn tree(&self, top: TopId) -> Option<Arc<TxnTree>> {
-        self.trees.read().get(&top).cloned()
+        self.shard(top).read().get(&top).cloned()
     }
 
     /// Drop a finished tree.
     pub fn remove(&self, top: TopId) {
-        self.trees.write().remove(&top);
+        self.shard(top).write().remove(&top);
     }
 
     /// Is the node committed or aborted? Nodes of dropped trees count as
     /// finished.
     pub fn is_finished(&self, node: NodeRef) -> bool {
-        match self.trees.read().get(&node.top) {
+        match self.shard(node.top).read().get(&node.top) {
             Some(tree) => tree.state(node.idx).is_finished(),
             None => true,
         }
     }
 
+    /// [`TxnTree::subscribe`] by node reference; a dropped tree refuses
+    /// like a finished node.
+    pub fn subscribe(&self, node: NodeRef, cell: &Arc<WaitCell>) -> bool {
+        self.tree(node.top).is_some_and(|tree| tree.subscribe(node.idx, cell))
+    }
+
     /// Number of live transactions.
     pub fn live_count(&self) -> usize {
-        self.trees.read().len()
+        self.shards.iter().map(|s| s.0.read().len()).sum()
     }
 }
 

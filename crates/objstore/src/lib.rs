@@ -35,3 +35,18 @@ pub mod store;
 pub use object::{ObjKind, StoredObject};
 pub use pages::PagePolicy;
 pub use store::MemoryStore;
+
+/// `T` alone on its cache lines, so that threads writing neighbouring values
+/// (the shards of a table, two hot counters) do not invalidate each other's.
+/// 128 bytes because x86-64 prefetches lines in adjacent pairs.
+#[derive(Default)]
+#[repr(align(128))]
+pub struct CacheLine<T>(pub T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}

@@ -2,6 +2,7 @@
 
 use crate::object::{ObjKind, StoredObject};
 use crate::pages::{PageAllocator, PagePolicy};
+use crate::CacheLine;
 use parking_lot::{Mutex, RwLock};
 use semcc_semantics::{
     ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta, StoreDump,
@@ -97,7 +98,7 @@ fn dump_object(id: ObjectId, obj: &StoredObject) -> ObjectDump {
 /// the lock table. A store-wide mutation epoch orders all mutations for
 /// the seqlock-style [`MemoryStore::snapshot`].
 pub struct MemoryStore {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<CacheLine<RwLock<Shard>>>,
     /// The token [`Storage::checkpoint_delta`] issued last (0: none, or
     /// invalidated). Read and written only with every shard latch held.
     capture_token: AtomicU64,
@@ -107,13 +108,13 @@ pub struct MemoryStore {
     /// every operation that changes observable state. `snapshot()` reads
     /// it before and after an optimistic clone, exactly like a seqlock,
     /// and [`MemoryStore::quiesce_token`] uses it to prove read windows
-    /// mutation-free.
-    mutations: AtomicU64,
+    /// mutation-free. On a line of its own: every `put` writes it.
+    mutations: CacheLine<AtomicU64>,
     /// Store-wide count of outstanding write intents (the sum of every
     /// object's `writers`). Non-zero means some transaction may have
     /// uncommitted mutations in place, so the quiescence fast path must
-    /// not be taken.
-    intents: AtomicU64,
+    /// not be taken. On a line of its own: every write intent writes it.
+    intents: CacheLine<AtomicU64>,
 }
 
 impl MemoryStore {
@@ -125,13 +126,13 @@ impl MemoryStore {
     /// Store with an explicit page policy.
     pub fn with_policy(policy: PagePolicy) -> Self {
         MemoryStore {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..SHARD_COUNT).map(|_| CacheLine::default()).collect(),
             capture_token: AtomicU64::new(0),
             // ObjectId(0) is the database pseudo object.
             next_id: AtomicU64::new(1),
             allocator: Mutex::new(PageAllocator::new(policy)),
-            mutations: AtomicU64::new(0),
-            intents: AtomicU64::new(0),
+            mutations: CacheLine::default(),
+            intents: CacheLine::default(),
         }
     }
 
@@ -301,8 +302,8 @@ impl MemoryStore {
         const OPTIMISTIC_ATTEMPTS: usize = 4;
         for _ in 0..OPTIMISTIC_ATTEMPTS {
             let before = self.mutations.load(Ordering::Acquire);
-            let shards: Vec<RwLock<Shard>> =
-                self.shards.iter().map(|s| RwLock::new(s.read().copy())).collect();
+            let shards: Vec<CacheLine<RwLock<Shard>>> =
+                self.shards.iter().map(|s| CacheLine(RwLock::new(s.read().copy()))).collect();
             let next_id = self.next_id.load(Ordering::Relaxed);
             let allocator = self.allocator.lock().clone();
             if self.mutations.load(Ordering::Acquire) == before {
@@ -311,23 +312,23 @@ impl MemoryStore {
                     capture_token: AtomicU64::new(0),
                     next_id: AtomicU64::new(next_id),
                     allocator: Mutex::new(allocator),
-                    mutations: AtomicU64::new(before),
+                    mutations: CacheLine(AtomicU64::new(before)),
                     // Per-object intents reset on clone, so the sum does too.
-                    intents: AtomicU64::new(0),
+                    intents: CacheLine::default(),
                 };
             }
         }
         // Contended fallback: take every shard read latch simultaneously,
         // so no writer can interleave between the per-shard clones.
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let shards = guards.iter().map(|g| RwLock::new(g.copy())).collect();
+        let shards = guards.iter().map(|g| CacheLine(RwLock::new(g.copy()))).collect();
         MemoryStore {
             shards,
             capture_token: AtomicU64::new(0),
             next_id: AtomicU64::new(self.next_id.load(Ordering::Relaxed)),
             allocator: Mutex::new(self.allocator.lock().clone()),
-            mutations: AtomicU64::new(self.mutations.load(Ordering::Acquire)),
-            intents: AtomicU64::new(0),
+            mutations: CacheLine(AtomicU64::new(self.mutations.load(Ordering::Acquire))),
+            intents: CacheLine::default(),
         }
     }
 

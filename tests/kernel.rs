@@ -86,25 +86,24 @@ proptest! {
         for tag in 0..n_waiters {
             let tree = d.registry.begin();
             let mgr2 = Arc::clone(&mgr);
-            let d2 = d.clone();
             let order2 = Arc::clone(&order);
             handles.push(std::thread::spawn(move || {
                 let l = tree.add_child(0, Arc::new(Invocation::put(obj, TYPE_ATOMIC, Value::Int(9))));
                 assert!(leaf_acquire(&mgr2, &tree, l), "waiter {tag} must wait");
                 order2.lock().push(tag);
                 // Release straight away so the next waiter can proceed.
-                tree.complete(0);
+                let waiters = tree.complete(0);
                 mgr2.top_finished(tree.top());
-                d2.hub.node_finished(NodeRef::root(tree.top()));
+                drop(waiters);
             }));
             // Fix the arrival order: the next waiter is spawned only once
             // this one is visibly queued.
             wait_for("waiter to enqueue", || mgr.waiting_count() == tag + 1);
         }
 
-        t1.complete(0);
+        let waiters = t1.complete(0);
         mgr.top_finished(t1.top());
-        d.hub.node_finished(NodeRef::root(t1.top()));
+        drop(waiters);
         for h in handles {
             h.join().unwrap();
         }
@@ -160,9 +159,9 @@ fn case2_waiter_is_woken_by_subtransaction_commit() {
     // waiter must be granted (Case 1 now applies).
     h_tree.complete(h_leaf);
     mgr.node_completed(&h_tree, h_leaf);
-    h_tree.complete(a_idx);
+    let waiters = h_tree.complete(a_idx);
     mgr.node_completed(&h_tree, a_idx);
-    d.hub.node_finished(NodeRef { top: h_tree.top(), idx: a_idx });
+    drop(waiters);
 
     assert!(h.join().unwrap(), "the waiter did wait");
     let snap = d.stats.snapshot();
