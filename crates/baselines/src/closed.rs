@@ -112,16 +112,14 @@ mod tests {
     use semcc_core::notify::CompletionHub;
     use semcc_core::stats::Stats;
     use semcc_core::tree::Registry;
-    use semcc_core::DepGraph;
     use semcc_core::WaitsForGraph;
     use semcc_objstore::MemoryStore;
     use semcc_semantics::{Catalog, Invocation, Value, TYPE_ATOMIC};
 
     fn deps() -> DisciplineDeps {
         let catalog = Catalog::new();
-        let registry = Arc::new(Registry::new());
         DisciplineDeps {
-            registry: Arc::clone(&registry),
+            registry: Arc::new(Registry::new()),
             hub: Arc::new(CompletionHub::new()),
             wfg: Arc::new(WaitsForGraph::new()),
             stats: Arc::new(Stats::default()),
@@ -130,7 +128,7 @@ mod tests {
             storage: Arc::new(MemoryStore::new()),
             lock_wait_timeout: None,
             journal: None,
-            dep_graph: Arc::new(DepGraph::new(registry)),
+            dep_graph: Arc::default(), // BENCH-PINNED: benchmark/src/probes.rs:152
         }
     }
 

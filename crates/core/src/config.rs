@@ -25,36 +25,18 @@ pub struct ProtocolConfig {
     pub retain_locks: bool,
     /// Search ancestor chains for commutative pairs (Figure 9, Cases 1/2).
     pub ancestor_check: bool,
-    /// Speculative grant of Case-2 waits (controlled lock violation, after
-    /// Bamboo): a requestor that commutes with the holder's retained set
-    /// but is blocked on an uncommitted ancestor is granted early, with an
-    /// abort-dependency edge recorded. Its commit then waits until the
-    /// depended-on subtransaction finishes; if that subtransaction aborts,
-    /// the dependent cascade-aborts through the ordinary compensation
-    /// machinery. Off by default.
-    pub speculative_case2: bool,
 }
 
 impl ProtocolConfig {
     /// The full protocol of the paper (Section 4).
     pub fn semantic() -> Self {
-        ProtocolConfig {
-            name: "semantic",
-            retain_locks: true,
-            ancestor_check: true,
-            speculative_case2: false,
-        }
+        ProtocolConfig { name: "semantic", retain_locks: true, ancestor_check: true }
     }
 
     /// Retained locks without the commutative-ancestor rules: every formal
     /// conflict with a retained lock blocks until top-level commit.
     pub fn no_ancestor_check() -> Self {
-        ProtocolConfig {
-            name: "semantic/no-ancestor",
-            retain_locks: true,
-            ancestor_check: false,
-            speculative_case2: false,
-        }
+        ProtocolConfig { name: "semantic/no-ancestor", retain_locks: true, ancestor_check: false }
     }
 
     /// The plain open nested protocol of Section 3 (no retained locks).
@@ -64,18 +46,7 @@ impl ProtocolConfig {
             name: "open-nested/no-retention",
             retain_locks: false,
             ancestor_check: true,
-            speculative_case2: false,
         }
-    }
-
-    /// Enable or disable speculative Case-2 grants. Enabling it on the
-    /// stock semantic preset renames it so reports distinguish the two.
-    pub fn with_speculation(mut self, on: bool) -> Self {
-        self.speculative_case2 = on;
-        if on && self.name == "semantic" {
-            self.name = "semantic/speculative";
-        }
-        self
     }
 }
 
@@ -100,13 +71,5 @@ mod tests {
         assert_eq!(ProtocolConfig::default(), s);
         assert_ne!(s.name, n.name);
         assert_ne!(s.name, o.name);
-    }
-
-    #[test]
-    fn speculation_knob() {
-        assert!(!ProtocolConfig::semantic().speculative_case2, "off by default");
-        assert!(!ProtocolConfig::no_ancestor_check().speculative_case2);
-        assert!(!ProtocolConfig::open_nested_plain().speculative_case2);
-        assert!(ProtocolConfig::semantic().with_speculation(true).speculative_case2);
     }
 }

@@ -12,7 +12,6 @@ use crate::ids::{NodeRef, TopId};
 use crate::journal::EventJournal;
 use crate::kernel::LockTableDump;
 use crate::notify::CompletionHub;
-use crate::speculate::DepGraph;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tree::{Chain, Registry, TxnTree};
 use semcc_semantics::{Invocation, PageId, Result, SemanticsRouter, Storage};
@@ -28,7 +27,8 @@ pub struct DisciplineDeps {
     /// Live transaction trees (which also carry the completion
     /// subscriptions of their own nodes).
     pub registry: Arc<Registry>,
-    /// Unused: see [`CompletionHub`].
+    /// BENCH-PINNED (`benchmark/src/probes.rs:144`): unused, see
+    /// [`CompletionHub`].
     pub hub: Arc<CompletionHub>,
     /// Shared deadlock detector.
     pub wfg: Arc<WaitsForGraph>,
@@ -49,11 +49,9 @@ pub struct DisciplineDeps {
     /// the kernel, the conflict test and the engine all write through this
     /// handle, so every discipline emits the same event vocabulary.
     pub journal: Option<Arc<EventJournal>>,
-    /// Abort-dependency graph for speculative Case-2 grants. Always built;
-    /// only consulted when
-    /// [`ProtocolConfig::speculative_case2`](crate::config::ProtocolConfig)
-    /// is on (a single relaxed load otherwise).
-    pub dep_graph: Arc<DepGraph>,
+    /// BENCH-PINNED (`benchmark/src/probes.rs:152` writes it in a struct
+    /// literal): unused.
+    pub dep_graph: Arc<crate::speculate::DepGraph>,
 }
 
 impl DisciplineDeps {

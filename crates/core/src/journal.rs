@@ -94,25 +94,18 @@ pub enum JournalKind {
     /// An escrow update was applied (`key` = object id, `aux` = the delta
     /// cast to u64).
     EscrowGrant = 23,
-    /// A Case-2 wait was converted into a speculative early grant
-    /// (controlled lock violation): `other` = the holder's uncommitted
-    /// ancestor node the requestor now abort-depends on.
-    SpeculativeGrant = 24,
-    /// A transaction is cascade-aborting because a speculatively depended-on
-    /// subtransaction aborted; `other` = that holder node.
-    CascadeAbort = 25,
     /// A shard participant durably prepared (or piece-committed) its part
     /// of a distributed transaction; `key` = global transaction id,
     /// `aux` = shard index.
-    ShardPrepare = 26,
+    ShardPrepare = 24,
     /// The coordinator durably logged a global commit/abort decision;
     /// `key` = global transaction id, `aux` = 1 for commit, 0 for abort.
-    ShardDecide = 27,
+    ShardDecide = 25,
     /// An in-doubt shard participant was resolved from the coordinator's
     /// decision log during recovery; `key` = global transaction id,
     /// `aux` = 1 when the decision was commit (effects kept), 0 when the
     /// piece was compensated.
-    InDoubtResolve = 28,
+    InDoubtResolve = 26,
 }
 
 impl JournalKind {
@@ -143,16 +136,15 @@ impl JournalKind {
             JournalKind::WalRotate => "wal_rotate",
             JournalKind::GroupCommit => "group_commit",
             JournalKind::EscrowGrant => "escrow_grant",
-            JournalKind::SpeculativeGrant => "speculative_grant",
-            JournalKind::CascadeAbort => "cascade_abort",
             JournalKind::ShardPrepare => "shard_prepare",
             JournalKind::ShardDecide => "shard_decide",
             JournalKind::InDoubtResolve => "in_doubt_resolve",
         }
     }
 
-    /// Every kind, in wire order.
-    pub const ALL: [JournalKind; 29] = [
+    /// Every kind, in discriminant order: `from_u64` indexes this array, so
+    /// `ALL[i] as u64 == i` must hold (the wire format is `name()`).
+    pub const ALL: [JournalKind; 27] = [
         JournalKind::LockRequest,
         JournalKind::LockGrant,
         JournalKind::LockWait,
@@ -177,8 +169,6 @@ impl JournalKind {
         JournalKind::WalRotate,
         JournalKind::GroupCommit,
         JournalKind::EscrowGrant,
-        JournalKind::SpeculativeGrant,
-        JournalKind::CascadeAbort,
         JournalKind::ShardPrepare,
         JournalKind::ShardDecide,
         JournalKind::InDoubtResolve,
@@ -531,7 +521,16 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), JournalKind::ALL.len());
-        assert_eq!(JournalKind::from_u64(2), Some(JournalKind::LockWait));
-        assert_eq!(JournalKind::from_u64(99), None);
+    }
+
+    /// `from_u64` decodes by position in `ALL`: a discriminant that is not
+    /// its own index would decode as a different kind.
+    #[test]
+    fn every_kind_sits_at_the_index_of_its_discriminant() {
+        for (i, kind) in JournalKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as u64, i as u64, "{kind:?}");
+            assert_eq!(JournalKind::from_u64(i as u64), Some(*kind));
+        }
+        assert_eq!(JournalKind::from_u64(JournalKind::ALL.len() as u64), None);
     }
 }

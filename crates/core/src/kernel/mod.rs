@@ -726,7 +726,6 @@ mod tests {
     use super::*;
     use crate::history::NullSink;
     use crate::notify::CompletionHub;
-    use crate::speculate::DepGraph;
     use crate::tree::Registry;
     use crate::WaitsForGraph;
     use semcc_objstore::MemoryStore;
@@ -734,9 +733,8 @@ mod tests {
 
     fn deps() -> DisciplineDeps {
         let catalog = Catalog::new();
-        let registry = Arc::new(Registry::new());
         DisciplineDeps {
-            registry: Arc::clone(&registry),
+            registry: Arc::new(Registry::new()),
             hub: Arc::new(CompletionHub::new()),
             wfg: Arc::new(WaitsForGraph::new()),
             stats: Arc::new(Stats::default()),
@@ -745,7 +743,7 @@ mod tests {
             storage: Arc::new(MemoryStore::new()),
             lock_wait_timeout: None,
             journal: None,
-            dep_graph: Arc::new(DepGraph::new(registry)),
+            dep_graph: Arc::default(), // BENCH-PINNED: benchmark/src/probes.rs:152
         }
     }
 

@@ -33,45 +33,9 @@ use crate::config::ProtocolConfig;
 use crate::ids::NodeRef;
 use crate::journal::{EventJournal, JournalKind};
 use crate::lock::entry::LockEntry;
-use crate::speculate::{DepGraph, RecordOutcome};
 use crate::stats::Stats;
 use crate::tree::{Chain, Registry};
 use semcc_semantics::{Invocation, ObjectId, SemanticsRouter};
-
-/// Shared Case-2 handling of both conflict-test implementations: when a
-/// dependency graph is supplied (speculation enabled and the requestor is
-/// not compensating), attempt a speculative grant of the Case-2 wait —
-/// controlled lock violation after Bamboo. Returns `Some(decision)` when
-/// speculation settled the test, `None` to fall through to the ordinary
-/// Case-2 wait (the holder-side ancestor aborted between the registry
-/// probe and the graph's own check — indeterminate, so decline).
-fn try_speculate(
-    speculate: Option<&DepGraph>,
-    stats: &Stats,
-    decide: &dyn Fn(JournalKind, NodeRef),
-    requestor: NodeRef,
-    holder_ancestor: NodeRef,
-) -> Option<Option<NodeRef>> {
-    let dg = speculate?;
-    match dg.record(requestor.top, holder_ancestor) {
-        RecordOutcome::Recorded { new_edge } => {
-            Stats::bump(&stats.speculative_grants);
-            if new_edge {
-                Stats::bump(&stats.dependency_edges);
-            }
-            decide(JournalKind::SpeculativeGrant, holder_ancestor);
-            Some(None)
-        }
-        RecordOutcome::HolderCommitted => {
-            // The ancestor committed between the registry probe and the
-            // graph's check under its own mutex: this is Case 1 after all.
-            Stats::bump(&stats.case1_grants);
-            decide(JournalKind::Case1Grant, holder_ancestor);
-            Some(None)
-        }
-        RecordOutcome::HolderAborted => None,
-    }
-}
 
 /// Whether two (object, position)-sorted chain indexes share at least one
 /// object: a single merge pass, no allocation.
@@ -113,11 +77,6 @@ pub struct Requestor<'a> {
 /// intersects the chains' object indexes instead of probing every pair.
 /// Decisions, counters and journal records are bit-identical to
 /// [`test_conflict_reference`] (enforced by differential tests).
-/// When `speculate` is supplied (speculation enabled, requestor not
-/// compensating), a Case-2 wait is instead granted early with an
-/// abort-dependency edge recorded in the graph — unless the graph finds
-/// the holder-side ancestor already aborted, in which case the ordinary
-/// Case-2 wait stands.
 #[allow(clippy::too_many_arguments)]
 pub fn test_conflict(
     router: &SemanticsRouter,
@@ -125,7 +84,8 @@ pub fn test_conflict(
     cfg: &ProtocolConfig,
     stats: &Stats,
     journal: Option<&EventJournal>,
-    speculate: Option<&DepGraph>,
+    // BENCH-PINNED: `benchmark/src/probes.rs:130` passes `None` here.
+    _: Option<&crate::speculate::DepGraph>,
     h: &LockEntry,
     r: &Requestor<'_>,
 ) -> Option<NodeRef> {
@@ -182,11 +142,7 @@ pub fn test_conflict(
                         }
                         // Case 2: commutative but not yet committed
                         // ancestor — r may be resumed upon completion of
-                        // h'. With speculation on, grant early instead
-                        // and record the abort dependency.
-                        if let Some(d) = try_speculate(speculate, stats, &decide, r.node, hl.node) {
-                            return d;
-                        }
+                        // h'.
                         Stats::bump(&stats.case2_waits);
                         decide(JournalKind::Case2Wait, hl.node);
                         return Some(hl.node);
@@ -212,14 +168,12 @@ pub fn test_conflict(
 /// [`test_conflict`] makes the same decision with the same counters and
 /// journal records on every input, and the `conflict_path` benchmark uses
 /// it as the before-side of the speedup gate.
-#[allow(clippy::too_many_arguments)]
 pub fn test_conflict_reference(
     router: &SemanticsRouter,
     registry: &Registry,
     cfg: &ProtocolConfig,
     stats: &Stats,
     journal: Option<&EventJournal>,
-    speculate: Option<&DepGraph>,
     h: &LockEntry,
     r: &Requestor<'_>,
 ) -> Option<NodeRef> {
@@ -250,9 +204,6 @@ pub fn test_conflict_reference(
                         Stats::bump(&stats.case1_grants);
                         decide(JournalKind::Case1Grant, hl.node);
                         return None;
-                    }
-                    if let Some(d) = try_speculate(speculate, stats, &decide, r.node, hl.node) {
-                        return d;
                     }
                     Stats::bump(&stats.case2_waits);
                     decide(JournalKind::Case2Wait, hl.node);
@@ -316,24 +267,6 @@ mod tests {
 
         fn test(&self, h: &LockEntry, r: &Requestor<'_>) -> Option<NodeRef> {
             test_conflict(&self.router, &self.registry, &self.cfg, &self.stats, None, None, h, r)
-        }
-
-        fn test_speculating(
-            &self,
-            dg: &DepGraph,
-            h: &LockEntry,
-            r: &Requestor<'_>,
-        ) -> Option<NodeRef> {
-            test_conflict(
-                &self.router,
-                &self.registry,
-                &self.cfg,
-                &self.stats,
-                None,
-                Some(dg),
-                h,
-                r,
-            )
         }
 
         fn test_journaled(
@@ -526,7 +459,6 @@ mod tests {
             &fx.cfg,
             &ref_stats,
             Some(&ref_j),
-            None,
             h,
             r,
         );
@@ -711,98 +643,6 @@ mod tests {
             Some(NodeRef { top: h_tree.top(), idx: b }),
             "bottom-most holder ancestor is the Case-2 blocker"
         );
-    }
-
-    #[test]
-    fn speculation_grants_case2_with_an_edge() {
-        let (fx, t) = Fixture::new(ProtocolConfig::semantic().with_speculation(true));
-        let dg = DepGraph::new(Arc::clone(&fx.registry));
-        // Case-2 scenario: commutative ancestor pair, holder side active.
-        let (h_tree, h, m_idx) = entry_under_method(&fx, t, 0, 5, put(10));
-        let (_rt, inv, chain, node) = requestor_under_method(&fx, t, 1, 5, get(10));
-        let r = Requestor { node, inv: &inv, chain: &chain };
-        assert_eq!(fx.test_speculating(&dg, &h, &r), None, "granted early");
-        let s = fx.stats.snapshot();
-        assert_eq!(s.speculative_grants, 1);
-        assert_eq!(s.dependency_edges, 1);
-        assert_eq!(s.case2_waits, 0, "the wait was speculated away");
-        assert_eq!(dg.live_edge_count(), 1);
-        // Re-testing the same pair records no second edge.
-        assert_eq!(fx.test_speculating(&dg, &h, &r), None);
-        let s = fx.stats.snapshot();
-        assert_eq!(s.speculative_grants, 2);
-        assert_eq!(s.dependency_edges, 1, "edge recording is idempotent");
-        let _ = (h_tree, m_idx);
-    }
-
-    #[test]
-    fn speculation_declines_on_vanished_holder_tree() {
-        let (fx, t) = Fixture::new(ProtocolConfig::semantic().with_speculation(true));
-        // A graph over a *different* registry cannot see the holder's tree:
-        // indeterminate state, so the ordinary Case-2 wait stands.
-        let dg = DepGraph::new(Arc::new(Registry::new()));
-        let (h_tree, h, m_idx) = entry_under_method(&fx, t, 0, 5, put(10));
-        let (_rt, inv, chain, node) = requestor_under_method(&fx, t, 1, 5, get(10));
-        let r = Requestor { node, inv: &inv, chain: &chain };
-        assert_eq!(
-            fx.test_speculating(&dg, &h, &r),
-            Some(NodeRef { top: h_tree.top(), idx: m_idx }),
-            "declined speculation falls back to the Case-2 wait"
-        );
-        let s = fx.stats.snapshot();
-        assert_eq!(s.speculative_grants, 0);
-        assert_eq!(s.case2_waits, 1);
-        assert_eq!(dg.live_edge_count(), 0);
-    }
-
-    /// Fast path and Figure-9 reference must agree under speculation too —
-    /// each side gets a fresh graph (over the shared registry) and fresh
-    /// counters, because recording an edge mutates the graph.
-    #[test]
-    fn speculating_fast_path_matches_reference() {
-        let (fx, t) = Fixture::new(ProtocolConfig::semantic().with_speculation(true));
-        let (_ht, h, _) = entry_under_method(&fx, t, 0, 5, put(10));
-        let (_rt, inv, chain, node) = requestor_under_method(&fx, t, 1, 5, get(10));
-        let r = Requestor { node, inv: &inv, chain: &chain };
-        let (fast_stats, ref_stats) = (Stats::default(), Stats::default());
-        let (fast_j, ref_j) = (EventJournal::new(16), EventJournal::new(16));
-        let (fast_dg, ref_dg) =
-            (DepGraph::new(Arc::clone(&fx.registry)), DepGraph::new(Arc::clone(&fx.registry)));
-        let fast = test_conflict(
-            &fx.router,
-            &fx.registry,
-            &fx.cfg,
-            &fast_stats,
-            Some(&fast_j),
-            Some(&fast_dg),
-            &h,
-            &r,
-        );
-        let reference = test_conflict_reference(
-            &fx.router,
-            &fx.registry,
-            &fx.cfg,
-            &ref_stats,
-            Some(&ref_j),
-            Some(&ref_dg),
-            &h,
-            &r,
-        );
-        assert_eq!(fast, reference);
-        assert_eq!(fast, None, "both speculate the Case-2 wait away");
-        let (f, g) = (fast_stats.snapshot(), ref_stats.snapshot());
-        assert_eq!(f.speculative_grants, g.speculative_grants);
-        assert_eq!(f.dependency_edges, g.dependency_edges);
-        assert_eq!(f.case2_waits, g.case2_waits);
-        let (fr, rr) = (fast_j.snapshot(), ref_j.snapshot());
-        assert_eq!(fr.len(), rr.len());
-        for (a, b) in fr.iter().zip(rr.iter()) {
-            assert_eq!(a.kind, JournalKind::SpeculativeGrant);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!((a.top, a.node, a.other_top, a.other_node), {
-                (b.top, b.node, b.other_top, b.other_node)
-            });
-        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct LockEntry {
     /// live in the registry.
     pub chain: Chain,
     /// Unused — [`TxnTree::is_retained`](crate::tree::TxnTree::is_retained)
-    /// is the answer; kept only because `benchmark/src/probes.rs`, which no
-    /// change claiming a gain may edit, writes it in a struct literal.
+    /// is the answer. BENCH-PINNED: `benchmark/src/probes.rs:120` writes it
+    /// in a struct literal.
     pub retained: bool,
 }
 

@@ -36,7 +36,6 @@ use crate::kernel::{
 };
 use crate::lock::conflict::{test_conflict, Requestor};
 use crate::lock::entry::LockEntry;
-use crate::speculate::DepGraph;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tree::{Registry, TxnTree};
 use semcc_semantics::{Result, SemanticsRouter};
@@ -50,7 +49,6 @@ pub struct SemanticPolicy {
     registry: Arc<Registry>,
     stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
-    dep_graph: Arc<DepGraph>,
 }
 
 impl KernelPolicy for SemanticPolicy {
@@ -58,16 +56,13 @@ impl KernelPolicy for SemanticPolicy {
         let h = held.mode.semantic().expect("semantic kernel holds semantic entries");
         let r = req.mode.semantic().expect("semantic kernel receives semantic requests");
         let requestor = Requestor { node: req.node, inv: &r.inv, chain: &r.chain };
-        // Compensating requestors never speculate: an abort path must not
-        // acquire new abort dependencies of its own.
-        let speculate = (self.cfg.speculative_case2 && !req.compensating).then(|| &*self.dep_graph);
         test_conflict(
             &self.router,
             &self.registry,
             &self.cfg,
             &self.stats,
             self.journal.as_deref(),
-            speculate,
+            None,
             h,
             &requestor,
         )
@@ -102,7 +97,6 @@ impl SemanticLockManager {
             registry: Arc::clone(&deps.registry),
             stats: Arc::clone(&deps.stats),
             journal: deps.journal.clone(),
-            dep_graph: Arc::clone(&deps.dep_graph),
         };
         let kernel = ConcurrencyKernel::new(policy, deps.clone());
         Arc::new(SemanticLockManager { cfg, deps, kernel })
@@ -187,7 +181,6 @@ mod tests {
     use super::*;
     use crate::history::NullSink;
     use crate::notify::CompletionHub;
-    use crate::speculate::DepGraph;
     use crate::tree::Registry;
     use crate::WaitsForGraph;
     use parking_lot::Mutex;
@@ -196,9 +189,8 @@ mod tests {
 
     fn deps() -> DisciplineDeps {
         let catalog = Catalog::new();
-        let registry = Arc::new(Registry::new());
         DisciplineDeps {
-            registry: Arc::clone(&registry),
+            registry: Arc::new(Registry::new()),
             hub: Arc::new(CompletionHub::new()),
             wfg: Arc::new(WaitsForGraph::new()),
             stats: Arc::new(Stats::default()),
@@ -207,7 +199,7 @@ mod tests {
             storage: Arc::new(MemoryStore::new()),
             lock_wait_timeout: None,
             journal: None,
-            dep_graph: Arc::new(DepGraph::new(registry)),
+            dep_graph: Arc::default(), // BENCH-PINNED: benchmark/src/probes.rs:152
         }
     }
 

@@ -135,10 +135,10 @@ impl WaitCell {
 }
 
 /// An empty shell: completion subscriptions live in the waited-for tree
-/// ([`TxnTree::subscribe`](crate::tree::TxnTree::subscribe)). The name and
-/// [`DisciplineDeps::hub`](crate::discipline::DisciplineDeps) survive only
-/// because `benchmark/src/probes.rs`, which no change claiming a gain may
-/// edit, writes both in a struct literal.
+/// ([`TxnTree::subscribe`](crate::tree::TxnTree::subscribe)).
+/// BENCH-PINNED: `benchmark/src/probes.rs:18,144` write the name and
+/// [`DisciplineDeps::hub`](crate::discipline::DisciplineDeps) in a struct
+/// literal.
 #[derive(Default)]
 pub struct CompletionHub;
 

@@ -64,9 +64,9 @@ macro_rules! counters {
                 }
             }
 
-            /// `(name, value)` pairs in declaration order — the single
-            /// source of truth for JSON and metrics-exposition rendering
-            /// (a counter added to the macro shows up everywhere).
+            /// `(name, value)` pairs in declaration order, for code that
+            /// walks every counter (a counter added to the macro shows up
+            /// everywhere).
             pub fn field_pairs(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name),)+]
             }
@@ -190,15 +190,6 @@ counters! {
     /// Escrow updates applied (the guard held; the delta was folded into
     /// the object under the escrow ledger).
     escrow_grants,
-    /// Case-2 waits converted into speculative early grants (controlled
-    /// lock violation): the requestor proceeded with an abort-dependency
-    /// edge on the holder's uncommitted subtransaction.
-    speculative_grants,
-    /// Transactions cascade-aborted because a subtransaction they
-    /// speculatively depended on aborted.
-    cascade_aborts,
-    /// Distinct abort-dependency edges recorded in the dependency graph.
-    dependency_edges,
     /// Acknowledged distributed transactions that touched more than one
     /// shard (counted once, at the ack — not per retried attempt).
     cross_shard_txns,
@@ -295,11 +286,8 @@ mod tests {
         let pairs = snap.field_pairs();
         assert!(pairs.iter().any(|&(n, v)| n == "case2_waits" && v == 2));
         assert!(pairs.iter().any(|&(n, v)| n == "victims" && v == 1));
-        for hotspot in ["escrow_grants", "speculative_grants", "cascade_aborts", "dependency_edges"]
-        {
-            assert!(pairs.iter().any(|&(n, _)| n == hotspot), "{hotspot} is exported");
-        }
         for dist in [
+            "escrow_grants",
             "cross_shard_txns",
             "prepares",
             "in_doubt_resolved",

@@ -108,8 +108,8 @@ struct Node {
 
 /// The wait cells subscribed to a node when it reached its final state.
 /// Dropping this delivers the completion to each of them: a caller with
-/// work to do first (release the node's locks, resolve its speculative
-/// dependents) holds on to it until then; no caller can forget the wake-up.
+/// work to do first (release the node's locks) holds on to it until then;
+/// no caller can forget the wake-up.
 pub struct Finished(Vec<Arc<WaitCell>>);
 
 impl Drop for Finished {

@@ -43,7 +43,7 @@ impl RpcError {
     }
 
     /// Engine-level outcomes worth re-running the piece for (deadlock
-    /// victim, lock-wait timeout, cascade abort).
+    /// victim, lock-wait timeout).
     pub fn is_retryable_app(&self) -> bool {
         matches!(self, RpcError::App(e) if e.is_retryable())
     }

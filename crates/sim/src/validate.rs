@@ -164,8 +164,6 @@ pub struct Residue {
     pub lock_entries: usize,
     /// Waits-for-graph state `(edges, cells, doomed, aborting)`.
     pub wfg: (usize, usize, usize, usize),
-    /// Abort-dependency edges of speculative grants.
-    pub speculation_edges: usize,
 }
 
 impl Residue {
@@ -175,7 +173,6 @@ impl Residue {
             live: engine.live_transactions(),
             lock_entries: engine.lock_entries(),
             wfg: engine.wfg_residue(),
-            speculation_edges: engine.speculation_edges(),
         }
     }
 
@@ -806,7 +803,6 @@ mod tests {
             Residue { wfg: (0, 1, 0, 0), ..Default::default() },
             Residue { wfg: (0, 0, 1, 0), ..Default::default() },
             Residue { wfg: (0, 0, 0, 1), ..Default::default() },
-            Residue { speculation_edges: 1, ..Default::default() },
         ];
         for residue in dirty {
             let err = residue.check().unwrap_err();

@@ -7,8 +7,8 @@
 
 use semcc::core::notify::WaitCell;
 use semcc::core::{
-    DepGraph, Engine, Event, FnProgram, HistorySink, MemorySink, NodeRef, Registry, TopId,
-    TransactionProgram, TxnTree, WaitsForGraph,
+    Engine, Event, FnProgram, HistorySink, MemorySink, TopId, TransactionProgram, TxnTree,
+    WaitsForGraph,
 };
 use semcc::orderentry::{
     Database, DbParams, MixWeights, Target, TxnSpec, Workload, WorkloadConfig,
@@ -55,17 +55,12 @@ fn race(
 #[test]
 fn empty_graphs_answer_without_taking_their_latch() {
     let wfg = Arc::new(WaitsForGraph::new());
-    let dep_graph = Arc::new(DepGraph::new(Arc::new(Registry::new())));
-    let _wfg_latch = wfg.hold_latch();
-    let _dep_latch = dep_graph.hold_latch();
-    let (w, d) = (Arc::clone(&wfg), Arc::clone(&dep_graph));
-    guarded("fast paths of the empty graphs, latches held elsewhere", move || {
+    let _latch = wfg.hold_latch();
+    let w = Arc::clone(&wfg);
+    guarded("fast paths of the empty waits-for graph, latch held elsewhere", move || {
         let top = TopId(7);
         assert!(!w.is_doomed(top));
         w.finished(top);
-        assert_eq!(d.wait_commit(top), Ok(()));
-        d.clear(top);
-        d.node_done(NodeRef::root(top), true);
     });
 }
 

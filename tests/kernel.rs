@@ -19,9 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn deps_with_catalog(catalog: Catalog) -> DisciplineDeps {
-    let registry = Arc::new(Registry::new());
     DisciplineDeps {
-        registry: Arc::clone(&registry),
+        registry: Arc::new(Registry::new()),
         hub: Arc::new(CompletionHub::new()),
         wfg: Arc::new(WaitsForGraph::new()),
         stats: Arc::new(Stats::default()),
@@ -30,7 +29,7 @@ fn deps_with_catalog(catalog: Catalog) -> DisciplineDeps {
         storage: Arc::new(MemoryStore::new()),
         lock_wait_timeout: None,
         journal: None,
-        dep_graph: Arc::new(semcc::core::DepGraph::new(registry)),
+        dep_graph: Arc::default(), // BENCH-PINNED: benchmark/src/probes.rs:152
     }
 }
 

@@ -89,8 +89,8 @@ impl Fixture {
     /// Assert the one ordering contract for the transaction labelled
     /// `label`: its terminal event is its last sink event and its last
     /// journal record, each emitted exactly once, and by then every lock,
-    /// write intent, registry entry, waits-for entry and speculation edge
-    /// of the transaction is gone.
+    /// write intent, registry entry and waits-for entry of the transaction
+    /// is gone.
     fn assert_ended_once(&self, label: &str, terminal: JournalKind, aux: u64) {
         let top = top_of_label(&self.sink.events, label, 0).expect("transaction began");
         let at_end = self.sink.at_end.lock().unwrap();
@@ -123,9 +123,8 @@ impl Fixture {
 }
 
 /// Commit, abort and containment end through the same sequence: release
-/// (write intents, escrow reservations, locks) → node marks → registry,
-/// waits-for graph and dependency graph → the terminal event, last and
-/// once.
+/// (write intents, escrow reservations, locks) → node marks → registry
+/// and waits-for graph → the terminal event, last and once.
 #[test]
 fn every_ending_releases_before_its_one_terminal_event() {
     let f = escrow_fixture(false);

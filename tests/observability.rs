@@ -101,10 +101,6 @@ fn sampler_and_percentiles_cover_a_contended_run() {
     assert!(!out.samples.is_empty());
     let after = engine.lock_table();
     assert_eq!((after.keys, after.held, after.retained, after.waiting), (0, 0, 0, 0));
-
-    // The JSON roundtrip carries the full report.
-    let m2 = semcc::sim::RunMetrics::from_json(&out.metrics.to_json()).unwrap();
-    assert_eq!(m2, out.metrics);
 }
 
 #[test]
