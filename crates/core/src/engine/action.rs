@@ -45,7 +45,16 @@ impl Engine {
             parent: NodeRef { top: node.top, idx: parent },
             inv: Arc::clone(&inv),
         });
+        let leaves = txn.open_leaves.get();
         let done = self.perform(txn, node, parent, subtree, &inv, compensating);
+        if parent == 0 && done.is_ok() {
+            // Its `SubCommit` took the subtree's leaves off the log's list.
+            txn.open_leaves.set(leaves);
+        } else if !inv.method.is_generic() && txn.open_leaves.get() > leaves {
+            // Any other user method that ended exposed its leaves — before
+            // `finish_node` lets its locks go.
+            self.log.expose_leaves(node.top.0, leaves);
+        }
         self.finish_node(tree, child, done.is_ok());
         if done.is_ok() {
             self.deps.emit(|| Event::ActionComplete { node });
@@ -96,7 +105,7 @@ impl Engine {
                 subtree,
                 compensating,
                 || self.apply_generic(txn, node, inv, g, compensating),
-                |_| Self::redo_of(inv),
+                |_| RedoOp::of(inv),
             )?,
             MethodSel::User(m) => {
                 self.run_user_method(txn, node.idx, subtree, inv, m, compensating)?
@@ -148,6 +157,9 @@ impl Engine {
     ///
     /// `mutate` returns its result and the built-in inverse of what it did;
     /// `redo` names the record for that result (`None`: nothing to log). A
+    /// forward record goes to the log with that inverse, which the writer
+    /// holds for checkpoints until the subtree commits (see
+    /// [`WalWriter::append_leaf`](crate::WalWriter::append_leaf)). A
     /// compensating mutation is logged as `CompRedo` (the logical CLR) —
     /// recovery repeats history, forward effects and compensations alike,
     /// because absolute leaf values embed the effects of concurrently
@@ -176,7 +188,11 @@ impl Engine {
                     self.log.append_quiet(WalRecord::CompRedo { top: txn.wal_top(), op });
                     Ok(())
                 }
-                Some(op) => self.log.append(WalRecord::LeafRedo { top: txn.top().0, subtree, op }),
+                Some(op) => {
+                    let rec = WalRecord::LeafRedo { top: txn.top().0, subtree, op };
+                    let logged = self.log.append_leaf(rec, &inverse);
+                    logged.map(|()| txn.open_leaves.set(txn.open_leaves.get() + inverse.len()))
+                }
                 None => Ok(()),
             };
             (out, inverse, logged)
@@ -187,33 +203,6 @@ impl Engine {
                 let _ = self.compensate_list(txn, inverse, false);
                 Err(e)
             }
-        }
-    }
-
-    /// The redo record of a generic update, derived from the invocation
-    /// itself (the store applies exactly these arguments). `Remove` is
-    /// logged even when the key was absent — replaying it is a no-op,
-    /// matching the original execution.
-    fn redo_of(inv: &Invocation) -> Option<RedoOp> {
-        match inv.method.as_generic()? {
-            GenericMethod::Put => {
-                Some(RedoOp::Put { obj: inv.object, value: inv.arg(0).ok()?.clone() })
-            }
-            GenericMethod::Insert => Some(RedoOp::Insert {
-                set: inv.object,
-                key: inv.arg_key(0).ok()?,
-                member: inv.arg_id(1).ok()?,
-            }),
-            GenericMethod::Remove => {
-                Some(RedoOp::Remove { set: inv.object, key: inv.arg_key(0).ok()? })
-            }
-            // Delta-logged: replay re-applies the increment on top of
-            // whatever absolute value earlier records produced, which is
-            // exactly repeating history.
-            GenericMethod::EscrowAdd => {
-                Some(RedoOp::EscrowAdd { obj: inv.object, delta: inv.arg_int(0).ok()? })
-            }
-            GenericMethod::Get | GenericMethod::Select | GenericMethod::Scan => None,
         }
     }
 

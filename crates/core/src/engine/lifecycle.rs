@@ -43,6 +43,9 @@ pub(super) struct Txn<'e> {
     /// also logs no `TopCommit`/`TopAbort` of its own — recovery resolves
     /// the loser explicitly.
     wal_alias: Option<u64>,
+    /// Leaves the log holds for this transaction's open depth-1 subtrees
+    /// (see [`crate::WalWriter::append_leaf`]).
+    pub(super) open_leaves: Cell<usize>,
     pub(super) escrow: Reservations,
     /// Cleared by `finish_top`.
     open: Cell<bool>,
@@ -85,6 +88,7 @@ impl Engine {
             created: RefCell::default(),
             written: RefCell::default(),
             wal_alias,
+            open_leaves: Cell::new(0),
             escrow: RefCell::default(),
             open: Cell::new(true),
         }

@@ -7,7 +7,7 @@ use crate::journal::{EventJournal, JournalKind};
 use crate::stats::Stats;
 use crate::wal::{AppendInfo, WalError, WalRecord, WalWriter};
 use parking_lot::RwLockReadGuard;
-use semcc_semantics::{Result, SemccError, Storage};
+use semcc_semantics::{Invocation, Result, SemccError, Storage};
 use std::sync::Arc;
 
 pub(super) struct EngineLog {
@@ -46,10 +46,23 @@ impl EngineLog {
     /// writer silently drops appends, modeling work the machine lost in
     /// flight, which is precisely what recovery is tested against.
     pub(super) fn append(&self, rec: WalRecord) -> Result<()> {
+        self.append_leaf(rec, &[])
+    }
+
+    /// [`EngineLog::append`] of a forward `LeafRedo`, handing the writer
+    /// the leaf's inverse (see [`WalWriter::append_leaf`]).
+    pub(super) fn append_leaf(&self, rec: WalRecord, undo: &[Invocation]) -> Result<()> {
         let Some(w) = &self.wal else { return Ok(()) };
-        let info = self.durable(w.append(&rec))?;
+        let info = self.durable(w.append_leaf(&rec, undo))?;
         self.account(info);
         Ok(())
+    }
+
+    /// See [`WalWriter::expose_leaves`].
+    pub(super) fn expose_leaves(&self, top: u64, from: usize) {
+        if let Some(w) = &self.wal {
+            w.expose_leaves(top, from);
+        }
     }
 
     /// Commit-record append that draws the commit-order number under the

@@ -21,13 +21,21 @@
 //!   both in-process aborts *and* log-driven recovery exercise the retry
 //!   and `CompensationFailed` surfacing paths (the original abort cause is
 //!   preserved either way);
-//! * **WAL crash points** — a [`CrashPoint`] in the spec kills the
-//!   [`WalWriter`](crate::wal::WalWriter) device at a deterministic append
-//!   or fsync, optionally leaving a torn partial frame for the
-//!   torn-tail-truncation path to clean up on recovery.
+//! * **WAL I/O faults** — an [`IoFaultPoint`] fails a deterministic append
+//!   or fsync of the [`WalWriter`](crate::wal::WalWriter) and poisons the
+//!   log. (A [`ShardFaultPoint`], which fails the distributed plane, is
+//!   armed on the fleet's own configuration.)
+//!
+//! Crashes are not injected here. Every image a crash of one node can
+//! leave is a byte prefix of its log (a *cut*,
+//! [`LogImage::cut`](crate::wal::LogImage::cut)), so the audits enumerate
+//! the cuts of a finished run instead of killing the device mid-run; a
+//! live writer dies one way only, [`WalWriter::power_fail`].
 //!
 //! None of this is compiled out in release builds — an engine without a
 //! plan pays one `Option` check per site.
+//!
+//! [`WalWriter::power_fail`]: crate::wal::WalWriter::power_fail
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use semcc_semantics::{ObjectId, PageId, Result, SemccError, Storage, TypeId, Value};
@@ -48,61 +56,10 @@ pub enum FaultSite {
     Compensation,
 }
 
-/// A deterministic crash of the write-ahead-log device — the *n*-th visit
-/// to the named site kills it (counted per record class, so a crash point
-/// is meaningful independent of interleaving). After death the log accepts
-/// nothing; the surviving bytes are exactly what a machine crash would
-/// leave for [`recovery`](crate::wal::recovery) to open.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die as the `nth` (1-based) leaf-redo record is appended: that leaf's
-    /// effect is in the store but not in the log.
-    AtLeafAppend {
-        /// 1-based leaf-append ordinal.
-        nth: u64,
-    },
-    /// Die just before the `nth` fsync completes: everything buffered since
-    /// the previous sync is lost (the classic power-cut window).
-    BeforeFsync {
-        /// 1-based fsync ordinal.
-        nth: u64,
-    },
-    /// Die as the `nth` compensation-progress record is appended: an abort
-    /// was interrupted halfway through its inverse invocations.
-    MidCompensation {
-        /// 1-based compensation-applied ordinal.
-        nth: u64,
-    },
-    /// Die midway through writing the `nth` record of any kind, leaving
-    /// `keep` bytes of a torn frame on the device (exercises CRC/length
-    /// truncation on open).
-    TornTail {
-        /// 1-based append ordinal (any record class).
-        nth: u64,
-        /// Bytes of the torn frame that reach the device.
-        keep: usize,
-    },
-    /// Die as *recovery itself* appends its `nth` record (progress marks,
-    /// compensation records, loser resolutions). Fires only while the
-    /// writer is in recovery mode, so the same plan can drive a
-    /// crash-during-recovery chain without perturbing the workload phase.
-    AtRecoveryAppend {
-        /// 1-based ordinal among recovery-mode appends.
-        nth: u64,
-    },
-    /// Die while the `nth` checkpoint image is being made durable: the old
-    /// checkpoint (if any) and the un-truncated segments survive; the new
-    /// image does not.
-    AtCheckpoint {
-        /// 1-based checkpoint ordinal.
-        nth: u64,
-    },
-}
-
 /// A deterministic fault in the distributed (coordinator ↔ shard) plane.
 /// Ordinals are counted by the *consumer* (the RPC seam or the
 /// coordinator's commit driver), so a point is meaningful independent of
-/// workload interleaving — the same discipline as [`CrashPoint`].
+/// workload interleaving — the same discipline as [`IoFaultPoint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardFaultPoint {
     /// The `nth` coordinator→shard request is dropped on the wire: the
@@ -149,7 +106,7 @@ pub enum ShardFaultPoint {
 }
 
 /// A deterministic I/O failure of the write-ahead-log device — unlike a
-/// [`CrashPoint`] the *process survives*: the write fails, the writer
+/// crash the *process survives*: the write fails, the writer
 /// reports a typed [`WalError`](crate::wal::WalError), and (for append and
 /// fsync failures) the log is **poisoned** — no blind retry, fsyncgate
 /// semantics: once a sync's outcome is unknowable the log never accepts
@@ -189,7 +146,7 @@ pub enum IoFaultPoint {
 }
 
 /// Per-site fault probabilities plus an optional total trigger budget.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultSpec {
     /// Probability that a storage data operation fails.
     pub storage_error: f64,
@@ -199,27 +156,8 @@ pub struct FaultSpec {
     pub compensation_error: f64,
     /// Cap on the total number of injected faults (`None` = unlimited).
     pub max_triggers: Option<u64>,
-    /// Deterministic WAL crash point (`None` = the log device never dies).
-    pub crash: Option<CrashPoint>,
     /// Deterministic WAL I/O failure (`None` = the device never errors).
     pub io: Option<IoFaultPoint>,
-    /// Deterministic distributed-plane fault (`None` = the fleet's wires
-    /// and shard devices never fail).
-    pub shard: Option<ShardFaultPoint>,
-}
-
-impl Default for FaultSpec {
-    fn default() -> Self {
-        FaultSpec {
-            storage_error: 0.0,
-            body_panic: 0.0,
-            compensation_error: 0.0,
-            max_triggers: None,
-            crash: None,
-            io: None,
-            shard: None,
-        }
-    }
 }
 
 impl FaultSpec {
@@ -233,32 +171,15 @@ impl FaultSpec {
         FaultSpec { body_panic: p, ..Default::default() }
     }
 
-    /// Only compensation-time faults.
-    pub fn compensation(p: f64) -> Self {
-        FaultSpec { compensation_error: p, ..Default::default() }
-    }
-
     /// Limit the total number of injected faults.
     pub fn with_max_triggers(mut self, n: u64) -> Self {
         self.max_triggers = Some(n);
         self
     }
 
-    /// Kill the WAL device at a deterministic crash point.
-    pub fn with_crash(mut self, point: CrashPoint) -> Self {
-        self.crash = Some(point);
-        self
-    }
-
     /// Fail (without crashing) a deterministic WAL I/O operation.
     pub fn with_io(mut self, point: IoFaultPoint) -> Self {
         self.io = Some(point);
-        self
-    }
-
-    /// Inject a deterministic distributed-plane fault.
-    pub fn with_shard(mut self, point: ShardFaultPoint) -> Self {
-        self.shard = Some(point);
         self
     }
 }
@@ -309,26 +230,9 @@ impl FaultPlan {
         self.triggered.load(Ordering::Relaxed)
     }
 
-    /// The plan's spec.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// The plan's WAL crash point, if any (read by
-    /// [`WalWriter`](crate::wal::WalWriter) on every append/sync).
-    pub fn crash(&self) -> Option<CrashPoint> {
-        self.spec.crash
-    }
-
     /// The plan's WAL I/O-fault point, if any.
     pub fn io(&self) -> Option<IoFaultPoint> {
         self.spec.io
-    }
-
-    /// The plan's distributed-plane fault point, if any (read by the
-    /// coordinator's RPC seam and commit driver).
-    pub fn shard(&self) -> Option<ShardFaultPoint> {
-        self.spec.shard
     }
 }
 

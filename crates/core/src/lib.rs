@@ -75,8 +75,8 @@ pub use engine::{
     TxnOutcome,
 };
 pub use fault::{
-    injected_panic, silence_injected_panics, CrashPoint, FaultPlan, FaultSite, FaultSpec,
-    FaultyStorage, InjectedPanic, IoFaultPoint, ShardFaultPoint,
+    injected_panic, silence_injected_panics, FaultPlan, FaultSite, FaultSpec, FaultyStorage,
+    InjectedPanic, IoFaultPoint, ShardFaultPoint,
 };
 pub use hist::{HistogramSummary, LatencyHistogram};
 pub use history::{Event, HistorySink, MemorySink, NullSink, Stamped};

@@ -43,7 +43,7 @@
 use super::segment::{segment_file_name, CheckpointOutcome, Segment, WalWriter};
 use super::{crc32, put_invocation, put_str, put_u32, put_u64, put_value, verify_sealed, Cursor};
 use super::{WalError, WalRecord};
-use crate::fault::{CrashPoint, IoFaultPoint};
+use crate::fault::IoFaultPoint;
 use parking_lot::MutexGuard;
 use semcc_semantics::{
     Invocation, ObjectDump, ObjectId, ObjectImage, StoreDelta, StoreDump, TypeId,
@@ -87,6 +87,15 @@ pub struct TopInfo {
     /// abort path GC-deletes creations unlogged, so recovery re-deletes
     /// them for aborted transactions and losers, best-effort).
     pub creations: Vec<ObjectId>,
+    /// The leaves logged inside depth-1 subtrees that have no `SubCommit`
+    /// yet, as `(subtree, inverse, exposed)` in LSN order. A leaf is
+    /// *exposed* once a deeper user method around it ended: committed (its
+    /// own intent undoes it, and commuting writers may have built on it)
+    /// or failed (its rollback undid it). A `LeafRedo` carries no undo, so
+    /// only the writer knows these (the engine hands the inverse over with
+    /// the append) and only a checkpoint carries them: its dump holds
+    /// those leaves, which recovery from the full log never replays.
+    pub open_leaves: Vec<(u32, Invocation, bool)>,
 }
 
 impl TopInfo {
@@ -126,8 +135,10 @@ pub fn fold(tops: &mut BTreeMap<u64, TopInfo>, lsn: u64, rec: &WalRecord) {
             info.committed_subtrees.insert(*subtree);
             info.intents.extend(comp.iter().cloned());
             // The aggregate comp above already carries any deeper
-            // intents logged early for this subtree.
+            // intents logged early for this subtree, and undoes its
+            // leaves.
             info.orphan_intents.retain(|(s, _)| s != subtree);
+            info.open_leaves.retain(|(s, ..)| s != subtree);
         }
         WalRecord::SubIntent { subtree, comp, .. } => {
             info.orphan_intents.extend(comp.iter().cloned().map(|inv| (*subtree, inv)));
@@ -210,6 +221,12 @@ fn put_table(out: &mut Vec<u8>, table: &BTreeMap<u64, TopInfo>) {
         put_u32(out, info.creations.len() as u32);
         for id in &info.creations {
             put_u64(out, id.0);
+        }
+        put_u32(out, info.open_leaves.len() as u32);
+        for (subtree, inv, exposed) in &info.open_leaves {
+            put_u32(out, *subtree);
+            put_invocation(out, inv);
+            out.push(u8::from(*exposed));
         }
     }
 }
@@ -518,8 +535,9 @@ impl<'w> CheckpointCut<'w> {
 
 impl ReadyCheckpoint<'_> {
     /// Step 3, a short state-lock section: make the image durable, swap
-    /// it in and retire the segments sealed at the cut. A crash or fsync
-    /// fault here leaves the previous image and every segment intact.
+    /// it in and retire the segments sealed at the cut. A power failure
+    /// since the cut (`Ok(None)`) or an fsync fault here leaves the
+    /// previous image and every segment intact.
     pub fn install(self) -> Result<Option<CheckpointOutcome>, WalError> {
         let ReadyCheckpoint { writer: w, in_flight: _in_flight, cp_lsn, next, sealed_through } =
             self;
@@ -532,22 +550,9 @@ impl ReadyCheckpoint<'_> {
             return Err(WalError::Poisoned);
         }
         // Writing the image durably is itself a sync of the device: the
-        // injected pre-fsync crash and fsync fault both apply.
+        // injected fsync fault applies.
         st.fsyncs += 1;
         st.checkpoints += 1;
-        if let Some(cp) = w.faults.as_ref().and_then(|p| p.crash()) {
-            let die = match cp {
-                CrashPoint::AtCheckpoint { nth } => st.checkpoints == nth,
-                CrashPoint::BeforeFsync { nth } => st.fsyncs == nth,
-                _ => false,
-            };
-            if die {
-                // The machine died before the new image hit the platter:
-                // the previous checkpoint and all segments survive.
-                st.die();
-                return Ok(None);
-            }
-        }
         if let Some(IoFaultPoint::FsyncError { nth }) = w.faults.as_ref().and_then(|p| p.io()) {
             if st.fsyncs == nth {
                 let err = WalError::Io(format!("fsync failed writing checkpoint (fsync #{nth})"));
@@ -676,6 +681,12 @@ fn decode_payload(cur: &mut Cursor<'_>) -> Option<CheckpointImage> {
         for _ in 0..n {
             creations.push(ObjectId(cur.u64()?));
         }
+        let n = cur.u32()? as usize;
+        let mut open_leaves = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let subtree = cur.u32()?;
+            open_leaves.push((subtree, cur.invocation()?, cur.u8()? != 0));
+        }
         table.insert(
             top,
             TopInfo {
@@ -687,6 +698,7 @@ fn decode_payload(cur: &mut Cursor<'_>) -> Option<CheckpointImage> {
                 comp_applied,
                 last_lsn,
                 creations,
+                open_leaves,
             },
         );
     }
@@ -731,6 +743,12 @@ mod tests {
             fold(&mut table, lsn as u64, rec);
         }
         table.retain(|_, info| info.unresolved());
+        // Open at the cut, with leaves whose undo only the writer knows.
+        let open_leaves = vec![
+            (1, Invocation::remove(ObjectId(9), TypeId(18), 6), true),
+            (1, Invocation::put(ObjectId(1), TypeId(16), Value::Int(4)), false),
+        ];
+        table.insert(3, TopInfo { open_leaves, ..TopInfo::default() });
         CheckpointImage { cp_lsn: 17, dump, table }
     }
 

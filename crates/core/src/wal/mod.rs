@@ -34,10 +34,12 @@
 //! whose cadence is the [`FsyncPolicy`] knob; logging is **off by default**
 //! (an engine without a writer pays one `Option` check per site).
 //!
-//! Crash-point injection rides on the [`FaultPlan`](crate::fault): a
-//! [`CrashPoint`](crate::fault::CrashPoint) kills the log device at a
-//! chosen append or fsync, optionally leaving a torn partial frame, after
-//! which the surviving bytes are exactly what a real crash would leave.
+//! **A crash is a cut.** Appends reach the device in log order and a sync
+//! flushes every segment from the oldest unsynced one on, so whatever a
+//! crash of one node leaves behind is a byte prefix of the log it would
+//! have written: [`LogImage::cut`] of the finished image, with
+//! [`LogImage::frame_ends`] naming the cuts that end on a record boundary.
+//! The audits enumerate those instead of killing a device mid-run.
 
 pub mod checkpoint;
 pub mod recovery;
@@ -184,6 +186,32 @@ pub enum RedoOp {
 }
 
 impl RedoOp {
+    /// The op of a generic update, derived from the invocation itself
+    /// (the store applies exactly these arguments); `None` for a read.
+    /// `Remove` is logged even when the key was absent — replaying it is
+    /// a no-op, matching the original execution. `EscrowAdd` is a delta:
+    /// replay re-applies the increment on top of whatever absolute value
+    /// earlier records produced, which is exactly repeating history.
+    pub(crate) fn of(inv: &Invocation) -> Option<RedoOp> {
+        match inv.method.as_generic()? {
+            GenericMethod::Put => {
+                Some(RedoOp::Put { obj: inv.object, value: inv.arg(0).ok()?.clone() })
+            }
+            GenericMethod::Insert => Some(RedoOp::Insert {
+                set: inv.object,
+                key: inv.arg_key(0).ok()?,
+                member: inv.arg_id(1).ok()?,
+            }),
+            GenericMethod::Remove => {
+                Some(RedoOp::Remove { set: inv.object, key: inv.arg_key(0).ok()? })
+            }
+            GenericMethod::EscrowAdd => {
+                Some(RedoOp::EscrowAdd { obj: inv.object, delta: inv.arg_int(0).ok()? })
+            }
+            GenericMethod::Get | GenericMethod::Select | GenericMethod::Scan => None,
+        }
+    }
+
     /// The id a creation op restores, if this is a creation.
     pub fn created_id(&self) -> Option<ObjectId> {
         match self {
@@ -736,23 +764,27 @@ pub struct ParsedLog {
 }
 
 /// Parse a [`LogImage`]: validate the checkpoint frame (if any), then every
-/// segment in sequence order. Sealed (non-final) segments must parse
-/// completely — a torn or corrupt frame there sits in the middle of
-/// committed history and is quarantined as [`WalError::Corrupt`]; only the
-/// final segment gets torn-tail tolerance (still with the scan-forward
-/// mid-log corruption check of [`read_log_verified`]).
+/// segment in sequence order. The segment holding the last byte is the
+/// tail: it gets torn-tail tolerance (still with the scan-forward mid-log
+/// corruption check of [`read_log_verified`]), and the empty segments
+/// after it are what rotation left behind a torn tail — a sync flushes
+/// every segment from the oldest unsynced one on, so a durable byte in a
+/// segment means every earlier one was complete. Segments before the tail
+/// must parse completely and start where their predecessor ended: a torn
+/// or corrupt frame there, or a gap, sits in the middle of committed
+/// history and is quarantined as [`WalError::Corrupt`].
 pub fn read_image(image: &LogImage) -> Result<ParsedLog, WalError> {
     let checkpoint = match &image.checkpoint {
         Some(bytes) => Some(checkpoint::decode_checkpoint(bytes)?),
         None => None,
     };
-    let mut segments: Vec<&SegmentImage> = image.segments.iter().collect();
-    segments.sort_by_key(|s| s.seq);
+    let segments = image.in_order();
     let base_lsn = segments.first().map_or(0, |s| s.base_lsn);
+    let tail = segments.iter().rposition(|s| !s.bytes.is_empty()).unwrap_or(0);
     let mut records = Vec::new();
     let mut truncated_bytes = 0usize;
     let mut expect = base_lsn;
-    for (i, seg) in segments.iter().enumerate() {
+    for (i, seg) in segments.iter().enumerate().take(tail + 1) {
         if seg.base_lsn != expect {
             return Err(WalError::Corrupt {
                 lsn: expect,
@@ -763,8 +795,7 @@ pub fn read_image(image: &LogImage) -> Result<ParsedLog, WalError> {
             });
         }
         let out = read_log_verified(&seg.bytes, seg.base_lsn)?;
-        let last = i + 1 == segments.len();
-        if !last && out.truncated_bytes > 0 {
+        if i < tail && out.truncated_bytes > 0 {
             return Err(WalError::Corrupt {
                 lsn: seg.base_lsn + out.records.len() as u64,
                 detail: format!(
@@ -778,6 +809,49 @@ pub fn read_image(image: &LogImage) -> Result<ParsedLog, WalError> {
         truncated_bytes = out.truncated_bytes;
     }
     Ok(ParsedLog { checkpoint, records, base_lsn, truncated_bytes })
+}
+
+impl LogImage {
+    /// The segments in sequence order.
+    fn in_order(&self) -> Vec<&SegmentImage> {
+        let mut segments: Vec<&SegmentImage> = self.segments.iter().collect();
+        segments.sort_by_key(|s| s.seq);
+        segments
+    }
+
+    /// Log-byte offsets — counted across the segments in sequence order,
+    /// checkpoint excluded — just past each complete frame, ascending; the
+    /// [`cut`](LogImage::cut)s that end on a record boundary.
+    pub fn frame_ends(&self) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut before = 0;
+        for seg in self.in_order() {
+            let mut pos = 0;
+            while let Some((_, _, next)) = parse_frame_at(&seg.bytes, pos) {
+                pos = next;
+                ends.push(before + pos);
+            }
+            before += seg.bytes.len();
+        }
+        ends
+    }
+
+    /// The image a crash leaves after the first `n` log bytes reached the
+    /// device: the checkpoint as it was, the segments cut at log byte `n`,
+    /// and every later segment present and empty, as rotation created it.
+    pub fn cut(&self, n: usize) -> LogImage {
+        let mut left = n;
+        let segments = self
+            .in_order()
+            .into_iter()
+            .map(|s| {
+                let keep = left.min(s.bytes.len());
+                left -= keep;
+                SegmentImage { bytes: s.bytes[..keep].to_vec(), ..*s }
+            })
+            .collect();
+        LogImage { checkpoint: self.checkpoint.clone(), segments }
+    }
 }
 
 /// Shared fixtures for the unit tests of this module tree.
@@ -852,15 +926,9 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::{sample_records, sole_segment};
     use super::*;
-    use crate::fault::{CrashPoint, FaultPlan, FaultSpec};
-    use std::sync::Arc;
 
     fn read_log(bytes: &[u8]) -> WalReadOutcome {
         read_log_from(bytes, 0)
-    }
-
-    fn with_faults(policy: FsyncPolicy, plan: Arc<FaultPlan>) -> Arc<WalWriter> {
-        WalWriter::with_config_and_faults(policy, WalConfig::default(), plan)
     }
 
     #[test]
@@ -940,23 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn every_tail_cut_yields_a_record_prefix() {
-        let w = WalWriter::new(FsyncPolicy::Never);
-        for rec in &sample_records() {
-            w.append(rec).unwrap();
-        }
-        w.flush();
-        let full = sole_segment(&w);
-        let all = read_log(&full).records;
-        assert_eq!(all.len(), sample_records().len());
-        for cut in 0..full.len() {
-            let out = read_log(&full[..cut]);
-            assert!(out.records.len() <= all.len());
-            assert_eq!(out.records[..], all[..out.records.len()], "cut at {cut}");
-        }
-    }
-
-    #[test]
     fn corrupt_byte_truncates_the_tail() {
         let w = WalWriter::new(FsyncPolicy::Never);
         for rec in &sample_records() {
@@ -1005,71 +1056,76 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_leaf_append_drops_that_append_and_the_rest() {
-        let plan =
-            FaultPlan::new(1, FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 2 }));
-        let w = with_faults(FsyncPolicy::EveryAppend, plan);
-        let recs = sample_records();
-        let mut accepted = 0;
-        for rec in &recs {
-            if w.append(rec).unwrap().appended {
-                accepted += 1;
-            }
-        }
-        assert!(w.crashed());
-        // Records 0 (leaf #1) survives; record 1 is leaf #2 → device dies.
-        assert_eq!(accepted, 1);
-        let out = read_log(&sole_segment(&w));
-        assert_eq!(out.records, recs[..1]);
-    }
-
-    #[test]
     fn crash_before_fsync_loses_the_buffered_tail() {
-        let plan =
-            FaultPlan::new(1, FaultSpec::default().with_crash(CrashPoint::BeforeFsync { nth: 2 }));
-        let w = with_faults(FsyncPolicy::OnCommit, plan);
+        let w = WalWriter::new(FsyncPolicy::OnCommit);
         let leaf = &sample_records()[0];
         w.append(leaf).unwrap();
-        assert!(w.append(&WalRecord::TopCommit { top: 1 }).unwrap().synced, "first fsync survives");
+        assert!(w.append(&WalRecord::TopCommit { top: 1 }).unwrap().synced);
         w.append(leaf).unwrap();
         w.append(leaf).unwrap();
-        let info = w.append(&WalRecord::TopCommit { top: 2 }).unwrap();
-        assert!(info.appended && !info.synced, "second fsync is the crash point");
+        w.power_fail();
         assert!(w.crashed());
         let out = read_log(&sole_segment(&w));
-        assert_eq!(out.records.len(), 2, "only the first synced group survives");
+        assert_eq!(out.records.len(), 2, "only the synced group survives");
         assert!(matches!(out.records[1], WalRecord::TopCommit { top: 1 }));
     }
 
     #[test]
     fn torn_tail_crash_leaves_a_partial_frame_that_truncates() {
-        let plan = FaultPlan::new(
-            1,
-            FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 3, keep: 5 }),
-        );
-        let w = with_faults(FsyncPolicy::Never, plan);
+        let w = WalWriter::new(FsyncPolicy::Never);
         let recs = sample_records();
         for rec in &recs {
             w.append(rec).unwrap();
         }
-        assert!(w.crashed());
-        let bytes = sole_segment(&w);
-        let out = read_log(&bytes);
+        let image = w.surviving_image();
+        let ends = image.frame_ends();
+        assert_eq!(ends.len(), recs.len());
+        let out = read_image(&image.cut(ends[1] + 5)).unwrap();
         assert_eq!(out.records, recs[..2], "two whole records plus a torn third");
         assert_eq!(out.truncated_bytes, 5);
     }
 
     #[test]
     fn dead_writer_rejects_everything() {
-        let plan = FaultPlan::new(
-            1,
-            FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 1, keep: 1 }),
-        );
-        let w = with_faults(FsyncPolicy::EveryAppend, plan);
+        let w = WalWriter::new(FsyncPolicy::EveryAppend);
+        w.power_fail();
         assert!(!w.append(&WalRecord::TopCommit { top: 1 }).unwrap().appended);
         assert!(!w.append(&WalRecord::TopCommit { top: 2 }).unwrap().appended);
         assert!(!w.flush());
         assert_eq!(w.appended(), 0);
+    }
+
+    /// A cut may end anywhere, so the segment holding its last byte can be
+    /// followed by segments rotation created but no byte reached: every
+    /// cut of a rotated log reads as the records wholly inside it plus a
+    /// torn tail. Damage before a later byte is still quarantined.
+    #[test]
+    fn every_tail_cut_yields_a_record_prefix() {
+        let config = WalConfig { segment_bytes: 96, ..WalConfig::default() };
+        let w = WalWriter::with_config(FsyncPolicy::Never, config);
+        let recs = sample_records();
+        for rec in &recs {
+            w.append(rec).unwrap();
+        }
+        let image = w.surviving_image();
+        assert!(image.segments.len() >= 3, "the log must rotate twice");
+        let ends = image.frame_ends();
+        let total: usize = image.segments.iter().map(|s| s.bytes.len()).sum();
+        assert_eq!(ends.last(), Some(&total));
+        for n in 0..=total {
+            let whole = ends.partition_point(|&e| e <= n);
+            let out = read_image(&image.cut(n)).unwrap_or_else(|e| panic!("cut {n}: {e}"));
+            assert_eq!(out.records, recs[..whole], "cut {n}");
+            assert_eq!(out.truncated_bytes, n - ends[..whole].last().copied().unwrap_or(0));
+        }
+        // A byte in a segment after an emptied one, and a torn frame
+        // before a later segment's byte, are holes in history.
+        let mut gap = image.clone();
+        gap.segments[1].bytes.clear();
+        assert!(matches!(read_image(&gap), Err(WalError::Corrupt { .. })));
+        let mut short = image;
+        short.segments[0].bytes.pop();
+        assert!(matches!(read_image(&short), Err(WalError::Corrupt { .. })));
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! recovery converges to the identical state: completed compensations
 //! are replayed as history and subtracted from the remaining intents,
 //! resolved losers are ordinary aborted transactions, and the mark tells
-//! the pass it is re-recovering. The B7c torture harness drives
-//! crash→recover→crash-mid-recovery→recover chains against this.
+//! the pass it is re-recovering. The cut audit of `sim::chaos` recovers
+//! every cut of such a progress log again.
 
 use super::checkpoint::{fold, TopInfo};
 use super::segment::{LogImage, WalWriter};
@@ -90,17 +90,6 @@ pub struct RecoveryReport {
     pub failures: Vec<(u64, String)>,
 }
 
-/// Clears the writer's recovery mode on every exit path.
-struct RecoveryModeGuard(Option<Arc<WalWriter>>);
-
-impl Drop for RecoveryModeGuard {
-    fn drop(&mut self) {
-        if let Some(w) = &self.0 {
-            w.set_recovery_mode(false);
-        }
-    }
-}
-
 /// Rebuild a crashed engine's state from the surviving [`LogImage`].
 ///
 /// `store` must hold the same deterministic initial state the crashed
@@ -148,6 +137,25 @@ pub fn recover_image(
     report.winners = tops.values().filter(|t| t.committed).count();
     report.aborted = tops.values().filter(|t| t.aborted && !t.committed).count();
 
+    // ---- subtrees the checkpoint caught open ---------------------------
+    // Its dump holds their leaves. Those whose `SubCommit` survived stay
+    // (the fold dropped them); redo skips the rest, so they go before
+    // history repeats, version stamps first. An unexposed leaf's value
+    // goes too: nobody else could write what it wrote until its method
+    // ended, so undoing it here equals never doing it. An exposed one's
+    // value stays, as the absolute values that later writers logged keep
+    // it under redo, and its method's intent or rollback undoes it.
+    for (_, inv, exposed) in tops.values().flat_map(|t| t.open_leaves.iter().rev()) {
+        let (version, _) = store.object_version(inv.object)?;
+        if !exposed {
+            let op = RedoOp::of(inv).ok_or_else(|| {
+                SemccError::Durability(format!("open-subtree undo {inv} is not a leaf update"))
+            })?;
+            replay(&store, &op)?;
+        }
+        store.force_version(inv.object, version.wrapping_sub(1))?;
+    }
+
     let mut builder =
         Engine::builder(Arc::clone(&store) as Arc<dyn Storage>, catalog).protocol(config);
     if let Some(plan) = faults {
@@ -174,11 +182,8 @@ pub fn recover_image(
     }
 
     // Announce this pass in the progress log before doing anything, so a
-    // crash below is visible to the next pass. From here on the writer's
-    // recovery mode makes `CrashPoint::AtRecoveryAppend` live.
-    let _mode = RecoveryModeGuard(progress.clone());
+    // crash below is visible to the next pass.
     if let Some(w) = &progress {
-        w.set_recovery_mode(true);
         let _ = w
             .append(&WalRecord::RecoveryMark { pass: prior_passes + 1 })
             .map_err(|e| SemccError::Durability(e.to_string()))?;
@@ -193,6 +198,10 @@ pub fn recover_image(
                 // unexposed. No skip for aborted transactions: their
                 // `CompRedo` records below cancel these exactly.
                 if !tops[top].committed_subtrees.contains(subtree) {
+                    // A skipped creation's id was still handed out.
+                    if let Some(id) = op.created_id() {
+                        store.advance_ids_past(id);
+                    }
                     continue;
                 }
                 (top, op)
@@ -202,40 +211,7 @@ pub fn recover_image(
             WalRecord::CompRedo { top, op } => (top, op),
             _ => continue,
         };
-        match op {
-            RedoOp::Put { obj, value } => {
-                store.put(*obj, value.clone())?;
-            }
-            RedoOp::Insert { set, key, member } => {
-                store.set_insert(*set, *key, *member)?;
-            }
-            RedoOp::Remove { set, key } => {
-                store.set_remove(*set, *key)?;
-            }
-            RedoOp::CreateAtomic { id, type_id, value } => {
-                store.restore_atomic(*id, *type_id, value.clone())?;
-            }
-            RedoOp::CreateTuple { id, type_id, fields } => {
-                store.restore_tuple(*id, *type_id, fields.clone())?;
-            }
-            RedoOp::CreateSet { id, type_id } => {
-                store.restore_set(*id, *type_id)?;
-            }
-            RedoOp::EscrowAdd { obj, delta } => {
-                // Delta replay: re-apply the increment on top of whatever
-                // value earlier records (absolute or delta) produced —
-                // history repeats in log order.
-                let cur = match store.get(*obj)? {
-                    Value::Int(i) => i,
-                    other => {
-                        return Err(SemccError::Durability(format!(
-                            "escrow replay target {obj:?} holds non-integer {other:?}"
-                        )))
-                    }
-                };
-                store.put(*obj, Value::Int(cur + delta))?;
-            }
-        }
+        replay(&store, op)?;
         report.replayed_actions += 1;
         Stats::bump(&engine.stats_ref().replayed_actions);
         journal(JournalKind::RecoveryReplay, *top, op.object().0, 0);
@@ -325,4 +301,39 @@ pub fn recover_image(
     Stats::bump(&engine.stats_ref().recoveries);
     journal(JournalKind::RecoveryDone, 0, 0, report.losers as u64);
     Ok((engine, report))
+}
+
+/// Apply one redo op to the store.
+fn replay(store: &MemoryStore, op: &RedoOp) -> Result<()> {
+    match op {
+        RedoOp::Put { obj, value } => {
+            store.put(*obj, value.clone())?;
+        }
+        RedoOp::Insert { set, key, member } => store.set_insert(*set, *key, *member)?,
+        RedoOp::Remove { set, key } => {
+            store.set_remove(*set, *key)?;
+        }
+        RedoOp::CreateAtomic { id, type_id, value } => {
+            store.restore_atomic(*id, *type_id, value.clone())?
+        }
+        RedoOp::CreateTuple { id, type_id, fields } => {
+            store.restore_tuple(*id, *type_id, fields.clone())?
+        }
+        RedoOp::CreateSet { id, type_id } => store.restore_set(*id, *type_id)?,
+        RedoOp::EscrowAdd { obj, delta } => {
+            // Delta replay: re-apply the increment on top of whatever
+            // value earlier records (absolute or delta) produced —
+            // history repeats in log order.
+            let cur = match store.get(*obj)? {
+                Value::Int(i) => i,
+                other => {
+                    return Err(SemccError::Durability(format!(
+                        "escrow replay target {obj:?} holds non-integer {other:?}"
+                    )))
+                }
+            };
+            store.put(*obj, Value::Int(cur + delta))?;
+        }
+    }
+    Ok(())
 }

@@ -15,8 +15,8 @@
 //! acknowledged history (the "fsyncgate" class of bugs) — instead every
 //! subsequent append returns [`WalError::Poisoned`] and the engine
 //! refuses every new transaction. Poisoning is *observable* (typed errors),
-//! unlike the crash-simulation `dead` state, which silently swallows
-//! appends exactly as a dead machine would.
+//! unlike the `dead` state [`WalWriter::power_fail`] leaves, which silently
+//! swallows appends exactly as a dead machine would.
 //!
 //! **Checkpoint barrier.** The engine applies a store mutation first and
 //! appends its redo record second. The writer therefore exposes a
@@ -28,12 +28,13 @@
 
 use super::checkpoint::{fold_live, Base, TopInfo};
 use super::{encode_frame, read_log_from, WalError, WalRecord};
-use crate::fault::{CrashPoint, FaultPlan, IoFaultPoint};
+use crate::fault::{FaultPlan, IoFaultPoint};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use semcc_semantics::Invocation;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// When the log forces its buffered appends to durable storage.
@@ -74,8 +75,9 @@ impl Default for WalConfig {
 /// What one append did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AppendInfo {
-    /// The record was accepted into the log (false once the injected
-    /// crash killed the device — a dead machine drops writes silently).
+    /// The record was accepted into the log (false once
+    /// [`WalWriter::power_fail`] killed the device — a dead machine drops
+    /// writes silently).
     pub appended: bool,
     /// An fsync made the buffer durable as part of this append (this
     /// call itself paid for the device sync — it was the batch leader,
@@ -180,7 +182,7 @@ impl Segment {
 /// fsync covering every byte appended so far, and wakes the parked
 /// followers whose frames that sync covered. A failed fsync fails the
 /// *whole* batch typed (fsyncgate extended to batches — no partial acks),
-/// and a simulated crash silently un-acknowledges it.
+/// and a power failure silently un-acknowledges it.
 struct GroupState {
     /// Exclusive upper bound of proven-durable LSNs: a waiter whose
     /// `lsn < durable_lsn` is durably committed and may return.
@@ -191,8 +193,8 @@ struct GroupState {
     /// Terminal: an fsync failed (or found the log poisoned); every
     /// non-durable waiter — present and future — fails with this error.
     failed: Option<WalError>,
-    /// Terminal: the simulated crash fired; every non-durable waiter
-    /// returns un-acknowledged, exactly as a dead machine would.
+    /// Terminal: the device lost power; every non-durable waiter returns
+    /// un-acknowledged, exactly as a dead machine would.
     dead: bool,
     /// Follower acknowledgments: commits that became durable without
     /// paying for their own fsync.
@@ -204,7 +206,7 @@ struct GroupState {
 enum LeaderOutcome {
     /// One fsync covered every LSN below this bound.
     Synced(u64),
-    /// The simulated crash fired (before or during the sync).
+    /// The device lost power before the sync.
     Dead,
     /// The sync failed or the log was already poisoned.
     Failed(WalError),
@@ -235,14 +237,12 @@ pub(super) struct WriterState {
     pub(super) table: BTreeMap<u64, TopInfo>,
     pub(super) next_lsn: u64,
     next_seq: u64,
-    /// Crash simulation killed the device (appends drop silently).
+    /// [`WalWriter::power_fail`] killed the device (appends drop silently).
     pub(super) dead: bool,
     /// An I/O failure poisoned the log (appends fail loudly).
     pub(super) poisoned: Option<WalError>,
-    leaf_appends: u64,
-    comp_appends: u64,
+    /// Appends attempted, the ordinal an [`IoFaultPoint`] names.
     total_appends: u64,
-    recovery_appends: u64,
     pub(super) fsyncs: u64,
     pub(super) checkpoints: u64,
 }
@@ -250,7 +250,7 @@ pub(super) struct WriterState {
 impl WriterState {
     /// The simulated machine died: appends drop silently from here on and
     /// nothing buffered reaches the device.
-    pub(super) fn die(&mut self) {
+    fn die(&mut self) {
         self.dead = true;
         for seg in &mut self.segments {
             seg.drop_unsynced();
@@ -266,10 +266,9 @@ impl WriterState {
     }
 }
 
-/// The segmented log writer. See the module docs for the design; the
-/// crash-simulation behavior (a [`CrashPoint`] kills the device, after
-/// which appends are *silently* dropped exactly as a crashed machine
-/// would drop them) is unchanged from the single-file writer it replaces.
+/// The segmented log writer. See the module docs for the design; after
+/// [`WalWriter::power_fail`] appends are *silently* dropped, exactly as a
+/// crashed machine would drop them.
 ///
 /// The backing device is an in-memory byte image by default; a writer
 /// built with [`WalWriter::with_dir`] additionally persists every synced
@@ -295,9 +294,6 @@ pub struct WalWriter {
     pub(super) since_checkpoint: AtomicUsize,
     /// Held from a checkpoint's cut to its install (single flight).
     pub(super) checkpointing: Mutex<()>,
-    /// Set while a recovery pass drives this writer, so
-    /// [`CrashPoint::AtRecoveryAppend`] counts only recovery's appends.
-    recovery_mode: AtomicBool,
 }
 
 impl WalWriter {
@@ -324,10 +320,7 @@ impl WalWriter {
                 next_seq: 1,
                 dead: false,
                 poisoned: None,
-                leaf_appends: 0,
-                comp_appends: 0,
                 total_appends: 0,
-                recovery_appends: 0,
                 fsyncs: 0,
                 checkpoints: 0,
             }),
@@ -342,7 +335,6 @@ impl WalWriter {
             barrier: RwLock::new(()),
             since_checkpoint: AtomicUsize::new(0),
             checkpointing: Mutex::new(()),
-            recovery_mode: AtomicBool::new(false),
         }
     }
 
@@ -356,9 +348,8 @@ impl WalWriter {
         Arc::new(Self::build(policy, config, None, None))
     }
 
-    /// [`WalWriter::with_config`] plus a fault plan: the device dies at
-    /// the plan's [`CrashPoint`] and/or fails at its [`IoFaultPoint`], if
-    /// set.
+    /// [`WalWriter::with_config`] plus a fault plan: the device fails at
+    /// the plan's [`IoFaultPoint`], if set.
     pub fn with_config_and_faults(
         policy: FsyncPolicy,
         config: WalConfig,
@@ -387,10 +378,11 @@ impl WalWriter {
         Ok(Arc::new(Self::build(policy, config, None, Some(dir.to_path_buf()))))
     }
 
-    /// Re-open a writer over a surviving [`LogImage`] — the torture
-    /// harness's "restart the machine" primitive. The image is validated
-    /// (quarantined corruption is refused), the last segment's torn tail
-    /// is cut (exactly what a real open does before appending), and the
+    /// Re-open a writer over a surviving [`LogImage`] — the audits'
+    /// "restart the machine" primitive. The image is validated
+    /// (quarantined corruption is refused), the torn tail is cut — the
+    /// partial frame, and the empty segments rotation left behind it
+    /// (exactly what a real open does before appending) — and the
     /// writer continues appending after the last surviving record with
     /// the carried-over checkpoint intact. Counters start from zero, and
     /// so does the checkpoint base: the next checkpoint captures in full.
@@ -401,10 +393,9 @@ impl WalWriter {
         config: WalConfig,
     ) -> Result<Arc<Self>, WalError> {
         let parsed = super::read_image(image)?;
-        let mut sorted: Vec<&SegmentImage> = image.segments.iter().collect();
-        sorted.sort_by_key(|s| s.seq);
-        let mut segments: Vec<Segment> = sorted
-            .iter()
+        let mut segments: Vec<Segment> = image
+            .in_order()
+            .into_iter()
             .map(|s| {
                 let out = read_log_from(&s.bytes, s.base_lsn);
                 let valid = s.bytes.len() - out.truncated_bytes;
@@ -417,6 +408,12 @@ impl WalWriter {
                 }
             })
             .collect();
+        let next_lsn = parsed.base_lsn + parsed.records.len() as u64;
+        while segments.len() > 1
+            && segments.last().is_some_and(|s| s.bytes.is_empty() && s.base_lsn != next_lsn)
+        {
+            segments.pop();
+        }
         if segments.is_empty() {
             let base = parsed.checkpoint.as_ref().map_or(0, |cp| cp.cp_lsn);
             segments.push(Segment::fresh(0, base));
@@ -428,7 +425,7 @@ impl WalWriter {
         let w = Self::build(policy, config, faults, None);
         {
             let mut st = w.state.lock();
-            st.next_lsn = parsed.base_lsn + parsed.records.len() as u64;
+            st.next_lsn = next_lsn;
             st.next_seq = segments.last().map_or(0, |s| s.seq) + 1;
             st.segments = segments;
             st.checkpoint = image.checkpoint.clone().map(Arc::new);
@@ -445,12 +442,6 @@ impl WalWriter {
     /// The writer configuration.
     pub fn config(&self) -> WalConfig {
         self.config
-    }
-
-    /// Enter/leave recovery mode (recovery-driven appends count toward
-    /// [`CrashPoint::AtRecoveryAppend`]).
-    pub fn set_recovery_mode(&self, on: bool) {
-        self.recovery_mode.store(on, Ordering::Relaxed);
     }
 
     /// Hold the apply+append side of the checkpoint barrier. The engine
@@ -471,19 +462,43 @@ impl WalWriter {
 
     /// Append one record, syncing and rotating per configuration.
     ///
-    /// Failure surface: a crash-simulation death yields
-    /// `Ok(appended: false)` (silent, like a dead machine); a poisoned or
-    /// injected-faulty device yields a typed [`WalError`].
+    /// Failure surface: a device killed by [`WalWriter::power_fail`]
+    /// yields `Ok(appended: false)` (silent, like a dead machine); a
+    /// poisoned or injected-faulty device yields a typed [`WalError`].
     ///
     /// Under [`FsyncPolicy::OnCommit`], a `TopCommit`/`TopAbort` append
     /// does **not** pay for its own fsync unconditionally: it joins the
     /// group-commit barrier, where one elected leader syncs the whole
     /// batch (see [`GroupState`]). The call returns only once the record
-    /// is proven durable (`durable: true`), the simulated machine died
+    /// is proven durable (`durable: true`), the machine lost power
     /// (`durable: false`, silent), or the sync failed (typed `Err` for
     /// the entire batch).
     pub fn append(&self, rec: &WalRecord) -> Result<AppendInfo, WalError> {
-        self.append_inner(rec, None).map(|(info, _)| info)
+        self.append_inner(rec, None, &[]).map(|(info, _)| info)
+    }
+
+    /// [`WalWriter::append`] for a forward `LeafRedo`, with the inverse of
+    /// what the leaf did. The record carries no undo; the writer keeps
+    /// `undo` in its table until the leaf's subtree commits, so that a
+    /// checkpoint cut in between, whose dump holds the leaf, can take it
+    /// along ([`TopInfo::open_leaves`]).
+    pub fn append_leaf(
+        &self,
+        rec: &WalRecord,
+        undo: &[Invocation],
+    ) -> Result<AppendInfo, WalError> {
+        self.append_inner(rec, None, undo).map(|(info, _)| info)
+    }
+
+    /// A user method of `top` ended — a deeper one committed or any one
+    /// failed: the leaves [`WalWriter::append_leaf`] logged for `top`'s
+    /// open subtrees from the `from`-th on are exposed. Called before the
+    /// method's locks change hands, so no checkpoint ever carries an
+    /// inverse that could overwrite a later writer.
+    pub fn expose_leaves(&self, top: u64, from: usize) {
+        if let Some(info) = self.state.lock().table.get_mut(&top) {
+            info.open_leaves.iter_mut().skip(from).for_each(|leaf| leaf.2 = true);
+        }
     }
 
     /// [`WalWriter::append`] for commit records that must draw a
@@ -502,7 +517,7 @@ impl WalWriter {
     ) -> Result<(AppendInfo, u64), WalError> {
         let mut seq = Some(seq);
         let mut hook = move || (seq.take().expect("seq hook runs once"))();
-        self.append_inner(rec, Some(&mut hook))
+        self.append_inner(rec, Some(&mut hook), &[])
             .map(|(info, seq)| (info, seq.expect("commit append draws a sequence number")))
     }
 
@@ -510,6 +525,7 @@ impl WalWriter {
         &self,
         rec: &WalRecord,
         mut seq_hook: Option<&mut dyn FnMut() -> u64>,
+        undo: &[Invocation],
     ) -> Result<(AppendInfo, Option<u64>), WalError> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -532,53 +548,7 @@ impl WalWriter {
             // get the distinct marker error.
             return Err(WalError::Poisoned);
         }
-        let is_leaf = matches!(rec, WalRecord::LeafRedo { .. });
-        let is_comp = matches!(rec, WalRecord::CompApplied { .. });
-        if is_leaf {
-            st.leaf_appends += 1;
-        }
-        if is_comp {
-            st.comp_appends += 1;
-        }
         st.total_appends += 1;
-        if self.recovery_mode.load(Ordering::Relaxed) {
-            st.recovery_appends += 1;
-        }
-        if let Some(cp) = self.faults.as_ref().and_then(|p| p.crash()) {
-            let die = match cp {
-                CrashPoint::AtLeafAppend { nth } => is_leaf && st.leaf_appends == nth,
-                CrashPoint::MidCompensation { nth } => is_comp && st.comp_appends == nth,
-                CrashPoint::TornTail { nth, .. } => st.total_appends == nth,
-                CrashPoint::AtRecoveryAppend { nth } => {
-                    self.recovery_mode.load(Ordering::Relaxed) && st.recovery_appends == nth
-                }
-                // Handled at sync / checkpoint time.
-                CrashPoint::BeforeFsync { .. } | CrashPoint::AtCheckpoint { .. } => false,
-            };
-            if die {
-                if let CrashPoint::TornTail { keep, .. } = cp {
-                    // The machine died mid-write: whatever was already
-                    // queued reaches the device, plus a partial frame.
-                    let frame = encode_frame(st.next_lsn, rec);
-                    let keep = keep.clamp(1, frame.len().saturating_sub(1));
-                    st.write_torn(&frame[..keep]);
-                    let _ = self.sync_dir(st); // best effort: we are dying
-                }
-                st.die();
-                let seq = seq_hook.as_mut().map(|h| h());
-                return Ok((
-                    AppendInfo {
-                        appended: false,
-                        synced: false,
-                        durable: false,
-                        lsn: st.next_lsn,
-                        rotated: false,
-                        bytes: 0,
-                    },
-                    seq,
-                ));
-            }
-        }
         let io = self.faults.as_ref().and_then(|p| p.io());
         match io {
             Some(IoFaultPoint::AppendError { nth }) if st.total_appends == nth => {
@@ -617,6 +587,10 @@ impl WalWriter {
         Arc::make_mut(&mut active.bytes).extend_from_slice(&frame);
         st.next_lsn += 1;
         fold_live(&mut st.table, lsn, rec);
+        if let (WalRecord::LeafRedo { top, subtree, .. }, false) = (rec, undo.is_empty()) {
+            let open = &mut st.table.get_mut(top).expect("folded above").open_leaves;
+            open.extend(undo.iter().map(|inv| (*subtree, inv.clone(), false)));
+        }
         self.since_checkpoint.fetch_add(bytes, Ordering::Relaxed);
         // Commit-sequence linearization point: the record holds its LSN
         // and the state lock serializes us against every other append, so
@@ -624,12 +598,13 @@ impl WalWriter {
         let seq = seq_hook.as_mut().map(|h| h());
         let group_wait = self.policy == FsyncPolicy::OnCommit
             && matches!(rec, WalRecord::TopCommit { .. } | WalRecord::TopAbort { .. });
-        let synced =
-            if self.policy == FsyncPolicy::EveryAppend { self.sync_locked(st)? } else { false };
-        let mut rotated = false;
-        if !st.dead && st.segments.last().expect("active").len() >= self.config.segment_bytes {
+        let synced = self.policy == FsyncPolicy::EveryAppend;
+        if synced {
+            self.sync_locked(st)?;
+        }
+        let rotated = st.segments.last().expect("active").len() >= self.config.segment_bytes;
+        if rotated {
             self.rotate_locked(st);
-            rotated = true;
         }
         drop(guard);
         if group_wait {
@@ -642,7 +617,7 @@ impl WalWriter {
     /// Park on the group-commit barrier until the record at `lsn` is
     /// proven durable. Returns `(synced, durable)`: the leader that paid
     /// for the batch's fsync reports `(true, true)`, a follower covered
-    /// by it `(false, true)`, and a simulated-crash batch `(false, false)`
+    /// by it `(false, true)`, and a power-failed batch `(false, false)`
     /// (silently un-acknowledged, like any dead-device append). A failed
     /// or poisoned sync fails every waiter in the batch typed.
     fn commit_barrier(&self, lsn: u64) -> Result<(bool, bool), WalError> {
@@ -680,8 +655,7 @@ impl WalWriter {
                         // durable right now; one sync covers them all.
                         let covered_end = st.next_lsn;
                         match self.sync_locked(&mut st) {
-                            Ok(true) => LeaderOutcome::Synced(covered_end),
-                            Ok(false) => LeaderOutcome::Dead,
+                            Ok(()) => LeaderOutcome::Synced(covered_end),
                             Err(e) => LeaderOutcome::Failed(e),
                         }
                     }
@@ -712,13 +686,13 @@ impl WalWriter {
 
     /// Force buffered appends to durable storage. Returns `false` once
     /// the device is dead or poisoned (including when this very call hits
-    /// the injected pre-fsync crash or fsync fault).
+    /// the injected fsync fault).
     pub fn flush(&self) -> bool {
         let mut st = self.state.lock();
         if st.dead || st.poisoned.is_some() {
             return false;
         }
-        self.sync_locked(&mut st).unwrap_or(false)
+        self.sync_locked(&mut st).is_ok()
     }
 
     pub(super) fn rotate_locked(&self, st: &mut WriterState) {
@@ -733,17 +707,8 @@ impl WalWriter {
         }
     }
 
-    fn sync_locked(&self, st: &mut WriterState) -> Result<bool, WalError> {
+    fn sync_locked(&self, st: &mut WriterState) -> Result<(), WalError> {
         st.fsyncs += 1;
-        if let Some(CrashPoint::BeforeFsync { nth }) = self.faults.as_ref().and_then(|p| p.crash())
-        {
-            if st.fsyncs == nth {
-                // Crash before the sync completes: the buffer never
-                // reaches the device.
-                st.die();
-                return Ok(false);
-            }
-        }
         if let Some(IoFaultPoint::FsyncError { nth }) = self.faults.as_ref().and_then(|p| p.io()) {
             if st.fsyncs == nth {
                 // The sync failed: whether any buffered byte reached the
@@ -765,7 +730,7 @@ impl WalWriter {
             st.poisoned = Some(e.clone());
             return Err(e);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Persist newly-durable bytes to the backing directory, if any.
@@ -796,7 +761,7 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Did the injected crash point fire?
+    /// Did [`WalWriter::power_fail`] kill the device?
     pub fn crashed(&self) -> bool {
         self.state.lock().dead
     }
@@ -805,8 +770,10 @@ impl WalWriter {
     /// later append is silently dropped, like a dead machine — and
     /// discard buffered-but-unsynced bytes, so
     /// [`WalWriter::surviving_image`] returns exactly what a post-crash
-    /// open would find on the device. The shard fleet kills nodes with
-    /// this; in-process crash schedules use [`CrashPoint`] instead.
+    /// open would find on the device — the one way a writer dies. Every
+    /// image a crash can leave behind is also a byte prefix of the
+    /// finished log, which the audits cut with
+    /// [`LogImage::cut`](super::LogImage::cut).
     pub fn power_fail(&self) {
         self.state.lock().die();
     }
@@ -822,7 +789,7 @@ impl WalWriter {
         self.state.lock().next_lsn
     }
 
-    /// fsyncs issued so far (including the one the crash interrupted).
+    /// fsyncs issued so far (including one an injected fault failed).
     pub fn fsyncs(&self) -> u64 {
         self.state.lock().fsyncs
     }
@@ -1154,21 +1121,21 @@ mod tests {
         assert!(parsed.checkpoint.is_some());
     }
 
+    /// A cut one record and five bytes into a rotated log: the torn frame
+    /// and the empty segments behind it are cut at open, and the next
+    /// append lands right after the last whole record.
     #[test]
     fn resume_cuts_a_torn_tail_before_appending() {
-        let plan = FaultPlan::new(
-            1,
-            FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 3, keep: 5 }),
-        );
-        let w = WalWriter::with_config_and_faults(FsyncPolicy::Never, WalConfig::default(), plan);
+        let w = WalWriter::with_config(FsyncPolicy::Never, small_config());
         for rec in &sample_records() {
-            let _ = w.append(rec).unwrap();
+            w.append(rec).unwrap();
         }
-        assert!(w.crashed());
         let image = w.surviving_image();
-        let r = WalWriter::resume(&image, FsyncPolicy::Never, None, WalConfig::default()).unwrap();
+        let torn = image.cut(image.frame_ends()[1] + 5);
+        assert!(torn.segments.last().unwrap().bytes.is_empty(), "later segments stay, empty");
+        let r = WalWriter::resume(&torn, FsyncPolicy::Never, None, small_config()).unwrap();
         assert_eq!(r.appended(), 2, "two whole records survive the torn third");
-        r.append(&WalRecord::TopCommit { top: 5 }).unwrap();
+        assert_eq!(r.append(&WalRecord::TopCommit { top: 5 }).unwrap().lsn, 2);
         let parsed = read_image(&r.surviving_image()).unwrap();
         assert_eq!(parsed.records.len(), 3);
         assert_eq!(parsed.truncated_bytes, 0, "the torn bytes were cut at open");
@@ -1213,9 +1180,7 @@ mod tests {
 
     #[test]
     fn crash_at_checkpoint_keeps_previous_checkpoint_and_segments() {
-        let plan =
-            FaultPlan::new(1, FaultSpec::default().with_crash(CrashPoint::AtCheckpoint { nth: 2 }));
-        let w = WalWriter::with_config_and_faults(FsyncPolicy::EveryAppend, small_config(), plan);
+        let w = WalWriter::with_config(FsyncPolicy::EveryAppend, small_config());
         let recs = sample_records();
         for rec in &recs[..4] {
             w.append(rec).unwrap();
@@ -1225,8 +1190,10 @@ mod tests {
             w.append(rec).unwrap();
         }
         let before = w.surviving_image();
-        assert!(w.checkpoint(empty_store).unwrap().is_none(), "died");
-        assert!(w.crashed());
+        let cut = w.checkpoint_cut(empty_store).unwrap().expect("healthy log");
+        let ready = cut.assemble().unwrap();
+        w.power_fail();
+        assert!(ready.install().unwrap().is_none(), "died before the image was durable");
         let after = w.surviving_image();
         assert_eq!(after.checkpoint, before.checkpoint, "old image retained");
         let parsed = read_image(&after).unwrap();
@@ -1351,23 +1318,5 @@ mod tests {
                 win[1]
             );
         }
-    }
-
-    #[test]
-    fn recovery_append_crash_point_fires_only_in_recovery_mode() {
-        let plan = FaultPlan::new(
-            1,
-            FaultSpec::default().with_crash(CrashPoint::AtRecoveryAppend { nth: 2 }),
-        );
-        let w =
-            WalWriter::with_config_and_faults(FsyncPolicy::EveryAppend, WalConfig::default(), plan);
-        let rec = WalRecord::TopCommit { top: 1 };
-        for _ in 0..5 {
-            assert!(w.append(&rec).unwrap().appended, "inactive outside recovery mode");
-        }
-        w.set_recovery_mode(true);
-        assert!(w.append(&rec).unwrap().appended, "first recovery append survives");
-        assert!(!w.append(&rec).unwrap().appended, "second recovery append is the crash");
-        assert!(w.crashed());
     }
 }

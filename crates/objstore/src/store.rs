@@ -248,7 +248,7 @@ impl MemoryStore {
     /// creation). Fails if the id is already live; advances the id counter
     /// past `id` so later creations never collide with restored objects.
     fn restore(&self, id: ObjectId, obj: StoredObject) -> Result<()> {
-        self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
+        self.advance_ids_past(id);
         let mut shard = self.shard(id).write();
         if shard.objects.contains_key(&id) {
             return Err(SemccError::Internal(format!("restore of live object {id:?}")));
@@ -256,6 +256,12 @@ impl MemoryStore {
         shard.insert(id, obj);
         self.mutations.fetch_add(1, Ordering::SeqCst);
         Ok(())
+    }
+
+    /// Never hand out `id`, or any id below it, again (crash recovery:
+    /// an id the log shows was handed out stays used).
+    pub fn advance_ids_past(&self, id: ObjectId) {
+        self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
     }
 
     /// Restore an atomic object under its logged id (crash recovery).
@@ -344,7 +350,8 @@ impl MemoryStore {
         out
     }
 
-    /// Test support: force an object's version stamp (wraparound tests).
+    /// Force an object's version stamp: wraparound tests, and recovery
+    /// taking back a checkpointed leaf as if it had never run.
     pub fn force_version(&self, o: ObjectId, version: u64) -> Result<()> {
         self.with_object_mut(o, |obj| {
             obj.version = version;

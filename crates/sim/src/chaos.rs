@@ -2,23 +2,25 @@
 //! [`Rig`] under an injected-fault schedule, then hold the wreck against
 //! the [`crate::validate`] oracles — [`run_chaos`] (storage errors, body
 //! panics, compensation faults: every failure *contained*),
-//! [`run_crash_recover`] / [`run_torture`] / [`run_checkpoint_parity`]
-//! (the log device dies; recovery, re-recovery and checkpoints reach the
-//! committed prefix), [`run_fsync_failure`] (a failed fsync poisons the
-//! log: acked = durable) and [`run_fleet_crash_recover`] (the sharded
+//! [`audit_every_cut`] and [`audit_checkpoint_parity`] (every image a
+//! crash could leave of a finished run's log: recovery, re-recovery and
+//! checkpoints reach the committed prefix), [`run_fsync_failure`] (a
+//! failed fsync poisons the log:
+//! acked = durable) and [`run_fleet_crash_recover`] (the sharded
 //! deployment under shard and coordinator crashes).
 //!
 //! Faults are drawn from a seeded [`FaultPlan`], so a failing run can be
 //! replayed exactly by its `(seed, spec)` pair.
 
 use crate::executor::CommittedTxn;
-use crate::rig::{image_winners, AuditParams, Rig};
+use crate::rig::{winners, AuditParams, Rig};
 use crate::validate::{
-    canonical_shard_state, check_committed_prefix, check_semantic_graph, Residue,
+    canonical_shard_state, canonical_state, check_committed_prefix, check_semantic_graph, Residue,
 };
+use semcc_core::wal::checkpoint::fold;
 use semcc_core::{
-    CrashPoint, Engine, FaultPlan, FaultSpec, FsyncPolicy, IoFaultPoint, MemorySink,
-    RecoveryReport, StatsSnapshot, WalConfig, WalWriter,
+    read_image, FaultSpec, FsyncPolicy, IoFaultPoint, LogImage, MemorySink, RecoveryReport,
+    StatsSnapshot, TopInfo, WalConfig, WalError, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, MixWeights, TxnSpec, Workload, WorkloadConfig};
 use std::collections::{BTreeMap, HashSet};
@@ -82,99 +84,37 @@ pub fn run_chaos(params: &AuditParams) -> ChaosReport {
 }
 
 // ---------------------------------------------------------------------
-// Crash–recover–audit sweeps (write-ahead log + compensation recovery)
+// Crash cuts: every image a crash could leave of a finished run
 // ---------------------------------------------------------------------
 
-/// Outcome of one crash–recover–audit run ([`run_crash_recover`]) or
-/// torture chain ([`run_torture`]).
+/// What [`audit_every_cut`] or [`audit_checkpoint_parity`] enumerated, and
+/// which kinds of cut it reached.
 #[derive(Debug, Default)]
-pub struct CrashReport {
-    /// Transactions the pre-crash process committed (including after the
-    /// log device died — those are exactly the ones a crash erases).
+pub struct CutReport {
+    /// Transactions the run committed.
     pub committed: u64,
-    /// Whether the injected crash point actually fired.
-    pub crashed: bool,
-    /// Checkpoints the pre-crash process took.
+    /// Checkpoints the run installed.
     pub checkpoints_taken: u64,
-    /// Transactions whose commit record survived — the committed prefix.
-    /// Read from the full retained history, so stable across a chain
-    /// (recovery never appends a commit record).
-    pub winners: usize,
-    /// What the one *clean* recovery of the surviving image did:
-    /// surviving records, truncated bytes, losers, replayed actions,
-    /// compensations. When that image carries a checkpoint, the same
-    /// recovery of the full retained log (no checkpoint) must rebuild the
-    /// identical store.
-    pub recovery: RecoveryReport,
-    /// Chained recovery passes actually run (final, clean one included).
-    pub passes: usize,
-    /// Chained passes that died mid-recovery at their injected crash.
-    pub mid_crashes: usize,
-    /// The chain's final pass saw a prior pass's progress mark (it knew
-    /// it was re-recovering).
-    pub rerecovery_detected: bool,
-    /// Compensation failures across every recovery pass (must be 0).
-    pub compensation_failures: usize,
-    /// Why the audit failed, when it did: a pass refused its image, no
-    /// chained pass ran clean, a recovered store — the clean recovery's,
-    /// or the chain's final one — is not the serial replay of the
-    /// committed-prefix history in log commit order, or checkpoint parity
-    /// broke.
-    pub audit_failure: Option<String>,
-    /// What the last recovery engine still held (must be nothing).
-    pub residue: Residue,
+    /// Frame-boundary cuts recovered and audited.
+    pub boundary_cuts: usize,
+    /// Torn cuts parsed: one byte into, and one byte short of, each frame.
+    pub torn_cuts: usize,
+    /// Single-byte flips of a frame's length, CRC or payload, each refused
+    /// by the reader (truncated, in the last frame).
+    pub bit_flips: usize,
+    /// Cuts of recovery progress logs recovered again; every one of them
+    /// saw the earlier pass's mark.
+    pub progress_cuts: usize,
+    /// Some cut erased a transaction the run committed.
+    pub erased_commit: bool,
+    /// Some cut kept a `LeafRedo` but not its subtree's later `SubCommit`.
+    pub split_subtree: bool,
+    /// Some cut ended inside an abort's `CompApplied` run.
+    pub mid_compensation: bool,
 }
 
-impl CrashReport {
-    /// The recovery invariant: every crash consumed, nothing leaked, and
-    /// every recovered store — so, for a chain, the chained one *and* the
-    /// one a single clean recovery reaches, which are therefore equal:
-    /// idempotent re-recovery — the committed-prefix serial history.
-    pub fn sound(&self) -> bool {
-        self.audit_failure.is_none()
-            && self.compensation_failures == 0
-            && self.residue.check().is_ok()
-    }
-}
-
-/// The canonical crash classes of the acceptance sweep. Each pairs a
-/// fault spec (crash point + any driver faults it needs) with the fsync
-/// policy under which the class is meaningful.
-pub fn crash_points() -> Vec<(&'static str, FaultSpec, FsyncPolicy)> {
-    vec![
-        // The nth leaf redo never reaches the log: its transaction can
-        // only be a loser (or an invisible tail of a winner's subtree —
-        // impossible, since SubCommit follows its leaves).
-        (
-            "leaf-append",
-            FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 25 }),
-            FsyncPolicy::EveryAppend,
-        ),
-        // Group-commit window: everything since the previous sync is lost,
-        // including records of transactions the process saw commit.
-        (
-            "pre-fsync",
-            FaultSpec::default().with_crash(CrashPoint::BeforeFsync { nth: 8 }),
-            FsyncPolicy::OnCommit,
-        ),
-        // Die while an abort's compensations are half-applied; body panics
-        // drive the aborts that make this class reachable.
-        (
-            "mid-compensation",
-            FaultSpec::body_panic(0.15).with_crash(CrashPoint::MidCompensation { nth: 2 }),
-            FsyncPolicy::EveryAppend,
-        ),
-        // A partial frame on the device: exercises CRC/length truncation.
-        (
-            "torn-tail",
-            FaultSpec::default().with_crash(CrashPoint::TornTail { nth: 60, keep: 7 }),
-            FsyncPolicy::EveryAppend,
-        ),
-    ]
-}
-
-/// The workload mixes of the acceptance sweep. The uniform mix is extended
-/// with order-entry (T0) so creation redo/undo is exercised too.
+/// The workload mixes of the cut audit. The uniform mix is extended with
+/// order-entry (T0) so creation redo/undo is exercised too.
 pub fn crash_mixes() -> Vec<(&'static str, MixWeights)> {
     vec![
         ("uniform+create", MixWeights { t0_new: 2, ..MixWeights::paper_uniform() }),
@@ -183,178 +123,259 @@ pub fn crash_mixes() -> Vec<(&'static str, MixWeights)> {
     ]
 }
 
-/// `nth` of a torture chain's first mid-recovery crash (later passes
-/// shift it, so each pass dies somewhere else in its own progress log).
-const RECOVERY_CRASH_NTH: u64 = 2;
+/// The log every audit of the sweeps writes: segments small enough that
+/// a batch rotates several times, and history retained so the audits can
+/// cut the full log.
+const AUDIT_WAL: WalConfig =
+    WalConfig { segment_bytes: 4 << 10, checkpoint_bytes: None, retain_for_audit: true };
 
-/// The segmented-log configuration every torture run uses: segments small
-/// enough that any realistic batch rotates several times, and (when
-/// enabled) a checkpoint cadence that fires mid-run. History is retained
-/// so the audits can read the winners of the full log.
-fn torture_wal_config(checkpoint: bool) -> WalConfig {
-    WalConfig {
-        segment_bytes: 4096,
-        checkpoint_bytes: checkpoint.then_some(8 << 10),
-        retain_for_audit: true,
-    }
-}
+/// [`AUDIT_WAL`] with smaller segments and a cadence that checkpoints
+/// several times per run.
+const CHECKPOINT_WAL: WalConfig =
+    WalConfig { segment_bytes: 2 << 10, checkpoint_bytes: Some(8 << 10), ..AUDIT_WAL };
 
-/// Run a workload against a WAL whose device dies at the configured crash
-/// point, recover from the surviving image onto a fresh copy of the
-/// initial state, and audit: the recovered store must equal replaying the
-/// log's committed transactions serially, in log commit order, and the
-/// recovery engine must end clean.
-pub fn run_crash_recover(params: &AuditParams) -> CrashReport {
-    crash_recover_audit(params, WalConfig::default(), 0)
-}
-
-/// Run the B7c torture chain: [`run_crash_recover`] on a segmented log,
-/// then `chain` more recovery passes where every non-final pass is
-/// crashed at a point in its *own* progress log (a different point each
-/// pass), resuming the next pass from the wreckage the crashed one left.
-/// The final state must be the committed-prefix serial replay too — the
-/// state the single clean recovery reached.
-pub fn run_torture(params: &AuditParams) -> CrashReport {
-    assert!(params.chain >= 2, "a torture chain needs at least one crashed pass");
-    crash_recover_audit(params, torture_wal_config(params.checkpoint), params.chain)
-}
-
-fn crash_recover_audit(params: &AuditParams, config: WalConfig, chain: usize) -> CrashReport {
-    let (rig, builder) = Rig::stage(params, Some(config), true);
-    let engine = builder.build();
-    let (committed, outcomes) = if params.checkpoint {
-        run_to_a_crash_behind_a_checkpoint(&rig, &engine, params.workers)
-            .expect("checkpointing torture run")
-    } else {
-        let out = rig.run(&engine, rig.batch.clone(), params.workers);
-        (out.metrics.committed, out.committed)
-    };
-    let mut report = CrashReport {
-        committed,
-        crashed: rig.wal().crashed(),
-        checkpoints_taken: rig.wal().checkpoints_taken(),
-        ..Default::default()
-    };
-    report.audit_failure = audit_recovery(&rig, params.seed, chain, &outcomes, &mut report).err();
-    report
-}
-
-/// Recover what survived the crash — only the log image carries over —
-/// and audit it; with `chain > 0`, then torture it.
-fn audit_recovery(
-    rig: &Rig,
-    seed: u64,
-    chain: usize,
-    outcomes: &[CommittedTxn],
-    report: &mut CrashReport,
-) -> Result<(), String> {
-    let original = rig.wal().surviving_image();
-    // Winners come from the *full* retained history: checkpointing retires
-    // sealed segments, so pre-checkpoint commit records are absent from
-    // `original` (their effects ride in the checkpoint's store dump).
-    let winners = image_winners(&rig.wal().surviving_full_image())?;
-    report.winners = winners.len();
-
-    let (base, clean, recovery) = Rig::recover(&original, None)?;
-    report.compensation_failures = recovery.failures.len();
-    report.recovery = recovery;
-    report.residue = Residue::of(&clean);
-    Rig::check_prefix(&winners, outcomes, clean.storage().as_ref())?;
-    if original.checkpoint.is_some() && rig.wal().config().retain_for_audit {
-        // Checkpoint parity. Winners that committed before the checkpoint
-        // live only in its dump, not as records — so the checkpointed
-        // image's winner set is a (usually strict) subset of the full
-        // log's; and recovering from the full log with no checkpoint must
-        // rebuild the identical store dump: objects, values *and version
-        // stamps*, the strongest equality the store can express.
-        let all: HashSet<&u64> = winners.iter().collect();
-        if let Some(top) = image_winners(&original)?.iter().find(|top| !all.contains(top)) {
-            return Err(format!("winner {top} in checkpointed image missing from full log"));
-        }
-        let (full_base, _, full) = Rig::recover(&rig.wal().surviving_full_image(), None)?;
-        report.compensation_failures += full.failures.len();
-        if base.store.dump() != full_base.store.dump() {
-            return Err("recover-from-checkpoint != recover-from-full-log: dumps differ".into());
-        }
-    }
-    if chain == 0 {
-        return Ok(());
-    }
-    report.residue.check().map_err(|e| format!("clean recovery: {e}"))?;
-
-    let mut image = original;
-    let mut last = None;
-    for pass in 0..chain {
-        // Every non-final pass dies at a (shifting) point of its own
-        // progress log; the final pass runs clean.
-        let progress_faults = (pass + 1 < chain).then(|| {
-            let nth = RECOVERY_CRASH_NTH + pass as u64;
-            let crash = FaultSpec::default().with_crash(CrashPoint::AtRecoveryAppend { nth });
-            FaultPlan::new(seed ^ pass as u64, crash)
-        });
-        let config = rig.wal().config();
-        let progress = WalWriter::resume(&image, FsyncPolicy::EveryAppend, progress_faults, config)
-            .map_err(|e| format!("resume for pass {pass} refused: {e}"))?;
-        let (_base, recovered, recovery) = Rig::recover(&image, Some(Arc::clone(&progress)))
-            .map_err(|e| format!("pass {pass}: {e}"))?;
-        report.passes += 1;
-        report.compensation_failures += recovery.failures.len();
-        if progress.crashed() {
-            // The pass died mid-recovery: only its progress log survives;
-            // the store it was building is lost with the "machine".
-            report.mid_crashes += 1;
-            image = progress.surviving_image();
-            continue;
-        }
-        report.rerecovery_detected = recovery.rerecovery;
-        report.residue = Residue::of(&recovered);
-        last = Some(recovered);
-    }
-    let chained = last.ok_or("no clean final pass (every pass crashed)")?;
-    Rig::check_prefix(&winners, outcomes, chained.storage().as_ref())
-        .map_err(|e| format!("chained recovery: {e}"))
-}
-
-/// Run the rig's batch on a checkpointing engine up to its injected
-/// crash, with a checkpoint installed before the crash *by construction*.
-/// Cadence checkpoints stop the other workers only for their cut, so the
-/// crash may overtake every one of them between cut and install — the
-/// scheduler decides. The run therefore opens with one transaction per
-/// worker followed by an explicit, quiesced [`Engine::checkpoint`]; that
-/// opening must end before the crash ordinal (an error otherwise: the
-/// parameters, not the scheduler, are at fault). The rest of the batch
-/// runs as ever, cadence checkpoints racing the writers up to the crash.
+/// Run the rig's batch to the end on a logged engine, then audit every
+/// image a crash of the run could have left. A crash leaves a byte prefix
+/// of the log, so the finished log's cuts are every crash at once:
 ///
-/// Returns the commit count and the recorded outcomes of both parts.
-fn run_to_a_crash_behind_a_checkpoint(
-    rig: &Rig,
-    engine: &Arc<Engine>,
-    workers: usize,
-) -> Result<(u64, Vec<CommittedTxn>), String> {
-    let mut opening = rig.batch.clone();
-    let rest = opening.split_off(workers.clamp(1, opening.len()));
-    let head = rig.run(engine, opening, workers);
-    if rig.wal().crashed() {
-        return Err("the crash point fired before the opening checkpoint".into());
-    }
-    match engine.checkpoint() {
-        Ok(true) => {}
-        other => return Err(format!("the opening checkpoint was not taken: {other:?}")),
-    }
-    let tail = rig.run(engine, rest, workers);
-    let mut outcomes = head.committed;
-    outcomes.extend(tail.committed);
-    Ok((head.metrics.committed + tail.metrics.committed, outcomes))
+/// * at every frame boundary, recovery reaches the serial replay of the
+///   cut's committed prefix, with zero [`Residue`] and no compensation
+///   failure;
+/// * at every torn offset the reader yields the preceding boundary's
+///   records (parse only: recovery then sees that boundary's log);
+/// * one flipped byte in any frame's length, CRC or payload is refused,
+///   or truncated when it is the last frame;
+/// * where a boundary cut has losers, recovery logs its progress, and
+///   every cut of that progress log recovers to the same prefix again.
+///
+/// A failure names the seed, the cut and the last three records before it.
+pub fn audit_every_cut(params: &AuditParams) -> Result<CutReport, String> {
+    FinishedRun::new(params, AUDIT_WAL)?.audit_cuts()
 }
 
-/// Checkpoint parity: run a checkpointing workload to a crash under an
-/// aggressive cadence, so several checkpoints land mid-run, and let
-/// [`run_crash_recover`]'s audit recover twice — from the checkpointed
-/// image and from the full retained log. Proves the fuzzy checkpoint's
-/// cut is exact.
-pub fn run_checkpoint_parity(params: &AuditParams) -> CrashReport {
-    let config = WalConfig { segment_bytes: 2048, ..torture_wal_config(true) };
-    crash_recover_audit(&AuditParams { checkpoint: true, ..params.clone() }, config, 0)
+/// [`audit_every_cut`] for checkpoints: the run checkpoints several
+/// times, and at every cut behind the last installed checkpoint,
+/// recovering from it and recovering from the full log must give equal
+/// store dumps, version stamps included — and the committed prefix.
+pub fn audit_checkpoint_parity(params: &AuditParams) -> Result<CutReport, String> {
+    FinishedRun::new(params, CHECKPOINT_WAL)?.audit_checkpoint_cuts()
+}
+
+/// A finished run and its full log.
+struct FinishedRun {
+    seed: u64,
+    rig: Rig,
+    outcomes: Vec<CommittedTxn>,
+    committed: u64,
+    /// The full retained log, its segments in sequence order as the
+    /// writer lists them.
+    full: LogImage,
+    records: Vec<WalRecord>,
+    /// `full.frame_ends()`: the cut after `records[i]` is at `ends[i]`.
+    ends: Vec<usize>,
+}
+
+impl FinishedRun {
+    fn new(params: &AuditParams, config: WalConfig) -> Result<Self, String> {
+        let (rig, builder) = Rig::stage(params, Some(config), true);
+        let out = rig.run(&builder.build(), rig.batch.clone(), params.workers);
+        let full = rig.wal().surviving_full_image();
+        let records = read_image(&full).map_err(|e| format!("finished log unreadable: {e}"))?;
+        let (records, ends) = (records.records, full.frame_ends());
+        let (seed, outcomes, committed) = (params.seed, out.committed, out.metrics.committed);
+        Ok(FinishedRun { seed, rig, outcomes, committed, full, records, ends })
+    }
+
+    /// Records wholly inside the cut at log byte `n`.
+    fn whole(&self, n: usize) -> usize {
+        self.ends.partition_point(|&e| e <= n)
+    }
+
+    /// Names the cut at log byte `n` in a failure.
+    fn at(&self, n: usize, e: impl std::fmt::Display) -> String {
+        let whole = self.whole(n);
+        let last = &self.records[whole.saturating_sub(3)..whole];
+        format!("seed {}, cut at byte {n}, after {last:?}: {e}", self.seed)
+    }
+
+    /// Recover `image`: no compensation may fail, and the recovery engine
+    /// must end with zero [`Residue`].
+    fn recover(
+        &self,
+        image: &LogImage,
+        progress: Option<Arc<WalWriter>>,
+    ) -> Result<(Database, RecoveryReport), String> {
+        let (base, engine, report) = Rig::recover(image, progress)?;
+        if let Some((top, e)) = report.failures.first() {
+            return Err(format!("compensating loser {top} failed: {e}"));
+        }
+        Residue::of(&engine).check()?;
+        Ok((base, report))
+    }
+
+    /// [`FinishedRun::recover`] `image`, a cut at log byte `n` of the full
+    /// log or of the log behind a checkpoint, and hold the recovered store
+    /// against the serial replay of the cut's committed prefix.
+    fn recover_prefix(
+        &self,
+        image: &LogImage,
+        n: usize,
+        progress: Option<Arc<WalWriter>>,
+    ) -> Result<(Database, RecoveryReport), String> {
+        let (base, report) = self.recover(image, progress)?;
+        let winners = winners(&self.records[..self.whole(n)]);
+        Rig::check_prefix(&winners, &self.outcomes, base.store.as_ref())?;
+        Ok((base, report))
+    }
+
+    fn audit_cuts(&self) -> Result<CutReport, String> {
+        let mut report = self.report();
+        // Every boundary is cut: the one before a `SubCommit` whose subtree
+        // logged a leaf, and the one after a `CompApplied`, which precedes
+        // its `TopAbort`, among them.
+        report.split_subtree = self.records.iter().enumerate().any(|(i, rec)| {
+            let WalRecord::SubCommit { top, subtree, .. } = rec else { return false };
+            self.records[..i].iter().any(|r| {
+                matches!(r, WalRecord::LeafRedo { top: t, subtree: s, .. } if (t, s) == (top, subtree))
+            })
+        });
+        report.mid_compensation =
+            self.records.iter().any(|r| matches!(r, WalRecord::CompApplied { .. }));
+        let full_winners = winners(&self.records).len();
+        for n in std::iter::once(0).chain(self.ends.iter().copied()) {
+            let (recovery, recuts) =
+                self.recover_and_recut(&self.full.cut(n), n).map_err(|e| self.at(n, e))?;
+            report.boundary_cuts += 1;
+            report.progress_cuts += recuts;
+            report.erased_commit |= recovery.winners < full_winners;
+        }
+        for (i, &end) in self.ends.iter().enumerate() {
+            let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+            let last = i + 1 == self.ends.len();
+            for n in [start + 1, end - 1] {
+                let parsed = read_image(&self.full.cut(n)).map_err(|e| self.at(n, e))?;
+                if parsed.records[..] != self.records[..i] || parsed.truncated_bytes == 0 {
+                    return Err(self.at(n, "a torn frame did not read as the boundary before it"));
+                }
+                report.torn_cuts += 1;
+            }
+            for pos in [start, start + 4, end - 1] {
+                match (read_image(&self.flipped(pos)), last) {
+                    (Err(WalError::Corrupt { .. }), false) => {}
+                    (Ok(p), true)
+                        if p.records[..] == self.records[..i] && p.truncated_bytes > 0 => {}
+                    (other, _) => {
+                        return Err(self.at(end, format!("byte {pos} flipped read as {other:?}")))
+                    }
+                }
+                report.bit_flips += 1;
+            }
+        }
+        Ok(report)
+    }
+
+    /// [`FinishedRun::recover_prefix`] `image`, a cut ending on a frame
+    /// boundary, with recovery logging its progress; if it had losers, cut
+    /// that progress log at each of its own frame boundaries and recover
+    /// each cut again, to the first pass's state on canonical state.
+    /// Returns the first recovery and the number of re-cuts.
+    fn recover_and_recut(
+        &self,
+        image: &LogImage,
+        n: usize,
+    ) -> Result<(RecoveryReport, usize), String> {
+        let config = self.rig.wal().config();
+        let progress = WalWriter::resume(image, FsyncPolicy::EveryAppend, None, config)
+            .map_err(|e| format!("resume refused: {e}"))?;
+        let (first, report) = self.recover_prefix(image, n, Some(Arc::clone(&progress)))?;
+        if report.losers == 0 {
+            return Ok((report, 0));
+        }
+        let log = progress.surviving_image();
+        // Every logged inverse is marked applied once at most, across the
+        // abort and the pass: the pass ran none of the applied ones again.
+        let parsed = read_image(&log).map_err(|e| format!("progress log unreadable: {e}"))?;
+        let mut tops = parsed.checkpoint.map(|cp| cp.table).unwrap_or_default();
+        for (i, rec) in parsed.records.iter().enumerate() {
+            fold(&mut tops, parsed.base_lsn + i as u64, rec);
+        }
+        let twice =
+            |t: &TopInfo| t.comp_applied as usize > t.intents.len() + t.orphan_intents.len();
+        if let Some((top, _)) = tops.iter().find(|(_, t)| twice(t)) {
+            return Err(format!("the pass re-ran an applied inverse of transaction {top}"));
+        }
+        let ends = log.frame_ends();
+        let own = ends.partition_point(|&m| m <= log_bytes(image));
+        let want = canonical_state(first.store.as_ref(), first.items_set);
+        for &m in &ends[own..] {
+            let at = |e: &str| format!("progress log cut at byte {m}: {e}");
+            let (again, report) = self.recover(&log.cut(m), None).map_err(|e| at(&e))?;
+            if !report.rerecovery {
+                return Err(at("the pass missed the earlier pass's mark"));
+            }
+            if want.is_err() || canonical_state(again.store.as_ref(), again.items_set) != want {
+                return Err(at("state != the first pass's"));
+            }
+        }
+        Ok((report, ends.len() - own))
+    }
+
+    /// The image with the last installed checkpoint, the log offset its
+    /// live segments start at in the full log, and every full-log cut
+    /// behind it: the cuts recovery from it must get right.
+    fn behind_checkpoint(&self) -> Result<(LogImage, usize, Vec<usize>), String> {
+        let image = self.rig.wal().surviving_image();
+        if image.checkpoint.is_none() {
+            return Err(format!("seed {}: no checkpoint installed — nothing to audit", self.seed));
+        }
+        let retired = log_bytes(&self.full) - log_bytes(&image);
+        let cuts = self.ends.iter().copied().filter(|&n| n >= retired).collect();
+        Ok((image, retired, cuts))
+    }
+
+    fn audit_checkpoint_cuts(&self) -> Result<CutReport, String> {
+        let mut report = self.report();
+        let (image, retired, cuts) = self.behind_checkpoint()?;
+        for n in cuts {
+            let (from_cp, _) =
+                self.recover_prefix(&image.cut(n - retired), n, None).map_err(|e| self.at(n, e))?;
+            let (from_log, _) = self.recover(&self.full.cut(n), None).map_err(|e| self.at(n, e))?;
+            let (cp, log) = (from_cp.store.dump(), from_log.store.dump());
+            if cp != log {
+                let apart = cp.objects.iter().zip(&log.objects).find(|(a, b)| a != b);
+                let ids = (cp.next_id, log.next_id);
+                return Err(self.at(n, format!("checkpoint != full log: {apart:?}, ids {ids:?}")));
+            }
+            report.boundary_cuts += 1;
+        }
+        Ok(report)
+    }
+
+    /// The full log with the byte at log offset `pos` flipped.
+    fn flipped(&self, mut pos: usize) -> LogImage {
+        let mut image = self.full.clone();
+        for seg in &mut image.segments {
+            if pos < seg.bytes.len() {
+                seg.bytes[pos] ^= 0xFF;
+                break;
+            }
+            pos -= seg.bytes.len();
+        }
+        image
+    }
+
+    fn report(&self) -> CutReport {
+        CutReport {
+            committed: self.committed,
+            checkpoints_taken: self.rig.wal().checkpoints_taken(),
+            ..Default::default()
+        }
+    }
+}
+
+/// Log bytes of `image`, checkpoint excluded.
+fn log_bytes(image: &LogImage) -> usize {
+    image.segments.iter().map(|s| s.bytes.len()).sum()
 }
 
 /// Fsync-failure audit: run a group-commit workload whose log device
@@ -374,7 +395,7 @@ pub fn run_fsync_failure(seed: u64, txns: usize, nth: u64, workers: usize) -> Re
         fsync: FsyncPolicy::OnCommit,
         ..Default::default()
     };
-    let (rig, builder) = Rig::stage(&params, Some(torture_wal_config(false)), false);
+    let (rig, builder) = Rig::stage(&params, Some(AUDIT_WAL), false);
     let out = rig.run(&builder.build(), rig.batch.clone(), workers);
     rig.check_fsyncgate(&out.committed)
 }
@@ -687,95 +708,74 @@ mod tests {
         assert!(report.contained(), "{report:?}");
     }
 
+    fn finished(params: AuditParams) -> FinishedRun {
+        FinishedRun::new(&params, AUDIT_WAL).expect("the finished log parses")
+    }
+
+    /// The cut right after the run's first leaf, whose subtree commits
+    /// only later.
+    fn after_first_leaf(run: &FinishedRun) -> usize {
+        let leaf = run.records.iter().position(|r| matches!(r, WalRecord::LeafRedo { .. }));
+        run.ends[leaf.expect("the run updates something")]
+    }
+
     #[test]
     fn crash_free_run_recovers_every_committed_transaction() {
-        let report = run_crash_recover(&AuditParams { txns: 20, ..Default::default() });
-        assert!(!report.crashed, "{report:?}");
-        assert_eq!(report.winners as u64, report.committed, "{report:?}");
-        assert_eq!(report.recovery.losers, 0, "{report:?}");
-        assert!(report.recovery.replayed_actions > 0, "{report:?}");
-        assert!(report.sound(), "{report:?}");
+        let run = finished(AuditParams { txns: 20, ..Default::default() });
+        let (_, report) = run.recover_prefix(&run.full, log_bytes(&run.full), None).unwrap();
+        assert_eq!(report.winners as u64, run.committed, "{report:?}");
+        assert_eq!(report.losers, 0, "{report:?}");
+        assert!(report.replayed_actions > 0, "{report:?}");
     }
 
     #[test]
     fn leaf_append_crash_recovers_to_the_committed_prefix() {
-        let (_, faults, fsync) = crash_points().remove(0);
-        let report =
-            run_crash_recover(&AuditParams { seed: 3, faults, fsync, ..Default::default() });
-        assert!(report.crashed, "the crash point must fire: {report:?}");
-        assert!(
-            (report.winners as u64) < report.committed,
-            "the crash must erase some committed work: {report:?}"
-        );
-        assert!(report.sound(), "{report:?}");
+        let run = finished(AuditParams { seed: 3, ..Default::default() });
+        let n = after_first_leaf(&run);
+        let (_, report) = run.recover_prefix(&run.full.cut(n), n, None).unwrap();
+        assert!(report.losers > 0, "the leaf's transaction is a loser: {report:?}");
+        assert!((report.winners as u64) < run.committed, "{report:?}");
     }
 
     #[test]
     fn torn_tail_crash_truncates_and_still_recovers() {
-        let (_, faults, fsync) = crash_points().remove(3);
-        let report =
-            run_crash_recover(&AuditParams { seed: 5, faults, fsync, ..Default::default() });
-        assert!(report.crashed, "{report:?}");
-        assert!(report.recovery.truncated_bytes > 0, "the torn frame must be dropped: {report:?}");
-        assert!(report.sound(), "{report:?}");
+        let run = finished(AuditParams { seed: 5, ..Default::default() });
+        let n = run.ends[58] + 7;
+        let (_, report) = run.recover_prefix(&run.full.cut(n), n, None).unwrap();
+        assert_eq!(report.truncated_bytes, 7, "the torn frame must be dropped: {report:?}");
     }
 
     #[test]
     fn creation_heavy_mix_exercises_creation_redo() {
-        let report = run_crash_recover(&AuditParams {
-            seed: 9,
-            mix: crash_mixes().remove(0).1,
-            ..Default::default()
-        });
-        assert!(report.sound(), "{report:?}");
-    }
-
-    /// The torture defaults of the acceptance sweep: the leaf-append
-    /// crash class on the creation-extended mix.
-    fn torture(seed: u64) -> AuditParams {
-        AuditParams {
-            seed,
-            faults: crash_points().remove(0).1,
-            mix: crash_mixes().remove(0).1,
-            ..Default::default()
-        }
+        let run =
+            finished(AuditParams { seed: 9, mix: crash_mixes().remove(0).1, ..Default::default() });
+        let creates = |r: &WalRecord| matches!(r, WalRecord::LeafRedo { op, .. } if op.created_id().is_some());
+        assert!(run.records.iter().any(creates), "the mix must create objects");
+        run.recover_prefix(&run.full, log_bytes(&run.full), None).unwrap();
     }
 
     #[test]
     fn torture_chain_converges_after_a_crashed_recovery() {
-        let report = run_torture(&torture(3));
-        assert!(report.crashed, "the initial crash must fire: {report:?}");
-        assert_eq!(report.mid_crashes, 1, "one crashed pass in a depth-2 chain: {report:?}");
-        assert!(report.rerecovery_detected, "the final pass must see the mark: {report:?}");
-        assert!(report.sound(), "{report:?}");
+        let run = finished(AuditParams { seed: 3, ..Default::default() });
+        let n = after_first_leaf(&run);
+        let (report, recuts) = run.recover_and_recut(&run.full.cut(n), n).unwrap();
+        assert!(report.losers > 0, "{report:?}");
+        assert!(recuts >= 2, "the mark, then the loser's compensation records: {recuts}");
     }
 
+    /// The re-cut of a progress log that recovery wrote behind a
+    /// checkpoint. One worker, so that the seed alone places the last
+    /// checkpoint, and with it the transactions behind it.
     #[test]
     fn torture_chain_with_checkpointing_converges() {
-        let params_chain = 3usize;
-        let report = run_torture(&AuditParams {
-            txns: 120,
-            checkpoint: true,
-            chain: params_chain,
-            // Late crash so the checkpoint cadence fires before the log
-            // device dies — otherwise the run never checkpoints and the
-            // test degenerates to the plain torture chain.
-            faults: FaultSpec::default().with_crash(CrashPoint::AtLeafAppend { nth: 160 }),
-            ..torture(5)
+        let mix = crash_mixes().remove(0).1;
+        let params = AuditParams { seed: 5, txns: 60, workers: 1, mix, ..Default::default() };
+        let run = FinishedRun::new(&params, CHECKPOINT_WAL).expect("the finished log parses");
+        let (image, retired, cuts) = run.behind_checkpoint().unwrap();
+        let recut = cuts.into_iter().find_map(|n| {
+            let (_, recuts) = run.recover_and_recut(&image.cut(n - retired), n).unwrap();
+            (recuts > 0).then_some(recuts)
         });
-        assert!(report.crashed, "{report:?}");
-        assert!(report.checkpoints_taken > 0, "the run must checkpoint: {report:?}");
-        // A non-final pass only crashes if its shifting `AtRecoveryAppend`
-        // ordinal lands inside its own progress log, whose length is the
-        // number of loser-compensation records — a function of thread
-        // scheduling in the pre-crash run. Demanding *every* non-final
-        // pass crash made this test flake; the chain's soundness claims
-        // need at least one crashed pass plus a detected re-recovery.
-        assert!(
-            (1..params_chain).contains(&report.mid_crashes),
-            "at least one mid-recovery crash: {report:?}"
-        );
-        assert!(report.rerecovery_detected, "{report:?}");
-        assert!(report.sound(), "{report:?}");
+        assert!(recut.is_some(), "some cut behind the checkpoint must leave a loser");
     }
 }

@@ -47,9 +47,8 @@ pub mod treeview;
 pub mod validate;
 
 pub use chaos::{
-    crash_mixes, crash_points, fault_mixes, run_chaos, run_checkpoint_parity, run_crash_recover,
-    run_fleet_crash_recover, run_fsync_failure, run_torture, ChaosReport, CrashReport, FleetParams,
-    FleetReport,
+    audit_checkpoint_parity, audit_every_cut, crash_mixes, fault_mixes, run_chaos,
+    run_fleet_crash_recover, run_fsync_failure, ChaosReport, CutReport, FleetParams, FleetReport,
 };
 pub use executor::{run_workload, CommittedTxn, LockTableSample, RunOutcome, RunParams};
 pub use metrics::RunMetrics;

@@ -5,9 +5,9 @@
 //! plus a fault plan plus a list of [`crate::validate`] oracles: database
 //! → seeded [`FaultPlan`] → optional [`WalWriter`] driven by the plan →
 //! [`FaultyStorage`] → engine through [`ProtocolKind::builder`] → seeded
-//! batch → [`run_workload`]; and, for the harnesses that kill the log,
-//! the way back — a recovery pass onto a fresh copy of the initial state
-//! and the committed-prefix audit of whatever state survived.
+//! batch → [`run_workload`]; and, for the audits of the log, the way
+//! back — a recovery pass onto a fresh copy of the initial state and the
+//! committed-prefix audit of whatever state survived.
 
 use crate::executor::{run_workload, CommittedTxn, RunOutcome, RunParams};
 use crate::protocols::ProtocolKind;
@@ -49,28 +49,18 @@ pub struct AuditParams {
     pub txns: usize,
     /// Worker threads.
     pub workers: usize,
-    /// Fault probabilities, and the [`CrashPoint`](semcc_core::CrashPoint)
-    /// or [`IoFaultPoint`](semcc_core::IoFaultPoint) of the log device.
-    /// The probabilistic sites may be armed next to a crash point (e.g.
-    /// body panics to force aborts so `MidCompensation` has something to
-    /// interrupt).
+    /// Fault probabilities, and the
+    /// [`IoFaultPoint`](semcc_core::IoFaultPoint) of the log device. The
+    /// cut audit arms body panics so that aborts compensate, and its
+    /// cuts fall inside their compensation runs.
     pub faults: FaultSpec,
     /// Protocol under test ([`run_chaos`](crate::run_chaos); recovery
     /// itself always runs the semantic protocol).
     pub protocol: ProtocolKind,
-    /// The log's fsync cadence during the pre-crash run.
+    /// The log's fsync cadence during the run.
     pub fsync: FsyncPolicy,
     /// Transaction mix.
     pub mix: MixWeights,
-    /// [`run_torture`](crate::run_torture): recovery passes. Every pass
-    /// but the last crashes at an
-    /// [`AtRecoveryAppend`](semcc_core::CrashPoint::AtRecoveryAppend)
-    /// point; the last runs clean. Must be ≥ 2 for the harness to prove
-    /// anything about re-recovery.
-    pub chain: usize,
-    /// [`run_torture`](crate::run_torture): run the pre-crash workload
-    /// with automatic checkpointing.
-    pub checkpoint: bool,
 }
 
 impl Default for AuditParams {
@@ -83,8 +73,6 @@ impl Default for AuditParams {
             protocol: ProtocolKind::Semantic,
             fsync: FsyncPolicy::EveryAppend,
             mix: MixWeights::paper_uniform(),
-            chain: 2,
-            checkpoint: false,
         }
     }
 }
@@ -105,7 +93,7 @@ impl Rig {
     /// harness can still attach a history sink or override a knob).
     ///
     /// With `wal`, the engine logs under `params.fsync` to a writer of
-    /// that configuration whose device the plan kills or fails. With
+    /// that configuration whose device the plan fails. With
     /// `engine_faults`, the store sits behind [`FaultyStorage`] and the
     /// engine consults the plan for body panics and compensation faults;
     /// the fsyncgate audits pass `false` — their plan only fails the log
@@ -202,21 +190,18 @@ impl Rig {
         if self.plan.io().is_some() && wal.poisoned().is_none() {
             return Err("the injected fsync fault never fired — nothing audited".into());
         }
-        let durable = image_winners(&wal.surviving_image())?;
+        let image = read_image(&wal.surviving_image());
+        let durable = winners(&image.map_err(|e| format!("log image unreadable: {e}"))?.records);
         check_acked_durable(outcomes, &durable)?;
         Self::check_prefix(&durable, outcomes, self.db.store.as_ref())
     }
 }
 
-/// Winners (`TopCommit` tops) of a log image, in commit order.
-pub(crate) fn image_winners(image: &LogImage) -> Result<Vec<u64>, String> {
-    let parsed = read_image(image).map_err(|e| format!("log image unreadable: {e}"))?;
-    Ok(parsed
-        .records
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::TopCommit { top } => Some(*top),
-            _ => None,
-        })
-        .collect())
+/// Winners (`TopCommit` tops) of a run of log records, in commit order.
+pub(crate) fn winners(records: &[WalRecord]) -> Vec<u64> {
+    let commit = |r: &WalRecord| match r {
+        WalRecord::TopCommit { top } => Some(*top),
+        _ => None,
+    };
+    records.iter().filter_map(commit).collect()
 }

@@ -6,8 +6,8 @@
 //!
 //! * the incremental image is byte-identical to encoding a full dump;
 //! * transactions commit between cut and install and nothing is lost;
-//! * a crash or fsync fault between cut and install keeps the previous
-//!   image and every segment, and recovery is exact either way;
+//! * a power failure or fsync fault between cut and install keeps the
+//!   previous image and every segment, and recovery is exact either way;
 //! * the lock-held step captures O(dirty), not O(store);
 //! * racing checkpointers produce one checkpoint;
 //! * under concurrent writers a cadence bounds the live log, and the log
@@ -17,8 +17,8 @@ use semcc::core::wal::checkpoint::{
     decode_checkpoint, encode_checkpoint, fold, CheckpointCut, CheckpointImage,
 };
 use semcc::core::{
-    read_image, recover_image, CrashPoint, Engine, FaultPlan, FaultSpec, FnProgram, FsyncPolicy,
-    IoFaultPoint, ProtocolConfig, TransactionProgram, WalConfig, WalError, WalWriter,
+    read_image, recover_image, Engine, FaultPlan, FaultSpec, FnProgram, FsyncPolicy, IoFaultPoint,
+    ProtocolConfig, TransactionProgram, WalConfig, WalError, WalWriter,
 };
 use semcc::orderentry::{
     Database, DbParams, MixWeights, Target, TxnSpec, Workload, WorkloadConfig,
@@ -190,7 +190,7 @@ fn dying_checkpoint(
     (db, wal)
 }
 
-/// (c) A crash or an fsync fault while the image is made durable — after
+/// (c) A power failure or an fsync fault while the image is made durable — after
 /// transactions already ran past the cut — keeps the previous image and
 /// every segment, and recovery from what survives is exact. A cut that
 /// is simply abandoned leaves a healthy log whose next checkpoint
@@ -207,9 +207,10 @@ fn a_checkpoint_that_dies_between_cut_and_install_loses_nothing() {
     cut.assemble().unwrap().install().unwrap().expect("installed");
     assert_recovers_to(&wal, &db);
 
-    let crash = FaultSpec::default().with_crash(CrashPoint::AtCheckpoint { nth: 2 });
-    let (_, wal) = dying_checkpoint(crash, |_, cut| {
-        assert!(cut.assemble().unwrap().install().unwrap().is_none(), "the machine died");
+    let (_, wal) = dying_checkpoint(FaultSpec::default(), |wal, cut| {
+        let ready = cut.assemble().unwrap();
+        wal.power_fail();
+        assert!(ready.install().unwrap().is_none(), "the machine died");
     });
     assert!(wal.crashed());
 
