@@ -145,7 +145,6 @@ mod tests {
             chain: &chain,
             is_leaf: true,
             writes,
-            page: None,
             compensating: false,
         })
         .unwrap()

@@ -106,14 +106,11 @@ impl Discipline for Page2pl {
         }
         // Fall back to the object id as a pseudo page when the store has no
         // page mapping for the object (should not happen in practice).
-        let page = match req.page {
-            Some(p) => p,
-            None => self
-                .deps
-                .storage
-                .page_of(req.inv.object)
-                .unwrap_or(PageId(u64::MAX ^ req.inv.object.0)),
-        };
+        let page = self
+            .deps
+            .storage
+            .page_of(req.inv.object)
+            .unwrap_or(PageId(u64::MAX ^ req.inv.object.0));
         let mode = if req.writes { RwMode::Write } else { RwMode::Read };
         let guard = self.kernel.sequence(KernelRequest {
             key: LockKey::Page(page),

@@ -13,21 +13,21 @@ use crate::ids::TopId;
 use crate::notify::WaitCell;
 use crate::stats::Stats;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use semcc_semantics::{IdMap, IdSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[derive(Default)]
 struct WfgInner {
     /// waiter → set of tops it waits for.
-    edges: HashMap<TopId, HashSet<TopId>>,
+    edges: IdMap<TopId, IdSet<TopId>>,
     /// The current wait cell of each waiting transaction (for kills).
-    cells: HashMap<TopId, Arc<WaitCell>>,
+    cells: IdMap<TopId, Arc<WaitCell>>,
     /// Transactions doomed by victim selection but not yet aborting.
-    doomed: HashSet<TopId>,
+    doomed: IdSet<TopId>,
     /// Transactions currently executing their abort/compensation path —
     /// never selected as victims.
-    aborting: HashSet<TopId>,
+    aborting: IdSet<TopId>,
     /// Total number of victims chosen (metrics).
     victims: u64,
 }
@@ -93,7 +93,7 @@ impl WaitsForGraph {
     fn find_cycle(inner: &WfgInner, start: TopId) -> Option<Vec<TopId>> {
         // Iterative DFS remembering the path.
         let mut stack: Vec<(TopId, Vec<TopId>)> = vec![(start, vec![start])];
-        let mut visited: HashSet<TopId> = HashSet::new();
+        let mut visited: IdSet<TopId> = IdSet::default();
         while let Some((node, path)) = stack.pop() {
             if let Some(nexts) = inner.edges.get(&node) {
                 for &n in nexts {
@@ -119,7 +119,7 @@ impl WaitsForGraph {
             if inner.doomed.contains(&waiter) {
                 return BlockDecision::VictimSelf;
             }
-            let set: HashSet<TopId> = blockers.iter().copied().filter(|b| *b != waiter).collect();
+            let set: IdSet<TopId> = blockers.iter().copied().filter(|b| *b != waiter).collect();
             if set.is_empty() {
                 return BlockDecision::Wait;
             }

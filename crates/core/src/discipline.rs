@@ -14,7 +14,7 @@ use crate::kernel::LockTableDump;
 use crate::notify::CompletionHub;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tree::{Chain, Registry, TxnTree};
-use semcc_semantics::{Invocation, PageId, Result, SemanticsRouter, Storage};
+use semcc_semantics::{Invocation, Result, SemanticsRouter, Storage};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,9 +77,6 @@ pub struct AcquireRequest<'a> {
     pub is_leaf: bool,
     /// Whether the action may update its object.
     pub writes: bool,
-    /// The page of the object, for page-granularity disciplines
-    /// (`None` for non-leaf actions).
-    pub page: Option<PageId>,
     /// Whether this acquisition belongs to a compensating subtransaction
     /// of an aborting transaction.
     pub compensating: bool,

@@ -77,14 +77,12 @@ impl Engine {
         let chain = txn.tree.chain(node.idx);
         let is_leaf = inv.method.is_generic();
         let writes = inv.method.as_generic().map(|g| g.is_update()).unwrap_or(true);
-        let page = if is_leaf { self.storage.page_of(inv.object).ok() } else { None };
         self.discipline.acquire(AcquireRequest {
             node,
             inv,
             chain: &chain,
             is_leaf,
             writes,
-            page,
             compensating,
         })?;
 

@@ -7,9 +7,8 @@
 //! for a lower bound.
 
 use parking_lot::Mutex;
-use semcc_semantics::{Invocation, ObjectId, Result, SemccError, Storage, Value};
+use semcc_semantics::{IdMap, Invocation, ObjectId, Result, SemccError, Storage, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// One transaction's own share of the ledger: the positive deltas it has
 /// applied but not yet committed.
@@ -17,7 +16,7 @@ pub(super) type Reservations = RefCell<Vec<(ObjectId, i64)>>;
 
 #[derive(Default)]
 pub(super) struct EscrowLedger {
-    pending: Mutex<HashMap<ObjectId, i64>>,
+    pending: Mutex<IdMap<ObjectId, i64>>,
 }
 
 impl EscrowLedger {

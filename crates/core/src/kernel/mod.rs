@@ -42,8 +42,7 @@ use crate::notify::{WaitCell, WaitOutcome};
 use crate::stats::Stats;
 use parking_lot::Mutex;
 use semcc_objstore::CacheLine;
-use semcc_semantics::{Result, SemccError};
-use std::collections::{HashMap, HashSet};
+use semcc_semantics::{IdMap, IdSet, Result, SemccError};
 use std::sync::Arc;
 
 use queue::{ticket_before, Waiter};
@@ -237,9 +236,9 @@ impl std::fmt::Display for LockTableDump {
 pub struct ConcurrencyKernel<P> {
     policy: P,
     deps: DisciplineDeps,
-    shards: Sharded<HashMap<LockKey, KernelQueue>>,
+    shards: Sharded<IdMap<LockKey, KernelQueue>>,
     /// Keys on which each top-level transaction holds granted entries.
-    held: Sharded<HashMap<TopId, HashSet<LockKey>>>,
+    held: Sharded<IdMap<TopId, IdSet<LockKey>>>,
 }
 
 type Sharded<T> = Vec<CacheLine<Mutex<T>>>;
@@ -305,7 +304,7 @@ impl<P: KernelPolicy> ConcurrencyKernel<P> {
         }
     }
 
-    fn held_shard(&self, top: TopId) -> &Mutex<HashMap<TopId, HashSet<LockKey>>> {
+    fn held_shard(&self, top: TopId) -> &Mutex<IdMap<TopId, IdSet<LockKey>>> {
         &self.held[(top.0 as usize) % SHARD_COUNT].0
     }
 

@@ -122,15 +122,15 @@ pub fn test_conflict(
         let hi = h.chain.object_index();
         let ri = r.chain.object_index();
         if sorted_indexes_intersect(hi, ri) {
-            let r_links = r.chain.links();
-            for hl in &h.chain[1..] {
+            let r_links = r.chain.ancestors();
+            for hl in h.chain.ancestors() {
                 let obj = hl.inv.object;
                 let start = ri.partition_point(|&(o, _)| o < obj);
                 for &(o, rp) in &ri[start..] {
                     if o != obj {
                         break;
                     }
-                    let rl = &r_links[rp as usize];
+                    let rl = &r_links[rp as usize - 1];
                     if router.commute(&hl.inv, &rl.inv) {
                         if registry.is_finished(hl.node) {
                             // Case 1: commutative and committed ancestor —
@@ -195,10 +195,9 @@ pub fn test_conflict_reference(
 
     if cfg.ancestor_check {
         // Search for a commutative ancestor pair, bottom-up on both sides.
-        // chain[0] is the action itself; the paper's "ancestor chain"
-        // contains the proper ancestors only.
-        for hl in &h.chain[1..] {
-            for rl in &r.chain[1..] {
+        // The paper's "ancestor chain" contains the proper ancestors only.
+        for hl in h.chain.ancestors() {
+            for rl in r.chain.ancestors() {
                 if router.commute_reference(&hl.inv, &rl.inv) {
                     if registry.is_finished(hl.node) {
                         Stats::bump(&stats.case1_grants);

@@ -215,7 +215,6 @@ mod tests {
             chain,
             is_leaf: true,
             writes: false,
-            page: None,
             compensating: false,
         }
     }
@@ -262,7 +261,6 @@ mod tests {
                 chain: &c2,
                 is_leaf: true,
                 writes: false,
-                page: None,
                 compensating: false,
             };
             mgr2.acquire(req).unwrap()
@@ -380,7 +378,6 @@ mod tests {
                     chain: &c,
                     is_leaf: true,
                     writes: true,
-                    page: None,
                     compensating: false,
                 };
                 mgr.acquire(req).unwrap();

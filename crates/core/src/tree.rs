@@ -10,8 +10,7 @@ use crate::ids::{NodeRef, TopId};
 use crate::notify::WaitCell;
 use parking_lot::RwLock;
 use semcc_objstore::CacheLine;
-use semcc_semantics::{Invocation, ObjectId, DB_OBJECT, TYPE_DB};
-use std::collections::HashMap;
+use semcc_semantics::{IdMap, Invocation, ObjectId, DB_OBJECT, TYPE_DB};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,56 +43,83 @@ pub struct ChainLink {
     pub inv: Arc<Invocation>,
 }
 
-/// An ancestor chain `[self, parent, …, root]` plus a per-chain object
-/// index for the conflict fast path.
+/// The links `[node, parent, …, root]` of a node that has children, plus
+/// their object index for the conflict fast path. Every child's [`Chain`]
+/// shares its parent's `Ancestors` by `Arc`: one is built per interior
+/// node, when it gains its first child, and none per leaf.
 ///
 /// Commutativity is only ever asserted for two invocations on the *same*
 /// object, so the Figure-9 ancestor search only has to look at ancestor
 /// pairs whose objects match. The index — `(object, position)` for every
-/// **proper** ancestor (`links[1..]`), sorted by object id with ties broken
-/// bottom-up — lets [`test_conflict`](crate::lock::conflict::test_conflict)
-/// intersect two chains in `O(|h| + |r|)` instead of cross-producting them.
-/// It is built once at chain-construction time; invocations are immutable,
-/// so it never goes stale.
-///
-/// Dereferences to `[ChainLink]`, so positional access (`chain[0]`,
-/// `&chain[1..]`) reads exactly like the bare slice it replaced.
+/// link, positioned as in a child's chain (the node itself is 1), sorted
+/// by object id with ties broken bottom-up — lets
+/// [`test_conflict`](crate::lock::conflict::test_conflict) intersect two
+/// chains in `O(|h| + |r|)` instead of cross-producting them. Invocations
+/// are immutable, so it never goes stale.
+#[derive(Debug)]
+struct Ancestors {
+    links: Vec<ChainLink>,
+    index: Vec<(ObjectId, u32)>,
+}
+
+impl Ancestors {
+    /// `link` prepended to its parent's ancestors (`None` for the root).
+    fn new(link: ChainLink, parent: Option<&Ancestors>) -> Arc<Self> {
+        let (up_links, up_index) = parent.map_or((&[][..], &[][..]), |p| (&p.links, &p.index));
+        let mut links = Vec::with_capacity(up_links.len() + 1);
+        let mut index = Vec::with_capacity(up_index.len() + 1);
+        // Position 1 is the lowest, so it leads the run of its object.
+        let object = link.inv.object;
+        let split = up_index.partition_point(|&(o, _)| o < object);
+        index.extend(up_index[..split].iter().map(|&(o, p)| (o, p + 1)));
+        index.push((object, 1));
+        index.extend(up_index[split..].iter().map(|&(o, p)| (o, p + 1)));
+        links.push(link);
+        links.extend_from_slice(up_links);
+        Arc::new(Ancestors { links, index })
+    }
+}
+
+/// An ancestor chain `[self, parent, …, root]`: the node's own link plus
+/// its parent's shared [`Ancestors`]. Indexing is positional (`chain[0]`
+/// is the node itself).
 #[derive(Clone, Debug)]
 pub struct Chain {
-    links: Arc<[ChainLink]>,
-    index: Arc<[(ObjectId, u32)]>,
+    link: ChainLink,
+    ancestors: Option<Arc<Ancestors>>,
 }
 
 impl Chain {
-    /// Wrap a `[self, parent, …, root]` link slice, building the object
-    /// index over its proper ancestors.
-    pub fn new(links: Arc<[ChainLink]>) -> Self {
-        let mut index: Vec<(ObjectId, u32)> = links
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(pos, link)| (link.inv.object, pos as u32))
-            .collect();
-        index.sort_unstable();
-        Chain { links, index: index.into() }
+    /// The proper ancestors, `[parent, …, root]` (empty for a root).
+    pub fn ancestors(&self) -> &[ChainLink] {
+        self.ancestors.as_ref().map_or(&[], |a| &a.links)
     }
 
-    /// The links, `[self, parent, …, root]`.
-    pub fn links(&self) -> &[ChainLink] {
-        &self.links
-    }
-
-    /// `(object, position)` per proper ancestor, sorted by `(object, pos)`.
+    /// `(object, position)` per proper ancestor, sorted by `(object, pos)`;
+    /// the position is the link's index in the chain, so `ancestors()[pos - 1]`.
     pub fn object_index(&self) -> &[(ObjectId, u32)] {
-        &self.index
+        self.ancestors.as_ref().map_or(&[], |a| &a.index)
+    }
+
+    /// Number of links, the node itself included.
+    pub fn len(&self) -> usize {
+        1 + self.ancestors().len()
+    }
+
+    /// Always false — a chain has at least its node.
+    pub fn is_empty(&self) -> bool {
+        false
     }
 }
 
-impl std::ops::Deref for Chain {
-    type Target = [ChainLink];
+impl std::ops::Index<usize> for Chain {
+    type Output = ChainLink;
 
-    fn deref(&self) -> &[ChainLink] {
-        &self.links
+    fn index(&self, pos: usize) -> &ChainLink {
+        match pos {
+            0 => &self.link,
+            _ => &self.ancestors()[pos - 1],
+        }
     }
 }
 
@@ -104,6 +130,8 @@ struct Node {
     children: Vec<u32>,
     /// Wait cells subscribed to this node reaching its final state.
     waiters: Vec<Arc<WaitCell>>,
+    /// Built when the node gains its first child.
+    ancestors: Option<Arc<Ancestors>>,
 }
 
 /// The wait cells subscribed to a node when it reached its final state.
@@ -140,6 +168,7 @@ impl TxnTree {
                 state: NodeState::Active,
                 children: Vec::new(),
                 waiters: Vec::new(),
+                ancestors: None,
             }]),
         })
     }
@@ -149,9 +178,17 @@ impl TxnTree {
         self.top
     }
 
-    /// Add a child action under `parent` and return its index.
+    /// Add a child action under `parent` and return its index. The
+    /// parent's first child builds the parent's [`Ancestors`].
     pub fn add_child(&self, parent: u32, inv: Arc<Invocation>) -> u32 {
         let mut nodes = self.nodes.write();
+        if nodes[parent as usize].ancestors.is_none() {
+            let p = &nodes[parent as usize];
+            let link =
+                ChainLink { node: NodeRef { top: self.top, idx: parent }, inv: Arc::clone(&p.inv) };
+            let up = p.parent.and_then(|g| nodes[g as usize].ancestors.as_deref());
+            nodes[parent as usize].ancestors = Some(Ancestors::new(link, up));
+        }
         let idx = nodes.len() as u32;
         nodes.push(Node {
             parent: Some(parent),
@@ -159,6 +196,7 @@ impl TxnTree {
             state: NodeState::Active,
             children: Vec::new(),
             waiters: Vec::new(),
+            ancestors: None,
         });
         nodes[parent as usize].children.push(idx);
         idx
@@ -246,21 +284,16 @@ impl TxnTree {
 
     /// Ancestor chain of a node in bottom-up order **including the node
     /// itself** at position 0 and the root at the last position. The
-    /// conflict test of Figure 9 iterates over `chain[1..]` (the proper
-    /// ancestors, "sorted list of the ancestors of t in bottom-up order").
+    /// conflict test of Figure 9 iterates over [`Chain::ancestors`] (the
+    /// proper ancestors, "sorted list of the ancestors of t in bottom-up
+    /// order"), shared with the node's siblings: no allocation.
     pub fn chain(&self, idx: u32) -> Chain {
         let nodes = self.nodes.read();
-        let mut links = Vec::new();
-        let mut cur = Some(idx);
-        while let Some(i) = cur {
-            let n = &nodes[i as usize];
-            links.push(ChainLink {
-                node: NodeRef { top: self.top, idx: i },
-                inv: Arc::clone(&n.inv),
-            });
-            cur = n.parent;
+        let n = &nodes[idx as usize];
+        Chain {
+            link: ChainLink { node: NodeRef { top: self.top, idx }, inv: Arc::clone(&n.inv) },
+            ancestors: n.parent.and_then(|p| nodes[p as usize].ancestors.clone()),
         }
-        Chain::new(links.into())
     }
 
     /// Indices of all nodes that are still active (used on abort).
@@ -294,7 +327,7 @@ pub struct Registry {
     next: AtomicU64,
 }
 
-type Trees = HashMap<TopId, Arc<TxnTree>>;
+type Trees = IdMap<TopId, Arc<TxnTree>>;
 
 const REGISTRY_SHARDS: usize = 64;
 
@@ -377,7 +410,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semcc_semantics::{ObjectId, TYPE_ATOMIC};
+    use semcc_semantics::{MethodId, ObjectId, TypeId, TYPE_ATOMIC};
 
     fn inv(o: u64) -> Arc<Invocation> {
         Arc::new(Invocation::get(ObjectId(o), TYPE_ATOMIC))
@@ -412,6 +445,9 @@ mod tests {
         assert_eq!(chain[1].node, NodeRef { top: TopId(7), idx: a });
         assert_eq!(chain[2].node, NodeRef::root(TopId(7)));
         assert_eq!(chain[2].inv.object, DB_OBJECT);
+        let up: Vec<NodeRef> = chain.ancestors().iter().map(|l| l.node).collect();
+        assert_eq!(up, vec![chain[1].node, chain[2].node]);
+        assert!(t.chain(0).ancestors().is_empty(), "a root has no proper ancestors");
     }
 
     #[test]
@@ -424,8 +460,11 @@ mod tests {
         // Proper ancestors: b (o2, pos 1), a (o9, pos 2), root (o0, pos 3),
         // sorted by object id.
         assert_eq!(chain.object_index(), &[(DB_OBJECT, 3), (ObjectId(2), 1), (ObjectId(9), 2)]);
-        assert_eq!(chain.links().len(), 4);
-        assert_eq!(chain[0].inv.object, ObjectId(5), "deref reaches the links");
+        assert_eq!(chain.ancestors().len(), 3);
+        assert_eq!(chain[0].inv.object, ObjectId(5), "position 0 is the node itself");
+        for &(object, pos) in chain.object_index() {
+            assert_eq!(chain.ancestors()[pos as usize - 1].inv.object, object);
+        }
     }
 
     #[test]
@@ -440,6 +479,31 @@ mod tests {
             &[(DB_OBJECT, 3), (ObjectId(7), 1), (ObjectId(7), 2)],
             "equal objects keep bottom-up position order"
         );
+    }
+
+    #[test]
+    fn sibling_chains_share_one_ancestors() {
+        let t = TxnTree::new(TopId(4));
+        let m = t.add_child(0, inv(3));
+        let (x, y) = (t.add_child(m, inv(5)), t.add_child(m, inv(6)));
+        let (cx, cy) = (t.chain(x), t.chain(y));
+        assert!(Arc::ptr_eq(cx.ancestors.as_ref().unwrap(), cy.ancestors.as_ref().unwrap()));
+        assert_eq!(cx[0].node.idx, x);
+        assert_eq!(cy[0].node.idx, y);
+    }
+
+    #[test]
+    fn chain_under_a_generic_interior_node() {
+        let t = TxnTree::new(TopId(5));
+        let m = t
+            .add_child(0, Arc::new(Invocation::user(ObjectId(8), TypeId(20), MethodId(1), vec![])));
+        let g = t.add_child(m, inv(4)); // a generic action with a child
+        let leaf = t.add_child(g, inv(6));
+        let chain = t.chain(leaf);
+        let up: Vec<(u32, ObjectId)> =
+            chain.ancestors().iter().map(|l| (l.node.idx, l.inv.object)).collect();
+        assert_eq!(up, vec![(g, ObjectId(4)), (m, ObjectId(8)), (0, DB_OBJECT)]);
+        assert_eq!(chain.object_index(), &[(DB_OBJECT, 3), (ObjectId(4), 1), (ObjectId(8), 2)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! database without overlap.
 
 use semcc_orderentry::{Database, Target, TxnSpec};
-use semcc_semantics::ObjectId;
+use semcc_semantics::{IdMap, ObjectId};
 use std::collections::HashMap;
 
 /// Routing table: object → owning shard.
@@ -17,9 +17,9 @@ use std::collections::HashMap;
 pub struct PartitionMap {
     n_shards: usize,
     /// Item tuple object → its primary key.
-    item_no: HashMap<ObjectId, u64>,
+    item_no: IdMap<ObjectId, u64>,
     /// Pre-populated order tuple object → the owning item's primary key.
-    order_item_no: HashMap<ObjectId, u64>,
+    order_item_no: IdMap<ObjectId, u64>,
 }
 
 impl PartitionMap {
@@ -27,8 +27,8 @@ impl PartitionMap {
     /// they are all identical).
     pub fn new(db: &Database, n_shards: usize) -> PartitionMap {
         assert!(n_shards >= 1, "a fleet has at least one shard");
-        let mut item_no = HashMap::new();
-        let mut order_item_no = HashMap::new();
+        let mut item_no = IdMap::default();
+        let mut order_item_no = IdMap::default();
         for info in &db.items {
             item_no.insert(info.item, info.item_no);
             for o in &info.orders {

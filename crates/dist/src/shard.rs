@@ -46,8 +46,8 @@ use semcc_core::{
     Stats, StatsSnapshot, TopId, WalConfig, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
-use semcc_semantics::{Invocation, SemccError, Storage, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use semcc_semantics::{IdMap, Invocation, SemccError, Storage, Value};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,7 +168,7 @@ pub struct ShardNode {
     /// Pieces executed and acked but not yet resolved, by gtid. Volatile —
     /// a crash clears it; recovery rebuilds the in-doubt set from the
     /// participant log.
-    completed: Mutex<HashMap<u64, CompletedPiece>>,
+    completed: Mutex<IdMap<u64, CompletedPiece>>,
     dead: AtomicBool,
     stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
@@ -186,7 +186,7 @@ impl ShardNode {
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
             cfg,
             inner: Mutex::new(Some(Arc::new(inner))),
-            completed: Mutex::new(HashMap::new()),
+            completed: Mutex::default(),
             dead: AtomicBool::new(false),
             stats: Arc::new(Stats::default()),
             faults,

@@ -5,10 +5,10 @@ use crate::pages::{PageAllocator, PagePolicy};
 use crate::CacheLine;
 use parking_lot::{Mutex, RwLock};
 use semcc_semantics::{
-    ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta, StoreDump,
-    TypeId, Value, TYPE_ATOMIC,
+    IdMap, ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta,
+    StoreDump, TypeId, Value, TYPE_ATOMIC,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SHARD_COUNT: usize = 64;
@@ -25,7 +25,7 @@ const DIRTY_LIST_FLOOR: usize = 1024;
 /// that [`Storage::checkpoint_delta`] drains, all under the same latch.
 #[derive(Default)]
 struct Shard {
-    objects: HashMap<ObjectId, StoredObject>,
+    objects: IdMap<ObjectId, StoredObject>,
     /// Ids created, mutated or deleted since the last capture. A live
     /// object is listed exactly while its `dirty` bit is set, so at most
     /// once per interval; an id that no longer resolves is a tombstone.

@@ -4,7 +4,9 @@
 //! transaction tree nodes and history events stay cheap to move around.
 
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a database object (atomic, tuple, set or encapsulated).
 ///
@@ -84,6 +86,54 @@ impl fmt::Debug for PageId {
     }
 }
 
+/// A hasher for the small integer ids that key the lock table, the store
+/// shards and every other per-request map: rustc's `FxHasher` scheme
+/// (rotate, xor, multiply by an odd constant). Not DoS-resistant — every
+/// key it sees is an id the system allocated itself.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// A product's low bits depend only on the key's low bits, and the
+    /// ids of one store shard (or one registry shard) share their low six
+    /// bits. The map indexes buckets by the low bits, so the well-mixed
+    /// high bits are rotated down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` of ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +163,21 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(ObjectId(1) < ObjectId(2));
         assert!(PageId(3) < PageId(4));
+    }
+
+    #[test]
+    fn id_hasher_spreads_one_store_shards_ids_over_the_buckets() {
+        use std::hash::BuildHasher;
+        // One store shard's id pattern: every id ≡ 5 (mod 64).
+        let ids: Vec<ObjectId> = (0..4096u64).map(|i| ObjectId(i * 64 + 5)).collect();
+        let mut map: IdMap<ObjectId, u64> = IdMap::default();
+        map.extend(ids.iter().map(|&id| (id, id.0)));
+        assert_eq!(map.len(), 4096);
+        let mut slots = vec![false; 4096];
+        for id in &ids {
+            slots[(map.hasher().hash_one(id) & 4095) as usize] = true;
+        }
+        let covered = slots.iter().filter(|&&s| s).count();
+        assert!(covered >= 2048, "only {covered} of 4096 bucket slots used");
     }
 }

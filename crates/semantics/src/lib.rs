@@ -43,7 +43,8 @@ pub use commutativity::{
 pub use context::MethodContext;
 pub use error::{Result, SemccError};
 pub use ids::{
-    MethodId, ObjectId, PageId, TypeId, DB_OBJECT, TYPE_ATOMIC, TYPE_DB, TYPE_SET, TYPE_TUPLE,
+    IdHasher, IdMap, IdSet, MethodId, ObjectId, PageId, TypeId, DB_OBJECT, TYPE_ATOMIC, TYPE_DB,
+    TYPE_SET, TYPE_TUPLE,
 };
 pub use invocation::{GenericMethod, Invocation, MethodSel};
 pub use storage::{ObjectDump, ObjectImage, Storage, StoreDelta, StoreDump};

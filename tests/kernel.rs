@@ -55,7 +55,6 @@ fn leaf_acquire(mgr: &SemanticLockManager, tree: &Arc<TxnTree>, idx: u32) -> boo
         chain: &chain,
         is_leaf: true,
         writes: true,
-        page: None,
         compensating: false,
     })
     .unwrap()
