@@ -287,7 +287,7 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, Table) {
         "committed",
         "lost acked",
         "shard crashes",
-        "residue",
+        "violations",
         "sound",
     ]);
     let mut avail_ok = true;
@@ -306,7 +306,7 @@ pub fn b11_sharded(scale: Scale, strict: bool) -> (Table, Table) {
             report.committed.to_string(),
             report.lost_acked.to_string(),
             report.shard_crashes.to_string(),
-            report.residue_violations.len().to_string(),
+            report.violations.len().to_string(),
             if report.sound() { "yes".into() } else { "NO".into() },
         ]);
         assert_eq!(report.lost_acked, 0, "b11 availability: acked commit lost (seed {seed})");

@@ -162,7 +162,9 @@ impl Engine {
     /// recovery repeats history, forward effects and compensations alike,
     /// because absolute leaf values embed the effects of concurrently
     /// exposed work that a later compensation undid — and quietly: a lost
-    /// CLR means recovery re-derives the inverse from the intent list. If a
+    /// CLR means recovery re-derives the inverse from the intent list. The
+    /// leaf that is a whole inverse of a logged abort carries that
+    /// inverse's progress mark ([`Txn::mark_leaf`]). If a
     /// forward record cannot be appended, the mutation is undone inline
     /// (best-effort — the transaction is aborting with a durability error
     /// regardless) once the barrier is released, since the undo re-enters
@@ -183,7 +185,8 @@ impl Engine {
             let (out, inverse) = mutate()?;
             let logged = match redo(&out) {
                 Some(op) if compensating => {
-                    self.log.append_quiet(WalRecord::CompRedo { top: txn.wal_top(), op });
+                    let applied = txn.mark_leaf.take();
+                    self.log.append_quiet(WalRecord::CompRedo { top: txn.wal_top(), op, applied });
                     Ok(())
                 }
                 Some(op) => {

@@ -46,6 +46,9 @@ pub(super) struct Txn<'e> {
     /// Leaves the log holds for this transaction's open depth-1 subtrees
     /// (see [`crate::WalWriter::append_leaf`]).
     pub(super) open_leaves: Cell<usize>,
+    /// Set while a logged abort runs an inverse that is a single leaf: the
+    /// leaf's `CompRedo` takes it and carries the inverse's progress mark.
+    pub(super) mark_leaf: Cell<bool>,
     pub(super) escrow: Reservations,
     /// Cleared by `finish_top`.
     open: Cell<bool>,
@@ -89,6 +92,7 @@ impl Engine {
             written: RefCell::default(),
             wal_alias,
             open_leaves: Cell::new(0),
+            mark_leaf: Cell::new(false),
             escrow: RefCell::default(),
             open: Cell::new(true),
         }
@@ -228,10 +232,12 @@ impl Engine {
 
     /// Execute compensations in reverse chronological order, retrying on
     /// contention aborts (deadlock victim or lock-wait timeout).
-    /// `log_progress` appends a `CompApplied` marker per applied inverse —
-    /// set only by *top-level* aborts, whose intent list is what recovery
-    /// reconstructs from `SubCommit` records; intra-subtransaction
-    /// rollbacks must not inflate the marker count.
+    /// `log_progress` marks each applied inverse in the log — set only by
+    /// *top-level* aborts, whose intent list is what recovery reconstructs
+    /// from `SubCommit` records; intra-subtransaction rollbacks must not
+    /// inflate the marker count. An inverse that is a single leaf is
+    /// marked by its own `CompRedo` (`applied`), any other by a
+    /// `CompApplied` after it.
     pub(super) fn compensate_list(
         &self,
         txn: &Txn<'_>,
@@ -241,7 +247,9 @@ impl Engine {
         let top = txn.top();
         for inv in comp.into_iter().rev() {
             let mut attempts = 0;
+            let one_leaf = log_progress && inv.method.is_generic();
             loop {
+                txn.mark_leaf.set(one_leaf);
                 self.deps.emit(|| Event::Compensate { top, inv: Arc::new(inv.clone()) });
                 Stats::bump(&self.deps.stats.compensations);
                 let node = NodeRef::root(top);
@@ -261,6 +269,8 @@ impl Engine {
                 } else {
                     self.run_action(txn, 0, 0, inv.clone(), true)
                 };
+                // Whether the inverse's own `CompRedo` carried the mark.
+                let marked = one_leaf && !txn.mark_leaf.replace(false);
                 match run {
                     Ok(_) => {
                         // Abort-progress marker: tells recovery how many of
@@ -270,7 +280,7 @@ impl Engine {
                         // Quiet: abort progress lost to a poisoned log just
                         // means recovery re-runs an inverse it cannot know
                         // was applied.
-                        if log_progress {
+                        if log_progress && !marked {
                             self.log.append_quiet(WalRecord::CompApplied { top: txn.wal_top() });
                         }
                         break;

@@ -1,9 +1,9 @@
-//! Deterministic fault injection (the chaos harness).
+//! Deterministic fault injection into one engine (the chaos harness).
 //!
 //! A [`FaultPlan`] is a seeded random schedule of failures: each injection
 //! site draws from one shared SplitMix64 stream, so a `(seed, workload)`
 //! pair reproduces the exact same fault sequence on every run. Faults are
-//! delivered three ways:
+//! delivered four ways:
 //!
 //! * **storage faults** — a [`FaultyStorage`] decorator wraps the real
 //!   [`Storage`] and makes data operations fail with
@@ -23,14 +23,15 @@
 //!   preserved either way);
 //! * **WAL I/O faults** — an [`IoFaultPoint`] fails a deterministic append
 //!   or fsync of the [`WalWriter`](crate::wal::WalWriter) and poisons the
-//!   log. (A [`ShardFaultPoint`], which fails the distributed plane, is
-//!   armed on the fleet's own configuration.)
+//!   log.
 //!
 //! Crashes are not injected here. Every image a crash of one node can
 //! leave is a byte prefix of its log (a *cut*,
 //! [`LogImage::cut`](crate::wal::LogImage::cut)), so the audits enumerate
 //! the cuts of a finished run instead of killing the device mid-run; a
-//! live writer dies one way only, [`WalWriter::power_fail`].
+//! live writer dies one way only, [`WalWriter::power_fail`]. A fleet's
+//! crash is a consistent cut of all its logs, which `sim::chaos` audits
+//! the same way.
 //!
 //! None of this is compiled out in release builds — an engine without a
 //! plan pays one `Option` check per site.
@@ -54,55 +55,6 @@ pub enum FaultSite {
     MethodBody,
     /// A compensating invocation (delivered as an error).
     Compensation,
-}
-
-/// A deterministic fault in the distributed (coordinator ↔ shard) plane.
-/// Ordinals are counted by the *consumer* (the RPC seam or the
-/// coordinator's commit driver), so a point is meaningful independent of
-/// workload interleaving — the same discipline as [`IoFaultPoint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardFaultPoint {
-    /// The `nth` coordinator→shard request is dropped on the wire: the
-    /// shard never sees it and the caller times out and retries.
-    DropRequest {
-        /// 1-based request ordinal.
-        nth: u64,
-    },
-    /// The `nth` coordinator→shard request is delayed past the caller's
-    /// timeout (the shard processed it; the *reply* is what the caller
-    /// never saw in time). The retry seam must tolerate the duplicate.
-    DelayRequest {
-        /// 1-based request ordinal.
-        nth: u64,
-    },
-    /// The `nth` coordinator→shard request fails with a transport error
-    /// (connection reset); retried like a drop.
-    FailRequest {
-        /// 1-based request ordinal.
-        nth: u64,
-    },
-    /// The shard owning the `nth` prepare crashes (WAL device dies) just
-    /// *before* durably logging the prepare: on recovery the piece never
-    /// existed and presumed-abort applies.
-    CrashBeforePrepare {
-        /// 1-based prepare ordinal (fleet-wide).
-        nth: u64,
-    },
-    /// The shard crashes right *after* the coordinator's decision was
-    /// logged but before applying/acknowledging it: the participant
-    /// recovers in doubt and must resolve from the decision log.
-    CrashAfterDecision {
-        /// 1-based decision ordinal (fleet-wide).
-        nth: u64,
-    },
-    /// The coordinator crashes midway through driving the `nth` global
-    /// commit: the decision record may or may not be durable, and the
-    /// restarted coordinator must re-drive in-doubt participants either
-    /// way.
-    CoordinatorCrashMidCommit {
-        /// 1-based global-commit ordinal.
-        nth: u64,
-    },
 }
 
 /// A deterministic I/O failure of the write-ahead-log device — unlike a

@@ -37,7 +37,7 @@
 //!
 //! ## Shells pinned by `benchmark/`
 //!
-//! `benchmark/src` names seven things that no longer do anything and may
+//! `benchmark/src` names eight things that no longer do anything and may
 //! not be edited by a change to anything else. Each is tagged where it is
 //! defined (`grep -rn BENCH-PINNED crates tests`) and goes with the next
 //! `benchmark`-typed change:
@@ -46,7 +46,8 @@
 //! * BENCH-PINNED 3–4: `test_conflict`'s sixth parameter, [`Engine::speculation_edges`];
 //! * BENCH-PINNED 5: the fourth component of `semcc_dist::ShardResidue`;
 //! * BENCH-PINNED 6–7: [`notify::CompletionHub`] with [`DisciplineDeps::hub`],
-//!   [`lock::entry::LockEntry::retained`].
+//!   [`lock::entry::LockEntry::retained`];
+//! * BENCH-PINNED 8: `semcc_dist::ShardNode::new`'s second parameter.
 
 pub mod config;
 pub mod deadlock;
@@ -76,7 +77,7 @@ pub use engine::{
 };
 pub use fault::{
     injected_panic, silence_injected_panics, FaultPlan, FaultSite, FaultSpec, FaultyStorage,
-    InjectedPanic, IoFaultPoint, ShardFaultPoint,
+    InjectedPanic, IoFaultPoint,
 };
 pub use hist::{HistogramSummary, LatencyHistogram};
 pub use history::{Event, HistorySink, MemorySink, NullSink, Stamped};

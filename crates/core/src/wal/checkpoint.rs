@@ -78,8 +78,9 @@ pub struct TopInfo {
     /// depth-1 subtree has not (yet) logged a `SubCommit`, tagged with
     /// that subtree; a later `SubCommit` supersedes and drops them.
     pub orphan_intents: Vec<(u32, Invocation)>,
-    /// `CompApplied` markers seen (a pre-crash top-level abort's
-    /// progress; always the newest intents, compensation runs reversed).
+    /// Inverses seen applied — `CompApplied` markers and `applied`
+    /// `CompRedo`s (a pre-crash top-level abort's progress; always the
+    /// newest intents, compensation runs reversed).
     pub comp_applied: u64,
     /// LSN of the transaction's last record (undo ordering).
     pub last_lsn: u64,
@@ -147,6 +148,9 @@ pub fn fold(tops: &mut BTreeMap<u64, TopInfo>, lsn: u64, rec: &WalRecord) {
         WalRecord::TopCommit { .. } => info.committed = true,
         WalRecord::TopAbort { .. } => info.aborted = true,
         WalRecord::LeafRedo { op, .. } | WalRecord::CompRedo { op, .. } => {
+            if let WalRecord::CompRedo { applied: true, .. } = rec {
+                info.comp_applied += 1;
+            }
             if let Some(id) = op.created_id() {
                 info.creations.push(id);
             }
@@ -787,7 +791,8 @@ mod tests {
             fold(&mut tops, lsn as u64, rec);
         }
         // sample_records: top 1 commits with one SubCommit (2 intents) and
-        // a created tuple; top 2 aborts after one compensated insert.
+        // a created tuple; top 2 aborts after two inverses marked applied,
+        // a compensated insert by its own `CompRedo`, then a `CompApplied`.
         let t1 = &tops[&1];
         assert!(t1.committed && !t1.aborted);
         assert_eq!(t1.intents.len(), 2);
@@ -795,7 +800,7 @@ mod tests {
         assert!(t1.committed_subtrees.contains(&2));
         let t2 = &tops[&2];
         assert!(t2.aborted && !t2.committed);
-        assert_eq!(t2.comp_applied, 1);
+        assert_eq!(t2.comp_applied, 2);
         // The recovery mark belongs to no transaction.
         assert!(!tops.contains_key(&0));
     }

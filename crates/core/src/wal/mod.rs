@@ -260,13 +260,17 @@ pub enum WalRecord {
     /// analogue of an ARIES CLR). Replayed unconditionally: repeating the
     /// physical history is what keeps absolute leaf values — which embed
     /// the effects of concurrently exposed, later-compensated work —
-    /// consistent across the redo pass.
-    CompRedo { top: u64, op: RedoOp },
+    /// consistent across the redo pass. `applied`: this leaf is the whole
+    /// of one inverse of `top`'s top-level abort, so the record also
+    /// counts as that inverse's `CompApplied` — effect and progress marker
+    /// in one record, which no cut can split.
+    CompRedo { top: u64, op: RedoOp, applied: bool },
     /// One compensating invocation of the *top-level* abort of `top`
     /// finished. Intra-subtransaction rollbacks do not log this marker, so
-    /// its count per transaction tells recovery how many of a loser's
-    /// logged intents (from the end, newest first) were already applied
-    /// before the crash.
+    /// its count per transaction (with the `applied` `CompRedo`s) tells
+    /// recovery how many of a loser's logged intents (from the end, newest
+    /// first) were already applied before the crash. An inverse that is a
+    /// single leaf logs an `applied` `CompRedo` instead.
     CompApplied { top: u64 },
     /// `top` committed.
     TopCommit { top: u64 },
@@ -449,8 +453,8 @@ fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
             out.push(4);
             put_u64(out, *top);
         }
-        WalRecord::CompRedo { top, op } => {
-            out.push(5);
+        WalRecord::CompRedo { top, op, applied } => {
+            out.push(if *applied { 8 } else { 5 });
             put_u64(out, *top);
             put_redo(out, op);
         }
@@ -611,9 +615,9 @@ impl<'a> Cursor<'a> {
             2 => WalRecord::CompApplied { top: self.u64()? },
             3 => WalRecord::TopCommit { top: self.u64()? },
             4 => WalRecord::TopAbort { top: self.u64()? },
-            5 => {
+            tag @ (5 | 8) => {
                 let top = self.u64()?;
-                WalRecord::CompRedo { top, op: self.redo()? }
+                WalRecord::CompRedo { top, op: self.redo()?, applied: tag == 8 }
             }
             6 => {
                 let top = self.u64()?;
@@ -901,7 +905,11 @@ pub(crate) mod testutil {
                 subtree: 1,
                 op: RedoOp::Insert { set: ObjectId(9), key: 5, member: ObjectId(40) },
             },
-            WalRecord::CompRedo { top: 2, op: RedoOp::Remove { set: ObjectId(9), key: 5 } },
+            WalRecord::CompRedo {
+                top: 2,
+                op: RedoOp::Remove { set: ObjectId(9), key: 5 },
+                applied: true,
+            },
             WalRecord::LeafRedo {
                 top: 2,
                 subtree: 1,

@@ -208,7 +208,7 @@ pub fn recover_image(
             }
             // Compensating effects always replay: they repaired state
             // other transactions went on to observe (and log absolutely).
-            WalRecord::CompRedo { top, op } => (top, op),
+            WalRecord::CompRedo { top, op, .. } => (top, op),
             _ => continue,
         };
         replay(&store, op)?;
@@ -280,7 +280,9 @@ pub fn recover_image(
                     }
                 }
                 // Durably resolve the loser: from here on it is an
-                // ordinary aborted transaction to any later pass.
+                // ordinary aborted transaction to any later pass. If the
+                // record is lost, the next pass finds every inverse marked
+                // applied and runs none of them again.
                 if let Some(w) = &progress {
                     let _ = w.append(&WalRecord::TopAbort { top });
                 }

@@ -28,17 +28,17 @@
 
 use crate::dispatch::{Dispatched, Dispatcher};
 use crate::partition::PartitionMap;
-use crate::rpc::{FleetFaults, RetryPolicy, RpcError, ShardLink};
-use crate::shard::{DecisionGate, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport};
+use crate::rpc::{FleetFaults, RetryPolicy, RpcError, ShardFaultPoint, ShardLink};
+use crate::shard::{DecisionGate, PieceAck, ShardConfig, ShardNode};
 use parking_lot::Mutex;
 use semcc_core::{
-    backoff_duration, read_image, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig,
-    ShardFaultPoint, Stats, StatsSnapshot, WalRecord, WalWriter,
+    backoff_duration, read_image, EventJournal, FsyncPolicy, JournalKind, LogImage, ProtocolConfig,
+    Stats, StatsSnapshot, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::{SemccError, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +72,7 @@ pub struct FleetConfig {
     pub retry: RetryPolicy,
     /// Backoff / fault-schedule seed.
     pub seed: u64,
-    /// Injected fleet fault, if any.
+    /// Injected transport fault, if any.
     pub fault: Option<ShardFaultPoint>,
     /// Piece re-runs after retryable engine aborts (deadlock, timeout).
     pub max_piece_retries: u32,
@@ -121,12 +121,8 @@ pub struct Coordinator {
     pmap: PartitionMap,
     dispatch: Dispatcher,
     decision_log: Arc<WalWriter>,
-    /// In-memory mirror of the decision log (gtid → commit). Volatile:
-    /// a coordinator crash clears it; recovery reparses the log.
-    decisions: Mutex<BTreeMap<u64, bool>>,
     next_gtid: AtomicU64,
     journal: Option<Arc<EventJournal>>,
-    down: AtomicBool,
     /// Gtids whose commit was acknowledged to the client, in ack order.
     acked: Mutex<Vec<u64>>,
 }
@@ -157,11 +153,9 @@ impl Coordinator {
             pmap,
             dispatch: Dispatcher::default(),
             decision_log: WalWriter::new(FsyncPolicy::EveryAppend),
-            decisions: Mutex::new(BTreeMap::new()),
             next_gtid: AtomicU64::new(1),
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
-            down: AtomicBool::new(false),
             acked: Mutex::new(Vec::new()),
             fleet: Arc::new(Fleet { cfg, shards, faults, stats: Stats::default() }),
         }
@@ -177,11 +171,6 @@ impl Coordinator {
         &self.pmap
     }
 
-    /// Whether the coordinator is down (crashed mid-commit).
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::Acquire)
-    }
-
     /// Gtids acked to the client, in ack order.
     pub fn acked(&self) -> Vec<u64> {
         self.acked.lock().clone()
@@ -189,12 +178,19 @@ impl Coordinator {
 
     /// Gtids with a durably logged **commit** decision, ascending.
     pub fn committed_gtids(&self) -> Vec<u64> {
-        self.decisions.lock().iter().filter(|(_, c)| **c).map(|(g, _)| *g).collect()
+        self.decisions().into_iter().filter(|(_, c)| *c).map(|(g, _)| g).collect()
     }
 
-    /// Snapshot of the decision map (shard recovery resolves against it).
+    /// The logged decisions, gtid → commit (shard recovery resolves
+    /// against them).
     pub fn decisions(&self) -> BTreeMap<u64, bool> {
-        self.decisions.lock().clone()
+        parse_decisions(&self.decision_image())
+            .expect("the decision log is written here, in memory")
+    }
+
+    /// The decision log a crash of the coordinator would leave.
+    pub fn decision_image(&self) -> LogImage {
+        self.decision_log.surviving_image()
     }
 
     /// The coordinator's dist-event journal, if enabled.
@@ -223,7 +219,9 @@ impl Coordinator {
         }
     }
 
-    fn log_decision(&self, gtid: u64, commit: bool) -> Result<(), RpcError> {
+    /// Log the decision on `gtid`, durably: an in-memory log with no fault
+    /// plan, so the append cannot fail.
+    fn log_decision(&self, gtid: u64, commit: bool) {
         let rec = if commit {
             WalRecord::TopCommit { top: gtid }
         } else {
@@ -231,10 +229,8 @@ impl Coordinator {
             // abort (presumed abort), so losing this record is harmless.
             WalRecord::TopAbort { top: gtid }
         };
-        self.decision_log.append(&rec).map_err(|_| RpcError::CoordinatorDown)?;
-        self.decisions.lock().insert(gtid, commit);
+        self.decision_log.append(&rec).expect("the decision log has no fault plan");
         self.journal_record(JournalKind::ShardDecide, gtid, u64::from(commit));
-        Ok(())
     }
 
     /// Acknowledge `gtid` to the client. A cross-shard transaction is
@@ -256,9 +252,6 @@ impl Coordinator {
         protocol: CommitProtocol,
     ) -> (u64, Result<Value, RpcError>) {
         let gtid = self.next_gtid.fetch_add(1, Ordering::Relaxed);
-        if self.is_down() {
-            return (gtid, Err(RpcError::CoordinatorDown));
-        }
         let pieces = self.pmap.split(spec);
         // One-phase optimization: a single-shard transaction needs no
         // prepare round — every real 2PC system short-circuits it, and
@@ -292,18 +285,12 @@ impl Coordinator {
         let mut out = self.dispatch.run(jobs, self.fleet.sleeps());
         if let Some(e) = out.failure.take() {
             // Global abort. Compensate the pieces already committed.
-            let _ = self.log_decision(gtid, false);
+            self.log_decision(gtid, false);
             self.fleet.resolve(gtid, &out.acks, false);
             return Err(e);
         }
         // Every piece is locally durable: log the global commit decision.
-        self.log_decision(gtid, true)?;
-        if self.fleet.faults.coordinator_crash() {
-            // Crash mid-commit: decided but neither the shards nor the
-            // client ever hear it. Recovery re-drives the decision.
-            self.crash();
-            return Err(RpcError::CoordinatorDown);
-        }
+        self.log_decision(gtid, true);
         self.fleet.resolve(gtid, &out.acks, true);
         self.ack(gtid, cross_shard);
         Ok(out.into_value())
@@ -332,13 +319,13 @@ impl Coordinator {
         self.fleet.net_pause();
         // Presumed abort: the commit decision is durable before any
         // participant may release locks and finish.
-        let commit = self.log_decision(gtid, all_ready).is_ok() && all_ready;
-        gate.decide(commit);
+        self.log_decision(gtid, all_ready);
+        gate.decide(all_ready);
         let mut out = pending.collect(Dispatched::default());
         if let Some(e) = out.failure.take() {
             return Err(e);
         }
-        if !commit {
+        if !all_ready {
             return Err(RpcError::App(SemccError::Aborted("2pc vote failed".into())));
         }
         self.ack(gtid, true);
@@ -381,50 +368,17 @@ impl Coordinator {
         }
     }
 
-    /// Kill the coordinator: the decision map and any in-flight commit
-    /// state are lost; only the decision log survives.
-    pub fn crash(&self) {
-        if self.down.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.decisions.lock().clear();
-    }
-
-    /// Recover the coordinator from its decision log and re-drive every
-    /// logged decision to every live shard (resolution is idempotent;
-    /// shards that are down resolve at their own recovery).
+    /// Re-drive every decision of the decision log to every live shard
+    /// (resolution is idempotent; shards that are down resolve at their own
+    /// recovery). Returns how many resolutions were delivered.
     pub fn recover(&self) -> Result<usize, String> {
-        let image = self.decision_log.surviving_image();
-        let parsed = read_image(&image).map_err(|e| format!("decision log parse: {e}"))?;
-        let mut rebuilt: BTreeMap<u64, bool> = BTreeMap::new();
-        for rec in &parsed.records {
-            match rec {
-                WalRecord::TopCommit { top } => {
-                    rebuilt.insert(*top, true);
-                }
-                WalRecord::TopAbort { top } => {
-                    rebuilt.insert(*top, false);
-                }
-                _ => {}
-            }
-        }
-        *self.decisions.lock() = rebuilt.clone();
-        self.down.store(false, Ordering::Release);
         let mut redriven = 0;
-        for (gtid, commit) in &rebuilt {
-            for shard in &self.fleet.shards {
-                if !shard.is_dead() && shard.resolve(*gtid, *commit).is_ok() {
-                    redriven += 1;
-                }
+        for (gtid, commit) in parse_decisions(&self.decision_image())? {
+            for shard in self.fleet.shards.iter().filter(|s| !s.is_dead()) {
+                redriven += usize::from(shard.resolve(gtid, commit).is_ok());
             }
         }
         Ok(redriven)
-    }
-
-    /// Recover one crashed shard against the current decision map.
-    pub fn recover_shard(&self, idx: usize) -> Result<ShardRecoveryReport, String> {
-        let decisions = self.decisions();
-        self.fleet.shards[idx].recover(&decisions)
     }
 }
 
@@ -468,7 +422,32 @@ impl Fleet {
     /// that is unreachable resolves at its own recovery (presumed abort).
     fn resolve(&self, gtid: u64, acks: &[(usize, PieceAck)], commit: bool) {
         for (s, _) in acks {
+            // Down or unreachable: the shard's recovery resolves the piece
+            // from the decision log. `App` from a live shard (a
+            // compensation that failed for good) is final too: `resolve`
+            // already dropped the piece from its table, so no re-drive
+            // reaches it, and it stays in doubt in the participant log
+            // until the shard next recovers, which runs the inverses that
+            // did not apply.
             let _ = self.link(gtid, *s).call(|| self.shards[*s].resolve(gtid, commit));
         }
     }
+}
+
+/// The decisions a decision-log image holds: gtid → commit.
+pub fn parse_decisions(image: &LogImage) -> Result<BTreeMap<u64, bool>, String> {
+    let parsed = read_image(image).map_err(|e| format!("decision log parse: {e}"))?;
+    let mut decisions = BTreeMap::new();
+    for rec in &parsed.records {
+        match rec {
+            WalRecord::TopCommit { top } => {
+                decisions.insert(*top, true);
+            }
+            WalRecord::TopAbort { top } => {
+                decisions.insert(*top, false);
+            }
+            _ => {}
+        }
+    }
+    Ok(decisions)
 }

@@ -19,10 +19,11 @@
 //!   deterministically at recovery (commit ⇒ keep, absence ⇒ presumed
 //!   abort ⇒ compensate);
 //! - every coordinator→shard call goes through a typed retry/timeout/
-//!   backoff seam ([`rpc::ShardLink`]) with injectable faults
-//!   ([`semcc_core::ShardFaultPoint`]): dropped/delayed/failed requests,
-//!   shard crashes before prepare or after decision, and coordinator
-//!   crashes mid-commit.
+//!   backoff seam ([`rpc::ShardLink`]) with injectable transport faults
+//!   ([`rpc::ShardFaultPoint`]): dropped, delayed and failed requests;
+//! - a shard dies one way, [`ShardNode::crash`], and recovers through
+//!   [`shard::recover_logs`], the function the fleet cut audit of
+//!   `sim::chaos` drives on every consistent cut of a finished run.
 
 pub mod coordinator;
 mod dispatch;
@@ -30,9 +31,10 @@ pub mod partition;
 pub mod rpc;
 pub mod shard;
 
-pub use coordinator::{CommitProtocol, Coordinator, FleetConfig};
+pub use coordinator::{parse_decisions, CommitProtocol, Coordinator, FleetConfig};
 pub use partition::PartitionMap;
-pub use rpc::{FleetFaults, RetryPolicy, RpcError, RpcVerdict, ShardLink};
+pub use rpc::{FleetFaults, RetryPolicy, RpcError, ShardFaultPoint, ShardLink};
 pub use shard::{
-    merge_snapshots, DecisionGate, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport,
+    merge_snapshots, recover_logs, DecisionGate, PieceAck, ShardConfig, ShardNode,
+    ShardRecoveryReport, ShardStack,
 };

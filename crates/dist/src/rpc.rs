@@ -10,8 +10,13 @@
 //! on the shard side (piece executions deduplicate on `gtid`, resolutions
 //! are naturally idempotent). Fault points are ordinal-based and fire
 //! exactly once, so a bounded retry loop always converges.
+//!
+//! The transport is all that is injected. A node of the fleet crashes
+//! one way, [`ShardNode::crash`](crate::ShardNode::crash), and every
+//! image a crash of the fleet can leave is a consistent cut of its logs,
+//! which `sim::chaos` enumerates for a finished run.
 
-use semcc_core::{backoff_duration, ShardFaultPoint, Stats};
+use semcc_core::{backoff_duration, Stats};
 use semcc_semantics::SemccError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +33,6 @@ pub enum RpcError {
     Failed,
     /// The shard is down (crashed and not yet recovered).
     ShardDown,
-    /// The coordinator is down (crashed mid-commit and not yet recovered).
-    CoordinatorDown,
     /// The shard executed the piece and it failed at the engine level
     /// (contention abort, durability refusal, application error).
     App(SemccError),
@@ -56,7 +59,6 @@ impl std::fmt::Display for RpcError {
             RpcError::ReplyLost => write!(f, "reply lost"),
             RpcError::Failed => write!(f, "transport failure"),
             RpcError::ShardDown => write!(f, "shard down"),
-            RpcError::CoordinatorDown => write!(f, "coordinator down"),
             RpcError::App(e) => write!(f, "shard error: {e}"),
         }
     }
@@ -83,82 +85,53 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What the transport does with one delivery attempt.
+/// A deterministic transport fault of the coordinator→shard seam. The
+/// ordinal counts requests fleet-wide, as [`FleetFaults`] sees them, so a
+/// point is meaningful independent of shard count and interleaving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RpcVerdict {
-    /// Deliver normally.
-    Deliver,
-    /// Drop the request (shard never sees it).
-    Drop,
-    /// Deliver, but lose the reply.
-    Delay,
-    /// Fail at the transport before delivery.
-    Fail,
+pub enum ShardFaultPoint {
+    /// The `nth` request is dropped on the wire: the shard never sees it
+    /// and the caller retries.
+    DropRequest {
+        /// 0-based request ordinal.
+        nth: u64,
+    },
+    /// The `nth` request is delayed past the caller's timeout: the shard
+    /// processed it, the *reply* is what the caller never saw in time. The
+    /// retry seam must tolerate the duplicate.
+    DelayRequest {
+        /// 0-based request ordinal.
+        nth: u64,
+    },
+    /// The `nth` request fails with a transport error (connection reset);
+    /// retried like a drop.
+    FailRequest {
+        /// 0-based request ordinal.
+        nth: u64,
+    },
 }
 
 /// Fleet-wide fault state: the (single) injected [`ShardFaultPoint`] plus
-/// the ordinal counters that decide when it fires. Counters are global
-/// across the fleet so `nth` addresses the n-th event of its kind
-/// anywhere, which keeps fault schedules independent of shard count.
+/// the request counter that decides when it fires.
 pub struct FleetFaults {
     point: Option<ShardFaultPoint>,
     calls: AtomicU64,
-    prepares: AtomicU64,
-    decides: AtomicU64,
-    commits: AtomicU64,
 }
 
 impl FleetFaults {
     /// A fault plan for the fleet (use `None` for a healthy fleet).
     pub fn new(point: Option<ShardFaultPoint>) -> Arc<FleetFaults> {
-        Arc::new(FleetFaults {
-            point,
-            calls: AtomicU64::new(0),
-            prepares: AtomicU64::new(0),
-            decides: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-        })
+        Arc::new(FleetFaults { point, calls: AtomicU64::new(0) })
     }
 
-    fn fires(counter: &AtomicU64, nth: u64) -> bool {
-        counter.fetch_add(1, Ordering::Relaxed) == nth
-    }
-
-    /// Transport verdict for the next request (counts one call ordinal).
-    pub fn rpc_verdict(&self) -> RpcVerdict {
-        match self.point {
-            Some(ShardFaultPoint::DropRequest { nth }) if Self::fires(&self.calls, nth) => {
-                RpcVerdict::Drop
-            }
-            Some(ShardFaultPoint::DelayRequest { nth }) if Self::fires(&self.calls, nth) => {
-                RpcVerdict::Delay
-            }
-            Some(ShardFaultPoint::FailRequest { nth }) if Self::fires(&self.calls, nth) => {
-                RpcVerdict::Fail
-            }
-            _ => RpcVerdict::Deliver,
-        }
-    }
-
-    /// Whether the shard handling the current prepare should die before
-    /// durably logging it (counts one prepare ordinal).
-    pub fn crash_before_prepare(&self) -> bool {
-        matches!(self.point, Some(ShardFaultPoint::CrashBeforePrepare { nth })
-            if Self::fires(&self.prepares, nth))
-    }
-
-    /// Whether the shard receiving the current decision should die before
-    /// applying it (counts one decide ordinal).
-    pub fn crash_after_decision(&self) -> bool {
-        matches!(self.point, Some(ShardFaultPoint::CrashAfterDecision { nth })
-            if Self::fires(&self.decides, nth))
-    }
-
-    /// Whether the coordinator should die right after logging the current
-    /// global commit decision (counts one commit ordinal).
-    pub fn coordinator_crash(&self) -> bool {
-        matches!(self.point, Some(ShardFaultPoint::CoordinatorCrashMidCommit { nth })
-            if Self::fires(&self.commits, nth))
+    /// The fault that strikes the next request, if any (counts one call
+    /// ordinal).
+    pub fn strike(&self) -> Option<ShardFaultPoint> {
+        let point = self.point?;
+        let (ShardFaultPoint::DropRequest { nth }
+        | ShardFaultPoint::DelayRequest { nth }
+        | ShardFaultPoint::FailRequest { nth }) = point;
+        (self.calls.fetch_add(1, Ordering::Relaxed) == nth).then_some(point)
     }
 }
 
@@ -182,11 +155,11 @@ impl ShardLink<'_> {
     pub fn call<T>(&self, mut op: impl FnMut() -> Result<T, RpcError>) -> Result<T, RpcError> {
         let mut attempt: u32 = 0;
         loop {
-            let outcome = match self.faults.rpc_verdict() {
-                RpcVerdict::Deliver => op(),
-                RpcVerdict::Drop => Err(RpcError::Dropped),
-                RpcVerdict::Fail => Err(RpcError::Failed),
-                RpcVerdict::Delay => {
+            let outcome = match self.faults.strike() {
+                None => op(),
+                Some(ShardFaultPoint::DropRequest { .. }) => Err(RpcError::Dropped),
+                Some(ShardFaultPoint::FailRequest { .. }) => Err(RpcError::Failed),
+                Some(ShardFaultPoint::DelayRequest { .. }) => {
                     let _ = op();
                     Err(RpcError::ReplyLost)
                 }

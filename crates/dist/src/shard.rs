@@ -8,20 +8,28 @@
 //! open-nested transaction on the shard's engine, with one addition: the
 //! engine's prepare hook durably appends a participant record
 //! `SubCommit { top: gtid, subtree: local_top, comp }` to the shard's
-//! **participant log** *before* the local commit record is written. The
-//! invariant *prepare-record → local commit* resolves every crash window:
+//! **participant log** *before* the local commit record is written. A
+//! crash leaves a consistent cut of the shard's two logs and the
+//! coordinator's decision log, and the invariant *prepare-record → local
+//! commit* decides every class of cut:
 //!
-//! * crash before the participant record — the local transaction is a
-//!   loser; generic recovery rolls it back; the coordinator saw no ack
-//!   and aborts globally. Nothing is in doubt.
-//! * crash between participant record and local commit — the local
+//! * the piece's leaves without its participant record — the local
+//!   transaction is a loser; generic recovery rolls it back; the
+//!   coordinator saw no ack and aborts globally. Nothing is in doubt.
+//! * a participant record without the local commit — the local
 //!   transaction is still a loser (rolled back by generic recovery); the
 //!   in-doubt entry resolves to abort with **nothing to compensate**,
 //!   because the local piece never survived as a winner.
-//! * crash after local commit, before the decision arrives — the piece
-//!   survives as a winner; the in-doubt entry resolves from the
-//!   coordinator's decision log: *commit* keeps it, *presumed abort*
-//!   compensates it through the logged inverse invocations.
+//! * a local commit without a resolution marker — the piece survives as
+//!   a winner; the in-doubt entry resolves from the coordinator's
+//!   decision log: *commit* keeps it, *presumed abort* compensates it
+//!   through the logged inverse invocations.
+//!
+//! A global abort's compensation is logged in the main log under the
+//! piece's own local id and closed there by that id's `TopAbort`, synced
+//! before the participant log's resolution marker. So the main log alone
+//! says how many of the piece's inverses already ran, and a cut anywhere
+//! inside the compensation makes recovery run only the rest.
 //!
 //! An acked piece implies a durable local commit (the main WAL runs
 //! [`FsyncPolicy::OnCommit`] and the ack checks the writer is alive), so
@@ -41,13 +49,14 @@
 use crate::rpc::{FleetFaults, RpcError};
 use parking_lot::{Condvar, Mutex};
 use semcc_baselines::FlatObject2pl;
+use semcc_core::wal::checkpoint::fold;
 use semcc_core::{
-    read_image, recover_image, Engine, EventJournal, FsyncPolicy, JournalKind, ProtocolConfig,
-    Stats, StatsSnapshot, TopId, WalConfig, WalRecord, WalWriter,
+    read_image, recover_image, Engine, EventJournal, FsyncPolicy, JournalKind, LogImage,
+    ProtocolConfig, Stats, StatsSnapshot, TopId, WalConfig, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::{IdMap, Invocation, SemccError, Storage, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,14 +94,9 @@ pub struct PieceAck {
 /// What one shard recovery did.
 #[derive(Clone, Debug, Default)]
 pub struct ShardRecoveryReport {
-    /// Committed local transactions found in the surviving main log.
-    pub winners: usize,
-    /// Uncommitted local transactions rolled back by generic recovery.
-    pub losers: usize,
-    /// In-doubt global transactions resolved from the decision log.
-    pub in_doubt: usize,
-    /// In-doubt pieces kept (decision was commit).
-    pub kept: usize,
+    /// In-doubt global transactions resolved from the decision log, as
+    /// `(gtid, commit)` in gtid order.
+    pub resolved: Vec<(u64, bool)>,
     /// In-doubt pieces compensated (presumed abort, piece had survived).
     pub compensated: usize,
 }
@@ -102,11 +106,16 @@ struct CompletedPiece {
     comp: Vec<Invocation>,
 }
 
-struct ShardInner {
-    db: Database,
-    engine: Arc<Engine>,
-    wal: Arc<WalWriter>,
-    part_log: Arc<WalWriter>,
+/// A shard's engine stack, as boot or [`recover_logs`] builds it.
+pub struct ShardStack {
+    /// The shard's replica.
+    pub db: Database,
+    /// The engine over it.
+    pub engine: Arc<Engine>,
+    /// The main write-ahead log.
+    pub wal: Arc<WalWriter>,
+    /// The participant log: prepared pieces and their resolutions.
+    pub part_log: Arc<WalWriter>,
 }
 
 /// The decision gate of one 2PC global transaction: participants vote
@@ -164,7 +173,7 @@ impl DecisionGate {
 /// One shard node.
 pub struct ShardNode {
     cfg: ShardConfig,
-    inner: Mutex<Option<Arc<ShardInner>>>,
+    inner: Mutex<Option<Arc<ShardStack>>>,
     /// Pieces executed and acked but not yet resolved, by gtid. Volatile —
     /// a crash clears it; recovery rebuilds the in-doubt set from the
     /// participant log.
@@ -172,15 +181,17 @@ pub struct ShardNode {
     dead: AtomicBool,
     stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
-    faults: Arc<FleetFaults>,
     /// Surviving log images captured at crash time (main, participant).
-    crashed_state: Mutex<Option<(semcc_core::LogImage, semcc_core::LogImage)>>,
+    crashed_state: Mutex<Option<(LogImage, LogImage)>>,
 }
 
 impl ShardNode {
-    /// Boot a fresh shard.
-    pub fn new(cfg: ShardConfig, faults: Arc<FleetFaults>) -> Arc<ShardNode> {
-        let inner = Self::boot(&cfg, None);
+    /// Boot a fresh shard. Nothing reads `_faults`: transport faults fire
+    /// in the coordinator's [`ShardLink`](crate::ShardLink), before a
+    /// request reaches the shard. BENCH-PINNED: `benchmark/src/probes.rs:329`
+    /// passes it.
+    pub fn new(cfg: ShardConfig, _faults: Arc<FleetFaults>) -> Arc<ShardNode> {
+        let inner = Self::boot(&cfg);
         Arc::new(ShardNode {
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
@@ -189,14 +200,13 @@ impl ShardNode {
             completed: Mutex::default(),
             dead: AtomicBool::new(false),
             stats: Arc::new(Stats::default()),
-            faults,
             crashed_state: Mutex::new(None),
         })
     }
 
-    fn boot(cfg: &ShardConfig, wal: Option<Arc<WalWriter>>) -> ShardInner {
+    fn boot(cfg: &ShardConfig) -> ShardStack {
         let db = Database::build(&cfg.db_params).expect("shard database build");
-        let wal = wal.unwrap_or_else(|| WalWriter::new(FsyncPolicy::OnCommit));
+        let wal = WalWriter::new(FsyncPolicy::OnCommit);
         let mut builder =
             Engine::builder(Arc::clone(&db.store) as Arc<dyn Storage>, Arc::clone(&db.catalog))
                 .protocol(cfg.protocol)
@@ -211,7 +221,7 @@ impl ShardNode {
         }
         let engine = builder.build();
         let part_log = WalWriter::new(FsyncPolicy::EveryAppend);
-        ShardInner { db, engine, wal, part_log }
+        ShardStack { db, engine, wal, part_log }
     }
 
     /// This shard's index.
@@ -243,9 +253,16 @@ impl ShardNode {
         inner.as_ref().map(|i| f(&i.engine, &i.db))
     }
 
+    /// The (main, participant) log images a crash would leave if every
+    /// buffered byte made it (`None` while crashed).
+    pub fn log_images(&self) -> Option<(LogImage, LogImage)> {
+        let inner = self.inner.lock();
+        inner.as_ref().map(|i| (i.wal.surviving_image(), i.part_log.surviving_image()))
+    }
+
     /// The live engine stack: one refcount bump under the lock, so a
     /// piece's critical section on `inner` is as short as it can be.
-    fn live(&self) -> Result<Arc<ShardInner>, RpcError> {
+    fn live(&self) -> Result<Arc<ShardStack>, RpcError> {
         self.inner.lock().clone().ok_or(RpcError::ShardDown)
     }
 
@@ -253,7 +270,7 @@ impl ShardNode {
     /// commit (the prepare hook of both protocols).
     fn log_prepare(
         &self,
-        live: &ShardInner,
+        live: &ShardStack,
         gtid: u64,
         top: TopId,
         comp: &[Invocation],
@@ -283,10 +300,6 @@ impl ShardNode {
         if let Some(done) = self.completed.lock().get(&gtid) {
             return Ok(done.ack.clone());
         }
-        if self.faults.crash_before_prepare() {
-            self.crash();
-            return Err(RpcError::ShardDown);
-        }
         let live = self.live()?;
         let (_top, result) = live
             .engine
@@ -294,9 +307,8 @@ impl ShardNode {
         match result {
             Ok((outcome, comp)) => {
                 // Acked ⇒ durable: the commit record was fsynced under
-                // OnCommit unless the device died under us.
+                // OnCommit unless a crash killed the device under us.
                 if live.wal.crashed() {
-                    self.crash();
                     return Err(RpcError::ShardDown);
                 }
                 let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
@@ -343,10 +355,14 @@ impl ShardNode {
                 // The global decision was commit and the piece is locally
                 // resolved; nothing stays in doubt.
                 let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
+                // A lost marker only leaves the piece in doubt, and
+                // recovery keeps it: the decision log holds the commit.
                 let _ = part_log.append(&WalRecord::TopCommit { top: gtid });
                 Ok(ack)
             }
             Err(e) => {
+                // The piece never committed locally, so a lost marker
+                // leaves recovery nothing to undo.
                 let _ = part_log.append(&WalRecord::TopAbort { top: gtid });
                 Err(RpcError::App(e))
             }
@@ -360,18 +376,12 @@ impl ShardNode {
         if self.is_dead() {
             return Err(RpcError::ShardDown);
         }
-        // The decided-but-unresolved window: the coordinator has durably
-        // logged its decision, this shard dies before applying it.
-        if self.faults.crash_after_decision() {
-            self.crash();
-            return Err(RpcError::ShardDown);
-        }
         let Some(piece) = self.completed.lock().remove(&gtid) else { return Ok(()) };
         let live = self.live()?;
         let marker = if commit {
             WalRecord::TopCommit { top: gtid }
         } else {
-            live.engine.compensate_transaction(piece.comp).map_err(RpcError::App)?;
+            compensate_piece(&live, piece.ack.local_top, piece.comp, 0).map_err(RpcError::App)?;
             WalRecord::TopAbort { top: gtid }
         };
         live.part_log.append(&marker).map(|_| ()).map_err(|_| RpcError::ShardDown)
@@ -395,134 +405,26 @@ impl ShardNode {
         self.completed.lock().clear();
     }
 
-    /// Recover the shard from its surviving logs: generic WAL recovery
-    /// first (winners replayed, losers compensated), then in-doubt
-    /// resolution against the coordinator's `decisions` (gtid → commit;
-    /// absence = presumed abort).
+    /// Recover the crashed shard from its surviving logs through
+    /// [`recover_logs`], against the coordinator's `decisions`, and bring
+    /// it back up.
     pub fn recover(&self, decisions: &BTreeMap<u64, bool>) -> Result<ShardRecoveryReport, String> {
-        self.recover_opts(decisions, false)
-    }
-
-    /// [`ShardNode::recover`] with an injectable mid-recovery crash: when
-    /// `crash_mid` and at least one transaction is in doubt, the shard
-    /// dies again right after resolving the first one — the double-crash
-    /// case of the robustness matrix. The next `recover` call must
-    /// converge without re-compensating.
-    pub fn recover_opts(
-        &self,
-        decisions: &BTreeMap<u64, bool>,
-        crash_mid: bool,
-    ) -> Result<ShardRecoveryReport, String> {
         if !self.is_dead() {
             return Err(format!("shard {} is not crashed", self.cfg.idx));
         }
-        let (main_image, part_image) = self
+        let (main, part) = self
             .crashed_state
             .lock()
             .take()
             .ok_or_else(|| format!("shard {} has no crash image", self.cfg.idx))?;
-
-        let base = Database::build(&self.cfg.db_params).map_err(|e| e.to_string())?;
-        let resumed =
-            WalWriter::resume(&main_image, FsyncPolicy::OnCommit, None, WalConfig::default())
-                .map_err(|e| format!("main log resume: {e}"))?;
-        let (engine, rr) = recover_image(
-            &main_image,
-            Arc::clone(&base.store),
-            Arc::clone(&base.catalog),
-            self.cfg.protocol,
-            None,
-            Some(Arc::clone(&resumed)),
-        )
-        .map_err(|e| format!("shard recovery: {e}"))?;
-        let mut report =
-            ShardRecoveryReport { winners: rr.winners, losers: rr.losers, ..Default::default() };
-
-        // Which local transactions survived as winners?
-        let winners: HashSet<u64> = read_image(&main_image)
-            .map_err(|e| format!("main log parse: {e}"))?
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::TopCommit { top } => Some(*top),
-                _ => None,
-            })
-            .collect();
-
-        // Fold the participant log: prepared pieces and their resolutions.
-        let parsed = read_image(&part_image).map_err(|e| format!("participant log parse: {e}"))?;
-        let mut prepared: BTreeMap<u64, (u64, Vec<Invocation>)> = BTreeMap::new();
-        let mut resolved: HashSet<u64> = HashSet::new();
-        for rec in &parsed.records {
-            match rec {
-                WalRecord::SubCommit { top, subtree, comp } => {
-                    prepared.insert(*top, (u64::from(*subtree), comp.clone()));
-                }
-                WalRecord::TopCommit { top } | WalRecord::TopAbort { top } => {
-                    resolved.insert(*top);
-                }
-                _ => {}
-            }
-        }
-        let part_log =
-            WalWriter::resume(&part_image, FsyncPolicy::EveryAppend, None, WalConfig::default())
-                .map_err(|e| format!("participant log resume: {e}"))?;
-
-        let mut crashed_mid = false;
-        for (gtid, (local_top, comp)) in prepared {
-            if resolved.contains(&gtid) {
-                continue;
-            }
-            report.in_doubt += 1;
-            let commit = decisions.get(&gtid).copied().unwrap_or(false);
-            let survived = winners.contains(&local_top);
-            if commit {
-                // A commit decision implies the coordinator saw our ack,
-                // and an ack implies the local commit was durable.
-                if !survived {
-                    return Err(format!(
-                        "shard {}: acked piece of gtid {gtid} (local top {local_top}) \
-                         lost across the crash — acked ⇒ durable violated",
-                        self.cfg.idx
-                    ));
-                }
-                part_log
-                    .append(&WalRecord::TopCommit { top: gtid })
-                    .map_err(|e| format!("resolution marker: {e}"))?;
-                report.kept += 1;
-                self.journal_record(JournalKind::InDoubtResolve, gtid, 1);
-            } else {
-                if survived {
-                    engine
-                        .compensate_transaction(comp)
-                        .map_err(|e| format!("in-doubt compensation of gtid {gtid}: {e}"))?;
-                    report.compensated += 1;
-                }
-                part_log
-                    .append(&WalRecord::TopAbort { top: gtid })
-                    .map_err(|e| format!("resolution marker: {e}"))?;
-                self.journal_record(JournalKind::InDoubtResolve, gtid, 0);
-            }
+        let (stack, report) =
+            recover_logs(&self.cfg.db_params, self.cfg.protocol, &main, &part, decisions)
+                .map_err(|e| format!("shard {}: {e}", self.cfg.idx))?;
+        for &(gtid, commit) in &report.resolved {
             Stats::bump(&self.stats.in_doubt_resolved);
-            if crash_mid {
-                crashed_mid = true;
-                break;
-            }
+            self.journal_record(JournalKind::InDoubtResolve, gtid, u64::from(commit));
         }
-
-        if crashed_mid {
-            // Die again mid-recovery: the resumed logs (holding the
-            // resolutions applied so far) are all that survives.
-            Stats::bump(&self.stats.shard_crashes);
-            resumed.power_fail();
-            part_log.power_fail();
-            *self.crashed_state.lock() =
-                Some((resumed.surviving_image(), part_log.surviving_image()));
-            return Err(format!("shard {} crashed mid-recovery (injected)", self.cfg.idx));
-        }
-
-        *self.inner.lock() =
-            Some(Arc::new(ShardInner { db: base, engine, wal: resumed, part_log }));
+        *self.inner.lock() = Some(Arc::new(stack));
         self.dead.store(false, Ordering::Release);
         Ok(report)
     }
@@ -535,6 +437,110 @@ impl ShardNode {
             (engine.live_transactions(), engine.lock_entries(), engine.wfg_residue(), 0)
         })
     }
+}
+
+/// Recover one shard from the surviving images of its two logs: generic
+/// WAL recovery of `main` first (winners replayed, losers compensated),
+/// then every prepared piece of `part` without a resolution marker
+/// resolved against `decisions` (gtid → commit; absence = presumed
+/// abort). Recovery logs its own work into the resumed logs of the stack
+/// it returns. [`ShardNode::recover`] runs this on its crash images, and
+/// the fleet cut audit of `sim::chaos` on every consistent cut of a
+/// finished run. Shards never checkpoint, so `main` holds every record.
+pub fn recover_logs(
+    db_params: &DbParams,
+    protocol: ProtocolConfig,
+    main: &LogImage,
+    part: &LogImage,
+    decisions: &BTreeMap<u64, bool>,
+) -> Result<(ShardStack, ShardRecoveryReport), String> {
+    let db = Database::build(db_params).map_err(|e| e.to_string())?;
+    let wal = WalWriter::resume(main, FsyncPolicy::OnCommit, None, WalConfig::default())
+        .map_err(|e| format!("main log resume: {e}"))?;
+    let (engine, _) = recover_image(
+        main,
+        Arc::clone(&db.store),
+        Arc::clone(&db.catalog),
+        protocol,
+        None,
+        Some(Arc::clone(&wal)),
+    )
+    .map_err(|e| format!("shard recovery: {e}"))?;
+    let mut report = ShardRecoveryReport::default();
+
+    // What the main log says of each local transaction: whether it
+    // committed, and how far a global abort's compensation of it got.
+    let parsed = read_image(main).map_err(|e| format!("main log parse: {e}"))?;
+    let mut tops = BTreeMap::new();
+    for (i, rec) in parsed.records.iter().enumerate() {
+        fold(&mut tops, parsed.base_lsn + i as u64, rec);
+    }
+
+    // The participant log: each prepared piece no marker resolved yet.
+    let mut in_doubt = BTreeMap::new();
+    for rec in read_image(part).map_err(|e| format!("participant log parse: {e}"))?.records {
+        match rec {
+            WalRecord::SubCommit { top, subtree, comp } => {
+                in_doubt.insert(top, (u64::from(subtree), comp));
+            }
+            WalRecord::TopCommit { top } | WalRecord::TopAbort { top } => {
+                in_doubt.remove(&top);
+            }
+            _ => {}
+        }
+    }
+    let part_log = WalWriter::resume(part, FsyncPolicy::EveryAppend, None, WalConfig::default())
+        .map_err(|e| format!("participant log resume: {e}"))?;
+    let stack = ShardStack { db, engine, wal, part_log };
+
+    for (gtid, (local_top, comp)) in in_doubt {
+        let commit = decisions.get(&gtid).copied().unwrap_or(false);
+        let piece = tops.get(&local_top).filter(|t| t.committed);
+        let marker = if commit {
+            // A commit decision implies the coordinator saw our ack, and
+            // an ack implies the local commit was durable.
+            if piece.is_none() {
+                return Err(format!(
+                    "acked piece of gtid {gtid} (local top {local_top}) lost across the \
+                     crash — acked ⇒ durable violated"
+                ));
+            }
+            WalRecord::TopCommit { top: gtid }
+        } else {
+            // Presumed abort. A piece that never survived as a winner was
+            // rolled back above; one that did is compensated, or what is
+            // left of its compensation if a crash cut that short.
+            if let Some(t) = piece.filter(|t| !t.aborted) {
+                compensate_piece(&stack, local_top, comp, t.comp_applied as usize)
+                    .map_err(|e| format!("in-doubt compensation of gtid {gtid}: {e}"))?;
+                report.compensated += 1;
+            }
+            WalRecord::TopAbort { top: gtid }
+        };
+        stack.part_log.append(&marker).map_err(|e| format!("resolution marker: {e}"))?;
+        report.resolved.push((gtid, commit));
+    }
+    Ok((stack, report))
+}
+
+/// Undo committed piece `local_top` after a global abort: run the inverses
+/// of `comp` that are not yet applied — the last `applied` of them ran
+/// before a crash, since compensation runs newest first — logged under the
+/// piece's own id, then close the piece with a `TopAbort` of that id. Under
+/// [`FsyncPolicy::OnCommit`] that record is synced before this returns, so
+/// the resolution marker the caller appends next never outlives it.
+fn compensate_piece(
+    live: &ShardStack,
+    local_top: u64,
+    mut comp: Vec<Invocation>,
+    applied: usize,
+) -> Result<(), SemccError> {
+    comp.truncate(comp.len().saturating_sub(applied));
+    live.engine.compensate_transaction_as(comp, Some(local_top))?;
+    live.wal
+        .append(&WalRecord::TopAbort { top: local_top })
+        .map(|_| ())
+        .map_err(|e| SemccError::Durability(format!("abort record of piece {local_top}: {e}")))
 }
 
 /// [`ShardNode::residue`] probe: (live transactions, lock entries,

@@ -5,12 +5,18 @@
 //! [`audit_every_cut`] and [`audit_checkpoint_parity`] (every image a
 //! crash could leave of a finished run's log: recovery, re-recovery and
 //! checkpoints reach the committed prefix), [`run_fsync_failure`] (a
-//! failed fsync poisons the log:
-//! acked = durable) and [`run_fleet_crash_recover`] (the sharded
-//! deployment under shard and coordinator crashes).
+//! failed fsync poisons the log: acked = durable),
+//! [`run_fleet_crash_recover`] (the sharded deployment with k of N shards
+//! killed mid-batch, under transport faults) and [`audit_fleet_cuts`]
+//! (every consistent image a crash could leave of a finished two-shard
+//! run's logs: shard recovery, and recovery of its own appends, reach the
+//! committed prefix).
 //!
 //! Faults are drawn from a seeded [`FaultPlan`], so a failing run can be
-//! replayed exactly by its `(seed, spec)` pair.
+//! replayed exactly by its `(seed, spec)` pair; the fleet cut audit is
+//! scripted and draws nothing.
+//!
+//! [`FaultPlan`]: semcc_core::FaultPlan
 
 use crate::executor::CommittedTxn;
 use crate::rig::{winners, AuditParams, Rig};
@@ -19,10 +25,17 @@ use crate::validate::{
 };
 use semcc_core::wal::checkpoint::fold;
 use semcc_core::{
-    read_image, FaultSpec, FsyncPolicy, IoFaultPoint, LogImage, MemorySink, RecoveryReport,
-    StatsSnapshot, TopInfo, WalConfig, WalError, WalRecord, WalWriter,
+    read_image, FaultSpec, FsyncPolicy, IoFaultPoint, LogImage, MemorySink, ProtocolConfig,
+    RecoveryReport, StatsSnapshot, TopInfo, WalConfig, WalError, WalRecord, WalWriter,
 };
-use semcc_orderentry::{Database, DbParams, MixWeights, TxnSpec, Workload, WorkloadConfig};
+use semcc_dist::{
+    parse_decisions, recover_logs, CommitProtocol, Coordinator, FleetConfig, PartitionMap,
+    ShardFaultPoint, ShardStack,
+};
+use semcc_orderentry::{
+    Database, DbParams, ItemInfo, MixWeights, Target, TxnSpec, Workload, WorkloadConfig,
+};
+use semcc_semantics::Storage;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -109,7 +122,7 @@ pub struct CutReport {
     pub erased_commit: bool,
     /// Some cut kept a `LeafRedo` but not its subtree's later `SubCommit`.
     pub split_subtree: bool,
-    /// Some cut ended inside an abort's `CompApplied` run.
+    /// Some cut ended inside an abort's run of progress marks.
     pub mid_compensation: bool,
 }
 
@@ -231,16 +244,17 @@ impl FinishedRun {
     fn audit_cuts(&self) -> Result<CutReport, String> {
         let mut report = self.report();
         // Every boundary is cut: the one before a `SubCommit` whose subtree
-        // logged a leaf, and the one after a `CompApplied`, which precedes
-        // its `TopAbort`, among them.
+        // logged a leaf, and the one after an inverse's progress mark,
+        // which precedes its `TopAbort`, among them.
         report.split_subtree = self.records.iter().enumerate().any(|(i, rec)| {
             let WalRecord::SubCommit { top, subtree, .. } = rec else { return false };
             self.records[..i].iter().any(|r| {
                 matches!(r, WalRecord::LeafRedo { top: t, subtree: s, .. } if (t, s) == (top, subtree))
             })
         });
-        report.mid_compensation =
-            self.records.iter().any(|r| matches!(r, WalRecord::CompApplied { .. }));
+        report.mid_compensation = self.records.iter().any(|r| {
+            matches!(r, WalRecord::CompApplied { .. } | WalRecord::CompRedo { applied: true, .. })
+        });
         let full_winners = winners(&self.records).len();
         for n in std::iter::once(0).chain(self.ends.iter().copied()) {
             let (recovery, recuts) =
@@ -410,10 +424,7 @@ const FLEET_ORDERS_PER_ITEM: usize = 3;
 
 /// One partial-fleet chaos run: drive the workload through the sharded
 /// coordinator, kill `kill`-of-`n_shards` shards at seeded points in the
-/// batch (plus whatever the injected [`ShardFaultPoint`] kills on its
-/// own), recover everything, and audit.
-///
-/// [`ShardFaultPoint`]: semcc_core::ShardFaultPoint
+/// batch, recover everything, and audit.
 #[derive(Clone, Debug)]
 pub struct FleetParams {
     /// Seed for the workload, the kill schedule, and the rpc backoff.
@@ -424,27 +435,13 @@ pub struct FleetParams {
     pub n_shards: usize,
     /// Shards killed at seeded points during the batch.
     pub kill: usize,
-    /// Injected fleet fault, if any.
-    pub fault: Option<semcc_core::ShardFaultPoint>,
-    /// Crash the (by then idle) coordinator after the batch, so the
-    /// settle phase starts from its decision log alone.
-    pub coordinator_crash: bool,
-    /// Crash each killed shard *again* mid-recovery before the final
-    /// recovery pass (the double-crash case).
-    pub double_crash: bool,
+    /// Injected transport fault, if any.
+    pub fault: Option<ShardFaultPoint>,
 }
 
 impl Default for FleetParams {
     fn default() -> Self {
-        FleetParams {
-            seed: 42,
-            txns: 40,
-            n_shards: 3,
-            kill: 1,
-            fault: None,
-            coordinator_crash: false,
-            double_crash: false,
-        }
+        FleetParams { seed: 42, txns: 40, n_shards: 3, kill: 1, fault: None }
     }
 }
 
@@ -459,27 +456,22 @@ pub struct FleetReport {
     pub failed: usize,
     /// Cross-shard transactions observed.
     pub cross_shard: u64,
-    /// Total shard crashes (scheduled kills + fault-injected).
+    /// Shard crashes (the scheduled kills).
     pub shard_crashes: u64,
-    /// In-doubt pieces kept (commit decision found) by shard recovery.
-    pub kept: usize,
     /// Acked commits whose decision is missing after recovery (MUST be 0:
     /// an acked commit may never be lost, whatever crashed).
     pub lost_acked: usize,
-    /// One entry per shard that is still dead or whose [`Residue`] is
-    /// not clean after the settle phase.
-    pub residue_violations: Vec<String>,
-    /// First state-audit failure, if any: a recovery step failed, or a
-    /// shard's recovered slice did not equal the serial replay of the
-    /// committed prefix.
-    pub audit_failure: Option<String>,
+    /// What is wrong after the settle phase: a failed recovery or
+    /// re-drive, a shard still dead, a shard with [`Residue`], a shard whose
+    /// slice is not the serial replay of the committed prefix.
+    pub violations: Vec<String>,
 }
 
 impl FleetReport {
     /// The fleet robustness invariant: no acked commit lost, every shard's
     /// state equals the committed-prefix replay, zero residue everywhere.
     pub fn sound(&self) -> bool {
-        self.lost_acked == 0 && self.residue_violations.is_empty() && self.audit_failure.is_none()
+        self.lost_acked == 0 && self.violations.is_empty()
     }
 }
 
@@ -487,7 +479,6 @@ impl FleetReport {
 pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use semcc_dist::{CommitProtocol, Coordinator, FleetConfig};
 
     semcc_core::silence_injected_panics();
     let db_params = DbParams {
@@ -522,96 +513,43 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
         Workload::new(&reference, WorkloadConfig { seed: params.seed, ..Default::default() })
             .batch(&reference, params.txns);
 
-    let mut specs: BTreeMap<u64, TxnSpec> = BTreeMap::new();
-    let mut acked_ok = 0usize;
-    let mut failed = 0usize;
-    for (i, spec) in batch.iter().enumerate() {
-        for (at, v) in &kills {
-            if *at == i {
-                coord.shards()[*v].crash();
-            }
-        }
-        if coord.is_down() {
-            // The client-visible face of a coordinator crash: the fleet
-            // is unavailable until the decision log is reparsed.
-            let _ = coord.recover();
-        }
-        let (gtid, out) = coord.submit(spec, CommitProtocol::OpenNested);
-        specs.insert(gtid, spec.clone());
+    let (mut specs, mut acked_ok, mut failed) = (BTreeMap::new(), 0, 0);
+    for (i, spec) in batch.into_iter().enumerate() {
+        kills.iter().filter(|(at, _)| *at == i).for_each(|(_, v)| coord.shards()[*v].crash());
+        let (gtid, out) = coord.submit(&spec, CommitProtocol::OpenNested);
         match out {
             Ok(_) => acked_ok += 1,
             Err(_) => failed += 1,
         }
+        specs.insert(gtid, spec);
     }
 
-    if params.coordinator_crash {
-        coord.crash();
-    }
-
-    // Settle: recover the coordinator and every dead shard; re-driven
-    // resolutions may themselves trip a not-yet-fired crash fault, so
-    // iterate until the fleet is stable.
-    let mut reports: Vec<semcc_dist::ShardRecoveryReport> = Vec::new();
-    let mut audit_failure: Option<String> = None;
-    if params.double_crash {
-        for idx in 0..params.n_shards {
-            if coord.shards()[idx].is_dead() {
-                // First recovery attempt dies mid-flight (injected); the
-                // final pass below must converge from the re-crashed logs.
-                let _ = coord.shards()[idx].recover_opts(&coord.decisions(), true);
-            }
-        }
-    }
-    for _round in 0..4 {
-        if coord.is_down() {
-            if let Err(e) = coord.recover() {
-                audit_failure = Some(format!("coordinator recovery failed: {e}"));
-                break;
-            }
-        }
-        let mut any_dead = false;
-        for idx in 0..params.n_shards {
-            if coord.shards()[idx].is_dead() {
-                any_dead = true;
-                match coord.recover_shard(idx) {
-                    Ok(r) => reports.push(r),
-                    Err(e) => {
-                        audit_failure = Some(format!("shard {idx} recovery failed: {e}"));
-                    }
-                }
-            }
-        }
-        if audit_failure.is_some() {
-            break;
-        }
-        // Re-drive every decision (idempotent) so shards that missed a
-        // resolution — dropped rpc, crash windows — converge.
-        if let Err(e) = coord.recover() {
-            audit_failure = Some(format!("decision re-drive failed: {e}"));
-            break;
-        }
-        if !any_dead && !coord.is_down() {
-            break;
-        }
-    }
+    // Settle: recover every dead shard, then re-drive every decision
+    // (idempotent) so shards that missed a resolution — a dropped rpc, a
+    // piece acked just before its shard died — converge.
+    let dead = coord.shards().iter().filter(|shard| shard.is_dead());
+    let settled = dead
+        .map(|shard| shard.recover(&coord.decisions()))
+        .find_map(Result::err)
+        .or_else(|| coord.recover().err().map(|e| format!("decision re-drive failed: {e}")));
 
     // ---- audits -------------------------------------------------------
     let committed = coord.committed_gtids();
     let committed_set: HashSet<u64> = committed.iter().copied().collect();
     let lost_acked = coord.acked().iter().filter(|g| !committed_set.contains(g)).count();
 
-    let residue_violations = coord
-        .shards()
-        .iter()
-        .filter_map(|shard| match shard.with_live(|engine, _| Residue::of(engine).check()) {
-            Some(Ok(())) => None,
-            Some(Err(e)) => Some(format!("shard {}: {e}", shard.idx())),
-            None => Some(format!("shard {} still dead", shard.idx())),
-        })
-        .collect();
-
-    if audit_failure.is_none() {
-        audit_failure = check_fleet_state(&coord, &committed, &specs, &reference).err();
+    // Every shard: zero residue, and its slice equal to the serial replay
+    // of its pieces of the committed prefix, in decision order.
+    let mut violations: Vec<String> = settled.into_iter().collect();
+    for shard in coord.shards() {
+        let audit = shard.with_live(|engine, _| {
+            Residue::of(engine).check()?;
+            let pmap = coord.partition();
+            check_slice(pmap, shard.idx(), &committed, &specs, &reference, engine.storage())
+        });
+        if let Err(e) = audit.unwrap_or_else(|| Err("still dead".into())) {
+            violations.push(format!("shard {}: {e}", shard.idx()));
+        }
     }
 
     let stats = coord.fleet_stats();
@@ -621,49 +559,320 @@ pub fn run_fleet_crash_recover(params: &FleetParams) -> FleetReport {
         failed,
         cross_shard: stats.cross_shard_txns,
         shard_crashes: stats.shard_crashes,
-        kept: reports.iter().map(|r| r.kept).sum(),
         lost_acked,
-        residue_violations,
-        audit_failure,
+        violations,
     }
 }
 
-/// The fleet's state audit: each recovered shard's slice must equal the
-/// serial replay, on the initial state `fresh`, of its pieces of the
-/// committed prefix, in decision order.
-fn check_fleet_state(
-    coord: &semcc_dist::Coordinator,
+/// Shard `idx`'s slice of `got` must equal the serial replay, on the
+/// initial state `fresh`, of its pieces of the `committed` gtids, in that
+/// order.
+fn check_slice(
+    pmap: &PartitionMap,
+    idx: usize,
     committed: &[u64],
     specs: &BTreeMap<u64, TxnSpec>,
     fresh: &Database,
+    got: &Arc<dyn Storage>,
 ) -> Result<(), String> {
-    let n_shards = coord.shards().len();
-    let mut pieces: Vec<Vec<TxnSpec>> = vec![Vec::new(); n_shards];
+    let mut pieces = Vec::new();
     for gtid in committed {
         let spec =
             specs.get(gtid).ok_or_else(|| format!("committed gtid {gtid} was never submitted"))?;
-        for (shard, piece) in coord.partition().split(spec) {
-            pieces[shard].push(piece);
+        pieces.extend(pmap.split(spec).into_iter().filter(|(s, _)| *s == idx).map(|(_, p)| p));
+    }
+    let winners: Vec<&TxnSpec> = pieces.iter().collect();
+    check_committed_prefix(fresh, &winners, got.as_ref(), |store| {
+        canonical_shard_state(store, fresh.items_set, pmap.n_shards(), idx)
+    })
+}
+
+// ---------------------------------------------------------------------
+// Fleet cuts: every consistent image a crash could leave of a finished
+// two-shard run
+// ---------------------------------------------------------------------
+
+/// What [`audit_fleet_cuts`] recovered, by class of cut. A cut may fall
+/// in several classes; every class must be reached.
+#[derive(Debug, Default)]
+pub struct FleetCutReport {
+    /// Consistent cuts recovered and audited, both shards together.
+    pub cuts: usize,
+    /// Cuts that keep a piece's leaves but not its participant record.
+    pub leaves_without_prepare: usize,
+    /// Cuts that keep a participant record but not the local commit.
+    pub prepare_without_commit: usize,
+    /// Cuts that keep a local commit but not its decision.
+    pub commit_without_decision: usize,
+    /// Cuts that keep a decision but not the shard's resolution marker.
+    pub decision_without_marker: usize,
+    /// Cuts whose recovery compensated a piece under presumed abort.
+    pub presumed_abort: usize,
+    /// Cuts of shard recovery's own appends, recovered again.
+    pub recovery_cuts: usize,
+}
+
+/// The fleet of [`audit_fleet_cuts`]: two items, one per shard, on the
+/// escrow schema, with so little stock that a shipment can fail its bound.
+fn cut_fleet() -> DbParams {
+    DbParams { n_items: 2, orders_per_item: 3, initial_qoh: 3, escrow: true, ..Default::default() }
+}
+
+/// The scripted batch of [`audit_fleet_cuts`]: single-shard and
+/// cross-shard commits, and a global abort that compensates a piece
+/// already committed on the other shard. Orders 0, 1, 2 of an item ship
+/// 1, 2 and 3 units.
+fn cut_batch(db: &Database, pmap: &PartitionMap) -> Vec<TxnSpec> {
+    let on = |shard| db.items.iter().find(|i| pmap.owner_of_item(i.item) == shard).unwrap();
+    let (a, b) = (on(0), on(1));
+    let order = |i: &ItemInfo, k: usize| Target { item: i.item, order: i.orders[k].order };
+    vec![
+        // Shard 1 alone: b's stock 3 → 2.
+        TxnSpec::Ship(vec![order(b, 0)]),
+        // Both shards: a 3 → 2, b 2 → 0.
+        TxnSpec::Ship(vec![order(a, 0), order(b, 1)]),
+        // a's piece commits (2 → 0), then b's fails its bound: a global
+        // abort compensates a back to 2.
+        TxnSpec::Ship(vec![order(a, 1), order(b, 2)]),
+        // Both shards, creating an order on each.
+        TxnSpec::NewOrders {
+            entries: vec![(a.item, db.next_order_no), (b.item, db.next_order_no + 1)],
+            customer: 7,
+            quantity: 1,
+        },
+        // Shard 0 alone, on the stock the abort gave back: a 2 → 0.
+        TxnSpec::Ship(vec![order(a, 1)]),
+    ]
+}
+
+/// A log of the fleet, parsed.
+struct Log {
+    image: LogImage,
+    records: Vec<WalRecord>,
+    /// `image.frame_ends()`: the cut keeping `k` records ends at `ends[k - 1]`.
+    ends: Vec<usize>,
+}
+
+impl Log {
+    fn of(image: LogImage) -> Result<Log, String> {
+        let records = read_image(&image).map_err(|e| format!("fleet log unreadable: {e}"))?;
+        Ok(Log { records: records.records, ends: image.frame_ends(), image })
+    }
+
+    /// The image keeping the first `k` records.
+    fn cut(&self, k: usize) -> LogImage {
+        self.image.cut(k.checked_sub(1).map_or(0, |i| self.ends[i]))
+    }
+}
+
+/// Shard `s`'s three logs as a crash now would leave them: the
+/// coordinator's decision log, the shard's main and participant logs.
+fn shard_logs(coord: &Coordinator, s: usize) -> Result<[Log; 3], String> {
+    let (main, part) = coord.shards()[s].log_images().ok_or("the shard is down")?;
+    Ok([Log::of(coord.decision_image())?, Log::of(main)?, Log::of(part)?])
+}
+
+/// Run the scripted batch on a two-shard open-nested fleet with one
+/// client and no latency, so pieces run on the submitting thread and
+/// every log is appended in submission order. Then audit, for each shard,
+/// every consistent cut of (decision log, main log, participant log) at
+/// frame boundaries:
+///
+/// * recovery through [`recover_logs`], with the decisions parsed by
+///   [`parse_decisions`], leaves zero [`Residue`] and a slice equal to the
+///   serial replay of the shard's pieces of the cut's committed gtids;
+/// * every consistent cut of what that recovery appended to the shard's
+///   two logs recovers again to the same canonical state.
+///
+/// A failure names the shard, the submission and the cut.
+pub fn audit_fleet_cuts() -> Result<FleetCutReport, String> {
+    let db_params = cut_fleet();
+    let coord =
+        Coordinator::new(FleetConfig { db_params: db_params.clone(), ..Default::default() });
+    let fresh = Database::build(&db_params).map_err(|e| e.to_string())?;
+    let (mut specs, mut marks) = (BTreeMap::new(), vec![[[0; 3]; 2]]);
+    for spec in cut_batch(&fresh, coord.partition()) {
+        specs.insert(coord.submit(&spec, CommitProtocol::OpenNested).0, spec);
+        // Per shard, the records in each of its logs after this submission.
+        let count = |s| shard_logs(&coord, s).map(|logs| logs.map(|log| log.records.len()));
+        marks.push([count(0)?, count(1)?]);
+    }
+    let decided = parse_decisions(&coord.decision_image())?;
+    if decided.values().copied().collect::<Vec<_>>() != [true, true, false, true, true] {
+        return Err(format!("the script did not run as written: decisions {decided:?}"));
+    }
+    let mut report = FleetCutReport::default();
+    // Recover the cut keeping the first `cut[i]` records of each log; the
+    // recovered engine must hold nothing.
+    let recover = |logs: [&Log; 3], cut: [usize; 3]| {
+        let decisions = parse_decisions(&logs[0].cut(cut[0]))?;
+        let (main, part) = (logs[1].cut(cut[1]), logs[2].cut(cut[2]));
+        let (stack, recovery) =
+            recover_logs(&db_params, ProtocolConfig::semantic(), &main, &part, &decisions)?;
+        Residue::of(&stack.engine).check()?;
+        Ok::<_, String>((decisions, stack, recovery))
+    };
+    for s in 0..2 {
+        let logs = shard_logs(&coord, s)?;
+        let local = pieces_of(&logs[2].records);
+        let slice = |stack: &ShardStack| {
+            canonical_shard_state(stack.engine.storage().as_ref(), fresh.items_set, 2, s)
+        };
+        let mut first = true;
+        for (k, pair) in marks.windows(2).enumerate() {
+            let (from, to) = (pair[0][s], pair[1][s]);
+            if from[1..] == to[1..] {
+                continue; // nothing of this submission reached the shard
+            }
+            let window = std::array::from_fn(|i| &logs[i].records[from[i]..to[i]]);
+            // The first cut keeps nothing of the window: the last cut of
+            // the window before, audited already unless this is the first.
+            for (keep, hits) in cuts(window, &local).into_iter().skip(usize::from(!first)) {
+                let at = |e: String| {
+                    let last = &window[1][keep[1].saturating_sub(3)..keep[1]];
+                    format!("shard {s}, submission {}, cut {keep:?}, after {last:?}: {e}", k + 1)
+                };
+                let counts = [
+                    &mut report.leaves_without_prepare,
+                    &mut report.prepare_without_commit,
+                    &mut report.commit_without_decision,
+                    &mut report.decision_without_marker,
+                ];
+                counts.into_iter().zip(hits).for_each(|(n, hit)| *n += usize::from(hit));
+                let cut = std::array::from_fn(|i| from[i] + keep[i]);
+                let (decisions, stack, recovery) = recover(logs.each_ref(), cut).map_err(at)?;
+                let committed: Vec<u64> =
+                    decisions.iter().filter(|(_, &c)| c).map(|(&g, _)| g).collect();
+                let storage = stack.engine.storage();
+                check_slice(coord.partition(), s, &committed, &specs, &fresh, storage)
+                    .map_err(at)?;
+                report.cuts += 1;
+                report.presumed_abort += usize::from(recovery.compensated > 0);
+
+                // What the recovery appended, cut at every consistent point.
+                let want = slice(&stack);
+                let main = Log::of(stack.wal.surviving_image())?;
+                let part = Log::of(stack.part_log.surviving_image())?;
+                let appended = [&[][..], &main.records[cut[1]..], &part.records[cut[2]..]];
+                for ([_, m, p], _) in cuts(appended, &local).into_iter().skip(1) {
+                    let at = |e: String| at(format!("recovery's appends cut at {:?}: {e}", (m, p)));
+                    let (_, again, _) =
+                        recover([&logs[0], &main, &part], [cut[0], cut[1] + m, cut[2] + p])
+                            .map_err(at)?;
+                    if slice(&again) != want {
+                        return Err(at("state != the first recovery's".into()));
+                    }
+                    report.recovery_cuts += 1;
+                }
+            }
+            first = false;
         }
     }
-    for shard in coord.shards() {
-        let idx = shard.idx();
-        let winners: Vec<&TxnSpec> = pieces[idx].iter().collect();
-        shard
-            .with_live(|engine, _| {
-                check_committed_prefix(fresh, &winners, engine.storage().as_ref(), |store| {
-                    canonical_shard_state(store, fresh.items_set, n_shards, idx)
-                })
-            })
-            .unwrap_or_else(|| Err("still dead".into()))
-            .map_err(|e| format!("shard {idx}: {e}"))?;
+    Ok(report)
+}
+
+/// The local transaction id of each piece a participant log prepared, by
+/// gtid.
+fn pieces_of(part: &[WalRecord]) -> BTreeMap<u64, u64> {
+    let piece = |r: &WalRecord| match r {
+        WalRecord::SubCommit { top, subtree, .. } => Some((*top, u64::from(*subtree))),
+        _ => None,
+    };
+    part.iter().filter_map(piece).collect()
+}
+
+/// Where a record of a window sits: (log, position).
+type At = (usize, usize);
+
+/// Whether `r` is the participant record of the piece with local id `t`.
+fn prepares(r: &WalRecord, t: u64) -> bool {
+    matches!(r, WalRecord::SubCommit { subtree, .. } if u64::from(*subtree) == t)
+}
+
+/// Every consistent cut of the records one submission (or one recovery)
+/// appended to a shard's decision log (0), main log (1) and participant
+/// log (2) — `window[i]` — as the number it keeps of each, with the
+/// [`FleetCutReport`] classes it falls in. `local` maps each gtid prepared
+/// on the shard to its piece's local id.
+///
+/// A cut is consistent when no kept record has a dropped predecessor, a
+/// record of another log that was durable before it was written:
+///
+/// * a local `TopCommit` needs its participant `SubCommit`;
+/// * a decision needs that shard's local `TopCommit` of the gtid;
+/// * a resolution marker, and any main-log record of a piece after its
+///   local commit (its compensation), need the gtid's decision;
+/// * an abort marker needs the piece's closing `TopAbort`, synced first.
+///
+/// Within one log a cut is a prefix, so no other order is checked.
+fn cuts(window: [&[WalRecord]; 3], local: &BTreeMap<u64, u64>) -> Vec<([usize; 3], [bool; 4])> {
+    // (record, its predecessor, the class of cuts keeping only the latter).
+    let mut edges: Vec<(At, At, Option<usize>)> = Vec::new();
+    let find = |log: usize, f: &dyn Fn(&WalRecord) -> bool| {
+        window[log].iter().position(f).map(|i| (log, i))
+    };
+    let decision = |g: u64| find(0, &|r| r.top() == g);
+    let gtid = |t: u64| local.iter().find(|(_, &l)| l == t).map(|(&g, _)| g);
+    let mut committed = HashSet::new();
+    for (i, r) in window[1].iter().enumerate() {
+        let (before, class) = match r {
+            WalRecord::TopCommit { top } => {
+                committed.insert(*top);
+                (find(2, &|p| prepares(p, *top)), Some(1))
+            }
+            r if committed.contains(&r.top()) => (gtid(r.top()).and_then(decision), None),
+            _ => (None, None),
+        };
+        edges.extend(before.map(|b| ((1, i), b, class)));
     }
-    Ok(())
+    for (i, r) in window[0].iter().enumerate() {
+        let top = |t: u64| find(1, &|m| *m == WalRecord::TopCommit { top: t });
+        edges.extend(local.get(&r.top()).and_then(|&t| top(t)).map(|b| ((0, i), b, Some(2))));
+    }
+    for (i, r) in window[2].iter().enumerate() {
+        let (WalRecord::TopCommit { top: g } | WalRecord::TopAbort { top: g }) = r else {
+            continue;
+        };
+        edges.extend(decision(*g).map(|b| ((2, i), b, Some(3))));
+        if matches!(r, WalRecord::TopAbort { .. }) {
+            let closed = |t: u64| find(1, &|m| *m == WalRecord::TopAbort { top: t });
+            edges.extend(local.get(g).and_then(|&t| closed(t)).map(|b| ((2, i), b, None)));
+        }
+    }
+
+    let mut out = Vec::new();
+    for d in 0..=window[0].len() {
+        for m in 0..=window[1].len() {
+            for p in 0..=window[2].len() {
+                let keep = [d, m, p];
+                let kept = |(log, i): (usize, usize)| i < keep[log];
+                if edges.iter().any(|&(after, before, _)| kept(after) && !kept(before)) {
+                    continue;
+                }
+                let unprepared = |r: &WalRecord| match r {
+                    WalRecord::LeafRedo { top, .. } => {
+                        !window[2][..p].iter().any(|q| prepares(q, *top))
+                    }
+                    _ => false,
+                };
+                let mut hits = [window[1][..m].iter().any(unprepared), false, false, false];
+                for &(after, before, class) in &edges {
+                    if let Some(c) = class {
+                        hits[c] |= kept(before) && !kept(after);
+                    }
+                }
+                out.push((keep, hits));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semcc_core::RedoOp;
+    use semcc_semantics::{ObjectId, Value};
 
     #[test]
     fn fault_free_chaos_commits_everything() {
@@ -761,6 +970,56 @@ mod tests {
         let (report, recuts) = run.recover_and_recut(&run.full.cut(n), n).unwrap();
         assert!(report.losers > 0, "{report:?}");
         assert!(recuts >= 2, "the mark, then the loser's compensation records: {recuts}");
+    }
+
+    /// The enumerator counts what a hand count gives. Each shard's piece of
+    /// the cross-shard shipment ships one order on the escrow schema, so
+    /// its main log holds 5 records (the status leaf, the `ChangeStatus`
+    /// intent, the escrow leaf, the `ShipOrder` `SubCommit`, the local
+    /// `TopCommit`), its participant log 2 (the `SubCommit`, the commit
+    /// marker) and the decision log 1. Without the decision the marker is
+    /// out, and a kept local commit needs the participant record: main
+    /// prefixes 0–4 without the record (5) and 0–5 with it (6). With the
+    /// decision the local commit is in: with and without the marker (2).
+    /// 13 in all, the empty cut among them.
+    #[test]
+    fn a_one_transaction_cross_shard_run_has_thirteen_consistent_cuts_per_shard() {
+        let coord = Coordinator::new(FleetConfig {
+            n_shards: 2,
+            db_params: cut_fleet(),
+            ..Default::default()
+        });
+        let db = Database::build(&cut_fleet()).unwrap();
+        let spec = cut_batch(&db, coord.partition()).remove(1);
+        assert!(coord.submit(&spec, CommitProtocol::OpenNested).1.is_ok());
+        for s in 0..2 {
+            let logs = shard_logs(&coord, s).unwrap();
+            let window = std::array::from_fn(|i| &logs[i].records[..]);
+            let cuts = cuts(window, &pieces_of(&logs[2].records));
+            assert_eq!(cuts.len(), 13, "shard {s}: {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn a_local_commit_without_its_participant_record_is_no_cut() {
+        let op = RedoOp::Put { obj: ObjectId(9), value: Value::Int(1) };
+        let main = [
+            WalRecord::LeafRedo { top: 5, subtree: 1, op },
+            WalRecord::SubCommit { top: 5, subtree: 1, comp: vec![] },
+            WalRecord::TopCommit { top: 5 },
+        ];
+        let part = [
+            WalRecord::SubCommit { top: 1, subtree: 5, comp: vec![] },
+            WalRecord::TopCommit { top: 1 },
+        ];
+        let decision = [WalRecord::TopCommit { top: 1 }];
+        let cuts = cuts([&decision[..], &main[..], &part[..]], &pieces_of(&part));
+        let consistent = |keep| cuts.iter().any(|(k, _)| *k == keep);
+        assert!(!consistent([0, 3, 0]), "a local commit, no participant record");
+        assert!(consistent([0, 3, 1]));
+        assert!(!consistent([1, 2, 1]), "a decision, no local commit");
+        assert!(!consistent([0, 3, 2]), "a marker, no decision");
+        assert!(consistent([1, 3, 2]));
     }
 
     /// The re-cut of a progress log that recovery wrote behind a

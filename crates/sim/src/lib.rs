@@ -47,8 +47,9 @@ pub mod treeview;
 pub mod validate;
 
 pub use chaos::{
-    audit_checkpoint_parity, audit_every_cut, crash_mixes, fault_mixes, run_chaos,
-    run_fleet_crash_recover, run_fsync_failure, ChaosReport, CutReport, FleetParams, FleetReport,
+    audit_checkpoint_parity, audit_every_cut, audit_fleet_cuts, crash_mixes, fault_mixes,
+    run_chaos, run_fleet_crash_recover, run_fsync_failure, ChaosReport, CutReport, FleetCutReport,
+    FleetParams, FleetReport,
 };
 pub use executor::{run_workload, CommittedTxn, LockTableSample, RunOutcome, RunParams};
 pub use metrics::RunMetrics;

@@ -1,41 +1,35 @@
 //! Sharded-fleet robustness regression suite.
 //!
-//! Drives the order-entry workload through the coordinator across a
-//! partitioned fleet and audits every crash window of the cross-shard
-//! commit protocol: shard death before prepare, shard death after the
-//! decision, coordinator death mid-commit, and a double crash during
-//! shard recovery itself. Every run must converge to the serial replay
-//! of the committed prefix on every shard, with zero lock / waits-for /
-//! dependency residue, and no acknowledged commit may ever be lost.
-//! Runs are watchdog-guarded: a hang is a protocol failure and must
-//! surface as a test failure, not a stuck CI job.
+//! A crash of the fleet is a consistent cut of its logs, so the crash
+//! windows of the cross-shard commit protocol are audited by enumeration:
+//! every consistent cut of a finished two-shard run, and every cut of what
+//! shard recovery appends, recovers to the serial replay of the committed
+//! prefix (`sim::chaos::audit_fleet_cuts`; deterministic, no seed). The
+//! seeded runs cover what a cut cannot: shards killed mid-batch and
+//! recovered while the fleet keeps going, transport faults absorbed by
+//! retries, the 2PC baseline, and the dispatcher's threads. Every run
+//! must converge to the serial replay of the committed prefix on every
+//! shard, with zero lock / waits-for residue, and no acknowledged commit
+//! may ever be lost. Threaded runs are watchdog-guarded: a hang is a
+//! protocol failure and must surface as a test failure, not a stuck CI
+//! job.
 
-use semcc::core::ShardFaultPoint;
-use semcc::dist::{CommitProtocol, Coordinator, FleetConfig, RpcError};
+use semcc::dist::{CommitProtocol, Coordinator, FleetConfig, RpcError, ShardFaultPoint};
 use semcc::orderentry::{Database, DbParams, ItemInfo, TxnSpec, Workload, WorkloadConfig};
 use semcc::semantics::Value;
 use semcc::sim::scenario::{guarded, seed_window};
 use semcc::sim::validate::canonical_shard_state;
-use semcc::sim::{run_fleet_crash_recover, FleetParams, FleetReport};
+use semcc::sim::{audit_fleet_cuts, run_fleet_crash_recover, FleetParams, FleetReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// One fleet crash/recover/audit cycle under the watchdog.
+/// One fleet crash/recover/audit cycle under the watchdog: no acked commit
+/// lost, zero residue, every slice the committed-prefix replay.
 fn run(label: &str, params: FleetParams) -> FleetReport {
-    guarded(label, move || run_fleet_crash_recover(&params))
-}
-
-fn assert_sound(label: &str, report: &FleetReport) {
-    assert!(
-        report.sound(),
-        "{label}: fleet invariant violated\n\
-         lost_acked={} residue={:?} audit={:?}\n{report:?}",
-        report.lost_acked,
-        report.residue_violations,
-        report.audit_failure
-    );
-    assert_eq!(report.lost_acked, 0, "{label}: acked commit lost");
+    let report = guarded(label, move || run_fleet_crash_recover(&params));
+    assert!(report.sound(), "{label}: fleet invariant violated: {report:?}");
+    report
 }
 
 /// Healthy fleet, no kills: everything commits and both shards' slices
@@ -45,7 +39,6 @@ fn healthy_fleet_commits_and_converges() {
     for seed in seed_window(4) {
         let label = format!("healthy/seed{seed}");
         let report = run(&label, FleetParams { seed, kill: 0, ..Default::default() });
-        assert_sound(&label, &report);
         assert_eq!(report.failed, 0, "no faults injected, nothing may fail: {report:?}");
         assert!(report.cross_shard > 0, "the default mix must produce cross-shard txns");
     }
@@ -62,127 +55,30 @@ fn partial_fleet_kill_recovers_without_losing_acked_commits() {
                     &label,
                     FleetParams { seed, n_shards, kill, txns: 48, ..Default::default() },
                 );
-                assert_sound(&label, &report);
                 assert!(report.shard_crashes >= kill as u64, "{label}: kills scheduled");
             }
         }
     }
 }
 
-/// Crash window 1: a shard dies *before* writing the participant record.
-/// The piece is a local loser; the coordinator aborts globally; nothing
-/// may be left in doubt as a winner.
+/// Every crash window of the cross-shard commit protocol at once: each
+/// consistent cut of a finished two-shard run's decision, main and
+/// participant logs, and each cut of what shard recovery appends, recovers
+/// to the committed prefix. Every class of cut must be reached, so the
+/// audit cannot pass by auditing nothing.
 #[test]
-fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
-    for nth in [3u64, 9, 17] {
-        for seed in seed_window(3) {
-            let label = format!("before-prepare/nth{nth}/seed{seed}");
-            let report = run(
-                &label,
-                FleetParams {
-                    seed,
-                    kill: 0,
-                    fault: Some(ShardFaultPoint::CrashBeforePrepare { nth }),
-                    ..Default::default()
-                },
-            );
-            assert_sound(&label, &report);
-            assert!(report.shard_crashes >= 1, "{label}: the fault must fire: {report:?}");
-            assert_eq!(report.kept, 0, "{label}: nothing was decided for the dying gtid");
-        }
-    }
-}
-
-/// Crash window 2: a shard dies *after* the commit decision was durably
-/// logged but before the resolution reached it. Recovery must resolve
-/// the in-doubt piece from the decision log and keep it.
-#[test]
-fn crash_after_decision_resolves_in_doubt_from_decision_log() {
-    let mut kept_total = 0usize;
-    for nth in [2u64, 7, 13] {
-        for seed in seed_window(3) {
-            let label = format!("after-decision/nth{nth}/seed{seed}");
-            let report = run(
-                &label,
-                FleetParams {
-                    seed,
-                    kill: 0,
-                    fault: Some(ShardFaultPoint::CrashAfterDecision { nth }),
-                    ..Default::default()
-                },
-            );
-            assert_sound(&label, &report);
-            assert!(report.shard_crashes >= 1, "{label}: the fault must fire: {report:?}");
-            kept_total += report.kept;
-        }
-    }
-    assert!(
-        kept_total > 0,
-        "at least one run must recover an in-doubt piece via a kept commit decision"
-    );
-}
-
-/// Crash window 3: the coordinator dies right after logging a commit
-/// decision, before acking or notifying any shard. The decision log is
-/// the only survivor; recovery must re-drive it and no state may diverge.
-#[test]
-fn coordinator_crash_mid_commit_redrives_from_decision_log() {
-    for nth in [1u64, 5, 11] {
-        for seed in seed_window(3) {
-            let label = format!("coord-crash/nth{nth}/seed{seed}");
-            let report = run(
-                &label,
-                FleetParams {
-                    seed,
-                    kill: 0,
-                    fault: Some(ShardFaultPoint::CoordinatorCrashMidCommit { nth }),
-                    ..Default::default()
-                },
-            );
-            assert_sound(&label, &report);
-            // The decided-but-unacked transaction commits durably even
-            // though its client saw an error: committed ≥ acked.
-            assert!(
-                report.committed >= report.acked,
-                "{label}: committed {} < acked {}",
-                report.committed,
-                report.acked
-            );
-        }
-    }
-    // The same death with nothing in flight: the coordinator is killed
-    // *idle*, after the batch, while a shard is still down — so the whole
-    // settle phase (shard recovery, every re-driven decision) starts from
-    // the decision log alone.
-    for seed in seed_window(3) {
-        let label = format!("coord-crash/idle/seed{seed}");
-        let report =
-            run(&label, FleetParams { seed, coordinator_crash: true, ..Default::default() });
-        assert_sound(&label, &report);
-        assert!(report.shard_crashes >= 1, "{label}: a shard must be down at the crash");
-        assert!(report.acked > 0, "{label}: nothing was acknowledged before the crash");
-    }
-}
-
-/// Crash window 4: a killed shard crashes *again* in the middle of its
-/// own recovery, after resolving some (but not all) in-doubt pieces.
-/// The second recovery must converge without re-compensating.
-#[test]
-fn double_crash_during_shard_recovery_converges() {
-    for seed in seed_window(4) {
-        let label = format!("double-crash/seed{seed}");
-        let report = run(
-            &label,
-            FleetParams {
-                seed,
-                n_shards: 3,
-                kill: 2,
-                double_crash: true,
-                txns: 48,
-                ..Default::default()
-            },
-        );
-        assert_sound(&label, &report);
+fn every_consistent_cut_of_a_two_shard_run_recovers_to_its_committed_prefix() {
+    let report = audit_fleet_cuts().unwrap_or_else(|e| panic!("fleet cut audit: {e}"));
+    println!("{report:#?}");
+    for (class, n) in [
+        ("a piece's leaves without its participant record", report.leaves_without_prepare),
+        ("a participant record without the local commit", report.prepare_without_commit),
+        ("a local commit without a decision", report.commit_without_decision),
+        ("a decision without its resolution marker", report.decision_without_marker),
+        ("a presumed-abort compensation", report.presumed_abort),
+        ("a cut of shard recovery's own appends", report.recovery_cuts),
+    ] {
+        assert!(n > 0, "no cut of class {class:?}: {report:?}");
     }
 }
 
@@ -202,7 +98,6 @@ fn transport_faults_are_absorbed_by_retry_and_idempotence() {
                 &label,
                 FleetParams { seed, kill: 0, fault: Some(fault), ..Default::default() },
             );
-            assert_sound(&label, &report);
             assert_eq!(report.failed, 0, "{label}: transport faults must be transparent");
         }
     }

@@ -206,7 +206,7 @@ fn recovery_compensates_a_loser_back_to_the_initial_state() {
 /// machine), and a second pass over the wreckage must converge to exactly
 /// the state a single clean recovery reaches.
 #[test]
-fn double_crash_recovery_converges_to_the_clean_recovery_state() {
+fn recovery_cut_after_its_mark_converges_to_the_clean_recovery_state() {
     let image = losing_log();
     let resume = |image: &LogImage| {
         WalWriter::resume(image, FsyncPolicy::EveryAppend, None, WalConfig::default())
@@ -521,14 +521,14 @@ fn exhausted_compensation_budget_chains_instead_of_shadowing() {
     assert_eq!(engine.lock_entries(), 0);
 }
 
-/// An inverse's `CompRedo` and its `CompApplied` progress marker are two
-/// records. A cut between them makes recovery apply the inverse twice:
-/// redo repeats the `CompRedo`, and the undo, counting no marker for it,
-/// runs it again. Absolute writes shrug that off (only version stamps
-/// differ), but an escrow delta does not: the cut right after the abort's
-/// `CompRedo { EscrowAdd { delta: 1 } }` recovers one unit too many.
+/// An inverse's redo and its progress mark must be one record: with two, a
+/// cut between them makes recovery apply the inverse twice — redo repeats
+/// the `CompRedo`, and the undo, counting no mark for it, runs it again.
+/// Absolute writes shrug that off (only version stamps differ), but an
+/// escrow delta does not. An inverse that is one leaf carries its mark in
+/// that leaf's record (`CompRedo { applied: true }`), so every cut of this
+/// abort recovers the initial stock exactly.
 #[test]
-#[ignore = "ROADMAP 10: an inverse's redo and its progress marker are not one unit"]
 fn every_cut_of_an_escrow_abort_compensates_exactly_once() {
     let params = DbParams { n_items: 1, orders_per_item: 2, escrow: true, ..Default::default() };
     let db = Database::build(&params).unwrap();
