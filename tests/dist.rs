@@ -4,7 +4,10 @@
 //! windows of the cross-shard commit protocol are audited by enumeration:
 //! every consistent cut of a finished two-shard run, and every cut of what
 //! shard recovery appends, recovers to the serial replay of the committed
-//! prefix (`sim::chaos::audit_fleet_cuts`; deterministic, no seed). The
+//! prefix (`sim::chaos::audit_fleet_cuts`; deterministic, no seed). Four
+//! tests name the protocol's crash windows — death before prepare, after
+//! the decision, the coordinator's mid-commit, and a second crash during
+//! shard recovery — each by the few cuts that window leaves. The
 //! seeded runs cover what a cut cannot: shards killed mid-batch and
 //! recovered while the fleet keeps going, transport faults absorbed by
 //! retries, the 2PC baseline, and the dispatcher's threads. Every run
@@ -14,11 +17,16 @@
 //! protocol failure and must surface as a test failure, not a stuck CI
 //! job.
 
-use semcc::dist::{CommitProtocol, Coordinator, FleetConfig, RpcError, ShardFaultPoint};
-use semcc::orderentry::{Database, DbParams, ItemInfo, TxnSpec, Workload, WorkloadConfig};
+use semcc::core::wal::{read_image, LogImage, WalRecord};
+use semcc::core::ProtocolConfig;
+use semcc::dist::{
+    parse_decisions, recover_logs, CommitProtocol, Coordinator, FleetConfig, RpcError,
+    ShardFaultPoint, ShardRecoveryReport, ShardStack,
+};
+use semcc::orderentry::{Database, DbParams, ItemInfo, Target, TxnSpec, Workload, WorkloadConfig};
 use semcc::semantics::Value;
 use semcc::sim::scenario::{guarded, seed_window};
-use semcc::sim::validate::canonical_shard_state;
+use semcc::sim::validate::{canonical_shard_state, CanonicalDb, Residue};
 use semcc::sim::{audit_fleet_cuts, run_fleet_crash_recover, FleetParams, FleetReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -79,6 +87,155 @@ fn every_consistent_cut_of_a_two_shard_run_recovers_to_its_committed_prefix() {
         ("a cut of shard recovery's own appends", report.recovery_cuts),
     ] {
         assert!(n > 0, "no cut of class {class:?}: {report:?}");
+    }
+}
+
+// ---- crash windows, one cut each ---------------------------------------
+//
+// Each named crash window of the cross-shard commit protocol as the cut it
+// leaves of a shard's (decision, main, participant) logs, recovered by the
+// function shard recovery runs on decisions parsed as the coordinator
+// parses them. The audit above enumerates every such cut.
+
+/// The cut audit's fleet: one escrow item of 3 units on each shard.
+fn escrow_params() -> DbParams {
+    DbParams { n_items: 2, orders_per_item: 3, initial_qoh: 3, escrow: true, ..Default::default() }
+}
+
+fn escrow_fleet() -> (Coordinator, Database) {
+    let db = Database::build(&escrow_params()).unwrap();
+    (Coordinator::new(FleetConfig { db_params: escrow_params(), ..Default::default() }), db)
+}
+
+/// Ship, in one open-nested transaction, order `k` (`k + 1` units) of the
+/// item on shard `s` for each `(s, k)`; the gtid.
+fn ship(coord: &Coordinator, db: &Database, orders: &[(usize, usize)]) -> u64 {
+    let on = |s| db.items.iter().find(|i| coord.partition().owner_of_item(i.item) == s).unwrap();
+    let target =
+        |&(s, k): &(usize, usize)| Target { item: on(s).item, order: on(s).orders[k].order };
+    let spec = TxnSpec::Ship(orders.iter().map(target).collect());
+    coord.submit(&spec, CommitProtocol::OpenNested).0
+}
+
+/// Shard `s`'s logs as the run left them: decision, main, participant.
+fn shard_logs(coord: &Coordinator, s: usize) -> [LogImage; 3] {
+    let (main, part) = coord.shards()[s].log_images().expect("the shard is up");
+    [coord.decision_image(), main, part]
+}
+
+fn records(log: &LogImage) -> Vec<WalRecord> {
+    read_image(log).unwrap().records
+}
+
+/// Recover `logs` cut to their first `keep[i]` records; the recovered
+/// engine must hold nothing.
+fn recover_cut(logs: &[LogImage; 3], keep: [usize; 3]) -> (ShardStack, ShardRecoveryReport) {
+    let [decision, main, part] = std::array::from_fn(|i| {
+        logs[i].cut(keep[i].checked_sub(1).map_or(0, |k| logs[i].frame_ends()[k]))
+    });
+    let decisions = parse_decisions(&decision).unwrap();
+    let semantic = ProtocolConfig::semantic();
+    let (stack, report) = recover_logs(&escrow_params(), semantic, &main, &part, &decisions)
+        .unwrap_or_else(|e| panic!("cut {keep:?}: {e}"));
+    Residue::of(&stack.engine).check().unwrap_or_else(|e| panic!("cut {keep:?}: {e}"));
+    (stack, report)
+}
+
+fn slice(stack: &ShardStack, db: &Database, s: usize) -> CanonicalDb {
+    canonical_shard_state(stack.engine.storage().as_ref(), db.items_set, 2, s).unwrap()
+}
+
+/// The number of records of `log` up to and including the first local
+/// commit.
+fn through_local_commit(log: &LogImage) -> usize {
+    1 + records(log).iter().position(|r| matches!(r, WalRecord::TopCommit { .. })).unwrap()
+}
+
+/// Crash window 1: a shard dies *before* writing the participant record.
+/// The piece is a local loser and, with no decision logged, globally
+/// aborted; nothing is left in doubt.
+#[test]
+fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
+    let (coord, db) = escrow_fleet();
+    ship(&coord, &db, &[(0, 0), (1, 0)]);
+    for s in 0..2 {
+        let logs = shard_logs(&coord, s);
+        let fresh = slice(&recover_cut(&logs, [0; 3]).0, &db, s);
+        // Every prefix of the piece's main-log records short of its commit.
+        for m in 1..through_local_commit(&logs[1]) {
+            let (stack, report) = recover_cut(&logs, [0, m, 0]);
+            assert!(report.resolved.is_empty(), "shard {s}, cut {m}: in doubt: {report:?}");
+            assert_eq!(slice(&stack, &db, s), fresh, "shard {s}, cut {m}: the piece is a loser");
+        }
+    }
+}
+
+/// Crash window 2: a shard dies *after* the commit decision was durably
+/// logged but before the resolution reached it. Recovery resolves the
+/// in-doubt piece, and only it, from the decision log and keeps it.
+#[test]
+fn crash_after_decision_resolves_in_doubt_from_decision_log() {
+    let (coord, db) = escrow_fleet();
+    ship(&coord, &db, &[(0, 0), (1, 0)]);
+    let gtid = ship(&coord, &db, &[(0, 1), (1, 1)]);
+    for s in 0..2 {
+        let logs = shard_logs(&coord, s);
+        let [d, m, p] = logs.each_ref().map(|log| records(log).len());
+        let (full, _) = recover_cut(&logs, [d, m, p]);
+        let (stack, report) = recover_cut(&logs, [d, m, p - 1]);
+        assert_eq!(report.resolved, [(gtid, true)], "shard {s}");
+        assert_eq!(slice(&stack, &db, s), slice(&full, &db, s), "shard {s}: the piece is kept");
+    }
+}
+
+/// Crash window 3: the coordinator dies mid-commit, both pieces committed
+/// locally and no shard notified. The decision log alone decides on every
+/// shard: a piece is kept if the decision reached it, and compensated
+/// under presumed abort if not.
+#[test]
+fn coordinator_crash_mid_commit_redrives_from_decision_log() {
+    let (coord, db) = escrow_fleet();
+    let gtid = ship(&coord, &db, &[(0, 0), (1, 0)]);
+    for s in 0..2 {
+        let logs = shard_logs(&coord, s);
+        let [d, m, p] = logs.each_ref().map(|log| records(log).len());
+        let [fresh, full] =
+            [[0; 3], [d, m, p]].map(|keep| slice(&recover_cut(&logs, keep).0, &db, s));
+        for (decided, want) in [(0, fresh), (d, full)] {
+            let (stack, report) = recover_cut(&logs, [decided, m, p - 1]);
+            assert_eq!(report.resolved, [(gtid, decided > 0)], "shard {s}, decision {decided}");
+            assert_eq!(report.compensated, usize::from(decided == 0), "shard {s}: {report:?}");
+            assert_eq!(slice(&stack, &db, s), want, "shard {s}, decision {decided}");
+        }
+    }
+}
+
+/// Crash window 4: a shard crashes *again* in the middle of its own
+/// recovery, while compensating a piece a global abort left in doubt.
+/// Every cut of what that recovery appended recovers to the first
+/// recovery's state: no inverse runs twice, which the escrow stock shows.
+#[test]
+fn double_crash_during_shard_recovery_converges() {
+    let (coord, db) = escrow_fleet();
+    // Shard 1's stock goes 3 → 0. Then shard 0's piece commits and shard
+    // 1's fails its bound: a global abort.
+    ship(&coord, &db, &[(1, 2)]);
+    let gtid = ship(&coord, &db, &[(0, 0), (1, 0)]);
+    let logs = shard_logs(&coord, 0);
+    let (d, commit) = (records(&logs[0]).len(), through_local_commit(&logs[1]));
+    // The abort is decided; the piece's compensation and marker are lost.
+    let (first, report) = recover_cut(&logs, [d, commit, 1]);
+    assert_eq!((report.resolved, report.compensated), (vec![(gtid, false)], 1));
+    let want = slice(&first, &db, 0);
+    assert_eq!(want, slice(&recover_cut(&logs, [0; 3]).0, &db, 0), "the stock is given back");
+
+    let again = [logs[0].clone(), first.wal.surviving_image(), first.part_log.surviving_image()];
+    let [m, p] = [&again[1], &again[2]].map(|log| records(log).len());
+    // The marker follows the compensation's last record, synced first.
+    let recuts: Vec<[usize; 3]> = (commit..=m).map(|k| [d, k, 1]).chain([[d, m, p]]).collect();
+    assert!(recuts.len() >= 3, "the compensation appends records: {recuts:?}");
+    for keep in recuts {
+        assert_eq!(slice(&recover_cut(&again, keep).0, &db, 0), want, "recut {keep:?}");
     }
 }
 
