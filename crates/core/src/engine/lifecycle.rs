@@ -213,6 +213,8 @@ impl Engine {
         // log append below rather than after it.
         self.escrow.release(&txn.escrow);
         for obj in txn.created.take().into_iter().rev() {
+            // The compensations above unlinked it: a delete that fails (an
+            // injected storage fault) leaves an unreachable object behind.
             let _ = self.storage.delete(obj);
         }
         // The abort is fully compensated. Recovery still replays this

@@ -299,6 +299,8 @@ impl Engine {
     /// commit's typed durability error, not here.
     fn maybe_checkpoint(&self) {
         if self.log.wants_checkpoint() {
+            // A failed checkpoint is counted and drops no log record; an
+            // I/O failure also poisons the log, which refuses what follows.
             let _ = self.log.checkpoint(&*self.storage, false);
         }
     }

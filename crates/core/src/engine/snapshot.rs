@@ -10,10 +10,17 @@ use crate::ids::{NodeRef, TopId};
 use crate::journal::JournalKind;
 use crate::stats::Stats;
 use semcc_semantics::{
-    Catalog, GenericMethod, Invocation, MethodContext, MethodSel, ObjectId, Result, SemccError,
-    TypeId, Value, DB_OBJECT,
+    Catalog, GenericMethod, IdMap, Invocation, MethodContext, MethodSel, ObjectId, Result,
+    SemccError, Storage, TypeId, Value, DB_OBJECT,
 };
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
+
+thread_local! {
+    /// The emptied read set of this thread's last snapshot attempt: the
+    /// next attempt fills its table instead of growing a new one.
+    static SPARE_READS: Cell<IdMap<ObjectId, u64>> = Cell::new(IdMap::default());
+}
 
 impl Engine {
     /// Attempt a read-only program on the snapshot read path. Every leaf
@@ -44,7 +51,7 @@ impl Engine {
         let mut ctx = SnapshotCtx {
             engine: self,
             selves: Vec::new(),
-            reads: BTreeMap::new(),
+            reads: SPARE_READS.take(),
             reads_done: 0,
             ineligible: false,
         };
@@ -113,13 +120,22 @@ struct SnapshotCtx<'e> {
     /// Stack of `self` objects (innermost last; the DB object at depth 0).
     selves: Vec<ObjectId>,
     /// Read set: object → first-observed version stamp.
-    reads: BTreeMap<ObjectId, u64>,
+    reads: IdMap<ObjectId, u64>,
     /// Leaf reads served, flushed to `Stats::snapshot_reads` in one add.
     reads_done: u64,
     /// Sticky: the program attempted something the snapshot path cannot
     /// do. Checked by the engine even when the program swallowed the
     /// error, because committing then would drop the attempted effect.
     ineligible: bool,
+}
+
+impl Drop for SnapshotCtx<'_> {
+    fn drop(&mut self) {
+        let mut reads = std::mem::take(&mut self.reads);
+        reads.clear();
+        // Once the thread's locals are gone the table is simply dropped.
+        let _ = SPARE_READS.try_with(|spare| spare.set(reads));
+    }
 }
 
 impl SnapshotCtx<'_> {
@@ -144,29 +160,36 @@ impl SnapshotCtx<'_> {
         }
     }
 
-    fn read_leaf(&mut self, inv: &Invocation, g: GenericMethod) -> Result<Value> {
+    /// One leaf read of `o`: the simulated page access, the count, and the
+    /// stamp `read` returns beside its result.
+    fn read<T>(
+        &mut self,
+        o: ObjectId,
+        read: impl FnOnce(&dyn Storage) -> Result<(T, u64)>,
+    ) -> Result<T> {
         self.engine.page_delay();
         self.reads_done += 1;
-        let (storage, obj) = (&self.engine.storage, inv.object);
-        let (value, ver) = match g {
-            GenericMethod::Get => storage.get_versioned(obj)?,
+        let (out, ver) = read(&*self.engine.storage)?;
+        self.record(o, ver)?;
+        Ok(out)
+    }
+
+    fn read_leaf(&mut self, inv: &Invocation, g: GenericMethod) -> Result<Value> {
+        let o = inv.object;
+        match g {
+            GenericMethod::Get => self.read(o, |s| s.get_versioned(o)),
             GenericMethod::Select => {
-                let (found, ver) = storage.set_select_versioned(obj, inv.arg_key(0)?)?;
-                (member_value(found), ver)
+                let key = inv.arg_key(0)?;
+                self.read(o, |s| s.set_select_versioned(o, key)).map(member_value)
             }
-            GenericMethod::Scan => {
-                let (pairs, ver) = storage.set_scan_versioned(obj)?;
-                (scan_value(pairs), ver)
-            }
+            GenericMethod::Scan => self.read(o, |s| s.set_scan_versioned(o)).map(scan_value),
             GenericMethod::Put
             | GenericMethod::Insert
             | GenericMethod::Remove
             | GenericMethod::EscrowAdd => {
                 unreachable!("write leaves are rejected before dispatch")
             }
-        };
-        self.record(obj, ver)?;
-        Ok(value)
+        }
     }
 }
 
@@ -226,5 +249,22 @@ impl MethodContext for SnapshotCtx<'_> {
 
     fn catalog(&self) -> &Catalog {
         &self.engine.catalog
+    }
+
+    // The leaf reads, straight from the store. The provided methods would
+    // look up the object's type and build an `Invocation` for `invoke` to
+    // take apart again, and `scan` would encode its pairs as a
+    // `Value::List` only to decode them.
+
+    fn get(&mut self, obj: ObjectId) -> Result<Value> {
+        self.read(obj, |s| s.get_versioned(obj))
+    }
+
+    fn select(&mut self, set: ObjectId, key: u64) -> Result<Option<ObjectId>> {
+        self.read(set, |s| s.set_select_versioned(set, key))
+    }
+
+    fn scan(&mut self, set: ObjectId) -> Result<Vec<(u64, ObjectId)>> {
+        self.read(set, |s| s.set_scan_versioned(set))
     }
 }

@@ -578,6 +578,8 @@ impl ReadyCheckpoint<'_> {
         }
         if let Some(dir) = &w.dir {
             for seg in &dropped {
+                // The image synced above covers the file's records: one left
+                // behind costs disk space until a new writer clears the dir.
                 let _ = std::fs::remove_file(dir.join(segment_file_name(seg.seq)));
             }
         }
@@ -817,6 +819,31 @@ mod tests {
         assert!(tops[&7].unresolved());
         fold(&mut tops, 2, &WalRecord::TopCommit { top: 7 });
         assert!(!tops[&7].unresolved());
+    }
+
+    /// A store dumps a tuple's components name-ascending, whatever order
+    /// and repeats it was made with — the order of the component map the
+    /// flat layout replaced — so the same store encodes to the same image.
+    #[test]
+    fn a_store_dump_encodes_tuples_name_ascending() {
+        let pairs: Vec<(String, ObjectId)> =
+            [("Status", 1), ("OrderNo", 2), ("Quantity", 3), ("OrderNo", 4)]
+                .map(|(n, id)| (n.to_owned(), ObjectId(id)))
+                .into();
+        let store = semcc_objstore::MemoryStore::new();
+        store.restore_tuple(ObjectId(5), TypeId(17), pairs.clone()).unwrap();
+        let map: BTreeMap<String, ObjectId> = pairs.into_iter().collect();
+        let expected = StoreDump {
+            objects: vec![ObjectDump {
+                id: ObjectId(5),
+                type_id: TypeId(17),
+                version: 0,
+                image: ObjectImage::Tuple(map.into_iter().collect()),
+            }],
+            next_id: 6,
+        };
+        let image = |dump| CheckpointImage { cp_lsn: 1, dump, table: BTreeMap::new() };
+        assert_eq!(encode_checkpoint(&image(store.dump())), encode_checkpoint(&image(expected)));
     }
 
     fn object(id: u64, seed: u8) -> ObjectDump {

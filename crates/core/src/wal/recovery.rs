@@ -184,8 +184,7 @@ pub fn recover_image(
     // Announce this pass in the progress log before doing anything, so a
     // crash below is visible to the next pass.
     if let Some(w) = &progress {
-        let _ = w
-            .append(&WalRecord::RecoveryMark { pass: prior_passes + 1 })
+        w.append(&WalRecord::RecoveryMark { pass: prior_passes + 1 })
             .map_err(|e| SemccError::Durability(e.to_string()))?;
     }
 

@@ -563,6 +563,8 @@ impl WalWriter {
                 let frame = encode_frame(st.next_lsn, rec);
                 let keep = keep.clamp(1, frame.len().saturating_sub(1));
                 st.write_torn(&frame[..keep]);
+                // The log is poisoned below either way, and a directory
+                // without the torn prefix is a crash image too.
                 let _ = self.sync_dir(st);
                 let err =
                     WalError::Io(format!("short write on append #{nth}: {keep}/{}", frame.len()));

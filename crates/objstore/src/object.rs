@@ -3,15 +3,51 @@
 use semcc_semantics::{ObjectId, PageId, Result, SemccError, TypeId, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+/// The component names of a tuple, ascending. Every tuple with the same
+/// names shares one shape: the store interns it when the tuple is made.
+pub type Shape = Arc<[Box<str>]>;
+
+/// A tuple's components: their ids, in the order of its shape's names.
+/// Immutable after creation (schema navigation needs no locks).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Tuple {
+    shape: Shape,
+    fields: Box<[ObjectId]>,
+}
+
+impl Tuple {
+    /// Components `fields` under the names of `shape`, index for index.
+    pub(crate) fn new(shape: Shape, fields: Box<[ObjectId]>) -> Self {
+        assert_eq!(shape.len(), fields.len(), "one id per name of the shape");
+        Tuple { shape, fields }
+    }
+
+    /// The component named `name`. The names are few and shared by every
+    /// tuple of the shape, so a scan of them stays in cache.
+    pub fn get(&self, name: &str) -> Option<ObjectId> {
+        self.shape.iter().position(|n| **n == *name).map(|i| self.fields[i])
+    }
+
+    /// `(name, component)` pairs, name-ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, ObjectId)> {
+        self.shape.iter().map(|n| &**n).zip(self.fields.iter().copied())
+    }
+
+    /// The shared name list.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+}
 
 /// The structural payload of a stored object.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ObjKind {
     /// Atomic value.
     Atomic(Value),
-    /// Tuple with named components. The component map is immutable after
-    /// creation (schema navigation needs no locks).
-    Tuple(BTreeMap<String, ObjectId>),
+    /// Tuple with named components.
+    Tuple(Tuple),
     /// Set keyed by primary key.
     Set(BTreeMap<u64, ObjectId>),
 }
@@ -128,7 +164,7 @@ impl StoredObject {
     }
 
     /// Borrow the tuple components.
-    pub fn tuple(&self, id: ObjectId) -> Result<&BTreeMap<String, ObjectId>> {
+    pub fn tuple(&self, id: ObjectId) -> Result<&Tuple> {
         match &self.kind {
             ObjKind::Tuple(t) => Ok(t),
             _ => Err(SemccError::WrongKind { object: id, expected: "tuple" }),
@@ -209,7 +245,8 @@ mod tests {
     #[test]
     fn kind_names() {
         assert_eq!(ObjKind::Atomic(Value::Unit).kind_name(), "atomic");
-        assert_eq!(ObjKind::Tuple(BTreeMap::new()).kind_name(), "tuple");
+        let tuple = Tuple::new(Shape::from(Vec::new()), Box::default());
+        assert_eq!(ObjKind::Tuple(tuple).kind_name(), "tuple");
         assert_eq!(ObjKind::Set(BTreeMap::new()).kind_name(), "set");
     }
 }

@@ -1,6 +1,6 @@
 //! The in-memory object store.
 
-use crate::object::{ObjKind, StoredObject};
+use crate::object::{ObjKind, Shape, StoredObject, Tuple};
 use crate::pages::{PageAllocator, PagePolicy};
 use crate::CacheLine;
 use parking_lot::{Mutex, RwLock};
@@ -10,6 +10,7 @@ use semcc_semantics::{
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const SHARD_COUNT: usize = 64;
 
@@ -78,7 +79,7 @@ impl Shard {
 fn dump_object(id: ObjectId, obj: &StoredObject) -> ObjectDump {
     let image = match &obj.kind {
         ObjKind::Atomic(v) => ObjectImage::Atomic(v.clone()),
-        ObjKind::Tuple(t) => ObjectImage::Tuple(t.iter().map(|(n, f)| (n.clone(), *f)).collect()),
+        ObjKind::Tuple(t) => ObjectImage::Tuple(t.iter().map(|(n, f)| (n.to_owned(), f)).collect()),
         ObjKind::Set(s) => ObjectImage::Set(s.iter().map(|(k, m)| (*k, *m)).collect()),
     };
     ObjectDump { id, type_id: obj.type_id, version: obj.version, image }
@@ -115,6 +116,8 @@ pub struct MemoryStore {
     /// uncommitted mutations in place, so the quiescence fast path must
     /// not be taken. On a line of its own: every write intent writes it.
     intents: CacheLine<AtomicU64>,
+    /// Every tuple shape made so far (see [`MemoryStore::tuple`]).
+    shapes: Mutex<Vec<Shape>>,
 }
 
 impl MemoryStore {
@@ -133,6 +136,7 @@ impl MemoryStore {
             allocator: Mutex::new(PageAllocator::new(policy)),
             mutations: CacheLine::default(),
             intents: CacheLine::default(),
+            shapes: Mutex::default(),
         }
     }
 
@@ -196,14 +200,51 @@ impl MemoryStore {
         fields: &[(&str, Value)],
     ) -> Result<(ObjectId, Vec<ObjectId>)> {
         let mut ids = Vec::with_capacity(fields.len());
-        let mut named = Vec::with_capacity(fields.len());
-        for (name, v) in fields {
-            let id = self.create_atomic(TYPE_ATOMIC, v.clone())?;
-            ids.push(id);
-            named.push(((*name).to_owned(), id));
+        for (_, v) in fields {
+            ids.push(self.create_atomic(TYPE_ATOMIC, v.clone())?);
         }
-        let t = self.create_tuple(type_id, named)?;
-        Ok((t, ids))
+        // The components were just made: none of them can dangle.
+        let named: Vec<(&str, ObjectId)> =
+            fields.iter().zip(&ids).map(|((name, _), id)| (*name, *id)).collect();
+        Ok((self.insert_tuple(type_id, named), ids))
+    }
+
+    /// Install a tuple of `fields` under a fresh id.
+    fn insert_tuple<S: AsRef<str>>(&self, type_id: TypeId, fields: Vec<(S, ObjectId)>) -> ObjectId {
+        let page = self.allocator.lock().assign();
+        let kind = self.tuple(fields);
+        self.insert_object(StoredObject::new(type_id, page, kind))
+    }
+
+    /// The one constructor of a tuple payload: the pairs sorted by name, a
+    /// repeated name keeping its last id (as collecting them into a map
+    /// did), and the name list interned, so that every tuple with the same
+    /// names shares one [`Shape`].
+    fn tuple<S: AsRef<str>>(&self, mut fields: Vec<(S, ObjectId)>) -> ObjKind {
+        fields.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+        fields.dedup_by(|later, kept| {
+            let repeated = later.0.as_ref() == kept.0.as_ref();
+            if repeated {
+                kept.1 = later.1;
+            }
+            repeated
+        });
+        let ids = fields.iter().map(|(_, id)| *id).collect();
+        ObjKind::Tuple(Tuple::new(self.shape(&fields), ids))
+    }
+
+    /// The interned shape of the (sorted, distinct) names of `fields`. A
+    /// schema has a handful of tuple shapes, so a scan finds one in a few
+    /// comparisons.
+    fn shape<S: AsRef<str>>(&self, fields: &[(S, ObjectId)]) -> Shape {
+        let names = || fields.iter().map(|(name, _)| name.as_ref());
+        let mut shapes = self.shapes.lock();
+        if let Some(shape) = shapes.iter().find(|s| s.iter().map(|n| &**n).eq(names())) {
+            return Arc::clone(shape);
+        }
+        let shape: Shape = names().map(Box::<str>::from).collect();
+        shapes.push(Arc::clone(&shape));
+        shape
     }
 
     /// Number of live objects.
@@ -280,8 +321,8 @@ impl MemoryStore {
         fields: Vec<(String, ObjectId)>,
     ) -> Result<()> {
         let page = self.allocator.lock().assign();
-        let map: BTreeMap<String, ObjectId> = fields.into_iter().collect();
-        self.restore(id, StoredObject::new(type_id, page, ObjKind::Tuple(map)))
+        let kind = self.tuple(fields);
+        self.restore(id, StoredObject::new(type_id, page, kind))
     }
 
     /// Restore an (empty) set object under its logged id (crash recovery);
@@ -321,6 +362,7 @@ impl MemoryStore {
                     mutations: CacheLine(AtomicU64::new(before)),
                     // Per-object intents reset on clone, so the sum does too.
                     intents: CacheLine::default(),
+                    shapes: Mutex::new(self.shapes.lock().clone()),
                 };
             }
         }
@@ -335,6 +377,7 @@ impl MemoryStore {
             allocator: Mutex::new(self.allocator.lock().clone()),
             mutations: CacheLine(AtomicU64::new(self.mutations.load(Ordering::Acquire))),
             intents: CacheLine::default(),
+            shapes: Mutex::new(self.shapes.lock().clone()),
         }
     }
 
@@ -391,7 +434,9 @@ impl MemoryStore {
         for od in &dump.objects {
             let kind = match &od.image {
                 ObjectImage::Atomic(v) => ObjKind::Atomic(v.clone()),
-                ObjectImage::Tuple(fields) => ObjKind::Tuple(fields.iter().cloned().collect()),
+                ObjectImage::Tuple(fields) => {
+                    self.tuple(fields.iter().map(|(n, f)| (n.as_str(), *f)).collect::<Vec<_>>())
+                }
                 ObjectImage::Set(pairs) => ObjKind::Set(pairs.iter().copied().collect()),
             };
             let page = self.allocator.lock().assign();
@@ -460,10 +505,7 @@ impl Storage for MemoryStore {
 
     fn field(&self, o: ObjectId, name: &str) -> Result<ObjectId> {
         self.with_object(o, |obj| {
-            obj.tuple(o)?
-                .get(name)
-                .copied()
-                .ok_or_else(|| SemccError::NoSuchField(o, name.to_owned()))
+            obj.tuple(o)?.get(name).ok_or_else(|| SemccError::NoSuchField(o, name.to_owned()))
         })
     }
 
@@ -485,9 +527,7 @@ impl Storage for MemoryStore {
             // Fail fast on dangling components.
             self.with_object(*f, |_| Ok(()))?;
         }
-        let page = self.allocator.lock().assign();
-        let map: BTreeMap<String, ObjectId> = fields.into_iter().collect();
-        Ok(self.insert_object(StoredObject::new(type_id, page, ObjKind::Tuple(map))))
+        Ok(self.insert_tuple(type_id, fields))
     }
 
     fn create_set(&self, type_id: TypeId) -> Result<ObjectId> {
@@ -687,7 +727,8 @@ mod tests {
             .unwrap();
         assert_eq!(s.field(t, "A").unwrap(), ids[0]);
         assert_eq!(s.field(t, "B").unwrap(), ids[1]);
-        assert!(matches!(s.field(t, "C"), Err(SemccError::NoSuchField(_, _))));
+        assert_eq!(s.field(t, "C").unwrap_err(), SemccError::NoSuchField(t, "C".into()));
+        assert!(matches!(s.field(ids[0], "A"), Err(SemccError::WrongKind { .. })));
         assert_eq!(s.type_of(t).unwrap(), TYPE_TUPLE);
         assert_eq!(s.get(ids[1]).unwrap(), Value::Int(2));
     }
@@ -697,6 +738,46 @@ mod tests {
         let s = MemoryStore::new();
         let err = s.create_tuple(TYPE_TUPLE, vec![("X".into(), ObjectId(999))]).unwrap_err();
         assert_eq!(err, SemccError::NoSuchObject(ObjectId(999)));
+    }
+
+    fn shape_of(s: &MemoryStore, t: ObjectId) -> Shape {
+        s.with_object(t, |obj| Ok(Arc::clone(obj.tuple(t)?.shape()))).unwrap()
+    }
+
+    #[test]
+    fn a_repeated_name_keeps_its_last_component_and_dumps_name_ascending() {
+        let s = MemoryStore::new();
+        let [a, b, c] = [1, 2, 3].map(|i| s.create_atomic(TYPE_ATOMIC, Value::Int(i)).unwrap());
+        let pairs = vec![("y".to_string(), a), ("x".to_string(), b), ("y".to_string(), c)];
+        let t = s.create_tuple(TYPE_TUPLE, pairs.clone()).unwrap();
+        assert_eq!((s.field(t, "x").unwrap(), s.field(t, "y").unwrap()), (b, c));
+        // What collecting the pairs into a component map gives.
+        let map: BTreeMap<String, ObjectId> = pairs.into_iter().collect();
+        let dumped = s.dump().objects.into_iter().find(|o| o.id == t).unwrap();
+        assert_eq!(dumped.image, ObjectImage::Tuple(map.into_iter().collect()));
+    }
+
+    #[test]
+    fn tuples_with_equal_names_share_one_shape_and_copies_keep_it() {
+        let s = MemoryStore::new();
+        let tuple = |s: &MemoryStore, names: &[&str]| {
+            let fields: Vec<(&str, Value)> = names.iter().map(|n| (*n, Value::Unit)).collect();
+            s.create_tuple_with_atoms(TYPE_TUPLE, &fields).unwrap().0
+        };
+        let (ab, ba, a) = (tuple(&s, &["A", "B"]), tuple(&s, &["B", "A"]), tuple(&s, &["A"]));
+        let restored = ObjectId(1000);
+        s.restore_tuple(restored, TYPE_TUPLE, vec![("B".into(), a), ("A".into(), ab)]).unwrap();
+        assert!(Arc::ptr_eq(&shape_of(&s, ab), &shape_of(&s, ba)), "same names, other order");
+        assert!(Arc::ptr_eq(&shape_of(&s, ab), &shape_of(&s, restored)), "a restored tuple");
+        assert!(!Arc::ptr_eq(&shape_of(&s, ab), &shape_of(&s, a)), "other names");
+        // A copy navigates its tuples the same way, through the same
+        // shapes, and interns its own new tuples among them.
+        let copy = s.snapshot();
+        for t in [ab, ba, a] {
+            assert_eq!(copy.field(t, "A").unwrap(), s.field(t, "A").unwrap());
+            assert!(Arc::ptr_eq(&shape_of(&copy, t), &shape_of(&s, t)));
+        }
+        assert!(Arc::ptr_eq(&shape_of(&copy, tuple(&copy, &["B", "A"])), &shape_of(&s, ab)));
     }
 
     #[test]
@@ -944,6 +1025,8 @@ mod tests {
         assert_eq!(fresh.set_state(), s.set_state());
         assert_eq!(fresh.version_state(), s.version_state());
         assert_eq!(fresh.object_count(), s.object_count());
+        assert_eq!(fresh.dump(), dump, "dump, load, dump again: the same image");
+        assert_eq!(fresh.field(t, "y").unwrap(), s.field(t, "y").unwrap());
         // New creations never collide with restored ids.
         let n = fresh.create_atomic(TYPE_ATOMIC, Value::Unit).unwrap();
         assert!(n.0 >= dump.next_id);
