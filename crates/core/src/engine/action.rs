@@ -4,7 +4,7 @@
 //! finish the node either way.
 
 use super::ctx::{member_value, scan_value};
-use super::lifecycle::Txn;
+use super::lifecycle::{Cause, Txn};
 use super::Engine;
 use crate::discipline::AcquireRequest;
 use crate::fault::{injected_panic, FaultSite};
@@ -15,17 +15,17 @@ use crate::stats::Stats;
 use crate::wal::{RedoOp, WalRecord};
 use semcc_semantics::{
     Catalog, GenericMethod, Invocation, MethodContext, MethodId, MethodSel, ObjectId, Result,
-    SemccError, Storage, TypeId, Value, TYPE_ATOMIC, TYPE_SET,
+    Storage, TypeId, Value, TYPE_ATOMIC, TYPE_SET,
 };
 use std::sync::Arc;
 
 impl Engine {
     /// Execute one action (create node → acquire lock → run → finish).
-    /// Returns the result value and the compensation entries the parent
-    /// must record for this (now committed) child. `caller_subtree` is the
-    /// depth-1 ancestor's node index (0 at the root), threaded down so WAL
-    /// records can tag every leaf with the subtree whose `SubCommit`
-    /// governs its redo.
+    /// Returns the result value; the inverses of what the child committed
+    /// go on `rollback`, the caller's list. `caller_subtree` is the depth-1
+    /// ancestor's node index (0 at the root), threaded down so WAL records
+    /// can tag every leaf with the subtree whose `SubCommit` governs its
+    /// redo.
     pub(super) fn run_action(
         &self,
         txn: &Txn<'_>,
@@ -33,7 +33,8 @@ impl Engine {
         caller_subtree: u32,
         inv: Invocation,
         compensating: bool,
-    ) -> Result<(Value, Vec<Invocation>)> {
+        rollback: &mut Vec<Invocation>,
+    ) -> Result<Value> {
         let tree = &txn.tree;
         let inv = Arc::new(inv);
         let child = tree.add_child(parent, Arc::clone(&inv));
@@ -46,7 +47,7 @@ impl Engine {
             inv: Arc::clone(&inv),
         });
         let leaves = txn.open_leaves.get();
-        let done = self.perform(txn, node, parent, subtree, &inv, compensating);
+        let done = self.perform(txn, node, subtree, &inv, compensating, rollback);
         if parent == 0 && done.is_ok() {
             // Its `SubCommit` took the subtree's leaves off the log's list.
             txn.open_leaves.set(leaves);
@@ -64,16 +65,17 @@ impl Engine {
     }
 
     /// Acquire → run → make the undo intent durable. Any `Err` fails the
-    /// node.
+    /// node; if only the intent failed, its children did commit, and their
+    /// inverses still go on the caller's `rollback`.
     fn perform(
         &self,
         txn: &Txn<'_>,
         node: NodeRef,
-        parent: u32,
         subtree: u32,
         inv: &Arc<Invocation>,
         compensating: bool,
-    ) -> Result<(Value, Vec<Invocation>)> {
+        rollback: &mut Vec<Invocation>,
+    ) -> Result<Value> {
         let chain = txn.tree.chain(node.idx);
         let is_leaf = inv.method.is_generic();
         let writes = inv.method.as_generic().map(|g| g.is_update()).unwrap_or(true);
@@ -100,6 +102,7 @@ impl Engine {
         let (value, comp) = match inv.method {
             MethodSel::Generic(g) => self.logged_mutation(
                 txn,
+                node,
                 subtree,
                 compensating,
                 || self.apply_generic(txn, node, inv, g, compensating),
@@ -110,39 +113,33 @@ impl Engine {
             }
         };
 
-        if self.log.is_on() && !compensating {
-            let intent = if parent == 0 {
-                // The depth-1 subtransaction committed: persist its
-                // compensation intent (the paper's inverse invocations) as
-                // the logical undo record.
-                Some(WalRecord::SubCommit { top: node.top.0, subtree, comp: comp.clone() })
-            } else if !comp.is_empty() && matches!(inv.method, MethodSel::User(_)) {
-                // A deeper user-method subtransaction committed: finishing
-                // the node retains its locks, which is the moment commuting
-                // requestors may observe its effects (and embed them in
-                // absolute leaf values they log). The undo intent must
-                // therefore be durable *now* — the enclosing subtree's
-                // `SubCommit`, which aggregates it, may never reach the log
-                // if we crash mid-subtree. Generic leaves get no early
-                // record: one record per exposed method, not per leaf. That
-                // is sound as long as leaf writes whose method ancestors
-                // commute (the only grants that expose a leaf early) happen
-                // inside user submethods — true of the order-entry
-                // matrices, where every absorbable write path runs through
-                // `ChangeStatus`.
-                Some(WalRecord::SubIntent { top: node.top.0, subtree, comp: comp.clone() })
-            } else {
-                None
-            };
-            if let Some(Err(e)) = intent.map(|rec| self.log.append(rec)) {
-                // The subtransaction's effects are in the store but its
-                // undo intent will never be durable: reverse them inline
-                // (best-effort) before failing the node.
-                let _ = self.compensate_list(txn, comp, false);
-                return Err(e);
-            }
-        }
-        Ok((value, comp))
+        let intent = if !self.log.is_on() || compensating {
+            None
+        } else if node.idx == subtree {
+            // The depth-1 subtransaction (a direct child of the root is its
+            // own subtree) committed: persist its compensation intent (the
+            // paper's inverse invocations) as the logical undo record.
+            Some(WalRecord::SubCommit { top: node.top.0, subtree, comp: comp.clone() })
+        } else if !comp.is_empty() && matches!(inv.method, MethodSel::User(_)) {
+            // A deeper user-method subtransaction committed: finishing the
+            // node retains its locks, which is the moment commuting
+            // requestors may observe its effects (and embed them in absolute
+            // leaf values they log). The undo intent must therefore be
+            // durable *now* — the enclosing subtree's `SubCommit`, which
+            // aggregates it, may never reach the log if we crash
+            // mid-subtree. Generic leaves get no early record: one record
+            // per exposed method, not per leaf. That is sound as long as
+            // leaf writes whose method ancestors commute (the only grants
+            // that expose a leaf early) happen inside user submethods — true
+            // of the order-entry matrices, where every absorbable write path
+            // runs through `ChangeStatus`.
+            Some(WalRecord::SubIntent { top: node.top.0, subtree, comp: comp.clone() })
+        } else {
+            None
+        };
+        let logged = intent.map_or(Ok(()), |rec| self.log.append(rec));
+        rollback.extend(comp);
+        logged.map(|()| value)
     }
 
     /// A store mutation and its redo record, as one atomic unit with
@@ -164,14 +161,15 @@ impl Engine {
     /// exposed work that a later compensation undid — and quietly: a lost
     /// CLR means recovery re-derives the inverse from the intent list. The
     /// leaf that is a whole inverse of a logged abort carries that
-    /// inverse's progress mark ([`Txn::mark_leaf`]). If a
-    /// forward record cannot be appended, the mutation is undone inline
-    /// (best-effort — the transaction is aborting with a durability error
-    /// regardless) once the barrier is released, since the undo re-enters
-    /// it.
+    /// inverse's progress mark ([`Txn::mark_leaf`]). If a forward record
+    /// cannot be appended, the leaf — still running, so seen by nobody — is
+    /// restored in place and the node fails: its inverse goes straight to
+    /// the store, newest first, with no lock, record or retry (DESIGN.md §4,
+    /// *Logged mutation*).
     fn logged_mutation<T>(
         &self,
         txn: &Txn<'_>,
+        node: NodeRef,
         subtree: u32,
         compensating: bool,
         mutate: impl FnOnce() -> Result<(T, Vec<Invocation>)>,
@@ -180,31 +178,29 @@ impl Engine {
         if !self.log.is_on() {
             return mutate();
         }
-        let (out, inverse, logged) = {
-            let _barrier = self.log.barrier();
-            let (out, inverse) = mutate()?;
-            let logged = match redo(&out) {
-                Some(op) if compensating => {
-                    let applied = txn.mark_leaf.take();
-                    self.log.append_quiet(WalRecord::CompRedo { top: txn.wal_top(), op, applied });
-                    Ok(())
-                }
-                Some(op) => {
-                    let rec = WalRecord::LeafRedo { top: txn.top().0, subtree, op };
-                    let logged = self.log.append_leaf(rec, &inverse);
-                    logged.map(|()| txn.open_leaves.set(txn.open_leaves.get() + inverse.len()))
-                }
-                None => Ok(()),
-            };
-            (out, inverse, logged)
-        };
-        match logged {
-            Ok(()) => Ok((out, inverse)),
-            Err(e) => {
-                let _ = self.compensate_list(txn, inverse, false);
-                Err(e)
+        let _barrier = self.log.barrier();
+        let (out, inverse) = mutate()?;
+        match redo(&out) {
+            Some(op) if compensating => {
+                let applied = txn.mark_leaf.take();
+                self.log.append_quiet(WalRecord::CompRedo { top: txn.wal_top(), op, applied });
             }
+            Some(op) => {
+                let rec = WalRecord::LeafRedo { top: txn.top().0, subtree, op };
+                if let Err(e) = self.log.append_leaf(rec, &inverse) {
+                    for inv in inverse.iter().rev() {
+                        let MethodSel::Generic(g) = inv.method else { unreachable!("a leaf") };
+                        if let Err(r) = self.apply_generic(txn, node, inv, g, true) {
+                            return Err(self.undo_failed(node.top, format!("{inv}: {r}"), &e));
+                        }
+                    }
+                    return Err(e);
+                }
+                txn.open_leaves.set(txn.open_leaves.get() + inverse.len());
+            }
+            None => {}
         }
+        Ok((out, inverse))
     }
 
     fn run_user_method(
@@ -225,7 +221,7 @@ impl Engine {
             // Injected body panics model buggy *application* logic, so they
             // fire only on forward execution. Compensating bodies run the
             // system's own inverses — their fault knob is the dedicated
-            // (and retried) compensation fault of `compensate_list`; a
+            // (and retried) compensation fault of `undo`; a
             // non-retryable panic there would wedge the abort in a state no
             // audit can reconcile.
             let faults = self.faults.as_ref();
@@ -247,27 +243,14 @@ impl Engine {
                 };
                 Ok((ret, comp))
             }
-            Err(e) if compensating => Err(e),
             Err(e) => {
                 // Eagerly roll back the partial subtransaction: compensate
-                // its committed children before propagating the error.
-                if e.is_abort() {
-                    self.deps.wfg.begin_abort(txn.top());
+                // its committed children before propagating the error (or
+                // the rollback's failure, chained onto it).
+                if !compensating {
+                    self.undo(txn, ctx.comp, Cause::Rollback(&e))?;
                 }
-                let Err(ce) = self.compensate_list(txn, ctx.comp, false) else { return Err(e) };
-                // Surface *both* failures: the compensation error is
-                // chained onto the original abort cause instead of
-                // shadowing it.
-                self.deps.emit(|| Event::CompensationFailure {
-                    top: txn.top(),
-                    error: ce.to_string(),
-                    original: e.to_string(),
-                });
-                let detail = match ce {
-                    SemccError::CompensationFailed(m) => m,
-                    other => other.to_string(),
-                };
-                Err(SemccError::CompensationFailed(format!("{detail}; original abort cause: {e}")))
+                Err(e)
             }
         }
     }
@@ -337,7 +320,8 @@ pub(super) struct ExecCtx<'a> {
     /// subtree tag of WAL records emitted below here.
     subtree: u32,
     stash: Vec<Value>,
-    /// Compensations of committed children, chronological order.
+    /// The rollback list: what the children committed, inverted, in
+    /// chronological order.
     pub(super) comp: Vec<Invocation>,
     compensating: bool,
 }
@@ -365,9 +349,11 @@ impl<'a> ExecCtx<'a> {
             }
             Ok((id, Vec::new()))
         };
+        let node = NodeRef { top: txn.top(), idx: self.node_idx };
         let created =
-            txn.engine
-                .logged_mutation(txn, self.subtree, self.compensating, mutate, |id| redo(*id));
+            txn.engine.logged_mutation(txn, node, self.subtree, self.compensating, mutate, |id| {
+                redo(*id)
+            });
         Ok(created?.0)
     }
 
@@ -380,15 +366,14 @@ impl<'a> ExecCtx<'a> {
 
 impl MethodContext for ExecCtx<'_> {
     fn invoke(&mut self, inv: Invocation) -> Result<Value> {
-        let (value, comp) = self.txn.engine.run_action(
+        self.txn.engine.run_action(
             self.txn,
             self.node_idx,
             self.subtree,
             inv,
             self.compensating,
-        )?;
-        self.comp.extend(comp);
-        Ok(value)
+            &mut self.comp,
+        )
     }
 
     fn self_object(&self) -> ObjectId {

@@ -17,6 +17,7 @@ use crate::tree::TxnTree;
 use crate::wal::WalRecord;
 use semcc_semantics::{Invocation, ObjectId, Result, SemccError};
 use std::cell::{Cell, RefCell};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// A live top-level transaction: its registry entry, its per-transaction
@@ -79,6 +80,15 @@ pub(super) enum Ending<'a> {
     Aborted(&'a SemccError),
     /// Unwound past both `commit` and `abort`.
     Contained,
+}
+
+/// What committed work is taken back for (see [`Engine::undo`]): a
+/// top-level abort or a failed user method's rollback, each for its error,
+/// or a loser's logged intents (recovery, a globally aborted piece).
+pub(super) enum Cause<'a> {
+    Abort(&'a SemccError),
+    Rollback(&'a SemccError),
+    Intents,
 }
 
 impl Engine {
@@ -196,57 +206,62 @@ impl Engine {
 
     /// Undo the transaction by compensation, then end it.
     pub(super) fn abort(&self, txn: &Txn<'_>, comp: Vec<Invocation>, reason: &SemccError) {
-        let top = txn.top();
-        self.deps.wfg.begin_abort(top);
         // Compensate committed top-level children (and, transitively,
-        // whatever they inherited), newest first. Failures here indicate a
-        // schema without proper inverses (or an injected chaos fault); they
-        // are surfaced in the event stream but cannot stop the abort.
-        if let Err(e) = self.compensate_list(txn, comp, true) {
-            self.deps.emit(|| Event::CompensationFailure {
-                top,
-                error: e.to_string(),
-                original: reason.to_string(),
-            });
-        }
-        // The store is restored, so the reservations can go before the
-        // log append below rather than after it.
+        // whatever they inherited), newest first. A failure — a schema
+        // without proper inverses, or an injected fault — cannot stop the
+        // abort; it keeps the created objects (maybe still linked) and logs
+        // no `TopAbort`, so recovery finishes the abort.
+        let undone = self.undo(txn, comp, Cause::Abort(reason)).is_ok();
+        // The store is settled, so the reservations can go before the log
+        // append below rather than after it.
         self.escrow.release(&txn.escrow);
-        for obj in txn.created.take().into_iter().rev() {
-            // The compensations above unlinked it: a delete that fails (an
-            // injected storage fault) leaves an unreachable object behind.
-            let _ = self.storage.delete(obj);
-        }
-        // The abort is fully compensated. Recovery still replays this
-        // transaction's forward *and* compensating effects (repeating
-        // history keeps concurrently logged absolute values consistent)
-        // but, seeing this record, runs no further compensation. A crash
-        // before this record instead treats the transaction as a loser and
-        // finishes the abort from the logged intents, minus the ones the
-        // `CompApplied` markers show were already applied. The append is
-        // quiet — losing it degrades a resolved abort into a loser, which
-        // recovery handles.
-        if txn.wal_alias.is_none() {
-            self.log.append_quiet(WalRecord::TopAbort { top: top.0 });
+        if undone {
+            for obj in txn.created.take().into_iter().rev() {
+                // The compensations above unlinked it: a delete that fails
+                // (an injected storage fault) leaves an unreachable object.
+                let _ = self.storage.delete(obj);
+            }
+            // The abort is fully compensated. Recovery still replays this
+            // transaction's forward *and* compensating effects (repeating
+            // history keeps concurrently logged absolute values consistent)
+            // but, seeing this record, runs no further compensation. A crash
+            // before this record instead treats the transaction as a loser
+            // and finishes the abort from the logged intents, minus the ones
+            // the `CompApplied` markers show were already applied. The
+            // append is quiet — losing it degrades a resolved abort into a
+            // loser, which recovery handles.
+            if txn.wal_alias.is_none() {
+                self.log.append_quiet(WalRecord::TopAbort { top: txn.top().0 });
+            }
         }
         self.finish_top(txn, Ending::Aborted(reason));
     }
 
-    /// Execute compensations in reverse chronological order, retrying on
-    /// contention aborts (deadlock victim or lock-wait timeout).
-    /// `log_progress` marks each applied inverse in the log — set only by
-    /// *top-level* aborts, whose intent list is what recovery reconstructs
-    /// from `SubCommit` records; intra-subtransaction rollbacks must not
-    /// inflate the marker count. An inverse that is a single leaf is
-    /// marked by its own `CompRedo` (`applied`), any other by a
-    /// `CompApplied` after it.
-    pub(super) fn compensate_list(
+    /// Take back committed work (paper Section 3): run the inverses `comp`
+    /// newest first, each as a compensating action under the locking
+    /// protocol, retrying on contention aborts and injected compensation
+    /// faults. The only other undo is `logged_mutation`'s in-place restore;
+    /// [`Engine::undo_failed`] is their one failure policy. The cause
+    /// decides whether the transaction first enters the aborting state (no
+    /// deadlock victim from then on) and whether each applied inverse is
+    /// marked in the log, as abort progress recovery counts against
+    /// `SubCommit` intents: by its own `CompRedo` (`applied`) if it is one
+    /// leaf, else by a `CompApplied`.
+    pub(super) fn undo(
         &self,
         txn: &Txn<'_>,
         comp: Vec<Invocation>,
-        log_progress: bool,
+        cause: Cause<'_>,
     ) -> Result<()> {
+        let (aborting, log_progress, original): (_, _, &dyn Display) = match cause {
+            Cause::Abort(e) => (true, true, e),
+            Cause::Rollback(e) => (e.is_abort(), false, e),
+            Cause::Intents => (false, true, &"a loser's logged intents"),
+        };
         let top = txn.top();
+        if aborting {
+            self.deps.wfg.begin_abort(top);
+        }
         for inv in comp.into_iter().rev() {
             let mut attempts = 0;
             let one_leaf = log_progress && inv.method.is_generic();
@@ -257,11 +272,7 @@ impl Engine {
                 let node = NodeRef::root(top);
                 self.journal_record(JournalKind::Compensation, node, inv.object.0, attempts.into());
                 // An injected compensation fault is transient (a crashed
-                // page write, say), so it takes the same arm as a
-                // contention abort below: the recovery path exercises
-                // `CompensationFailure` without being structurally
-                // excluded from faults, and only a fault on every retry
-                // becomes terminal.
+                // page write, say): only a fault on every retry is terminal.
                 let injected = self
                     .faults
                     .as_ref()
@@ -269,19 +280,16 @@ impl Engine {
                 let run = if injected {
                     Err(SemccError::FaultInjected("compensation".into()))
                 } else {
-                    self.run_action(txn, 0, 0, inv.clone(), true)
+                    // A compensating action commits no inverse of its own.
+                    self.run_action(txn, 0, 0, inv.clone(), true, &mut Vec::new())
                 };
                 // Whether the inverse's own `CompRedo` carried the mark.
                 let marked = one_leaf && !txn.mark_leaf.replace(false);
                 match run {
                     Ok(_) => {
-                        // Abort-progress marker: tells recovery how many of
-                        // the loser's logged intents were already applied
-                        // (the *last* k, since compensation runs newest
-                        // first), so it only compensates the remainder.
-                        // Quiet: abort progress lost to a poisoned log just
-                        // means recovery re-runs an inverse it cannot know
-                        // was applied.
+                        // Recovery runs only the intents not marked (the
+                        // oldest ones). Quiet: a mark lost to a poisoned log
+                        // means recovery re-runs an applied inverse.
                         if log_progress && !marked {
                             self.log.append_quiet(WalRecord::CompApplied { top: txn.wal_top() });
                         }
@@ -297,12 +305,23 @@ impl Engine {
                         Stats::bump(&self.deps.stats.compensation_retries);
                         self.retry_backoff(top.0 ^ inv.object.0, attempts);
                     }
-                    Err(e) => {
-                        return Err(SemccError::CompensationFailed(format!("{inv}: {e}")));
-                    }
+                    Err(e) => return Err(self.undo_failed(top, format!("{inv}: {e}"), original)),
                 }
             }
         }
         Ok(())
+    }
+
+    /// The undos' failure policy: count and publish the failure once, and
+    /// return it chained onto its cause instead of shadowing it.
+    pub(super) fn undo_failed(&self, top: TopId, what: String, cause: &dyn Display) -> SemccError {
+        Stats::bump(&self.deps.stats.compensation_failures);
+        let chained = format!("{what}; original abort cause: {cause}");
+        self.deps.emit(|| Event::CompensationFailure {
+            top,
+            error: SemccError::CompensationFailed(what).to_string(),
+            original: cause.to_string(),
+        });
+        SemccError::CompensationFailed(chained)
     }
 }

@@ -51,6 +51,7 @@ use crate::stats::{Stats, StatsSnapshot};
 use crate::tree::Registry;
 use action::ExecCtx;
 use escrow::EscrowLedger;
+use lifecycle::Cause;
 use log::EngineLog;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use semcc_semantics::{
@@ -421,17 +422,13 @@ impl Engine {
     /// reverses it and acquires every lock through the normal Figure-9
     /// path (`compensating = true`), exactly like an in-process abort.
     /// Returns the number of compensating invocations executed.
-    pub fn compensate_transaction(&self, intents: Vec<Invocation>) -> Result<usize> {
-        self.compensate_transaction_as(intents, None)
-    }
-
-    /// [`Engine::compensate_transaction`] with a WAL alias: every record
-    /// the wrapper logs (`CompRedo`, `CompApplied`) carries `alias`'s
-    /// transaction id instead of the wrapper's own, and the wrapper logs
-    /// no resolution record of its own. Recovery uses this so that a
-    /// crash *during* recovery leaves a log in which the loser's abort
-    /// progress is attributed to the loser — the next pass resumes it
-    /// exactly like a crash during an in-process abort.
+    ///
+    /// With an `alias`, every record the wrapper logs (`CompRedo`,
+    /// `CompApplied`) carries `alias`'s transaction id instead of the
+    /// wrapper's own, and the wrapper logs no resolution record of its own.
+    /// Recovery uses this so that a crash *during* recovery leaves a log in
+    /// which the loser's abort progress is attributed to the loser — the
+    /// next pass resumes it exactly like a crash during an in-process abort.
     pub fn compensate_transaction_as(
         &self,
         intents: Vec<Invocation>,
@@ -442,14 +439,8 @@ impl Engine {
         // An aliased commit appends nothing, so it cannot fail; an
         // unaliased one can (poisoned log) and then aborts like a failed
         // compensation.
-        let done = self.compensate_list(&txn, intents, true).and_then(|()| self.commit(&txn));
-        match done {
-            Ok(_) => Ok(n),
-            Err(e) => {
-                self.abort(&txn, Vec::new(), &e);
-                Err(e)
-            }
-        }
+        let done = self.undo(&txn, intents, Cause::Intents).and_then(|()| self.commit(&txn));
+        done.map(|_| n).inspect_err(|e| self.abort(&txn, Vec::new(), e))
     }
 
     /// Hard ceiling on any single backoff sleep, whatever the attempt

@@ -68,8 +68,9 @@ pub enum Event {
         /// Why.
         reason: String,
     },
-    /// A compensation attempt of an aborting transaction failed
-    /// irrecoverably; the abort proceeds without it.
+    /// An undo failed for good (a compensation past its retries, or an
+    /// in-place restore the store refused); the abort proceeds without it.
+    /// One per `compensation_failures` count.
     CompensationFailure {
         /// The aborting transaction.
         top: TopId,

@@ -146,6 +146,10 @@ counters! {
     caught_panics,
     /// Compensating invocations re-run after a retryable failure.
     compensation_retries,
+    /// Undos that failed for good — a compensation past its retries or
+    /// failing non-retryably, an in-place restore the store refused — each
+    /// also published once as a `CompensationFailure` event.
+    compensation_failures,
     /// Top-level transactions transparently re-executed by
     /// `execute_with_retry` after a deadlock or lock timeout.
     txn_retries,

@@ -5,7 +5,9 @@
 //! [`audit_every_cut`] and [`audit_checkpoint_parity`] (every image a
 //! crash could leave of a finished run's log: recovery, re-recovery and
 //! checkpoints reach the committed prefix), [`run_fsync_failure`] (a
-//! failed fsync poisons the log: acked = durable),
+//! failed fsync poisons the log: acked = durable), [`enumerate_log_faults`]
+//! (every single append or fsync fault of a scripted run, each audited
+//! like that),
 //! [`run_fleet_crash_recover`] (the sharded deployment with k of N shards
 //! killed mid-batch, under transport faults) and [`audit_fleet_cuts`]
 //! (every consistent image a crash could leave of a finished two-shard
@@ -13,20 +15,21 @@
 //! committed prefix).
 //!
 //! Faults are drawn from a seeded [`FaultPlan`], so a failing run can be
-//! replayed exactly by its `(seed, spec)` pair; the fleet cut audit is
-//! scripted and draws nothing.
+//! replayed exactly by its `(seed, spec)` pair; the fleet cut audit and
+//! the log fault enumeration are scripted and draw nothing.
 //!
 //! [`FaultPlan`]: semcc_core::FaultPlan
 
 use crate::executor::CommittedTxn;
 use crate::rig::{winners, AuditParams, Rig};
 use crate::validate::{
-    canonical_shard_state, canonical_state, check_committed_prefix, check_semantic_graph, Residue,
+    canonical_shard_state, canonical_state, check_committed_prefix, check_no_failed_undo,
+    check_semantic_graph, Residue,
 };
 use semcc_core::wal::checkpoint::fold;
 use semcc_core::{
-    read_image, FaultSpec, FsyncPolicy, IoFaultPoint, LogImage, MemorySink, ProtocolConfig,
-    RecoveryReport, StatsSnapshot, TopInfo, WalConfig, WalError, WalRecord, WalWriter,
+    read_image, Event, FaultSpec, FsyncPolicy, IoFaultPoint, LogImage, MemorySink, ProtocolConfig,
+    RecoveryReport, Stamped, StatsSnapshot, TopInfo, WalConfig, WalError, WalRecord, WalWriter,
 };
 use semcc_dist::{
     parse_decisions, recover_logs, CommitProtocol, Coordinator, FleetConfig, PartitionMap,
@@ -49,8 +52,12 @@ pub struct ChaosReport {
     /// Faults the plan actually injected.
     pub injected: u64,
     /// The engine's counters over the run (caught panics, lock timeouts,
-    /// deadlock victims, compensation retries, …).
+    /// deadlock victims, compensation retries and failures, …).
     pub stats: StatsSnapshot,
+    /// `CompensationFailure` events the run's history recorded: one per
+    /// `stats.compensation_failures`. Storage faults hit compensating
+    /// leaves too, and not retryably, so failures are expected here.
+    pub failure_events: u64,
     /// What the engine still held after the run (must be nothing).
     pub residue: Residue,
     /// Whether the committed history passed the semantic graph check.
@@ -85,14 +92,17 @@ pub fn run_chaos(params: &AuditParams) -> ChaosReport {
     let sink = MemorySink::new();
     let engine = builder.sink(sink.clone()).build();
     let out = rig.run(&engine, rig.batch.clone(), params.workers);
+    let events = sink.events();
+    let failed_undo = |e: &&Stamped| matches!(e.ev, Event::CompensationFailure { .. });
 
     ChaosReport {
         committed: out.metrics.committed,
         failed: out.metrics.failed,
         injected: rig.plan.triggered(),
         stats: out.metrics.stats,
+        failure_events: events.iter().filter(failed_undo).count() as u64,
         residue: Residue::of(&engine),
-        serializable: check_semantic_graph(&sink.events(), engine.router()).serializable,
+        serializable: check_semantic_graph(&events, engine.router()).serializable,
     }
 }
 
@@ -212,7 +222,7 @@ impl FinishedRun {
     }
 
     /// Recover `image`: no compensation may fail, and the recovery engine
-    /// must end with zero [`Residue`].
+    /// must end with zero [`Residue`] and no failed undo.
     fn recover(
         &self,
         image: &LogImage,
@@ -223,6 +233,7 @@ impl FinishedRun {
             return Err(format!("compensating loser {top} failed: {e}"));
         }
         Residue::of(&engine).check()?;
+        check_no_failed_undo(&engine)?;
         Ok((base, report))
     }
 
@@ -410,8 +421,117 @@ pub fn run_fsync_failure(seed: u64, txns: usize, nth: u64, workers: usize) -> Re
         ..Default::default()
     };
     let (rig, builder) = Rig::stage(&params, Some(AUDIT_WAL), false);
-    let out = rig.run(&builder.build(), rig.batch.clone(), workers);
-    rig.check_fsyncgate(&out.committed)
+    let engine = builder.build();
+    let out = rig.run(&engine, rig.batch.clone(), workers);
+    rig.check_fsyncgate(&engine, &out.committed)
+}
+
+/// What [`enumerate_log_faults`] ran: per run, the log's fsync policy,
+/// the one fault of its device, and the kind of the record that fault
+/// failed.
+#[derive(Debug, Default)]
+pub struct LogFaultReport {
+    /// `(policy, fault, record kind)`, in the order run.
+    pub runs: Vec<(FsyncPolicy, IoFaultPoint, &'static str)>,
+}
+
+/// Every single fault of the log device on one scripted run. Per fsync
+/// policy, a fault-free dry run of [`log_fault_script`] on one worker
+/// counts the appends A and the fsyncs F; then the script runs again once
+/// per `AppendError { nth: k }`, k ≤ A, and once per
+/// `FsyncError { nth: k }`, k ≤ F. Each run must pass the fsyncgate audit
+/// (which includes: no undo failed) with zero [`Residue`], and its durable
+/// log must be a prefix of the dry run's. One worker makes the runs
+/// deterministic, so the record the k-th fault failed is read off the dry
+/// run's log. A failure names the policy and the fault.
+pub fn enumerate_log_faults() -> Result<LogFaultReport, String> {
+    let mut report = LogFaultReport::default();
+    for fsync in [FsyncPolicy::EveryAppend, FsyncPolicy::OnCommit] {
+        let dry = log_fault_run(fsync, None).map_err(|e| format!("{fsync:?}, dry run: {e}"))?;
+        if dry.durable.len() != dry.accepted {
+            return Err(format!("{fsync:?}: the dry run left appended records undurable"));
+        }
+        let faults = (1..=dry.accepted as u64)
+            .map(|nth| IoFaultPoint::AppendError { nth })
+            .chain((1..=dry.fsyncs).map(|nth| IoFaultPoint::FsyncError { nth }));
+        for fault in faults {
+            let at = |e: String| format!("{fsync:?}, {fault:?}: {e}");
+            let run = log_fault_run(fsync, Some(fault)).map_err(at)?;
+            if !dry.durable.starts_with(&run.durable) {
+                return Err(at("its durable log is no prefix of the dry run's".into()));
+            }
+            // An append that fails gets no LSN; a sync that fails fails the
+            // append it was part of, the last one the log accepted.
+            let hit = match fault {
+                IoFaultPoint::AppendError { .. } => run.accepted,
+                _ => run.accepted - 1,
+            };
+            report.runs.push((fsync, fault, record_kind(&dry.durable[hit])));
+        }
+    }
+    Ok(report)
+}
+
+/// One run of [`enumerate_log_faults`]: the records its log kept durable,
+/// the appends the log accepted and the fsyncs it issued.
+struct LogFaultRun {
+    durable: Vec<WalRecord>,
+    accepted: usize,
+    fsyncs: u64,
+}
+
+/// Run [`log_fault_script`] on one worker under `fsync`, its log device
+/// failing at `fault`, and audit it.
+fn log_fault_run(fsync: FsyncPolicy, fault: Option<IoFaultPoint>) -> Result<LogFaultRun, String> {
+    let faults = fault.map_or(FaultSpec::default(), |f| FaultSpec::default().with_io(f));
+    let params = AuditParams { workers: 1, faults, fsync, ..Default::default() };
+    let (rig, builder) = Rig::stage(&params, Some(AUDIT_WAL), false);
+    let engine = builder.build();
+    let out = rig.run(&engine, log_fault_script(&rig.db), 1);
+    rig.check_fsyncgate(&engine, &out.committed)?;
+    Residue::of(&engine).check()?;
+    let wal = rig.wal();
+    let durable = read_image(&wal.surviving_image()).map_err(|e| format!("log unreadable: {e}"))?;
+    Ok(LogFaultRun {
+        durable: durable.records,
+        accepted: wal.appended() as usize,
+        fsyncs: wal.fsyncs(),
+    })
+}
+
+/// The script of [`enumerate_log_faults`]: a creation (T0), shipments and
+/// payments — each `ChangeStatus` sets a new bit, so logs a `SubIntent` —
+/// and two readers.
+fn log_fault_script(db: &Database) -> Vec<TxnSpec> {
+    let order =
+        |i: usize, k: usize| Target { item: db.items[i].item, order: db.items[i].orders[k].order };
+    vec![
+        TxnSpec::NewOrders {
+            entries: vec![(db.items[0].item, db.next_order_no)],
+            customer: 7,
+            quantity: 2,
+        },
+        TxnSpec::Ship(vec![order(0, 0), order(1, 0)]),
+        TxnSpec::Pay(vec![order(0, 0), order(2, 1)]),
+        TxnSpec::CheckShipped { targets: vec![order(0, 0), order(1, 0)], bypass: true },
+        TxnSpec::Ship(vec![order(2, 1), order(3, 2)]),
+        TxnSpec::Pay(vec![order(1, 0), order(3, 2)]),
+        TxnSpec::Total(db.items[0].item),
+    ]
+}
+
+/// The name of a log record's kind.
+fn record_kind(rec: &WalRecord) -> &'static str {
+    match rec {
+        WalRecord::LeafRedo { .. } => "LeafRedo",
+        WalRecord::SubCommit { .. } => "SubCommit",
+        WalRecord::SubIntent { .. } => "SubIntent",
+        WalRecord::CompRedo { .. } => "CompRedo",
+        WalRecord::CompApplied { .. } => "CompApplied",
+        WalRecord::TopCommit { .. } => "TopCommit",
+        WalRecord::TopAbort { .. } => "TopAbort",
+        WalRecord::RecoveryMark { .. } => "RecoveryMark",
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -703,13 +823,14 @@ pub fn audit_fleet_cuts() -> Result<FleetCutReport, String> {
     }
     let mut report = FleetCutReport::default();
     // Recover the cut keeping the first `cut[i]` records of each log; the
-    // recovered engine must hold nothing.
+    // recovered engine must hold nothing, and no undo of it may fail.
     let recover = |logs: [&Log; 3], cut: [usize; 3]| {
         let decisions = parse_decisions(&logs[0].cut(cut[0]))?;
         let (main, part) = (logs[1].cut(cut[1]), logs[2].cut(cut[2]));
         let (stack, recovery) =
             recover_logs(&db_params, ProtocolConfig::semantic(), &main, &part, &decisions)?;
         Residue::of(&stack.engine).check()?;
+        check_no_failed_undo(&stack.engine)?;
         Ok::<_, String>((decisions, stack, recovery))
     };
     for s in 0..2 {

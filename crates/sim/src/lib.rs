@@ -35,6 +35,8 @@
 //!   of transactions, in both directions (fsyncgate).
 //! * [`Residue`] — a quiescent engine holds nothing: no live transaction,
 //!   lock entry or waits-for state.
+//! * [`check_no_failed_undo`] — no compensation or in-place restore failed
+//!   for good.
 
 pub mod chaos;
 pub mod executor;
@@ -47,9 +49,9 @@ pub mod treeview;
 pub mod validate;
 
 pub use chaos::{
-    audit_checkpoint_parity, audit_every_cut, audit_fleet_cuts, crash_mixes, fault_mixes,
-    run_chaos, run_fleet_crash_recover, run_fsync_failure, ChaosReport, CutReport, FleetCutReport,
-    FleetParams, FleetReport,
+    audit_checkpoint_parity, audit_every_cut, audit_fleet_cuts, crash_mixes, enumerate_log_faults,
+    fault_mixes, run_chaos, run_fleet_crash_recover, run_fsync_failure, ChaosReport, CutReport,
+    FleetCutReport, FleetParams, FleetReport, LogFaultReport,
 };
 pub use executor::{run_workload, CommittedTxn, LockTableSample, RunOutcome, RunParams};
 pub use metrics::RunMetrics;
@@ -59,6 +61,7 @@ pub use saturate::{run_saturation, SaturationParams, SaturationReport};
 pub use scenario::Gate;
 pub use treeview::TreeView;
 pub use validate::{
-    canonical_shard_state, check_acked_durable, check_committed_prefix, check_semantic_graph,
-    check_snapshot_reads, check_state_equivalence, GraphReport, Residue, SnapshotReport,
+    canonical_shard_state, check_acked_durable, check_committed_prefix, check_no_failed_undo,
+    check_semantic_graph, check_snapshot_reads, check_state_equivalence, GraphReport, Residue,
+    SnapshotReport,
 };

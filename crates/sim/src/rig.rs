@@ -11,7 +11,10 @@
 
 use crate::executor::{run_workload, CommittedTxn, RunOutcome, RunParams};
 use crate::protocols::ProtocolKind;
-use crate::validate::{canonical_state, check_acked_durable, check_committed_prefix, winner_specs};
+use crate::validate::{
+    canonical_state, check_acked_durable, check_committed_prefix, check_no_failed_undo,
+    winner_specs,
+};
 use semcc_core::{
     read_image, recover_image, silence_injected_panics, Engine, EngineBuilder, FaultPlan,
     FaultSpec, FaultyStorage, FsyncPolicy, LogImage, ProtocolConfig, RecoveryReport, WalConfig,
@@ -80,7 +83,7 @@ impl Default for AuditParams {
 /// A staged run: everything an audit needs besides the engine itself.
 pub(crate) struct Rig {
     /// The database the engine runs on.
-    db: Database,
+    pub db: Database,
     /// The fault schedule shared by the store, the engine and the log.
     pub plan: Arc<FaultPlan>,
     wal: Option<Arc<WalWriter>>,
@@ -180,16 +183,21 @@ impl Rig {
         })
     }
 
-    /// The fsyncgate audit of a finished run, on the live store: an armed
-    /// log fault fired, acknowledged = durable in both directions, and
-    /// the live store equals the serial replay of exactly the durable
-    /// winners in log order (commits that failed at their durability
-    /// point were compensated).
-    pub(crate) fn check_fsyncgate(&self, outcomes: &[CommittedTxn]) -> Result<(), String> {
+    /// The fsyncgate audit of `engine`'s finished run, on the live store:
+    /// an armed log fault fired, no undo failed, acknowledged = durable in
+    /// both directions, and the live store equals the serial replay of
+    /// exactly the durable winners in log order (commits that failed at
+    /// their durability point were compensated).
+    pub(crate) fn check_fsyncgate(
+        &self,
+        engine: &Engine,
+        outcomes: &[CommittedTxn],
+    ) -> Result<(), String> {
         let wal = self.wal();
         if self.plan.io().is_some() && wal.poisoned().is_none() {
-            return Err("the injected fsync fault never fired — nothing audited".into());
+            return Err("the injected log fault never fired — nothing audited".into());
         }
+        check_no_failed_undo(engine)?;
         let image = read_image(&wal.surviving_image());
         let durable = winners(&image.map_err(|e| format!("log image unreadable: {e}"))?.records);
         check_acked_durable(outcomes, &durable)?;

@@ -121,7 +121,7 @@ pub fn run_saturation(params: &SaturationParams) -> Result<SaturationReport, Str
     }
     svc.shutdown();
 
-    rig.check_fsyncgate(&acked)?;
+    rig.check_fsyncgate(svc.engine(), &acked)?;
     Ok(SaturationReport {
         committed: acked.len() as u64,
         failed,

@@ -186,6 +186,16 @@ impl Residue {
     }
 }
 
+/// The undo oracle: no undo of `engine` failed for good (its
+/// `compensation_failures` counter is zero). Where nothing faults the store
+/// or the compensations, a failed undo is a bug.
+pub fn check_no_failed_undo(engine: &Engine) -> std::result::Result<(), String> {
+    match engine.stats().compensation_failures {
+        0 => Ok(()),
+        n => Err(format!("{n} undo(s) failed for good")),
+    }
+}
+
 /// Search for a serial order of `committed` that reproduces the observed
 /// final state and return values. `initial` must be a snapshot taken
 /// *before* the concurrent run. Tries the engine-id order first, then all

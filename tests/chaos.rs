@@ -19,12 +19,14 @@ use std::time::Duration;
 
 /// The acceptance sweep: 8 seeds × the three canonical fault mixes, each
 /// run must terminate, clean up completely, and leave a tree-reducible
-/// committed history. CI shifts the seed window via
-/// `SEMCC_CHAOS_SEED_OFFSET` to cover more schedules than local runs.
+/// committed history; every undo that failed (storage faults hit
+/// compensating leaves too) was published exactly once. CI shifts the seed
+/// window via `SEMCC_CHAOS_SEED_OFFSET` to cover more schedules than local
+/// runs.
 #[test]
 fn chaos_sweep_is_contained_across_seeds_and_mixes() {
     for (mix, spec) in fault_mixes() {
-        let mut injected_total = 0;
+        let (mut injected_total, mut failed_undos) = (0, 0);
         for seed in seed_window(8) {
             let label = format!("chaos/{mix}/seed{seed}");
             let params = AuditParams { seed, txns: 40, faults: spec, ..Default::default() };
@@ -38,9 +40,12 @@ fn chaos_sweep_is_contained_across_seeds_and_mixes() {
                 panic!("{label}: {residue}: {report:?}");
             }
             assert!(report.serializable, "{label}: surviving history not serializable: {report:?}");
+            assert_eq!(report.stats.compensation_failures, report.failure_events, "{label}");
             injected_total += report.injected;
+            failed_undos += report.failure_events;
         }
         assert!(injected_total > 0, "{mix}: the sweep never injected a fault");
+        println!("{mix}: {failed_undos} failed undos over the seed window");
     }
 }
 

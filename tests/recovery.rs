@@ -15,12 +15,12 @@ use semcc::core::{
     IoFaultPoint, LogImage, MemorySink, ProtocolConfig, RecoveryReport, RedoOp, TransactionProgram,
     WalConfig, WalRecord, WalWriter,
 };
-use semcc::orderentry::{Database, DbParams, Target, HOOK_SHIP_AFTER_CHANGE_STATUS};
+use semcc::orderentry::{Database, DbParams, StatusEvent, Target, HOOK_SHIP_AFTER_CHANGE_STATUS};
 use semcc::semantics::{Invocation, MethodContext, SemccError, Storage, Value};
-use semcc::sim::scenario::{guarded, seed_window, Gate};
+use semcc::sim::scenario::{await_event, guarded, seed_window, top_of_label, Gate, OpenOnDrop};
 use semcc::sim::{
-    audit_checkpoint_parity, audit_every_cut, crash_mixes, run_fsync_failure, AuditParams,
-    CutReport, ProtocolKind,
+    audit_checkpoint_parity, audit_every_cut, crash_mixes, enumerate_log_faults, run_fsync_failure,
+    AuditParams, CutReport, ProtocolKind,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,6 +90,9 @@ fn fsync_failure_acknowledgement_audit_across_seeds() {
     }
 }
 
+/// The `(seed, nth)` cells of the batch fsync audit.
+const BATCH_FSYNC_CELLS: [(u64, u64); 3] = [(13, 4), (29, 8), (41, 2)];
+
 /// Batch fsyncgate: with 16 workers the failing fsync belongs to a
 /// group-commit *leader*, so the poisoned sync covers a whole batch of
 /// parked followers. The audit inside [`run_fsync_failure`] proves no
@@ -98,10 +101,122 @@ fn fsync_failure_acknowledgement_audit_across_seeds() {
 /// serial replay of exactly the acknowledged set.
 #[test]
 fn fsync_failure_in_a_group_commit_batch_leaves_no_partial_acks() {
-    for (seed, nth) in [(13, 4), (29, 8), (41, 2)] {
+    for (seed, nth) in BATCH_FSYNC_CELLS {
         run_fsync_failure(seed, 60, nth, 16)
             .unwrap_or_else(|e| panic!("batch fsync audit seed {seed} nth {nth}: {e}"));
     }
+}
+
+/// The red rate of the batch fsync audit: each of its cells run 300 times
+/// in one process, the red count per cell printed with its first failure.
+/// `cargo test --test recovery -- --ignored --nocapture red_rate`
+#[test]
+#[ignore = "measurement, not a check"]
+fn batch_fsync_red_rate_probe() {
+    const RUNS: usize = 300;
+    for (seed, nth) in BATCH_FSYNC_CELLS {
+        let failures: Vec<String> =
+            (0..RUNS).filter_map(|_| run_fsync_failure(seed, 60, nth, 16).err()).collect();
+        let first = failures.first().map_or("", String::as_str);
+        println!("seed {seed} nth {nth}: red {} of {RUNS} {first}", failures.len());
+    }
+}
+
+/// Every single fault of the log device — each append, each fsync — on a
+/// scripted run of seven order-entry transactions, under both fsync
+/// policies: every run is undone to exactly its durable prefix, with no
+/// failed undo and nothing left behind. The faults land on every kind of
+/// forward record.
+#[test]
+fn every_single_log_fault_is_undone_to_the_durable_prefix() {
+    let report = guarded("log faults", enumerate_log_faults).unwrap_or_else(|e| panic!("{e}"));
+    let mut kinds = std::collections::BTreeMap::new();
+    for (fsync, fault, kind) in &report.runs {
+        println!("{fsync:?} {fault:?}: {kind}");
+        *kinds.entry(*kind).or_insert(0) += 1;
+    }
+    for kind in ["LeafRedo", "SubIntent", "SubCommit", "TopCommit"] {
+        assert!(kinds.contains_key(kind), "no fault landed on a {kind}: {kinds:?}");
+    }
+}
+
+/// A leaf whose redo record cannot be appended is restored in place, with
+/// no lock request and no compensating action. The case an undo by
+/// compensation lost: T1 committed `ChangeStatus(shipped)` and keeps its
+/// retained locks; T2's `ChangeStatus(paid)` gets its status `Put` by
+/// Case 1, and that `Put`'s `LeafRedo` is the append that fails. Undone as
+/// a new action under T2's root, the `Put` waits behind T1's retained lock
+/// with no commuting ancestor; once T1 asks for a lock T2 holds, T2 is the
+/// deadlock victim on every retry and its `Put` stays.
+#[test]
+fn a_leaf_whose_record_fails_is_restored_in_place() {
+    let params = DbParams { n_items: 1, orders_per_item: 1, ..Default::default() };
+    let db = Database::build(&params).unwrap();
+    let order = db.items[0].orders[0].order;
+    let status = db.store.field(order, "Status").unwrap();
+    let initial = db.store.get(status).unwrap();
+    // T1's `LeafRedo` and `SubCommit`, then T2's `LeafRedo`.
+    let fault = FaultSpec::default().with_io(IoFaultPoint::AppendError { nth: 3 });
+    let wal = WalWriter::with_config_and_faults(
+        FsyncPolicy::EveryAppend,
+        WalConfig::default(),
+        FaultPlan::new(1, fault),
+    );
+    let sink = MemorySink::new();
+    let engine = ProtocolKind::Semantic
+        .builder(&db)
+        .wal(Arc::clone(&wal))
+        .compensation_retries(3, Duration::from_micros(50))
+        .sink(sink.clone())
+        .build();
+    let change = |event: StatusEvent| vec![event.value()];
+    let (parked, go) = (Gate::new(), Gate::new());
+    let (p, g) = (Arc::clone(&parked), Arc::clone(&go));
+    let t1 = FnProgram::new("T1", move |ctx: &mut dyn MethodContext| {
+        ctx.call(order, "ChangeStatus", change(StatusEvent::Shipped))?;
+        p.open();
+        g.wait();
+        // Conflicts with T2's `ChangeStatus(paid)` while T2 runs.
+        ctx.call(order, "TestStatus", change(StatusEvent::Paid))
+    });
+    let t2 = FnProgram::new("T2", move |ctx: &mut dyn MethodContext| {
+        ctx.call(order, "ChangeStatus", change(StatusEvent::Paid))
+    });
+
+    let (r2, requests) = std::thread::scope(|s| {
+        let _unstick = OpenOnDrop::new([Arc::clone(&go)]);
+        let h1 = s.spawn(|| engine.execute(&t1));
+        parked.wait();
+        let t1_top = top_of_label(&sink, "T1", 0).expect("T1 began");
+        let before = engine.stats().lock_requests;
+        let h2 = s.spawn(|| engine.execute(&t2));
+        // T2 ends, or (its undo needing a lock) waits for T1.
+        await_event(&sink, "T2 blocked or ended", |e| {
+            e.ev.top() != t1_top && matches!(e.ev, Event::Blocked { .. } | Event::TopAbort { .. })
+        });
+        let requests = engine.stats().lock_requests - before;
+        go.open();
+        let r1 = h1.join().unwrap();
+        assert!(
+            matches!(r1, Err(SemccError::Durability(_))),
+            "T1 commits on a poisoned log: {r1:?}"
+        );
+        (h2.join().unwrap(), requests)
+    });
+
+    assert!(matches!(r2, Err(SemccError::Durability(_))), "{r2:?}");
+    let records = read_image(&wal.surviving_image()).unwrap().records;
+    assert_eq!(records.len(), 2, "the fault hit T2's LeafRedo: {records:?}");
+    assert_eq!(db.store.get(status).unwrap(), initial, "T2's Put outlived both aborts");
+    assert_eq!(requests, 3, "T2's ChangeStatus, Get and Put; the restore asks for no lock");
+    let t2 = top_of_label(&sink, "T2", 0).unwrap();
+    let waited = sink.events().into_iter().any(|e| {
+        e.ev.top() == t2 && matches!(e.ev, Event::Compensate { .. } | Event::Blocked { .. })
+    });
+    assert!(!waited, "T2 neither compensated nor waited");
+    assert_eq!(engine.stats().compensation_failures, 0);
+    assert_eq!(engine.live_transactions(), 0);
+    assert_eq!(engine.lock_entries(), 0);
 }
 
 /// Torn tail *inside a group-commit batch*: under `OnCommit` with eight
@@ -350,6 +465,7 @@ fn recovery_surfaces_unabsorbable_compensation_faults() {
     assert_eq!(report.failures.len(), 1, "{report:?}");
     let (_, msg) = &report.failures[0];
     assert!(msg.contains("compensation"), "failure must name the injected cause: {msg}");
+    assert_eq!(engine.stats().compensation_failures, 1, "counted once: {:?}", engine.stats());
     // A partially-compensated loser is reported, never allowed to wedge
     // the engine: no live transaction, no lock entry survives.
     assert_eq!(engine.live_transactions(), 0);
@@ -509,14 +625,17 @@ fn exhausted_compensation_budget_chains_instead_of_shadowing() {
         Err(SemccError::MethodPanicked(msg)) => assert!(msg.contains("boom-original"), "{msg}"),
         other => panic!("original cause must not be shadowed: {other:?}"),
     }
-    let chained = sink.events().iter().any(|e| {
-        matches!(
-            &e.ev,
-            Event::CompensationFailure { error, original, .. }
-                if error.contains("compensation") && original.contains("boom-original")
-        )
-    });
-    assert!(chained, "CompensationFailure event must carry both causes");
+    let failures: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.ev {
+            Event::CompensationFailure { error, original, .. } => Some((error, original)),
+            _ => None,
+        })
+        .collect();
+    let [(error, original)] = &failures[..] else { panic!("one failure event: {failures:?}") };
+    assert!(error.contains("compensation") && original.contains("boom-original"), "{failures:?}");
+    assert_eq!(engine.stats().compensation_failures, 1, "counted once: {:?}", engine.stats());
     assert_eq!(engine.live_transactions(), 0);
     assert_eq!(engine.lock_entries(), 0);
 }
