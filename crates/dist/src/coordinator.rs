@@ -1,5 +1,6 @@
 //! The fleet coordinator: routes transaction pieces to their owning
-//! shards and drives one of two cross-shard commit protocols.
+//! shards and commits them through one cross-shard commit function under
+//! one of two protocols.
 //!
 //! **Semantic open-nested** (the paper's protocol lifted one level up):
 //! each shard-local piece commits *early* as an ordinary open-nested
@@ -9,22 +10,26 @@
 //! compensates committed pieces exactly like the paper's Section-3 abort
 //! compensates committed subtransactions.
 //!
-//! **Presumed-abort 2PC** (the baseline): pieces prepare and then *hold
-//! every low-level lock* until the coordinator's decision, serializing
-//! every conflicting transaction across the fleet for the whole commit
-//! round trip.
+//! **Presumed-abort 2PC** (the baseline): each piece, once prepared,
+//! votes and *holds every low-level lock* until every sibling has voted,
+//! serializing every conflicting transaction across the fleet for the
+//! vote round trip. A 2PC piece is delivered once, never retried.
 //!
-//! Both protocols hand their pieces to one dispatch path (`dispatch.rs`)
-//! that never creates a thread per transaction: open-nested pieces on a
-//! fleet that simulates no latency run on the submitting thread, in shard
-//! order; with latency to overlap — and always under 2PC, whose
-//! participants must be live together — they go to parked, reused helpers.
+//! Everything else is shared. Both protocols hand their pieces to one
+//! dispatch path (`dispatch.rs`) that never creates a thread per
+//! transaction: open-nested pieces on a fleet that simulates no latency
+//! run on the submitting thread, in shard order; with latency to overlap
+//! — and always under 2PC, whose participants must be live together —
+//! they go to parked, reused helpers. Once every piece has returned, the
+//! coordinator logs its decision: commit only if every piece committed
+//! locally. It then resolves each committed piece, which writes the
+//! shard's marker, and on an abort compensates the piece first.
 //!
-//! The coordinator's only durable state is its **decision log**. A commit
-//! decision is logged before any shard learns it; absence of a decision
-//! means abort (presumed abort). In-doubt participants — pieces prepared
-//! on a shard that crashed before the decision reached it — resolve
-//! deterministically against this log during shard recovery.
+//! The coordinator's only durable state is its **decision log**. A
+//! decision is logged before any shard or client learns it; absence of a
+//! decision means abort (presumed abort). In-doubt participants — pieces
+//! prepared on a shard that crashed before the decision reached it —
+//! resolve deterministically against this log during shard recovery.
 
 use crate::dispatch::{Dispatched, Dispatcher};
 use crate::partition::PartitionMap;
@@ -36,7 +41,7 @@ use semcc_core::{
     Stats, StatsSnapshot, WalRecord, WalWriter,
 };
 use semcc_orderentry::{Database, DbParams, TxnSpec};
-use semcc_semantics::{SemccError, Value};
+use semcc_semantics::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,10 +85,10 @@ pub struct FleetConfig {
     /// semantic lock manager (the classic-2PC baseline's shards).
     pub low_level_2pl: bool,
     /// Simulated one-way coordinator→shard message latency. Charged per
-    /// piece dispatch under both protocols and per decision delivery
-    /// under 2PC — where it lands *inside* the participants' lock-hold
-    /// window, which is exactly the classic 2PC cost the semantic
-    /// open-nested protocol avoids by committing pieces early.
+    /// piece dispatch under both protocols and per gate opening under
+    /// 2PC — where it lands *inside* the participants' lock-hold window,
+    /// which is exactly the classic 2PC cost the semantic open-nested
+    /// protocol avoids by committing pieces early.
     pub net_delay: Duration,
 }
 
@@ -253,83 +258,67 @@ impl Coordinator {
     ) -> (u64, Result<Value, RpcError>) {
         let gtid = self.next_gtid.fetch_add(1, Ordering::Relaxed);
         let pieces = self.pmap.split(spec);
+        (gtid, self.commit(gtid, pieces, protocol))
+    }
+
+    /// The one cross-shard commit: run every piece, then log the decision
+    /// — commit only if every piece committed locally — and resolve the
+    /// pieces that did through [`Fleet::resolve`], which compensates them
+    /// on an abort. Under 2PC the pieces also hold their locks at a
+    /// [`DecisionGate`] from their vote until every sibling has voted.
+    fn commit(
+        &self,
+        gtid: u64,
+        pieces: Vec<(usize, TxnSpec)>,
+        protocol: CommitProtocol,
+    ) -> Result<Value, RpcError> {
+        let cohort = pieces.len();
         // One-phase optimization: a single-shard transaction needs no
         // prepare round — every real 2PC system short-circuits it, and
         // charging the baseline for a round trip it would not make would
         // rig the comparison.
-        let result = if protocol == CommitProtocol::TwoPhase && pieces.len() > 1 {
-            self.commit_two_phase(gtid, pieces)
-        } else {
-            self.commit_open_nested(gtid, pieces)
+        let gate = (protocol == CommitProtocol::TwoPhase && cohort > 1)
+            .then(|| Arc::new(DecisionGate::default()));
+        let jobs = pieces.into_iter().map(|(shard, piece)| {
+            let (fleet, gate) = (Arc::clone(&self.fleet), gate.clone());
+            (shard, move || {
+                fleet.net_pause();
+                match gate.as_deref() {
+                    // Delivered once, never retried or re-run: a duplicate
+                    // would vote twice.
+                    Some(gate) => fleet.shards[shard].piece(gtid, &piece, Some(gate)),
+                    None => fleet.drive_piece(gtid, shard, &piece),
+                }
+            })
+        });
+        let mut out = match &gate {
+            // Participants block on the gate holding their locks, so each
+            // needs a thread of its own: all of them go to helpers.
+            Some(gate) => {
+                let pending = self.dispatch.post(jobs, Some(gate));
+                let all_ready = gate.wait_votes(cohort);
+                // Gate delivery: the participants sit on their locks for
+                // this entire round trip.
+                self.fleet.net_pause();
+                gate.open(all_ready);
+                pending.collect(Dispatched::default())
+            }
+            // With simulated latency the pieces overlap, exactly like the
+            // 2PC dispatch, so both protocols pay the same message latency
+            // and the comparison isolates the lock-hold window; with none
+            // the caller runs them itself.
+            None => self.dispatch.run(jobs, self.fleet.sleeps()),
         };
-        (gtid, result)
-    }
-
-    fn commit_open_nested(
-        &self,
-        gtid: u64,
-        pieces: Vec<(usize, TxnSpec)>,
-    ) -> Result<Value, RpcError> {
-        let cross_shard = pieces.len() > 1;
-        let jobs = pieces.into_iter().map(|(shard, piece)| {
-            let fleet = Arc::clone(&self.fleet);
-            (shard, move || {
-                fleet.net_pause();
-                fleet.drive_piece(gtid, shard, &piece)
-            })
-        });
-        // With simulated latency the pieces overlap, exactly like the 2PC
-        // dispatch, so both protocols pay the same message latency and
-        // the comparison isolates the lock-hold window; with none the
-        // caller runs them itself.
-        let mut out = self.dispatch.run(jobs, self.fleet.sleeps());
-        if let Some(e) = out.failure.take() {
-            // Global abort. Compensate the pieces already committed.
-            self.log_decision(gtid, false);
-            self.fleet.resolve(gtid, &out.acks, false);
-            return Err(e);
+        let failure = out.failure.take();
+        self.log_decision(gtid, failure.is_none());
+        self.fleet.resolve(gtid, &out.acks, failure.is_none());
+        match failure {
+            Some(e) => Err(e),
+            None => {
+                self.ack(gtid, cohort > 1);
+                Ok(out.into_value())
+            }
         }
-        // Every piece is locally durable: log the global commit decision.
-        self.log_decision(gtid, true);
-        self.fleet.resolve(gtid, &out.acks, true);
-        self.ack(gtid, cross_shard);
-        Ok(out.into_value())
-    }
-
-    fn commit_two_phase(
-        &self,
-        gtid: u64,
-        pieces: Vec<(usize, TxnSpec)>,
-    ) -> Result<Value, RpcError> {
-        let gate = Arc::new(DecisionGate::default());
-        let cohort = pieces.len();
-        // Participants block on the gate holding their locks, so each
-        // needs a thread of its own: all of them go to helpers.
-        let jobs = pieces.into_iter().map(|(shard, piece)| {
-            let (fleet, gate) = (Arc::clone(&self.fleet), Arc::clone(&gate));
-            (shard, move || {
-                fleet.net_pause();
-                fleet.shards[shard].run_piece_2pc(gtid, &piece, &gate)
-            })
-        });
-        let pending = self.dispatch.post(jobs, Some(&gate));
-        let all_ready = gate.wait_votes(cohort);
-        // Decision delivery: the participants sit on their locks for
-        // this entire round trip.
-        self.fleet.net_pause();
-        // Presumed abort: the commit decision is durable before any
-        // participant may release locks and finish.
-        self.log_decision(gtid, all_ready);
-        gate.decide(all_ready);
-        let mut out = pending.collect(Dispatched::default());
-        if let Some(e) = out.failure.take() {
-            return Err(e);
-        }
-        if !all_ready {
-            return Err(RpcError::App(SemccError::Aborted("2pc vote failed".into())));
-        }
-        self.ack(gtid, true);
-        Ok(out.into_value())
     }
 
     /// Base of [`Coordinator::submit_with_retry`]'s backoff, and its
@@ -368,13 +357,14 @@ impl Coordinator {
         }
     }
 
-    /// Re-drive every decision of the decision log to every live shard
-    /// (resolution is idempotent; shards that are down resolve at their own
-    /// recovery). Returns how many resolutions were delivered.
+    /// Re-drive every decision of the decision log to every shard
+    /// (resolution is idempotent; shards that are down refuse it and
+    /// resolve at their own recovery). Returns how many resolutions were
+    /// delivered.
     pub fn recover(&self) -> Result<usize, String> {
         let mut redriven = 0;
         for (gtid, commit) in parse_decisions(&self.decision_image())? {
-            for shard in self.fleet.shards.iter().filter(|s| !s.is_dead()) {
+            for shard in &self.fleet.shards {
                 redriven += usize::from(shard.resolve(gtid, commit).is_ok());
             }
         }

@@ -351,7 +351,7 @@ mod tests {
         ];
         let pending = d.post(jobs, Some(&gate));
         assert!(!gate.wait_votes(2), "the panic failed the gate: the cohort is not all-ready");
-        gate.decide(false);
+        gate.open(false);
         let out = pending.collect(Dispatched::default());
         assert!(panicked(&out), "the root cause reaches the caller ahead of the sibling's abort");
         assert!(out.acks.is_empty(), "the voted sibling was released with the abort decision");
@@ -364,7 +364,7 @@ mod tests {
         });
         let pending = d.post(jobs, Some(&gate));
         assert!(gate.wait_votes(2));
-        gate.decide(true);
+        gate.open(true);
         let out = pending.collect(Dispatched::default());
         assert!(out.failure.is_none());
         assert_eq!(out.acks.len(), 2);

@@ -8,14 +8,15 @@
 //! | protocol | cross-shard window covered by | abort path |
 //! |---|---|---|
 //! | semantic open-nested | retained *semantic* locks of early-committed pieces | compensation, replayed from the durable participant log |
-//! | presumed-abort 2PC | *low-level* locks held on every shard until the decision | classic rollback before locks release |
+//! | presumed-abort 2PC | *low-level* locks held on every shard from the vote until every sibling voted | rollback before locks release; compensation for a piece that committed before a sibling failed |
 //!
 //! Robustness machinery:
 //!
 //! - every shard runs its own WAL + recovery (the PR-5/7 machinery,
 //!   unchanged) plus a separate **participant log** of prepared pieces;
-//! - the coordinator durably logs commit decisions before any shard or
-//!   client learns them, so in-doubt pieces on a crashed shard resolve
+//! - both protocols share one commit function: the coordinator durably
+//!   logs the decision once every piece has returned, before any shard or
+//!   client learns it, so in-doubt pieces on a crashed shard resolve
 //!   deterministically at recovery (commit ⇒ keep, absence ⇒ presumed
 //!   abort ⇒ compensate);
 //! - every coordinator→shard call goes through a typed retry/timeout/
@@ -35,6 +36,6 @@ pub use coordinator::{parse_decisions, CommitProtocol, Coordinator, FleetConfig}
 pub use partition::PartitionMap;
 pub use rpc::{FleetFaults, RetryPolicy, RpcError, ShardFaultPoint, ShardLink};
 pub use shard::{
-    merge_snapshots, recover_logs, DecisionGate, PieceAck, ShardConfig, ShardNode,
-    ShardRecoveryReport, ShardStack,
+    merge_snapshots, recover_logs, PieceAck, ShardConfig, ShardNode, ShardRecoveryReport,
+    ShardStack,
 };

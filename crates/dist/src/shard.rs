@@ -2,7 +2,7 @@
 //! engine, main WAL, recovery) plus the **participant** role of the
 //! cross-shard commit protocols.
 //!
-//! ## Piece commit ordering (semantic open-nested path)
+//! ## Piece commit ordering (both protocols)
 //!
 //! A shard-local piece of global transaction `gtid` runs as an ordinary
 //! open-nested transaction on the shard's engine, with one addition: the
@@ -25,6 +25,11 @@
 //!   decision log: *commit* keeps it, *presumed abort* compensates it
 //!   through the logged inverse invocations.
 //!
+//! A piece that fails after its prepare record gets no marker: it stays
+//! in doubt until the shard next recovers, which resolves it to abort
+//! with nothing to undo. Markers are appended only by
+//! [`ShardNode::resolve`] and [`recover_logs`].
+//!
 //! A global abort's compensation is logged in the main log under the
 //! piece's own local id and closed there by that id's `TopAbort`, synced
 //! before the participant log's resolution marker. So the main log alone
@@ -38,13 +43,15 @@
 //!
 //! ## 2PC baseline
 //!
-//! The same prepare hook implements classic presumed-abort 2PC by
-//! *blocking inside the hook*: the participant votes and then holds every
-//! low-level lock until the coordinator's decision gate opens. Commit
-//! lets the local transaction finish; abort fails the hook, and the
-//! engine's ordinary abort path rolls the piece back. This is exactly the
-//! "low-level locks held across shards" cost model the semantic protocol
-//! is measured against.
+//! A 2PC piece differs in one place: its prepare hook, once the
+//! participant record is durable, votes at the transaction's
+//! `DecisionGate` and blocks there *holding every low-level lock* until
+//! every sibling has voted. An open gate lets the local commit proceed; a
+//! failed sibling fails the hook, and the engine's ordinary abort path
+//! rolls the piece back. This is the "low-level locks held across shards"
+//! cost the semantic protocol is measured against. From the local commit
+//! on, both protocols are the same: the coordinator decides once every
+//! piece has returned.
 
 use crate::rpc::{FleetFaults, RpcError};
 use parking_lot::{Condvar, Mutex};
@@ -57,7 +64,6 @@ use semcc_core::{
 use semcc_orderentry::{Database, DbParams, TxnSpec};
 use semcc_semantics::{IdMap, Invocation, SemccError, Storage, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,12 +122,16 @@ pub struct ShardStack {
     pub wal: Arc<WalWriter>,
     /// The participant log: prepared pieces and their resolutions.
     pub part_log: Arc<WalWriter>,
+    /// Pieces executed and acked but not yet resolved, by gtid. Volatile:
+    /// it belongs to this incarnation, so a crash drops it, and recovery
+    /// rebuilds the in-doubt set from the participant log.
+    completed: Mutex<IdMap<u64, CompletedPiece>>,
 }
 
-/// The decision gate of one 2PC global transaction: participants vote
-/// ready and block until the coordinator decides.
+/// The gate of one 2PC global transaction: participants vote ready and
+/// block, holding their locks, until the coordinator opens it.
 #[derive(Default)]
-pub struct DecisionGate {
+pub(crate) struct DecisionGate {
     state: Mutex<GateState>,
     cv: Condvar,
 }
@@ -130,22 +140,23 @@ pub struct DecisionGate {
 struct GateState {
     votes: usize,
     failed: bool,
-    decision: Option<bool>,
+    open: Option<bool>,
 }
 
 impl DecisionGate {
-    /// Participant: register a ready vote, then block until the decision.
+    /// Participant: register a ready vote, then block until the gate
+    /// opens. Returns whether the local commit may proceed.
     pub fn vote_and_wait(&self) -> bool {
         let mut st = self.state.lock();
         st.votes += 1;
         self.cv.notify_all();
-        while st.decision.is_none() {
+        while st.open.is_none() {
             self.cv.wait(&mut st);
         }
-        st.decision.expect("loop exits on Some")
+        st.open.expect("loop exits on Some")
     }
 
-    /// Participant: report a pre-vote failure (contention abort).
+    /// Participant: report a failure (contention abort, crash).
     pub fn fail(&self) {
         let mut st = self.state.lock();
         st.failed = true;
@@ -162,27 +173,28 @@ impl DecisionGate {
         !st.failed && st.votes >= expected
     }
 
-    /// Coordinator: publish the decision, releasing every participant.
-    pub fn decide(&self, commit: bool) {
+    /// Coordinator: open the gate, releasing every participant to commit
+    /// locally (`proceed`) or to roll back.
+    pub fn open(&self, proceed: bool) {
         let mut st = self.state.lock();
-        st.decision = Some(commit);
+        st.open = Some(proceed);
         self.cv.notify_all();
     }
+}
+
+/// A shard is up with its engine stack, or down with the (main,
+/// participant) log images its crash left.
+enum Incarnation {
+    Live(Arc<ShardStack>),
+    Down(LogImage, LogImage),
 }
 
 /// One shard node.
 pub struct ShardNode {
     cfg: ShardConfig,
-    inner: Mutex<Option<Arc<ShardStack>>>,
-    /// Pieces executed and acked but not yet resolved, by gtid. Volatile —
-    /// a crash clears it; recovery rebuilds the in-doubt set from the
-    /// participant log.
-    completed: Mutex<IdMap<u64, CompletedPiece>>,
-    dead: AtomicBool,
+    state: Mutex<Incarnation>,
     stats: Arc<Stats>,
     journal: Option<Arc<EventJournal>>,
-    /// Surviving log images captured at crash time (main, participant).
-    crashed_state: Mutex<Option<(LogImage, LogImage)>>,
 }
 
 impl ShardNode {
@@ -191,16 +203,13 @@ impl ShardNode {
     /// request reaches the shard. BENCH-PINNED: `benchmark/src/probes.rs:329`
     /// passes it.
     pub fn new(cfg: ShardConfig, _faults: Arc<FleetFaults>) -> Arc<ShardNode> {
-        let inner = Self::boot(&cfg);
+        let stack = Self::boot(&cfg);
         Arc::new(ShardNode {
             journal: (cfg.journal_capacity > 0)
                 .then(|| Arc::new(EventJournal::new(cfg.journal_capacity))),
             cfg,
-            inner: Mutex::new(Some(Arc::new(inner))),
-            completed: Mutex::default(),
-            dead: AtomicBool::new(false),
+            state: Mutex::new(Incarnation::Live(Arc::new(stack))),
             stats: Arc::new(Stats::default()),
-            crashed_state: Mutex::new(None),
         })
     }
 
@@ -221,7 +230,7 @@ impl ShardNode {
         }
         let engine = builder.build();
         let part_log = WalWriter::new(FsyncPolicy::EveryAppend);
-        ShardStack { db, engine, wal, part_log }
+        ShardStack { db, engine, wal, part_log, completed: Mutex::default() }
     }
 
     /// This shard's index.
@@ -231,7 +240,7 @@ impl ShardNode {
 
     /// Whether the shard is currently down.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
+        self.live().is_err()
     }
 
     /// The dist-event journal, if enabled.
@@ -242,28 +251,29 @@ impl ShardNode {
     /// Shard counters: the engine's own plus the dist-side ones
     /// (prepares, in-doubt resolutions, crashes), merged field-wise.
     pub fn stats(&self) -> StatsSnapshot {
-        let dist = self.stats.snapshot();
-        let engine = self.inner.lock().as_ref().map(|i| i.engine.stats()).unwrap_or_default();
-        merge_snapshots(&dist, &engine)
+        let engine = self.live().map(|live| live.engine.stats()).unwrap_or_default();
+        merge_snapshots(&self.stats.snapshot(), &engine)
     }
 
     /// Run `f` against the live engine/store (`None` while crashed).
     pub fn with_live<T>(&self, f: impl FnOnce(&Arc<Engine>, &Database) -> T) -> Option<T> {
-        let inner = self.inner.lock();
-        inner.as_ref().map(|i| f(&i.engine, &i.db))
+        self.live().ok().map(|live| f(&live.engine, &live.db))
     }
 
     /// The (main, participant) log images a crash would leave if every
     /// buffered byte made it (`None` while crashed).
     pub fn log_images(&self) -> Option<(LogImage, LogImage)> {
-        let inner = self.inner.lock();
-        inner.as_ref().map(|i| (i.wal.surviving_image(), i.part_log.surviving_image()))
+        let live = self.live().ok()?;
+        Some((live.wal.surviving_image(), live.part_log.surviving_image()))
     }
 
-    /// The live engine stack: one refcount bump under the lock, so a
-    /// piece's critical section on `inner` is as short as it can be.
+    /// The live incarnation: one refcount bump under the lock, which no
+    /// piece holds while it runs.
     fn live(&self) -> Result<Arc<ShardStack>, RpcError> {
-        self.inner.lock().clone().ok_or(RpcError::ShardDown)
+        match &*self.state.lock() {
+            Incarnation::Live(live) => Ok(Arc::clone(live)),
+            Incarnation::Down(..) => Err(RpcError::ShardDown),
+        }
     }
 
     /// The participant record of `gtid`'s piece, durable before its local
@@ -289,95 +299,61 @@ impl ShardNode {
         }
     }
 
-    /// Execute one piece of global transaction `gtid` under the semantic
-    /// open-nested protocol: the piece commits early; its compensation
-    /// intent is held (durably, in the participant log) for a possible
-    /// global abort. Duplicate deliveries return the cached ack.
+    /// Execute one piece of global transaction `gtid`: the piece commits
+    /// early; its compensation intent is held (durably, in the participant
+    /// log) for a possible global abort. Duplicate deliveries return the
+    /// cached ack.
     pub fn run_piece(&self, gtid: u64, spec: &TxnSpec) -> Result<PieceAck, RpcError> {
-        if self.is_dead() {
-            return Err(RpcError::ShardDown);
-        }
-        if let Some(done) = self.completed.lock().get(&gtid) {
-            return Ok(done.ack.clone());
-        }
-        let live = self.live()?;
-        let (_top, result) = live
-            .engine
-            .execute_open_prepared(spec, &mut |top, comp| self.log_prepare(&live, gtid, top, comp));
-        match result {
-            Ok((outcome, comp)) => {
-                // Acked ⇒ durable: the commit record was fsynced under
-                // OnCommit unless a crash killed the device under us.
-                if live.wal.crashed() {
-                    return Err(RpcError::ShardDown);
-                }
-                let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
-                self.completed.lock().insert(gtid, CompletedPiece { ack: ack.clone(), comp });
-                Ok(ack)
-            }
-            Err(e) => Err(RpcError::App(e)),
-        }
+        self.piece(gtid, spec, None)
     }
 
-    /// Execute one piece under presumed-abort 2PC: vote at `gate` after
-    /// the body succeeds, then hold every lock until the decision.
-    pub fn run_piece_2pc(
+    /// [`ShardNode::run_piece`], and under 2PC the participant's vote: with
+    /// a `gate`, the prepare hook votes once the participant record is
+    /// durable and holds every lock until the gate opens.
+    pub(crate) fn piece(
         &self,
         gtid: u64,
         spec: &TxnSpec,
-        gate: &DecisionGate,
+        gate: Option<&DecisionGate>,
     ) -> Result<PieceAck, RpcError> {
-        if self.is_dead() {
-            return Err(RpcError::ShardDown);
-        }
         let live = self.live()?;
-        let part_log = &live.part_log;
-        let voted = std::cell::Cell::new(false);
+        if let Some(done) = live.completed.lock().get(&gtid) {
+            return Ok(done.ack.clone());
+        }
+        let mut voted = false;
         let (_top, result) = live.engine.execute_open_prepared(spec, &mut |top, comp| {
             self.log_prepare(&live, gtid, top, comp)?;
-            voted.set(true);
-            if gate.vote_and_wait() {
-                Ok(())
-            } else {
-                Err(SemccError::Aborted("2pc global abort".into()))
+            voted = true;
+            match gate {
+                Some(gate) if !gate.vote_and_wait() => {
+                    Err(SemccError::Aborted("2pc global abort".into()))
+                }
+                _ => Ok(()),
             }
         });
-        match result {
-            Ok((outcome, _comp)) => {
-                // A read-only piece served by the lock-free snapshot path
-                // never enters the prepare hook (it holds no locks and
-                // logs nothing); it must still vote ready so the cohort
-                // can reach a decision. The decision itself is irrelevant
-                // to it — there is nothing to undo.
-                if !voted.get() {
-                    let _ = gate.vote_and_wait();
-                }
-                // The global decision was commit and the piece is locally
-                // resolved; nothing stays in doubt.
-                let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
-                // A lost marker only leaves the piece in doubt, and
-                // recovery keeps it: the decision log holds the commit.
-                let _ = part_log.append(&WalRecord::TopCommit { top: gtid });
-                Ok(ack)
-            }
-            Err(e) => {
-                // The piece never committed locally, so a lost marker
-                // leaves recovery nothing to undo.
-                let _ = part_log.append(&WalRecord::TopAbort { top: gtid });
-                Err(RpcError::App(e))
-            }
+        let (outcome, comp) = result.map_err(RpcError::App)?;
+        if let (Some(gate), false) = (gate, voted) {
+            // A read-only piece served by the lock-free snapshot path never
+            // enters the prepare hook: it holds no locks and has nothing to
+            // undo, but must still vote so the cohort's gate can open.
+            gate.vote_and_wait();
         }
+        // Acked ⇒ durable: the commit record was fsynced under OnCommit
+        // unless a crash killed the device under us.
+        if live.wal.crashed() {
+            return Err(RpcError::ShardDown);
+        }
+        let ack = PieceAck { local_top: outcome.top.0, value: outcome.value };
+        live.completed.lock().insert(gtid, CompletedPiece { ack: ack.clone(), comp });
+        Ok(ack)
     }
 
     /// Apply the coordinator's decision for `gtid`. Idempotent: an
     /// unknown (never-run, already-resolved, or lost-to-a-crash) gtid is
     /// a no-op — recovery resolves those from the logs instead.
     pub fn resolve(&self, gtid: u64, commit: bool) -> Result<(), RpcError> {
-        if self.is_dead() {
-            return Err(RpcError::ShardDown);
-        }
-        let Some(piece) = self.completed.lock().remove(&gtid) else { return Ok(()) };
         let live = self.live()?;
+        let Some(piece) = live.completed.lock().remove(&gtid) else { return Ok(()) };
         let marker = if commit {
             WalRecord::TopCommit { top: gtid }
         } else {
@@ -387,45 +363,34 @@ impl ShardNode {
         live.part_log.append(&marker).map(|_| ()).map_err(|_| RpcError::ShardDown)
     }
 
-    /// Kill the shard: both logs lose their unsynced tails, volatile
-    /// state (engine, lock tables, the completed-piece map) is gone.
-    /// Idempotent.
+    /// Kill the shard: both logs lose their unsynced tails, and the live
+    /// incarnation (engine, lock tables, the completed-piece table) is
+    /// gone. Idempotent.
     pub fn crash(&self) {
-        if self.dead.swap(true, Ordering::AcqRel) {
-            return;
-        }
+        let mut state = self.state.lock();
+        let Incarnation::Live(live) = &*state else { return };
+        live.wal.power_fail();
+        live.part_log.power_fail();
+        *state = Incarnation::Down(live.wal.surviving_image(), live.part_log.surviving_image());
         Stats::bump(&self.stats.shard_crashes);
-        let mut inner = self.inner.lock();
-        if let Some(i) = inner.take() {
-            i.wal.power_fail();
-            i.part_log.power_fail();
-            *self.crashed_state.lock() =
-                Some((i.wal.surviving_image(), i.part_log.surviving_image()));
-        }
-        self.completed.lock().clear();
     }
 
     /// Recover the crashed shard from its surviving logs through
     /// [`recover_logs`], against the coordinator's `decisions`, and bring
     /// it back up.
     pub fn recover(&self, decisions: &BTreeMap<u64, bool>) -> Result<ShardRecoveryReport, String> {
-        if !self.is_dead() {
+        let mut state = self.state.lock();
+        let Incarnation::Down(main, part) = &*state else {
             return Err(format!("shard {} is not crashed", self.cfg.idx));
-        }
-        let (main, part) = self
-            .crashed_state
-            .lock()
-            .take()
-            .ok_or_else(|| format!("shard {} has no crash image", self.cfg.idx))?;
+        };
         let (stack, report) =
-            recover_logs(&self.cfg.db_params, self.cfg.protocol, &main, &part, decisions)
+            recover_logs(&self.cfg.db_params, self.cfg.protocol, main, part, decisions)
                 .map_err(|e| format!("shard {}: {e}", self.cfg.idx))?;
         for &(gtid, commit) in &report.resolved {
             Stats::bump(&self.stats.in_doubt_resolved);
             self.journal_record(JournalKind::InDoubtResolve, gtid, u64::from(commit));
         }
-        *self.inner.lock() = Some(Arc::new(stack));
-        self.dead.store(false, Ordering::Release);
+        *state = Incarnation::Live(Arc::new(stack));
         Ok(report)
     }
 
@@ -491,7 +456,7 @@ pub fn recover_logs(
     }
     let part_log = WalWriter::resume(part, FsyncPolicy::EveryAppend, None, WalConfig::default())
         .map_err(|e| format!("participant log resume: {e}"))?;
-    let stack = ShardStack { db, engine, wal, part_log };
+    let stack = ShardStack { db, engine, wal, part_log, completed: Mutex::default() };
 
     for (gtid, (local_top, comp)) in in_doubt {
         let commit = decisions.get(&gtid).copied().unwrap_or(false);

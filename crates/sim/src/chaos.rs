@@ -11,8 +11,8 @@
 //! [`run_fleet_crash_recover`] (the sharded deployment with k of N shards
 //! killed mid-batch, under transport faults) and [`audit_fleet_cuts`]
 //! (every consistent image a crash could leave of a finished two-shard
-//! run's logs: shard recovery, and recovery of its own appends, reach the
-//! committed prefix).
+//! run's logs, under each commit protocol: shard recovery, and recovery of
+//! its own appends, reach the committed prefix).
 //!
 //! Faults are drawn from a seeded [`FaultPlan`], so a failing run can be
 //! replayed exactly by its `(seed, spec)` pair; the fleet cut audit and
@@ -792,11 +792,12 @@ fn shard_logs(coord: &Coordinator, s: usize) -> Result<[Log; 3], String> {
     Ok([Log::of(coord.decision_image())?, Log::of(main)?, Log::of(part)?])
 }
 
-/// Run the scripted batch on a two-shard open-nested fleet with one
-/// client and no latency, so pieces run on the submitting thread and
-/// every log is appended in submission order. Then audit, for each shard,
-/// every consistent cut of (decision log, main log, participant log) at
-/// frame boundaries:
+/// Run the scripted batch on a two-shard fleet with one client and no
+/// latency, once under each [`CommitProtocol`]: every log of a shard is
+/// appended in submission order, since a submission returns only once its
+/// decision is logged and its pieces resolved. Then audit, for each
+/// protocol and shard, every consistent cut of (decision log, main log,
+/// participant log) at frame boundaries:
 ///
 /// * recovery through [`recover_logs`], with the decisions parsed by
 ///   [`parse_decisions`], leaves zero [`Residue`] and a slice equal to the
@@ -804,15 +805,32 @@ fn shard_logs(coord: &Coordinator, s: usize) -> Result<[Log; 3], String> {
 /// * every consistent cut of what that recovery appended to the shard's
 ///   two logs recovers again to the same canonical state.
 ///
-/// A failure names the shard, the submission and the cut.
-pub fn audit_fleet_cuts() -> Result<FleetCutReport, String> {
+/// Both protocols write in the same order, so one consistency relation
+/// ([`cuts`]) covers both. A failure names the protocol, the shard, the
+/// submission and the cut.
+pub fn audit_fleet_cuts() -> Result<Vec<(CommitProtocol, FleetCutReport)>, String> {
+    [CommitProtocol::OpenNested, CommitProtocol::TwoPhase]
+        .into_iter()
+        .map(|protocol| {
+            audit_fleet_cuts_under(protocol)
+                .map(|report| (protocol, report))
+                .map_err(|e| format!("{protocol:?}: {e}"))
+        })
+        .collect()
+}
+
+fn audit_fleet_cuts_under(protocol: CommitProtocol) -> Result<FleetCutReport, String> {
     let db_params = cut_fleet();
-    let coord =
-        Coordinator::new(FleetConfig { db_params: db_params.clone(), ..Default::default() });
+    // Each protocol on its own shards: 2PC's are the baseline's flat locks.
+    let coord = Coordinator::new(FleetConfig {
+        db_params: db_params.clone(),
+        low_level_2pl: protocol == CommitProtocol::TwoPhase,
+        ..Default::default()
+    });
     let fresh = Database::build(&db_params).map_err(|e| e.to_string())?;
     let (mut specs, mut marks) = (BTreeMap::new(), vec![[[0; 3]; 2]]);
     for spec in cut_batch(&fresh, coord.partition()) {
-        specs.insert(coord.submit(&spec, CommitProtocol::OpenNested).0, spec);
+        specs.insert(coord.submit(&spec, protocol).0, spec);
         // Per shard, the records in each of its logs after this submission.
         let count = |s| shard_logs(&coord, s).map(|logs| logs.map(|log| log.records.len()));
         marks.push([count(0)?, count(1)?]);

@@ -1,13 +1,14 @@
 //! Sharded-fleet robustness regression suite.
 //!
 //! A crash of the fleet is a consistent cut of its logs, so the crash
-//! windows of the cross-shard commit protocol are audited by enumeration:
-//! every consistent cut of a finished two-shard run, and every cut of what
-//! shard recovery appends, recovers to the serial replay of the committed
-//! prefix (`sim::chaos::audit_fleet_cuts`; deterministic, no seed). Four
-//! tests name the protocol's crash windows — death before prepare, after
-//! the decision, the coordinator's mid-commit, and a second crash during
-//! shard recovery — each by the few cuts that window leaves. The
+//! windows of the cross-shard commit are audited by enumeration, under
+//! both protocols: every consistent cut of a finished two-shard run, and
+//! every cut of what shard recovery appends, recovers to the serial replay
+//! of the committed prefix (`sim::chaos::audit_fleet_cuts`; deterministic,
+//! no seed). Four tests name the protocol's crash windows — death before
+//! prepare, after the decision, the coordinator's mid-commit, and a second
+//! crash during shard recovery — each by the few cuts that window leaves;
+//! a fifth crashes a 2PC shard between the votes and the gate. The
 //! seeded runs cover what a cut cannot: shards killed mid-batch and
 //! recovered while the fleet keeps going, transport faults absorbed by
 //! retries, the 2PC baseline, and the dispatcher's threads. Every run
@@ -26,8 +27,9 @@ use semcc::dist::{
 use semcc::orderentry::{Database, DbParams, ItemInfo, Target, TxnSpec, Workload, WorkloadConfig};
 use semcc::semantics::Value;
 use semcc::sim::scenario::{guarded, seed_window};
-use semcc::sim::validate::{canonical_shard_state, CanonicalDb, Residue};
+use semcc::sim::validate::{canonical_shard_state, check_committed_prefix, CanonicalDb, Residue};
 use semcc::sim::{audit_fleet_cuts, run_fleet_crash_recover, FleetParams, FleetReport};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -69,24 +71,27 @@ fn partial_fleet_kill_recovers_without_losing_acked_commits() {
     }
 }
 
-/// Every crash window of the cross-shard commit protocol at once: each
-/// consistent cut of a finished two-shard run's decision, main and
-/// participant logs, and each cut of what shard recovery appends, recovers
-/// to the committed prefix. Every class of cut must be reached, so the
-/// audit cannot pass by auditing nothing.
+/// Every crash window of the cross-shard commit at once, under both
+/// protocols: each consistent cut of a finished two-shard run's decision,
+/// main and participant logs, and each cut of what shard recovery appends,
+/// recovers to the committed prefix. Every class of cut must be reached
+/// under each protocol, so the audit cannot pass by auditing nothing.
 #[test]
 fn every_consistent_cut_of_a_two_shard_run_recovers_to_its_committed_prefix() {
-    let report = audit_fleet_cuts().unwrap_or_else(|e| panic!("fleet cut audit: {e}"));
-    println!("{report:#?}");
-    for (class, n) in [
-        ("a piece's leaves without its participant record", report.leaves_without_prepare),
-        ("a participant record without the local commit", report.prepare_without_commit),
-        ("a local commit without a decision", report.commit_without_decision),
-        ("a decision without its resolution marker", report.decision_without_marker),
-        ("a presumed-abort compensation", report.presumed_abort),
-        ("a cut of shard recovery's own appends", report.recovery_cuts),
-    ] {
-        assert!(n > 0, "no cut of class {class:?}: {report:?}");
+    let reports = audit_fleet_cuts().unwrap_or_else(|e| panic!("fleet cut audit: {e}"));
+    println!("{reports:#?}");
+    assert_eq!(reports.len(), 2, "one report per protocol");
+    for (protocol, report) in reports {
+        for (class, n) in [
+            ("a piece's leaves without its participant record", report.leaves_without_prepare),
+            ("a participant record without the local commit", report.prepare_without_commit),
+            ("a local commit without a decision", report.commit_without_decision),
+            ("a decision without its resolution marker", report.decision_without_marker),
+            ("a presumed-abort compensation", report.presumed_abort),
+            ("a cut of shard recovery's own appends", report.recovery_cuts),
+        ] {
+            assert!(n > 0, "{protocol:?}: no cut of class {class:?}: {report:?}");
+        }
     }
 }
 
@@ -239,6 +244,56 @@ fn double_crash_during_shard_recovery_converges() {
     }
 }
 
+/// A 2PC shard dies inside the vote round trip, after both pieces
+/// prepared and before the gate opens. Its piece never commits durably, so
+/// the transaction aborts: nothing is acked, the other shard's committed
+/// piece is compensated, and the crashed shard's recovery resolves its
+/// prepared piece to abort with nothing to undo.
+#[test]
+fn two_phase_crash_after_both_votes_aborts_and_recovers_with_nothing_to_undo() {
+    guarded("2pc/crash-after-votes", || {
+        let db = Database::build(&escrow_params()).unwrap();
+        let coord = Coordinator::new(FleetConfig {
+            db_params: escrow_params(),
+            // The gate opens one net delay after the last vote: the crash
+            // lands inside that window.
+            net_delay: Duration::from_millis(300),
+            // The baseline's shards: shard 0's piece is compensated under
+            // flat object locks.
+            low_level_2pl: true,
+            ..Default::default()
+        });
+        let on = |s| db.items.iter().find(|i| coord.partition().owner_of_item(i.item) == s);
+        let order = |s| on(s).map(|i| Target { item: i.item, order: i.orders[0].order }).unwrap();
+        let spec = TxnSpec::Ship(vec![order(0), order(1)]);
+        let (gtid, out) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while coord.fleet_stats().prepares < 2 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                coord.shards()[1].crash();
+            });
+            coord.submit(&spec, CommitProtocol::TwoPhase)
+        });
+        assert!(out.is_err(), "a piece lost to the crash cannot be acked: {out:?}");
+        assert!(coord.acked().is_empty());
+        assert_eq!(coord.decisions().into_iter().collect::<Vec<_>>(), [(gtid, false)]);
+
+        let report = coord.shards()[1].recover(&coord.decisions()).unwrap();
+        assert_eq!((report.resolved, report.compensated), (vec![(gtid, false)], 0));
+        for (s, shard) in coord.shards().iter().enumerate() {
+            let fresh = canonical_shard_state(db.store.as_ref(), db.items_set, 2, s).unwrap();
+            shard
+                .with_live(|engine, _| {
+                    Residue::of(engine).check().unwrap_or_else(|e| panic!("shard {s}: {e}"));
+                    let got = canonical_shard_state(engine.storage().as_ref(), db.items_set, 2, s);
+                    assert_eq!(got.unwrap(), fresh, "shard {s}: the piece is undone");
+                })
+                .expect("every shard is up");
+        }
+    });
+}
+
 /// Transport chaos: dropped and delayed coordinator→shard calls must be
 /// absorbed by the retry seam (idempotent pieces, cached acks) without
 /// state divergence or duplicated effects.
@@ -261,28 +316,57 @@ fn transport_faults_are_absorbed_by_retry_and_idempotence() {
 }
 
 /// The 2PC baseline reaches the same committed state on a healthy fleet —
-/// it is a correctness peer, only slower under contention.
+/// it is a correctness peer, only slower under contention: every shard's
+/// slice is the serial replay of its pieces of the committed gtids, with
+/// zero residue, and each committed gtid is marked committed in the
+/// participant log of every shard it touched.
 #[test]
 fn two_phase_baseline_converges_on_healthy_fleet() {
-    let (acked, committed, acked_log) = guarded("2pc/healthy", || {
+    guarded("2pc/healthy", || {
         let db_params = DbParams { n_items: 6, orders_per_item: 3, ..Default::default() };
         let coord = Coordinator::new(FleetConfig {
             n_shards: 2,
             db_params: db_params.clone(),
+            low_level_2pl: true,
             ..Default::default()
         });
-        let mut acked = 0usize;
+        let mut specs = BTreeMap::new();
         for spec in batch(&db_params, 11, 24) {
-            let (_gtid, out, _retries) =
+            let (gtid, out, _retries) =
                 coord.submit_with_retry(&spec, CommitProtocol::TwoPhase, 10);
-            if out.is_ok() {
-                acked += 1;
+            out.unwrap_or_else(|e| panic!("healthy 2pc fleet commits everything: {e}"));
+            specs.insert(gtid, spec);
+        }
+        let committed = coord.committed_gtids();
+        assert_eq!(committed, specs.keys().copied().collect::<Vec<_>>(), "one commit per spec");
+        assert_eq!(coord.acked(), committed, "every 2pc ack has a logged decision");
+
+        let fresh = Database::build(&db_params).unwrap();
+        let pmap = coord.partition();
+        for (s, shard) in coord.shards().iter().enumerate() {
+            let touched: Vec<(u64, TxnSpec)> = committed
+                .iter()
+                .flat_map(|&g| pmap.split(&specs[&g]).into_iter().map(move |piece| (g, piece)))
+                .filter_map(|(g, (owner, piece))| (owner == s).then_some((g, piece)))
+                .collect();
+            let winners: Vec<&TxnSpec> = touched.iter().map(|(_, piece)| piece).collect();
+            shard
+                .with_live(|engine, _| {
+                    Residue::of(engine).check()?;
+                    check_committed_prefix(&fresh, &winners, engine.storage().as_ref(), |store| {
+                        canonical_shard_state(store, fresh.items_set, 2, s)
+                    })
+                })
+                .expect("the shard is up")
+                .unwrap_or_else(|e| panic!("shard {s}: {e}"));
+            let (_, part) = shard.log_images().expect("the shard is up");
+            let marked = records(&part);
+            for (g, _) in &touched {
+                let marker = WalRecord::TopCommit { top: *g };
+                assert!(marked.contains(&marker), "shard {s}: gtid {g} has no commit marker");
             }
         }
-        (acked, coord.committed_gtids().len(), coord.acked().len())
     });
-    assert_eq!(acked, 24, "healthy 2pc fleet commits everything");
-    assert_eq!(acked_log, committed, "every 2pc ack has a logged decision");
 }
 
 // ---- piece dispatch ---------------------------------------------------
