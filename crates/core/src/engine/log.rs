@@ -124,8 +124,8 @@ impl EngineLog {
             Stats::bump(&self.stats.wal_fsyncs);
         }
         if info.durable && !info.synced {
-            // A group-commit follower: durable on the back of a
-            // concurrent leader's single fsync.
+            // A group-commit follower: durable on the back of a sync
+            // another committer paid for.
             Stats::bump(&self.stats.wal_group_commits);
             self.journal(JournalKind::GroupCommit, info.lsn, 0);
         }

@@ -89,7 +89,7 @@ pub enum JournalKind {
     /// segment).
     WalRotate = 21,
     /// A commit became durable as a group-commit follower — covered by a
-    /// concurrent leader's fsync (`key` = the commit record's LSN).
+    /// sync another committer paid for (`key` = the commit record's LSN).
     GroupCommit = 22,
     /// An escrow update was applied (`key` = object id, `aux` = the delta
     /// cast to u64).

@@ -187,9 +187,8 @@ counters! {
     /// Recovery passes that found a prior pass's progress in the log
     /// (crash mid-recovery, recovered again).
     rerecoveries,
-    /// Commits made durable by a concurrent group-commit leader's fsync
-    /// rather than their own (batching wins; `wal_fsyncs` counts the
-    /// leaders).
+    /// Commits made durable by a sync another committer paid for rather
+    /// than their own (batching wins; `wal_fsyncs` counts the syncs).
     wal_group_commits,
     /// Escrow updates applied (the guard held; the delta was folded into
     /// the object under the escrow ledger).

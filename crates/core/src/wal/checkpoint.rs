@@ -43,7 +43,6 @@
 use super::segment::{segment_file_name, CheckpointOutcome, Segment, WalWriter};
 use super::{crc32, put_invocation, put_str, put_u32, put_u64, put_value, verify_sealed, Cursor};
 use super::{WalError, WalRecord};
-use crate::fault::IoFaultPoint;
 use parking_lot::MutexGuard;
 use semcc_semantics::{
     Invocation, ObjectDump, ObjectId, ObjectImage, StoreDelta, StoreDump, TypeId,
@@ -554,16 +553,9 @@ impl ReadyCheckpoint<'_> {
             return Err(WalError::Poisoned);
         }
         // Writing the image durably is itself a sync of the device: the
-        // injected fsync fault applies.
-        st.fsyncs += 1;
+        // injected fsync fault applies, before anything is swapped in.
         st.checkpoints += 1;
-        if let Some(IoFaultPoint::FsyncError { nth }) = w.faults.as_ref().and_then(|p| p.io()) {
-            if st.fsyncs == nth {
-                let err = WalError::Io(format!("fsync failed writing checkpoint (fsync #{nth})"));
-                st.poisoned = Some(err.clone());
-                return Err(err);
-            }
-        }
+        w.count_fsync(st, "checkpoint fsync")?;
         let _old_image = st.checkpoint.replace(Arc::clone(&next.image));
         st.checkpoint_persisted = false;
         let _old_base = st.base.replace(Arc::new(next));
@@ -572,10 +564,7 @@ impl ReadyCheckpoint<'_> {
         let n = st.segments.partition_point(|s| s.seq <= sealed_through);
         let mut dropped: Vec<Segment> = st.segments.drain(..n).collect();
         let bytes_dropped = dropped.iter().map(Segment::len).sum();
-        if let Err(e) = w.sync_dir(st) {
-            st.poisoned = Some(e.clone());
-            return Err(e);
-        }
+        w.sync_dir(st)?;
         if let Some(dir) = &w.dir {
             for seg in &dropped {
                 // The image synced above covers the file's records: one left

@@ -18,6 +18,15 @@
 //! unlike the `dead` state [`WalWriter::power_fail`] leaves, which silently
 //! swallows appends exactly as a dead machine would.
 //!
+//! **Commit barrier.** One lock, the writer state's, guards the segments,
+//! the device and `durable_lsn`, the bound below which every record is
+//! proven durable; every successful sync advances it to the next LSN.
+//! Under [`FsyncPolicy::OnCommit`] a committer appends its resolution
+//! frame, releases the lock, and takes it again for the barrier: a frame
+//! below the watermark rode an earlier sync, any other pays for one that
+//! covers every frame appended so far. Frames appended while a sync runs
+//! wait for the lock and ride the next one.
+//!
 //! **Checkpoint barrier.** The engine applies a store mutation first and
 //! appends its redo record second. The writer therefore exposes a
 //! reader-writer barrier: every apply+append pair holds a read guard, and
@@ -29,7 +38,7 @@
 use super::checkpoint::{fold_live, Base, TopInfo};
 use super::{encode_frame, read_log_from, WalError, WalRecord};
 use crate::fault::{FaultPlan, IoFaultPoint};
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use semcc_semantics::Invocation;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -79,13 +88,13 @@ pub struct AppendInfo {
     /// [`WalWriter::power_fail`] killed the device — a dead machine drops
     /// writes silently).
     pub appended: bool,
-    /// An fsync made the buffer durable as part of this append (this
-    /// call itself paid for the device sync — it was the batch leader,
-    /// or the policy syncs inline).
+    /// This call paid for an fsync that made the buffer durable: the
+    /// commit barrier found its record not yet covered, or the policy
+    /// syncs inline.
     pub synced: bool,
     /// This record is proven durable. Implied by `synced`; additionally
-    /// true for a group-commit *follower* whose frame was inside the
-    /// byte range a concurrent leader's single fsync covered.
+    /// true for a commit whose frame a sync paid by another call already
+    /// covered (a group-commit *follower*).
     pub durable: bool,
     /// The record's LSN (meaningless when not appended).
     pub lsn: u64,
@@ -176,42 +185,6 @@ impl Segment {
     }
 }
 
-/// Shared state of the group-commit barrier. Committers under
-/// [`FsyncPolicy::OnCommit`] append their resolution frame, then rendezvous
-/// here: whoever finds no leader in flight elects itself, performs **one**
-/// fsync covering every byte appended so far, and wakes the parked
-/// followers whose frames that sync covered. A failed fsync fails the
-/// *whole* batch typed (fsyncgate extended to batches — no partial acks),
-/// and a power failure silently un-acknowledges it.
-struct GroupState {
-    /// Exclusive upper bound of proven-durable LSNs: a waiter whose
-    /// `lsn < durable_lsn` is durably committed and may return.
-    durable_lsn: u64,
-    /// A leader is currently syncing (elected under this lock, syncs
-    /// outside it under the writer state lock).
-    leader: bool,
-    /// Terminal: an fsync failed (or found the log poisoned); every
-    /// non-durable waiter — present and future — fails with this error.
-    failed: Option<WalError>,
-    /// Terminal: the device lost power; every non-durable waiter returns
-    /// un-acknowledged, exactly as a dead machine would.
-    dead: bool,
-    /// Follower acknowledgments: commits that became durable without
-    /// paying for their own fsync.
-    group_commits: u64,
-}
-
-/// What the elected leader's sync attempt produced, carried from the
-/// writer state lock back under the group lock for publication.
-enum LeaderOutcome {
-    /// One fsync covered every LSN below this bound.
-    Synced(u64),
-    /// The device lost power before the sync.
-    Dead,
-    /// The sync failed or the log was already poisoned.
-    Failed(WalError),
-}
-
 pub(super) struct WriterState {
     /// Live segments, seq-ascending; the last one is active.
     pub(super) segments: Vec<Segment>,
@@ -236,6 +209,9 @@ pub(super) struct WriterState {
     /// copy of this, not a re-read of the log.
     pub(super) table: BTreeMap<u64, TopInfo>,
     pub(super) next_lsn: u64,
+    /// Every record below this LSN is proven durable: the last successful
+    /// sync covered it. It only grows, and only on a sync.
+    durable_lsn: u64,
     next_seq: u64,
     /// [`WalWriter::power_fail`] killed the device (appends drop silently).
     pub(super) dead: bool,
@@ -248,6 +224,12 @@ pub(super) struct WriterState {
 }
 
 impl WriterState {
+    /// An I/O failure poisons the log: keep its cause, hand it back.
+    fn poison(&mut self, err: WalError) -> WalError {
+        self.poisoned = Some(err.clone());
+        err
+    }
+
     /// The simulated machine died: appends drop silently from here on and
     /// nothing buffered reaches the device.
     fn die(&mut self) {
@@ -278,15 +260,9 @@ impl WriterState {
 pub struct WalWriter {
     pub(super) config: WalConfig,
     policy: FsyncPolicy,
-    pub(super) faults: Option<Arc<FaultPlan>>,
+    faults: Option<Arc<FaultPlan>>,
     pub(super) dir: Option<PathBuf>,
     pub(super) state: Mutex<WriterState>,
-    /// The group-commit barrier (leader election + follower parking).
-    /// Lock order: `state` → `group` is allowed (appends take `state`,
-    /// drop it, then park on `group`); a leader holds `group` only to
-    /// elect/publish, never while holding `state`.
-    group: Mutex<GroupState>,
-    group_cv: Condvar,
     /// The apply/append-vs-checkpoint barrier (module docs).
     pub(super) barrier: RwLock<()>,
     /// Bytes appended since the last checkpoint cut (the cadence counter;
@@ -317,6 +293,7 @@ impl WalWriter {
                 base: None,
                 table: BTreeMap::new(),
                 next_lsn: 0,
+                durable_lsn: 0,
                 next_seq: 1,
                 dead: false,
                 poisoned: None,
@@ -324,14 +301,6 @@ impl WalWriter {
                 fsyncs: 0,
                 checkpoints: 0,
             }),
-            group: Mutex::new(GroupState {
-                durable_lsn: 0,
-                leader: false,
-                failed: None,
-                dead: false,
-                group_commits: 0,
-            }),
-            group_cv: Condvar::new(),
             barrier: RwLock::new(()),
             since_checkpoint: AtomicUsize::new(0),
             checkpointing: Mutex::new(()),
@@ -426,6 +395,7 @@ impl WalWriter {
         {
             let mut st = w.state.lock();
             st.next_lsn = next_lsn;
+            st.durable_lsn = next_lsn;
             st.next_seq = segments.last().map_or(0, |s| s.seq) + 1;
             st.segments = segments;
             st.checkpoint = image.checkpoint.clone().map(Arc::new);
@@ -467,12 +437,11 @@ impl WalWriter {
     /// poisoned or injected-faulty device yields a typed [`WalError`].
     ///
     /// Under [`FsyncPolicy::OnCommit`], a `TopCommit`/`TopAbort` append
-    /// does **not** pay for its own fsync unconditionally: it joins the
-    /// group-commit barrier, where one elected leader syncs the whole
-    /// batch (see [`GroupState`]). The call returns only once the record
-    /// is proven durable (`durable: true`), the machine lost power
-    /// (`durable: false`, silent), or the sync failed (typed `Err` for
-    /// the entire batch).
+    /// then passes the commit barrier (module docs): it pays for a sync
+    /// only if no sync since its append covered it. The call returns once
+    /// the record is proven durable (`durable: true`), the machine lost
+    /// power (`durable: false`, silent), or the log is poisoned (typed
+    /// `Err`, so no frame behind a failed sync is ever acknowledged).
     pub fn append(&self, rec: &WalRecord) -> Result<AppendInfo, WalError> {
         self.append_inner(rec, None, &[]).map(|(info, _)| info)
     }
@@ -552,9 +521,7 @@ impl WalWriter {
         let io = self.faults.as_ref().and_then(|p| p.io());
         match io {
             Some(IoFaultPoint::AppendError { nth }) if st.total_appends == nth => {
-                let err = WalError::Io(format!("EIO on append #{nth}"));
-                st.poisoned = Some(err.clone());
-                return Err(err);
+                return Err(st.poison(WalError::Io(format!("EIO on append #{nth}"))));
             }
             Some(IoFaultPoint::ShortWrite { nth, keep }) if st.total_appends == nth => {
                 // A prefix of the frame reached the durable medium before
@@ -566,10 +533,8 @@ impl WalWriter {
                 // The log is poisoned below either way, and a directory
                 // without the torn prefix is a crash image too.
                 let _ = self.sync_dir(st);
-                let err =
-                    WalError::Io(format!("short write on append #{nth}: {keep}/{}", frame.len()));
-                st.poisoned = Some(err.clone());
-                return Err(err);
+                let err = format!("short write on append #{nth}: {keep}/{}", frame.len());
+                return Err(st.poison(WalError::Io(err)));
             }
             _ => {}
         }
@@ -616,73 +581,25 @@ impl WalWriter {
         Ok((AppendInfo { appended: true, synced, durable: synced, lsn, rotated, bytes }, seq))
     }
 
-    /// Park on the group-commit barrier until the record at `lsn` is
-    /// proven durable. Returns `(synced, durable)`: the leader that paid
-    /// for the batch's fsync reports `(true, true)`, a follower covered
-    /// by it `(false, true)`, and a power-failed batch `(false, false)`
-    /// (silently un-acknowledged, like any dead-device append). A failed
-    /// or poisoned sync fails every waiter in the batch typed.
+    /// The commit barrier: make the record at `lsn` durable. Returns
+    /// `(synced, durable)`: `(false, true)` when an earlier sync already
+    /// covered it, `(true, true)` when this call paid for the sync,
+    /// `(false, false)` once the machine lost power (silently
+    /// un-acknowledged, like any dead-device append). A poisoned log, or
+    /// a sync that fails here, fails the call typed.
     fn commit_barrier(&self, lsn: u64) -> Result<(bool, bool), WalError> {
-        let mut g = self.group.lock();
-        loop {
-            // Durability first: a record synced before a *later* failure
-            // is still a valid acknowledgment.
-            if lsn < g.durable_lsn {
-                g.group_commits += 1;
-                return Ok((false, true));
-            }
-            if let Some(err) = &g.failed {
-                return Err(err.clone());
-            }
-            if g.dead {
-                return Ok((false, false));
-            }
-            if !g.leader {
-                g.leader = true;
-                drop(g);
-                // Sync under the writer state lock (no group lock held —
-                // new appenders keep making progress into the *next*
-                // batch's buffer while we publish below).
-                let outcome = {
-                    let mut st = self.state.lock();
-                    if st.dead {
-                        LeaderOutcome::Dead
-                    } else if st.poisoned.is_some() {
-                        // Poisoned between our append and our election
-                        // (another append or a checkpoint): our buffered
-                        // bytes are part of the unknowable loss.
-                        LeaderOutcome::Failed(WalError::Poisoned)
-                    } else {
-                        // Every LSN below this bound is buffered or
-                        // durable right now; one sync covers them all.
-                        let covered_end = st.next_lsn;
-                        match self.sync_locked(&mut st) {
-                            Ok(()) => LeaderOutcome::Synced(covered_end),
-                            Err(e) => LeaderOutcome::Failed(e),
-                        }
-                    }
-                };
-                g = self.group.lock();
-                g.leader = false;
-                let verdict = match &outcome {
-                    LeaderOutcome::Synced(end) => {
-                        g.durable_lsn = g.durable_lsn.max(*end);
-                        debug_assert!(lsn < g.durable_lsn, "leader's own frame inside its sync");
-                        Ok((true, true))
-                    }
-                    LeaderOutcome::Dead => {
-                        g.dead = true;
-                        Ok((false, false))
-                    }
-                    LeaderOutcome::Failed(e) => {
-                        g.failed = Some(e.clone());
-                        Err(e.clone())
-                    }
-                };
-                self.group_cv.notify_all();
-                return verdict;
-            }
-            self.group_cv.wait(&mut g);
+        let mut st = self.state.lock();
+        // Durability first: a record synced before a *later* failure is
+        // still a valid acknowledgment.
+        if lsn < st.durable_lsn {
+            Ok((false, true))
+        } else if st.dead {
+            Ok((false, false))
+        } else if st.poisoned.is_some() {
+            // Our buffered frame is part of the unknowable loss.
+            Err(WalError::Poisoned)
+        } else {
+            self.sync_locked(&mut st).map(|()| (true, true))
         }
     }
 
@@ -709,18 +626,10 @@ impl WalWriter {
         }
     }
 
+    /// Sync every buffered byte; on success every record appended so far
+    /// is durable, and `durable_lsn` says so.
     fn sync_locked(&self, st: &mut WriterState) -> Result<(), WalError> {
-        st.fsyncs += 1;
-        if let Some(IoFaultPoint::FsyncError { nth }) = self.faults.as_ref().and_then(|p| p.io()) {
-            if st.fsyncs == nth {
-                // The sync failed: whether any buffered byte reached the
-                // platter is unknowable, so the buffer must be treated as
-                // lost and the log refuses further writes (fsyncgate).
-                let err = WalError::Io(format!("fsync failed (fsync #{nth})"));
-                st.poisoned = Some(err.clone());
-                return Err(err);
-            }
-        }
+        self.count_fsync(st, "fsync")?;
         let flushed_below = st.flushed_below;
         st.segments
             .iter_mut()
@@ -728,11 +637,24 @@ impl WalWriter {
             .take_while(|s| s.seq >= flushed_below)
             .for_each(Segment::flush);
         st.flushed_below = st.segments.last().expect("always one active segment").seq;
-        if let Err(e) = self.sync_dir(st) {
-            st.poisoned = Some(e.clone());
-            return Err(e);
-        }
+        self.sync_dir(st)?;
+        st.durable_lsn = st.next_lsn;
         Ok(())
+    }
+
+    /// Count one device sync, and fail it if it is the one the fault
+    /// plan's injected fsync error names. A failed sync leaves unknowable
+    /// whether any buffered byte reached the platter, so the buffer counts
+    /// as lost and the log is poisoned (fsyncgate). `what` names the sync
+    /// in the error.
+    pub(super) fn count_fsync(&self, st: &mut WriterState, what: &str) -> Result<(), WalError> {
+        st.fsyncs += 1;
+        match self.faults.as_ref().and_then(|p| p.io()) {
+            Some(IoFaultPoint::FsyncError { nth }) if st.fsyncs == nth => {
+                Err(st.poison(WalError::Io(format!("{what} failed (fsync #{nth})"))))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Persist newly-durable bytes to the backing directory, if any.
@@ -741,8 +663,12 @@ impl WalWriter {
     /// the (immutable) checkpoint image is written once — the cost of a
     /// sync is proportional to the batch it covers, not to the size of
     /// the live log. Real file I/O errors are typed, surfaced, and poison
-    /// the log at the caller.
+    /// the log.
     pub(super) fn sync_dir(&self, st: &mut WriterState) -> Result<(), WalError> {
+        self.persist(st).map_err(|e| st.poison(e))
+    }
+
+    fn persist(&self, st: &mut WriterState) -> Result<(), WalError> {
         let Some(dir) = &self.dir else { return Ok(()) };
         if let Some(cp) = &st.checkpoint {
             if !st.checkpoint_persisted {
@@ -794,14 +720,6 @@ impl WalWriter {
     /// fsyncs issued so far (including one an injected fault failed).
     pub fn fsyncs(&self) -> u64 {
         self.state.lock().fsyncs
-    }
-
-    /// Group-commit follower acknowledgments so far: resolution records
-    /// proven durable by a concurrent leader's fsync rather than their
-    /// own. `fsyncs()` + `group_commits()` ≈ resolved commits under
-    /// [`FsyncPolicy::OnCommit`]; the ratio is the batching win.
-    pub fn group_commits(&self) -> u64 {
-        self.group.lock().group_commits
     }
 
     /// Checkpoints attempted so far.
@@ -908,6 +826,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultSpec;
     use semcc_semantics::{StoreDelta, StoreDump};
+    use std::collections::BTreeSet;
 
     /// The capture of a store with nothing in it.
     fn empty_store(_since: Option<u64>) -> Option<StoreDelta> {
@@ -1203,87 +1122,168 @@ mod tests {
         assert_eq!(parsed.records.len(), recs.len() - 4);
     }
 
+    /// `threads` threads, released together, each hand `commit` its
+    /// `per_thread` `TopCommit`s in turn; every call's result, unordered.
+    fn race<T: Send>(
+        threads: u64,
+        per_thread: u64,
+        commit: impl Fn(WalRecord) -> T + Sync,
+    ) -> Vec<T> {
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (start, commit) = (&start, &commit);
+                    s.spawn(move || {
+                        start.wait();
+                        let tops = t * 1000..t * 1000 + per_thread;
+                        tops.map(|top| commit(WalRecord::TopCommit { top })).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|h| h.join().expect("committer panicked")).collect()
+        })
+    }
+
+    /// The `TopCommit`s a log holds.
+    fn committed_tops(records: &[WalRecord]) -> BTreeSet<u64> {
+        records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::TopCommit { top } => Some(*top),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn group_commit_acknowledges_every_committer_with_bounded_fsyncs() {
-        const THREADS: usize = 8;
+        const THREADS: u64 = 8;
         const COMMITS_PER_THREAD: u64 = 4;
         let w = WalWriter::new(FsyncPolicy::OnCommit);
-        let start = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for t in 0..THREADS as u64 {
-                let w = &w;
-                let start = &start;
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..COMMITS_PER_THREAD {
-                        let info = w
-                            .append(&WalRecord::TopCommit { top: t * 100 + i })
-                            .expect("healthy log");
-                        // Both roles are legal here: leaders report
-                        // `synced`, followers only `durable`.
-                        assert!(info.appended && info.durable, "ack implies durable");
-                    }
-                });
-            }
-        });
-        let total = THREADS as u64 * COMMITS_PER_THREAD;
-        // Every commit was either a leader (paid an fsync) or a follower
-        // (counted as a group commit) — exactly once each.
-        assert_eq!(w.fsyncs() + w.group_commits(), total);
-        assert!(w.fsyncs() >= 1);
-        assert!(w.fsyncs() <= total);
+        let acks = race(THREADS, COMMITS_PER_THREAD, |rec| w.append(&rec).expect("healthy log"));
+        assert!(acks.iter().all(|a| a.appended && a.durable), "ack implies durable");
+        // Each commit either paid for a sync or rode one another paid for.
+        let synced = acks.iter().filter(|a| a.synced).count() as u64;
+        let followers = acks.iter().filter(|a| a.durable && !a.synced).count() as u64;
+        let total = THREADS * COMMITS_PER_THREAD;
+        assert_eq!(w.fsyncs(), synced);
+        assert_eq!(synced + followers, total);
+        assert!(synced >= 1);
         let parsed = read_image(&w.surviving_image()).unwrap();
         assert_eq!(parsed.records.len(), total as usize);
     }
 
     #[test]
     fn single_threaded_commits_always_lead_their_own_batch() {
-        // Backward compatibility: with no concurrency there is no batch,
-        // so every resolution record pays its own fsync and reports
-        // `synced` — the pre-group-commit contract.
+        // With no concurrency there is no batch: every resolution record
+        // pays its own fsync and reports `synced`.
         let w = WalWriter::new(FsyncPolicy::OnCommit);
         for top in 0..3 {
             let info = w.append(&WalRecord::TopCommit { top }).unwrap();
             assert!(info.synced && info.durable);
         }
         assert_eq!(w.fsyncs(), 3);
-        assert_eq!(w.group_commits(), 0);
     }
 
     #[test]
     fn fsync_failure_fails_the_whole_batch_typed_with_no_partial_acks() {
-        const THREADS: usize = 6;
         let w = WalWriter::with_config_and_faults(
             FsyncPolicy::OnCommit,
             WalConfig::default(),
             plan_io(IoFaultPoint::FsyncError { nth: 1 }),
         );
-        let start = std::sync::Barrier::new(THREADS);
-        let failures = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS as u64 {
-                let (w, start, failures) = (&w, &start, &failures);
-                s.spawn(move || {
-                    start.wait();
-                    // The very first leader sync fails: every committer in
-                    // the batch — and every later one, the log being
-                    // poisoned — must fail *typed*, none acknowledged.
-                    let err = w.append(&WalRecord::TopCommit { top: t }).unwrap_err();
-                    assert!(
-                        matches!(err, WalError::Io(_) | WalError::Poisoned),
-                        "typed batch failure, got {err:?}"
-                    );
-                    failures.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(failures.load(Ordering::Relaxed), THREADS as u64);
+        // The very first sync fails: every committer whose frame it
+        // covered — and every later one, the log being poisoned — must
+        // fail *typed*, none acknowledged.
+        for result in race(6, 1, |rec| w.append(&rec)) {
+            let err = result.expect_err("no committer is acknowledged");
+            assert!(
+                matches!(err, WalError::Io(_) | WalError::Poisoned),
+                "typed batch failure, got {err:?}"
+            );
+        }
         assert!(w.poisoned().is_some());
-        assert_eq!(w.group_commits(), 0, "no follower was ever acknowledged");
+        assert_eq!(w.fsyncs(), 1, "a poisoned log syncs no more");
         // Nothing reached durable storage: the surviving (durable-only,
         // because poisoned) image is empty.
         let parsed = read_image(&w.surviving_image()).unwrap();
         assert_eq!(parsed.records.len(), 0, "zero acked-but-lost records");
+    }
+
+    #[test]
+    fn commits_racing_a_power_failure_ack_exactly_the_surviving_ones() {
+        use std::sync::atomic::AtomicBool;
+        const THREADS: u64 = 8;
+        const COMMITS_PER_THREAD: u64 = 64;
+        const FAIL_AT: u64 = THREADS * COMMITS_PER_THREAD / 2;
+        let w = WalWriter::new(FsyncPolicy::OnCommit);
+        let failed = AtomicBool::new(false);
+        let acks = std::thread::scope(|s| {
+            s.spawn(|| {
+                while w.appended() < FAIL_AT {
+                    std::thread::yield_now();
+                }
+                w.power_fail();
+                failed.store(true, Ordering::SeqCst);
+            });
+            race(THREADS, COMMITS_PER_THREAD, |rec| {
+                let after_failure = failed.load(Ordering::SeqCst);
+                let result = w.append(&rec);
+                (rec, after_failure, result)
+            })
+        });
+        let mut durable = Vec::new();
+        for (rec, after_failure, result) in acks {
+            let info =
+                result.unwrap_or_else(|e| panic!("{rec:?}: a dead device fails silently: {e:?}"));
+            assert!(!(after_failure && info.appended), "{rec:?} appended after the power failure");
+            if info.durable {
+                durable.push(rec);
+            }
+        }
+        let image = read_image(&w.surviving_image()).unwrap();
+        assert_eq!(committed_tops(&image.records), committed_tops(&durable), "survivors == acks");
+    }
+
+    #[test]
+    fn dir_backed_group_commit_persists_every_ack() {
+        let dir =
+            std::env::temp_dir().join(format!("semcc-wal-dir-group-commit-{}", std::process::id()));
+        let config = WalConfig { segment_bytes: 96, ..WalConfig::default() };
+        let w = WalWriter::with_dir(FsyncPolicy::OnCommit, config, &dir).unwrap();
+        let acks = race(8, 16, |rec| {
+            let result = w.append(&rec);
+            (rec, result)
+        });
+        let base_lsn: BTreeMap<u64, u64> =
+            w.surviving_image().segments.iter().map(|s| (s.seq, s.base_lsn)).collect();
+        drop(w);
+        // Read every segment file, then clear the directory before any
+        // assertion can fail.
+        let files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter_map(|path| {
+                let name = path.file_name()?.to_string_lossy().into_owned();
+                name.ends_with(".seg").then(|| (name, std::fs::read(&path).unwrap()))
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut acked = Vec::new();
+        for (rec, result) in acks {
+            assert!(result.expect("healthy log").durable, "{rec:?} acknowledged, not durable");
+            acked.push(rec);
+        }
+        assert!(files.len() >= 2, "96-byte segments rotate");
+        let mut on_disk = Vec::new();
+        for (name, bytes) in &files {
+            let seq: u64 = name["wal-".len()..name.len() - ".seg".len()].parse().unwrap();
+            let read = read_log_from(bytes, base_lsn[&seq]);
+            assert_eq!(read.truncated_bytes, 0, "{name} ends on a whole frame");
+            on_disk.extend(read.records);
+        }
+        assert_eq!(committed_tops(&on_disk), committed_tops(&acked), "every ack is on disk");
     }
 
     #[test]

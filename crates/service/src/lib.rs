@@ -5,12 +5,11 @@
 //! threads. [`Service`] inverts that: clients **submit** transaction
 //! programs as *sessions* and immediately get back a [`Ticket`]; a fixed
 //! pool of `core_threads` workers drains the session queue through
-//! [`Engine::execute_with_retry`]. A session waiting for a core — or,
-//! inside the engine, for a lock grant or the WAL's group-commit barrier —
-//! is parked as a heap object (program + ticket), not as a blocked OS
-//! thread; the kernel's `sequence`/`finish` guard shape and the commit
-//! barrier are the suspension points, and only the `core_threads` workers
-//! ever occupy them.
+//! [`Engine::execute_with_retry`]. A session waiting for a core is parked
+//! as a heap object (program + ticket), not as a blocked OS thread; only
+//! the `core_threads` workers ever block inside the engine, on a lock
+//! grant or on the WAL's commit barrier, the log writer's state lock that
+//! a committer holds while it syncs (or finds its frame already synced).
 //!
 //! **Admission is bounded.** At most `max_in_flight` sessions may be in
 //! the system (queued + executing). [`Service::submit`] blocks the caller
@@ -22,7 +21,7 @@
 //! the engine's own result: a committed session's outcome carries the
 //! engine-wide `commit_seq`, and — when a WAL is attached with
 //! `FsyncPolicy::OnCommit` — the engine only returns from `commit()` once
-//! the group-commit barrier proved the commit record durable. The service
+//! the commit barrier proved the commit record durable. The service
 //! adds no acknowledgment of its own, so "ticket resolved Ok" ⟺ "commit
 //! record durable" survives end-to-end (the saturation harness audits
 //! exactly this across a crash).

@@ -408,9 +408,9 @@ fn log_bytes(image: &LogImage) -> usize {
 /// fsyncgate invariant — no transaction was acknowledged whose commit
 /// record is not durable, and the *live* store equals the serial replay
 /// of exactly the acknowledged transactions (failed commits were
-/// compensated). At ≥ 16 workers the failing fsync is a group-commit
-/// *batch* leader's, so the audit also proves that no follower in the
-/// failed batch was acknowledged.
+/// compensated). At ≥ 16 workers the failing fsync covers a group-commit
+/// *batch*, so the audit also proves that no other committer whose frame
+/// it covered was acknowledged.
 pub fn run_fsync_failure(seed: u64, txns: usize, nth: u64, workers: usize) -> Result<(), String> {
     let params = AuditParams {
         seed,

@@ -60,7 +60,7 @@ pub struct SaturationReport {
     /// Highest queued+executing count observed — the proof the run
     /// actually reached the saturation regime.
     pub peak_in_flight: usize,
-    /// Device syncs the log performed (group-commit leaders).
+    /// Device syncs the log performed.
     pub fsyncs: u64,
 }
 
