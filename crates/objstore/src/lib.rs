@@ -21,6 +21,15 @@
 //! orders), which is exactly what makes page locking prone to false
 //! conflicts.
 //!
+//! Objects are found by id, not by hash: the store is 64 latched shards,
+//! shard `k` holding the ids ≡ `k` (mod 64) in a dense slot table indexed
+//! by `id / 64`. Ids come from one counter and are never reused, so the
+//! table is dense, a deleted object leaves an empty slot (the tombstone a
+//! checkpoint delta reports), and every live id is below the counter:
+//! creations draw from it, restores advance it first and a loaded dump
+//! brings its own. A lookup is one bounds-checked index, and objects
+//! created together sit in neighbouring slots.
+//!
 //! The store performs **no concurrency control** beyond short internal
 //! latches making each operation individually atomic; isolation is the lock
 //! manager's job (crate `semcc-core`) — with one read-side exception: every

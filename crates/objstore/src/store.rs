@@ -5,8 +5,8 @@ use crate::pages::{PageAllocator, PagePolicy};
 use crate::CacheLine;
 use parking_lot::{Mutex, RwLock};
 use semcc_semantics::{
-    IdMap, ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta,
-    StoreDump, TypeId, Value, TYPE_ATOMIC,
+    ObjectDump, ObjectId, ObjectImage, PageId, Result, SemccError, Storage, StoreDelta, StoreDump,
+    TypeId, Value, TYPE_ATOMIC,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,18 +24,40 @@ const DIRTY_LIST_FLOOR: usize = 1024;
 
 /// One latch's worth of the store: the objects plus the dirty tracking
 /// that [`Storage::checkpoint_delta`] drains, all under the same latch.
+///
+/// Shard `k` holds the ids ≡ `k` (mod [`SHARD_COUNT`]) in a dense slot
+/// table: id `i` lives in slot `i / SHARD_COUNT`, so finding an object is
+/// one bounds-checked index, and objects created together (an item, its
+/// orders, their atoms) sit in nearby slots. Ids are never reused, so a
+/// deleted object leaves an empty slot, its tombstone. The table holds no
+/// id at or past the store's `next_id`: creations draw from it, a restore
+/// advances it first, and [`MemoryStore::load_dump`] installs the dump's
+/// ids below the dump's own. A read past the end of the table finds no
+/// object.
 #[derive(Default)]
 struct Shard {
-    objects: IdMap<ObjectId, StoredObject>,
+    slots: Vec<Option<StoredObject>>,
+    /// The number of full slots.
+    live: usize,
     /// Ids created, mutated or deleted since the last capture. A live
     /// object is listed exactly while its `dirty` bit is set, so at most
-    /// once per interval; an id that no longer resolves is a tombstone.
+    /// once per interval; an id whose slot is empty is a tombstone.
     dirty: Vec<ObjectId>,
     /// Off until the first capture: a store nobody checkpoints records
     /// nothing, and the first capture is a full one anyway. Off again
     /// once the list outgrew its bound (captures stopped coming while
     /// objects were created and deleted): the next capture is a full one.
     tracking: bool,
+}
+
+/// The slot of `id` in its shard's table.
+fn slot_of(id: ObjectId) -> usize {
+    id.0 as usize / SHARD_COUNT
+}
+
+/// The id in `slot` of shard `k`.
+fn id_at(slot: usize, k: usize) -> ObjectId {
+    ObjectId((slot * SHARD_COUNT + k) as u64)
 }
 
 /// List `id` as dirty — or, with the list at its bound for a shard of
@@ -51,28 +73,44 @@ fn list_dirty(dirty: &mut Vec<ObjectId>, tracking: &mut bool, live: usize, id: O
 }
 
 impl Shard {
-    /// Install `obj` under `id`, dirty from birth.
+    fn get(&self, id: ObjectId) -> Option<&StoredObject> {
+        self.slots.get(slot_of(id))?.as_ref()
+    }
+
+    /// Install `obj` under `id`, whose slot is empty, dirty from birth.
     fn insert(&mut self, id: ObjectId, mut obj: StoredObject) {
         if self.tracking {
-            list_dirty(&mut self.dirty, &mut self.tracking, self.objects.len(), id);
+            list_dirty(&mut self.dirty, &mut self.tracking, self.live, id);
         }
         obj.dirty = self.tracking;
-        self.objects.insert(id, obj);
+        let slot = slot_of(id);
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.slots[slot] = Some(obj);
+        self.live += 1;
     }
 
     /// The objects alone: a copied store starts untracked, like a new one.
     fn copy(&self) -> Shard {
-        Shard { objects: self.objects.clone(), ..Shard::default() }
+        Shard { slots: self.slots.clone(), live: self.live, ..Shard::default() }
     }
 
     /// Remove `id`; its list entry (the one it had if dirty, a fresh one
     /// otherwise) now reads as a tombstone.
     fn remove(&mut self, id: ObjectId) -> Option<StoredObject> {
-        let removed = self.objects.remove(&id)?;
+        let removed = self.slots.get_mut(slot_of(id))?.take()?;
+        self.live -= 1;
         if self.tracking && !removed.dirty {
-            list_dirty(&mut self.dirty, &mut self.tracking, self.objects.len(), id);
+            list_dirty(&mut self.dirty, &mut self.tracking, self.live, id);
         }
         Some(removed)
+    }
+
+    /// The live objects of this shard, shard `k`, id-ascending.
+    fn objects(&self, k: usize) -> impl Iterator<Item = (ObjectId, &StoredObject)> {
+        let full = self.slots.iter().enumerate();
+        full.filter_map(move |(slot, obj)| Some((id_at(slot, k), obj.as_ref()?)))
     }
 }
 
@@ -150,20 +188,31 @@ impl MemoryStore {
 
     fn insert_object(&self, obj: StoredObject) -> ObjectId {
         let id = self.alloc_id();
+        self.install(id, obj).expect("a fresh id is not live");
+        id
+    }
+
+    /// Install `obj` under `id` unless `id` is live already. Every caller
+    /// keeps the slot table's invariant (see [`Shard`]): `id` is below
+    /// `next_id`.
+    fn install(&self, id: ObjectId, obj: StoredObject) -> Result<()> {
         let mut shard = self.shard(id).write();
+        debug_assert!(id.0 < self.next_id.load(Ordering::Relaxed), "{id:?} is past next_id");
+        if shard.get(id).is_some() {
+            return Err(SemccError::Internal(format!("install over live object {id:?}")));
+        }
         shard.insert(id, obj);
         // Epoch bump inside the latch: a clone that observed this insert
         // is guaranteed to read the bumped epoch afterwards. All epoch
         // bumps are `SeqCst` so `quiesce_token` can reason about them in
         // one total order with the intent counter.
         self.mutations.fetch_add(1, Ordering::SeqCst);
-        id
+        Ok(())
     }
 
     fn with_object<R>(&self, o: ObjectId, f: impl FnOnce(&StoredObject) -> Result<R>) -> Result<R> {
         let shard = self.shard(o).read();
-        let obj = shard.objects.get(&o).ok_or(SemccError::NoSuchObject(o))?;
-        f(obj)
+        f(shard.get(o).ok_or(SemccError::NoSuchObject(o))?)
     }
 
     fn with_object_mut<R>(
@@ -172,16 +221,16 @@ impl MemoryStore {
         f: impl FnOnce(&mut StoredObject) -> Result<R>,
     ) -> Result<R> {
         let mut shard = self.shard(o).write();
-        let Shard { objects, dirty, tracking } = &mut *shard;
-        let live = objects.len();
-        let obj = objects.get_mut(&o).ok_or(SemccError::NoSuchObject(o))?;
+        let Shard { slots, live, dirty, tracking } = &mut *shard;
+        let obj = slots.get_mut(slot_of(o)).and_then(Option::as_mut);
+        let obj = obj.ok_or(SemccError::NoSuchObject(o))?;
         let before = obj.version;
         let out = f(obj);
         // Every physical mutation moves the stamp, so a moved stamp is the
         // one place dirtiness is recorded.
         if *tracking && !obj.dirty && obj.version != before {
             obj.dirty = true;
-            list_dirty(dirty, tracking, live, o);
+            list_dirty(dirty, tracking, *live, o);
         }
         out
     }
@@ -249,7 +298,7 @@ impl MemoryStore {
 
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().objects.len()).sum()
+        self.shards.iter().map(|s| s.read().live).sum()
     }
 
     /// Number of pages allocated so far.
@@ -261,10 +310,10 @@ impl MemoryStore {
     /// observable state used by the serializability validators.
     pub fn atomic_state(&self) -> BTreeMap<ObjectId, Value> {
         let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (id, obj) in shard.read().objects.iter() {
+        for (k, shard) in self.shards.iter().enumerate() {
+            for (id, obj) in shard.read().objects(k) {
                 if let ObjKind::Atomic(v) = &obj.kind {
-                    out.insert(*id, v.clone());
+                    out.insert(id, v.clone());
                 }
             }
         }
@@ -275,10 +324,10 @@ impl MemoryStore {
     /// observable state: inserts/removes must be serializable too).
     pub fn set_state(&self) -> BTreeMap<ObjectId, BTreeMap<u64, ObjectId>> {
         let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (id, obj) in shard.read().objects.iter() {
+        for (k, shard) in self.shards.iter().enumerate() {
+            for (id, obj) in shard.read().objects(k) {
                 if let ObjKind::Set(s) = &obj.kind {
-                    out.insert(*id, s.clone());
+                    out.insert(id, s.clone());
                 }
             }
         }
@@ -290,13 +339,7 @@ impl MemoryStore {
     /// past `id` so later creations never collide with restored objects.
     fn restore(&self, id: ObjectId, obj: StoredObject) -> Result<()> {
         self.advance_ids_past(id);
-        let mut shard = self.shard(id).write();
-        if shard.objects.contains_key(&id) {
-            return Err(SemccError::Internal(format!("restore of live object {id:?}")));
-        }
-        shard.insert(id, obj);
-        self.mutations.fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        self.install(id, obj)
     }
 
     /// Never hand out `id`, or any id below it, again (crash recovery:
@@ -385,9 +428,9 @@ impl MemoryStore {
     /// parity audits).
     pub fn version_state(&self) -> BTreeMap<ObjectId, u64> {
         let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (id, obj) in shard.read().objects.iter() {
-                out.insert(*id, obj.version);
+        for (k, shard) in self.shards.iter().enumerate() {
+            for (id, obj) in shard.read().objects(k) {
+                out.insert(id, obj.version);
             }
         }
         out
@@ -408,8 +451,8 @@ impl MemoryStore {
     pub fn dump(&self) -> StoreDump {
         let snap = self.snapshot();
         let mut objects: Vec<ObjectDump> = Vec::with_capacity(snap.object_count());
-        for shard in &snap.shards {
-            objects.extend(shard.read().objects.iter().map(|(id, obj)| dump_object(*id, obj)));
+        for (k, shard) in snap.shards.iter().enumerate() {
+            objects.extend(shard.read().objects(k).map(|(id, obj)| dump_object(id, obj)));
         }
         objects.sort_by_key(|o| o.id);
         StoreDump { objects, next_id: snap.next_id.load(Ordering::Relaxed) }
@@ -426,10 +469,10 @@ impl MemoryStore {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         self.capture_token.store(0, Ordering::Relaxed);
         for shard in &mut guards {
-            shard.objects.clear();
-            shard.dirty = Vec::new();
-            shard.tracking = false;
+            **shard = Shard::default();
         }
+        self.next_id.store(dump.next_id, Ordering::Relaxed);
+        self.mutations.fetch_add(1, Ordering::SeqCst);
         drop(guards);
         for od in &dump.objects {
             let kind = match &od.image {
@@ -442,10 +485,8 @@ impl MemoryStore {
             let page = self.allocator.lock().assign();
             let mut obj = StoredObject::new(od.type_id, page, kind);
             obj.version = od.version;
-            self.shard(od.id).write().insert(od.id, obj);
+            self.install(od.id, obj)?;
         }
-        self.next_id.store(dump.next_id, Ordering::Relaxed);
-        self.mutations.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -637,19 +678,21 @@ impl Storage for MemoryStore {
         let full = since != Some(last) || guards.iter().any(|shard| !shard.tracking);
         let mut objects = Vec::new();
         let mut deleted = Vec::new();
-        for shard in &mut guards {
-            let Shard { objects: live, dirty, tracking } = &mut **shard;
+        for (k, shard) in guards.iter_mut().enumerate() {
+            let Shard { slots, dirty, tracking, .. } = &mut **shard;
             if full {
                 dirty.clear();
                 *tracking = true;
-                objects.extend(live.iter_mut().map(|(id, obj)| {
-                    obj.dirty = false;
-                    dump_object(*id, obj)
-                }));
+                for (slot, obj) in slots.iter_mut().enumerate() {
+                    if let Some(obj) = obj {
+                        obj.dirty = false;
+                        objects.push(dump_object(id_at(slot, k), obj));
+                    }
+                }
                 continue;
             }
             for id in dirty.drain(..) {
-                match live.get_mut(&id) {
+                match slots.get_mut(slot_of(id)).and_then(Option::as_mut) {
                     // Listed twice (deleted, then restored under its id):
                     // the first visit already captured it.
                     Some(obj) if !obj.dirty => {}

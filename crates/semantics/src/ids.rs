@@ -86,8 +86,8 @@ impl fmt::Debug for PageId {
     }
 }
 
-/// A hasher for the small integer ids that key the lock table, the store
-/// shards and every other per-request map: rustc's `FxHasher` scheme
+/// A hasher for the small integer ids that key the lock table, the
+/// registry and every other per-request map: rustc's `FxHasher` scheme
 /// (rotate, xor, multiply by an odd constant). Not DoS-resistant — every
 /// key it sees is an id the system allocated itself.
 #[derive(Clone, Copy, Default)]
@@ -121,9 +121,10 @@ impl Hasher for IdHasher {
     }
 
     /// A product's low bits depend only on the key's low bits, and the
-    /// ids of one store shard (or one registry shard) share their low six
-    /// bits. The map indexes buckets by the low bits, so the well-mixed
-    /// high bits are rotated down.
+    /// keys of one shard of the kernel's held-key index, or of the
+    /// registry, share their low six bits (both pick a shard by
+    /// `top % 64`). The map indexes buckets by the low bits, so the
+    /// well-mixed high bits are rotated down.
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
@@ -168,7 +169,9 @@ mod tests {
     #[test]
     fn id_hasher_spreads_one_store_shards_ids_over_the_buckets() {
         use std::hash::BuildHasher;
-        // One store shard's id pattern: every id ≡ 5 (mod 64).
+        // One shard of the kernel's held-key index (or of the registry)
+        // holds only top ids ≡ c (mod 64): here c = 5. Object ids of the
+        // same pattern stand in for them.
         let ids: Vec<ObjectId> = (0..4096u64).map(|i| ObjectId(i * 64 + 5)).collect();
         let mut map: IdMap<ObjectId, u64> = IdMap::default();
         map.extend(ids.iter().map(|&id| (id, id.0)));
