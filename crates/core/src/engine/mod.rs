@@ -326,7 +326,7 @@ impl Engine {
     /// The **prepare hook** runs after the program body succeeds but
     /// *before* the local commit record is written: the callback sees the
     /// piece's `TopId` and its accumulated compensation intent. A
-    /// distributed participant durably logs its prepare record
+    /// distributed participant logs its prepare record
     /// (gtid → compensation) here, guaranteeing the write-ordering
     /// invariant *prepare-record ⟶ local commit*: a crash between the two
     /// leaves a loser that generic recovery rolls back, never a committed

@@ -124,8 +124,9 @@ pub(crate) fn fold_live(tops: &mut BTreeMap<u64, TopInfo>, lsn: u64, rec: &WalRe
 /// Advance the per-transaction analysis table by one record. Shared by
 /// checkpoint construction and recovery analysis (see module docs).
 pub fn fold(tops: &mut BTreeMap<u64, TopInfo>, lsn: u64, rec: &WalRecord) {
-    // A recovery pass's own progress marker belongs to no transaction.
-    if matches!(rec, WalRecord::RecoveryMark { .. }) {
+    // Top 0 is no transaction: a recovery pass's own progress marker, or
+    // a fleet shard's piece records.
+    if rec.top() == 0 {
         return;
     }
     let info = tops.entry(rec.top()).or_default();
@@ -154,7 +155,9 @@ pub fn fold(tops: &mut BTreeMap<u64, TopInfo>, lsn: u64, rec: &WalRecord) {
                 info.creations.push(id);
             }
         }
-        WalRecord::RecoveryMark { .. } => unreachable!("filtered above"),
+        WalRecord::RecoveryMark { .. }
+        | WalRecord::Prepared { .. }
+        | WalRecord::Resolved { .. } => {}
     }
 }
 

@@ -26,6 +26,10 @@
 //! * [`WalRecord::TopCommit`] / [`WalRecord::TopAbort`] — transaction
 //!   resolution. A top with neither in the surviving log is a *loser* and
 //!   is compensated by [`recovery`].
+//! * [`WalRecord::Prepared`] / [`WalRecord::Resolved`] — a fleet shard's
+//!   piece of a global transaction and the decision applied to it. They
+//!   belong to no local transaction: generic recovery skips them, and the
+//!   shard's own recovery reads its in-doubt pieces from them.
 //!
 //! Records are framed as `[len: u32][crc32: u32][payload]` with the
 //! record's LSN embedded in the payload; [`read_image`] stops at the first
@@ -281,11 +285,18 @@ pub enum WalRecord {
     /// so a *second* recovery can tell it is re-recovering after a crash
     /// mid-recovery. Carries no transaction and is skipped by analysis.
     RecoveryMark { pass: u64 },
+    /// A fleet shard's piece of global transaction `gtid`, local
+    /// transaction `local`, reached its commit point; `comp` undoes it on a
+    /// global abort. Logged before `local`'s `TopCommit`.
+    Prepared { gtid: u64, local: u64, comp: Vec<Invocation> },
+    /// The decision on `gtid` was applied to this shard's piece.
+    Resolved { gtid: u64, commit: bool },
 }
 
 impl WalRecord {
     /// The owning top-level transaction (0 for [`WalRecord::RecoveryMark`],
-    /// which belongs to no transaction).
+    /// [`WalRecord::Prepared`] and [`WalRecord::Resolved`], which belong to
+    /// no local transaction).
     pub fn top(&self) -> u64 {
         match self {
             WalRecord::LeafRedo { top, .. }
@@ -295,7 +306,9 @@ impl WalRecord {
             | WalRecord::CompApplied { top }
             | WalRecord::TopCommit { top }
             | WalRecord::TopAbort { top } => *top,
-            WalRecord::RecoveryMark { .. } => 0,
+            WalRecord::RecoveryMark { .. }
+            | WalRecord::Prepared { .. }
+            | WalRecord::Resolved { .. } => 0,
         }
     }
 }
@@ -377,6 +390,13 @@ pub(crate) fn put_invocation(out: &mut Vec<u8>, inv: &Invocation) {
     }
 }
 
+fn put_comp(out: &mut Vec<u8>, comp: &[Invocation]) {
+    put_u32(out, comp.len() as u32);
+    for inv in comp {
+        put_invocation(out, inv);
+    }
+}
+
 pub(crate) fn put_redo(out: &mut Vec<u8>, op: &RedoOp) {
     match op {
         RedoOp::Put { obj, value } => {
@@ -436,10 +456,7 @@ fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
             out.push(1);
             put_u64(out, *top);
             put_u32(out, *subtree);
-            put_u32(out, comp.len() as u32);
-            for inv in comp {
-                put_invocation(out, inv);
-            }
+            put_comp(out, comp);
         }
         WalRecord::CompApplied { top } => {
             out.push(2);
@@ -462,14 +479,21 @@ fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
             out.push(6);
             put_u64(out, *top);
             put_u32(out, *subtree);
-            put_u32(out, comp.len() as u32);
-            for inv in comp {
-                put_invocation(out, inv);
-            }
+            put_comp(out, comp);
         }
         WalRecord::RecoveryMark { pass } => {
             out.push(7);
             put_u64(out, *pass);
+        }
+        WalRecord::Prepared { gtid, local, comp } => {
+            out.push(9);
+            put_u64(out, *gtid);
+            put_u64(out, *local);
+            put_comp(out, comp);
+        }
+        WalRecord::Resolved { gtid, commit } => {
+            out.push(if *commit { 11 } else { 10 });
+            put_u64(out, *gtid);
         }
     }
 }
@@ -564,6 +588,15 @@ impl<'a> Cursor<'a> {
         Some(Invocation { object, type_id, method, args })
     }
 
+    fn comp(&mut self) -> Option<Vec<Invocation>> {
+        let n = self.u32()? as usize;
+        let mut comp = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            comp.push(self.invocation()?);
+        }
+        Some(comp)
+    }
+
     pub(crate) fn redo(&mut self) -> Option<RedoOp> {
         Some(match self.u8()? {
             0 => RedoOp::Put { obj: ObjectId(self.u64()?), value: self.value()? },
@@ -603,14 +636,7 @@ impl<'a> Cursor<'a> {
                 WalRecord::LeafRedo { top, subtree, op: self.redo()? }
             }
             1 => {
-                let top = self.u64()?;
-                let subtree = self.u32()?;
-                let n = self.u32()? as usize;
-                let mut comp = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    comp.push(self.invocation()?);
-                }
-                WalRecord::SubCommit { top, subtree, comp }
+                WalRecord::SubCommit { top: self.u64()?, subtree: self.u32()?, comp: self.comp()? }
             }
             2 => WalRecord::CompApplied { top: self.u64()? },
             3 => WalRecord::TopCommit { top: self.u64()? },
@@ -620,16 +646,11 @@ impl<'a> Cursor<'a> {
                 WalRecord::CompRedo { top, op: self.redo()?, applied: tag == 8 }
             }
             6 => {
-                let top = self.u64()?;
-                let subtree = self.u32()?;
-                let n = self.u32()? as usize;
-                let mut comp = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    comp.push(self.invocation()?);
-                }
-                WalRecord::SubIntent { top, subtree, comp }
+                WalRecord::SubIntent { top: self.u64()?, subtree: self.u32()?, comp: self.comp()? }
             }
             7 => WalRecord::RecoveryMark { pass: self.u64()? },
+            9 => WalRecord::Prepared { gtid: self.u64()?, local: self.u64()?, comp: self.comp()? },
+            tag @ (10 | 11) => WalRecord::Resolved { gtid: self.u64()?, commit: tag == 11 },
             _ => return None,
         })
     }
@@ -1002,17 +1023,95 @@ mod tests {
         }
     }
 
+    /// A fleet shard's piece records, with a local id past 32 bits.
+    fn piece_records() -> Vec<WalRecord> {
+        let comp = vec![Invocation::remove(ObjectId(9), TypeId(18), 5)];
+        vec![
+            WalRecord::Prepared { gtid: 7, local: u64::MAX, comp },
+            WalRecord::Resolved { gtid: 7, commit: true },
+            WalRecord::Resolved { gtid: 8, commit: false },
+        ]
+    }
+
     #[test]
     fn records_roundtrip_through_frames() {
+        let recs = [sample_records(), piece_records()].concat();
         let w = WalWriter::new(FsyncPolicy::EveryAppend);
-        for rec in &sample_records() {
+        for rec in &recs {
             let info = w.append(rec).unwrap();
             assert!(info.appended && info.synced);
         }
         let out = read_log(&sole_segment(&w));
-        assert_eq!(out.records, sample_records());
+        assert_eq!(out.records, recs);
         assert_eq!(out.truncated_bytes, 0);
-        assert_eq!(w.fsyncs(), sample_records().len() as u64);
+        assert_eq!(w.fsyncs(), recs.len() as u64);
+    }
+
+    /// Piece records belong to no local transaction: the writer's live
+    /// table never holds one, and recovery of a log with them interleaved
+    /// restores what the same log without them restores.
+    #[test]
+    fn piece_records_are_invisible_to_the_live_table_and_to_recovery() {
+        use semcc_objstore::MemoryStore;
+        use semcc_semantics::{Catalog, ObjectImage, StoreDelta, TYPE_ATOMIC};
+        use std::sync::Arc;
+
+        let w = WalWriter::new(FsyncPolicy::Never);
+        for rec in &piece_records() {
+            w.append(rec).unwrap();
+        }
+        w.checkpoint(|_| Some(StoreDelta::full(Default::default()))).unwrap();
+        let table = read_image(&w.surviving_image()).unwrap().checkpoint.unwrap().table;
+        assert!(table.is_empty(), "{table:?}");
+
+        // Top 1 commits 5 → 6 as piece 9; top 2, piece 10, writes 7 and
+        // dies a loser after its prepare.
+        let obj = ObjectId(1);
+        let put = |top, v| WalRecord::LeafRedo {
+            top,
+            subtree: 1,
+            op: RedoOp::Put { obj, value: Value::Int(v) },
+        };
+        let undo = |top, v| WalRecord::SubCommit {
+            top,
+            subtree: 1,
+            comp: vec![Invocation::put(obj, TYPE_ATOMIC, Value::Int(v))],
+        };
+        let prepared = |gtid, local| WalRecord::Prepared { gtid, local, comp: vec![] };
+        let log = [
+            (put(1, 6), None),
+            (undo(1, 5), Some(prepared(9, 1))),
+            (WalRecord::TopCommit { top: 1 }, Some(WalRecord::Resolved { gtid: 9, commit: true })),
+            (put(2, 7), None),
+            (undo(2, 6), Some(prepared(10, 2))),
+        ];
+        let recover = |with_pieces: bool| {
+            let w = WalWriter::new(FsyncPolicy::Never);
+            for (rec, piece) in &log {
+                w.append(rec).unwrap();
+                if let (true, Some(piece)) = (with_pieces, piece) {
+                    w.append(piece).unwrap();
+                }
+            }
+            let store = Arc::new(MemoryStore::new());
+            store.restore_atomic(obj, TYPE_ATOMIC, Value::Int(5)).unwrap();
+            let catalog = Arc::new(Catalog::new());
+            let config = crate::ProtocolConfig::semantic();
+            let (_, report) = recovery::recover_image(
+                &w.surviving_image(),
+                Arc::clone(&store),
+                catalog,
+                config,
+                None,
+                None,
+            )
+            .unwrap();
+            assert_eq!((report.winners, report.losers), (1, 1), "{report:?}");
+            store.dump()
+        };
+        let plain = recover(false);
+        assert_eq!(recover(true), plain);
+        assert_eq!(plain.objects[0].image, ObjectImage::Atomic(Value::Int(6)));
     }
 
     #[test]

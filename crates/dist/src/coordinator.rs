@@ -416,9 +416,9 @@ impl Fleet {
             // from the decision log. `App` from a live shard (a
             // compensation that failed for good) is final too: `resolve`
             // already dropped the piece from its table, so no re-drive
-            // reaches it, and it stays in doubt in the participant log
-            // until the shard next recovers, which runs the inverses that
-            // did not apply.
+            // reaches it, and its `Prepared` record stays unresolved in the
+            // shard's log until the shard next recovers, which runs the
+            // inverses that did not apply.
             let _ = self.link(gtid, *s).call(|| self.shards[*s].resolve(gtid, commit));
         }
     }

@@ -7,13 +7,15 @@
 //!
 //! | protocol | cross-shard window covered by | abort path |
 //! |---|---|---|
-//! | semantic open-nested | retained *semantic* locks of early-committed pieces | compensation, replayed from the durable participant log |
+//! | semantic open-nested | retained *semantic* locks of early-committed pieces | compensation, replayed from the piece's `Prepared` record in the shard's log |
 //! | presumed-abort 2PC | *low-level* locks held on every shard from the vote until every sibling voted | rollback before locks release; compensation for a piece that committed before a sibling failed |
 //!
 //! Robustness machinery:
 //!
-//! - every shard runs its own WAL + recovery (the PR-5/7 machinery,
-//!   unchanged) plus a separate **participant log** of prepared pieces;
+//! - every shard runs one WAL and the engine's own recovery; a piece's
+//!   participant record and its resolution marker are two frame kinds of
+//!   that log (`Prepared`, `Resolved`), which generic recovery skips and
+//!   shard recovery reads its in-doubt pieces from;
 //! - both protocols share one commit function: the coordinator durably
 //!   logs the decision once every piece has returned, before any shard or
 //!   client learns it, so in-doubt pieces on a crashed shard resolve

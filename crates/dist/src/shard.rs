@@ -1,57 +1,62 @@
 //! One shard of the fleet: a full engine stack (store replica, semantic
-//! engine, main WAL, recovery) plus the **participant** role of the
-//! cross-shard commit protocols.
+//! engine, one write-ahead log, recovery) plus the **participant** role of
+//! the cross-shard commit protocols.
 //!
 //! ## Piece commit ordering (both protocols)
 //!
 //! A shard-local piece of global transaction `gtid` runs as an ordinary
 //! open-nested transaction on the shard's engine, with one addition: the
-//! engine's prepare hook durably appends a participant record
-//! `SubCommit { top: gtid, subtree: local_top, comp }` to the shard's
-//! **participant log** *before* the local commit record is written. A
-//! crash leaves a consistent cut of the shard's two logs and the
-//! coordinator's decision log, and the invariant *prepare-record → local
-//! commit* decides every class of cut:
+//! engine's prepare hook appends the piece's participant record
+//! `Prepared { gtid, local, comp }` to the shard's log after the piece's
+//! leaves and before its local `TopCommit`, and applying the coordinator's
+//! decision appends `Resolved { gtid, commit }` after both. Neither record
+//! belongs to a local transaction, so generic recovery skips them. A crash
+//! leaves a prefix of the shard's log and of the coordinator's decision
+//! log, and where the shard's prefix ends decides every class of cut:
 //!
-//! * the piece's leaves without its participant record — the local
+//! * before `Prepared` — the piece's leaves at most: the local
 //!   transaction is a loser; generic recovery rolls it back; the
 //!   coordinator saw no ack and aborts globally. Nothing is in doubt.
-//! * a participant record without the local commit — the local
-//!   transaction is still a loser (rolled back by generic recovery); the
-//!   in-doubt entry resolves to abort with **nothing to compensate**,
-//!   because the local piece never survived as a winner.
-//! * a local commit without a resolution marker — the piece survives as
-//!   a winner; the in-doubt entry resolves from the coordinator's
-//!   decision log: *commit* keeps it, *presumed abort* compensates it
-//!   through the logged inverse invocations.
+//! * between `Prepared` and the local commit — the local transaction is
+//!   still a loser (rolled back by generic recovery); the in-doubt entry
+//!   resolves to abort with **nothing to compensate**, because the local
+//!   piece never survived as a winner.
+//! * after the local commit, before `Resolved` — the piece survives as a
+//!   winner; the in-doubt entry resolves from the coordinator's decision
+//!   log: *commit* keeps it, *presumed abort* compensates it through the
+//!   logged inverse invocations.
 //!
 //! A piece that fails after its prepare record gets no marker: it stays
 //! in doubt until the shard next recovers, which resolves it to abort
 //! with nothing to undo. Markers are appended only by
 //! [`ShardNode::resolve`] and [`recover_logs`].
 //!
-//! A global abort's compensation is logged in the main log under the
-//! piece's own local id and closed there by that id's `TopAbort`, synced
-//! before the participant log's resolution marker. So the main log alone
-//! says how many of the piece's inverses already ran, and a cut anywhere
-//! inside the compensation makes recovery run only the rest.
+//! A global abort's compensation is logged under the piece's own local id
+//! and closed by that id's `TopAbort`, synced before the marker is
+//! appended behind it. So the log says how many of the piece's inverses
+//! already ran, and a cut anywhere inside the compensation makes recovery
+//! run only the rest. The marker itself gets no sync: if a crash loses
+//! it, recovery resolves the piece again, idempotently — a commit is kept,
+//! and an abort finds the piece's synced `TopAbort` and undoes nothing
+//! twice.
 //!
-//! An acked piece implies a durable local commit (the main WAL runs
-//! [`FsyncPolicy::OnCommit`] and the ack checks the writer is alive), so
-//! a *commit* decision can never meet a lost piece; the recovery path
+//! An acked piece implies a durable local commit (the log runs
+//! [`FsyncPolicy::OnCommit`], whose sync of the `TopCommit` covers the
+//! `Prepared` before it, and the ack checks the writer is alive), so a
+//! *commit* decision can never meet a lost piece; the recovery path
 //! treats that as a hard invariant violation.
 //!
 //! ## 2PC baseline
 //!
-//! A 2PC piece differs in one place: its prepare hook, once the
-//! participant record is durable, votes at the transaction's
-//! `DecisionGate` and blocks there *holding every low-level lock* until
-//! every sibling has voted. An open gate lets the local commit proceed; a
-//! failed sibling fails the hook, and the engine's ordinary abort path
-//! rolls the piece back. This is the "low-level locks held across shards"
-//! cost the semantic protocol is measured against. From the local commit
-//! on, both protocols are the same: the coordinator decides once every
-//! piece has returned.
+//! A 2PC piece differs in one place: its prepare hook forces the log,
+//! `Prepared` included, then votes at the transaction's `DecisionGate`
+//! and blocks there *holding every low-level lock* until every sibling
+//! has voted. An open gate lets the local commit proceed; a failed sibling
+//! fails the hook, and the engine's ordinary abort path rolls the piece
+//! back. This is the "low-level locks held across shards" cost the
+//! semantic protocol is measured against. From the local commit on, both
+//! protocols are the same: the coordinator decides once every piece has
+//! returned.
 
 use crate::rpc::{FleetFaults, RpcError};
 use parking_lot::{Condvar, Mutex};
@@ -118,13 +123,12 @@ pub struct ShardStack {
     pub db: Database,
     /// The engine over it.
     pub engine: Arc<Engine>,
-    /// The main write-ahead log.
+    /// The write-ahead log: local transactions, and each piece's
+    /// `Prepared` and `Resolved` records.
     pub wal: Arc<WalWriter>,
-    /// The participant log: prepared pieces and their resolutions.
-    pub part_log: Arc<WalWriter>,
     /// Pieces executed and acked but not yet resolved, by gtid. Volatile:
     /// it belongs to this incarnation, so a crash drops it, and recovery
-    /// rebuilds the in-doubt set from the participant log.
+    /// rebuilds the in-doubt set from the log.
     completed: Mutex<IdMap<u64, CompletedPiece>>,
 }
 
@@ -182,11 +186,11 @@ impl DecisionGate {
     }
 }
 
-/// A shard is up with its engine stack, or down with the (main,
-/// participant) log images its crash left.
+/// A shard is up with its engine stack, or down with the log image its
+/// crash left.
 enum Incarnation {
     Live(Arc<ShardStack>),
-    Down(LogImage, LogImage),
+    Down(LogImage),
 }
 
 /// One shard node.
@@ -228,9 +232,7 @@ impl ShardNode {
         if let Some(t) = cfg.lock_wait_timeout {
             builder = builder.lock_wait_timeout(t);
         }
-        let engine = builder.build();
-        let part_log = WalWriter::new(FsyncPolicy::EveryAppend);
-        ShardStack { db, engine, wal, part_log, completed: Mutex::default() }
+        ShardStack { db, engine: builder.build(), wal, completed: Mutex::default() }
     }
 
     /// This shard's index.
@@ -260,11 +262,10 @@ impl ShardNode {
         self.live().ok().map(|live| f(&live.engine, &live.db))
     }
 
-    /// The (main, participant) log images a crash would leave if every
-    /// buffered byte made it (`None` while crashed).
-    pub fn log_images(&self) -> Option<(LogImage, LogImage)> {
-        let live = self.live().ok()?;
-        Some((live.wal.surviving_image(), live.part_log.surviving_image()))
+    /// The log image a crash would leave if every buffered byte made it
+    /// (`None` while crashed).
+    pub fn log_images(&self) -> Option<LogImage> {
+        Some(self.live().ok()?.wal.surviving_image())
     }
 
     /// The live incarnation: one refcount bump under the lock, which no
@@ -276,18 +277,23 @@ impl ShardNode {
         }
     }
 
-    /// The participant record of `gtid`'s piece, durable before its local
-    /// commit (the prepare hook of both protocols).
+    /// The participant record of `gtid`'s piece, logged before its local
+    /// commit (the prepare hook of both protocols); under 2PC (`force`),
+    /// durable before the vote.
     fn log_prepare(
         &self,
         live: &ShardStack,
         gtid: u64,
         top: TopId,
         comp: &[Invocation],
+        force: bool,
     ) -> Result<(), SemccError> {
-        live.part_log
-            .append(&participant_record(gtid, top, comp)?)
-            .map_err(|e| SemccError::Durability(format!("participant log: {e}")))?;
+        let rec = WalRecord::Prepared { gtid, local: top.0, comp: comp.to_vec() };
+        let fail = |e: String| SemccError::Durability(format!("prepare of gtid {gtid}: {e}"));
+        live.wal.append(&rec).map_err(|e| fail(e.to_string()))?;
+        if force && !live.wal.flush() {
+            return Err(fail("the log did not sync".into()));
+        }
         Stats::bump(&self.stats.prepares);
         self.journal_record(JournalKind::ShardPrepare, gtid, self.cfg.idx as u64);
         Ok(())
@@ -300,15 +306,15 @@ impl ShardNode {
     }
 
     /// Execute one piece of global transaction `gtid`: the piece commits
-    /// early; its compensation intent is held (durably, in the participant
-    /// log) for a possible global abort. Duplicate deliveries return the
+    /// early; its compensation intent is held (durably, in its `Prepared`
+    /// record) for a possible global abort. Duplicate deliveries return the
     /// cached ack.
     pub fn run_piece(&self, gtid: u64, spec: &TxnSpec) -> Result<PieceAck, RpcError> {
         self.piece(gtid, spec, None)
     }
 
     /// [`ShardNode::run_piece`], and under 2PC the participant's vote: with
-    /// a `gate`, the prepare hook votes once the participant record is
+    /// a `gate`, the prepare hook votes once the `Prepared` record is
     /// durable and holds every lock until the gate opens.
     pub(crate) fn piece(
         &self,
@@ -322,7 +328,7 @@ impl ShardNode {
         }
         let mut voted = false;
         let (_top, result) = live.engine.execute_open_prepared(spec, &mut |top, comp| {
-            self.log_prepare(&live, gtid, top, comp)?;
+            self.log_prepare(&live, gtid, top, comp, gate.is_some())?;
             voted = true;
             match gate {
                 Some(gate) if !gate.vote_and_wait() => {
@@ -354,24 +360,21 @@ impl ShardNode {
     pub fn resolve(&self, gtid: u64, commit: bool) -> Result<(), RpcError> {
         let live = self.live()?;
         let Some(piece) = live.completed.lock().remove(&gtid) else { return Ok(()) };
-        let marker = if commit {
-            WalRecord::TopCommit { top: gtid }
-        } else {
+        if !commit {
             compensate_piece(&live, piece.ack.local_top, piece.comp, 0).map_err(RpcError::App)?;
-            WalRecord::TopAbort { top: gtid }
-        };
-        live.part_log.append(&marker).map(|_| ()).map_err(|_| RpcError::ShardDown)
+        }
+        let marker = WalRecord::Resolved { gtid, commit };
+        live.wal.append(&marker).map(|_| ()).map_err(|_| RpcError::ShardDown)
     }
 
-    /// Kill the shard: both logs lose their unsynced tails, and the live
+    /// Kill the shard: the log loses its unsynced tail, and the live
     /// incarnation (engine, lock tables, the completed-piece table) is
     /// gone. Idempotent.
     pub fn crash(&self) {
         let mut state = self.state.lock();
         let Incarnation::Live(live) = &*state else { return };
         live.wal.power_fail();
-        live.part_log.power_fail();
-        *state = Incarnation::Down(live.wal.surviving_image(), live.part_log.surviving_image());
+        *state = Incarnation::Down(live.wal.surviving_image());
         Stats::bump(&self.stats.shard_crashes);
     }
 
@@ -380,11 +383,11 @@ impl ShardNode {
     /// it back up.
     pub fn recover(&self, decisions: &BTreeMap<u64, bool>) -> Result<ShardRecoveryReport, String> {
         let mut state = self.state.lock();
-        let Incarnation::Down(main, part) = &*state else {
+        let Incarnation::Down(image) = &*state else {
             return Err(format!("shard {} is not crashed", self.cfg.idx));
         };
         let (stack, report) =
-            recover_logs(&self.cfg.db_params, self.cfg.protocol, main, part, decisions)
+            recover_logs(&self.cfg.db_params, self.cfg.protocol, image, decisions)
                 .map_err(|e| format!("shard {}: {e}", self.cfg.idx))?;
         for &(gtid, commit) in &report.resolved {
             Stats::bump(&self.stats.in_doubt_resolved);
@@ -404,24 +407,41 @@ impl ShardNode {
     }
 }
 
-/// Recover one shard from the surviving images of its two logs: generic
-/// WAL recovery of `main` first (winners replayed, losers compensated),
-/// then every prepared piece of `part` without a resolution marker
-/// resolved against `decisions` (gtid → commit; absence = presumed
-/// abort). Recovery logs its own work into the resumed logs of the stack
-/// it returns. [`ShardNode::recover`] runs this on its crash images, and
-/// the fleet cut audit of `sim::chaos` on every consistent cut of a
-/// finished run. Shards never checkpoint, so `main` holds every record.
+/// Recover one shard from the surviving image of its log: generic WAL
+/// recovery first (winners replayed, losers compensated), then every
+/// `Prepared` piece without a `Resolved` marker resolved against
+/// `decisions` (gtid → commit; absence = presumed abort). Recovery logs
+/// its own work into the resumed log of the stack it returns.
+/// [`ShardNode::recover`] runs this on its crash image, and the fleet cut
+/// audit of `sim::chaos` on every consistent cut of a finished run.
+/// Shards never checkpoint, so `main` holds every record.
 pub fn recover_logs(
     db_params: &DbParams,
     protocol: ProtocolConfig,
     main: &LogImage,
-    part: &LogImage,
     decisions: &BTreeMap<u64, bool>,
 ) -> Result<(ShardStack, ShardRecoveryReport), String> {
+    // What the log says of each local transaction — whether it committed,
+    // how far a global abort's compensation of it got — and which
+    // prepared pieces no marker resolved yet.
+    let parsed = read_image(main).map_err(|e| format!("shard log parse: {e}"))?;
+    let (mut tops, mut in_doubt) = (BTreeMap::new(), BTreeMap::new());
+    for (i, rec) in parsed.records.into_iter().enumerate() {
+        fold(&mut tops, parsed.base_lsn + i as u64, &rec);
+        match rec {
+            WalRecord::Prepared { gtid, local, comp } => {
+                in_doubt.insert(gtid, (local, comp));
+            }
+            WalRecord::Resolved { gtid, .. } => {
+                in_doubt.remove(&gtid);
+            }
+            _ => {}
+        }
+    }
+
     let db = Database::build(db_params).map_err(|e| e.to_string())?;
     let wal = WalWriter::resume(main, FsyncPolicy::OnCommit, None, WalConfig::default())
-        .map_err(|e| format!("main log resume: {e}"))?;
+        .map_err(|e| format!("shard log resume: {e}"))?;
     let (engine, _) = recover_image(
         main,
         Arc::clone(&db.store),
@@ -431,37 +451,13 @@ pub fn recover_logs(
         Some(Arc::clone(&wal)),
     )
     .map_err(|e| format!("shard recovery: {e}"))?;
+    let stack = ShardStack { db, engine, wal, completed: Mutex::default() };
     let mut report = ShardRecoveryReport::default();
-
-    // What the main log says of each local transaction: whether it
-    // committed, and how far a global abort's compensation of it got.
-    let parsed = read_image(main).map_err(|e| format!("main log parse: {e}"))?;
-    let mut tops = BTreeMap::new();
-    for (i, rec) in parsed.records.iter().enumerate() {
-        fold(&mut tops, parsed.base_lsn + i as u64, rec);
-    }
-
-    // The participant log: each prepared piece no marker resolved yet.
-    let mut in_doubt = BTreeMap::new();
-    for rec in read_image(part).map_err(|e| format!("participant log parse: {e}"))?.records {
-        match rec {
-            WalRecord::SubCommit { top, subtree, comp } => {
-                in_doubt.insert(top, (u64::from(subtree), comp));
-            }
-            WalRecord::TopCommit { top } | WalRecord::TopAbort { top } => {
-                in_doubt.remove(&top);
-            }
-            _ => {}
-        }
-    }
-    let part_log = WalWriter::resume(part, FsyncPolicy::EveryAppend, None, WalConfig::default())
-        .map_err(|e| format!("participant log resume: {e}"))?;
-    let stack = ShardStack { db, engine, wal, part_log, completed: Mutex::default() };
 
     for (gtid, (local_top, comp)) in in_doubt {
         let commit = decisions.get(&gtid).copied().unwrap_or(false);
         let piece = tops.get(&local_top).filter(|t| t.committed);
-        let marker = if commit {
+        if commit {
             // A commit decision implies the coordinator saw our ack, and
             // an ack implies the local commit was durable.
             if piece.is_none() {
@@ -470,19 +466,16 @@ pub fn recover_logs(
                      crash — acked ⇒ durable violated"
                 ));
             }
-            WalRecord::TopCommit { top: gtid }
-        } else {
+        } else if let Some(t) = piece.filter(|t| !t.aborted) {
             // Presumed abort. A piece that never survived as a winner was
             // rolled back above; one that did is compensated, or what is
             // left of its compensation if a crash cut that short.
-            if let Some(t) = piece.filter(|t| !t.aborted) {
-                compensate_piece(&stack, local_top, comp, t.comp_applied as usize)
-                    .map_err(|e| format!("in-doubt compensation of gtid {gtid}: {e}"))?;
-                report.compensated += 1;
-            }
-            WalRecord::TopAbort { top: gtid }
-        };
-        stack.part_log.append(&marker).map_err(|e| format!("resolution marker: {e}"))?;
+            compensate_piece(&stack, local_top, comp, t.comp_applied as usize)
+                .map_err(|e| format!("in-doubt compensation of gtid {gtid}: {e}"))?;
+            report.compensated += 1;
+        }
+        let marker = WalRecord::Resolved { gtid, commit };
+        stack.wal.append(&marker).map_err(|e| format!("resolution marker: {e}"))?;
         report.resolved.push((gtid, commit));
     }
     Ok((stack, report))
@@ -492,8 +485,8 @@ pub fn recover_logs(
 /// of `comp` that are not yet applied — the last `applied` of them ran
 /// before a crash, since compensation runs newest first — logged under the
 /// piece's own id, then close the piece with a `TopAbort` of that id. Under
-/// [`FsyncPolicy::OnCommit`] that record is synced before this returns, so
-/// the resolution marker the caller appends next never outlives it.
+/// [`FsyncPolicy::OnCommit`] that record is synced before this returns, and
+/// the resolution marker the caller appends next follows it in the log.
 fn compensate_piece(
     live: &ShardStack,
     local_top: u64,
@@ -523,32 +516,4 @@ pub fn merge_snapshots(a: &StatsSnapshot, b: &StatsSnapshot) -> StatsSnapshot {
         .collect();
     let borrowed: Vec<(&str, u64)> = pairs.iter().map(|&(n, v)| (n, v)).collect();
     StatsSnapshot::from_field_pairs(&borrowed)
-}
-
-/// The participant record of `gtid`'s piece. The frame stores the piece's
-/// local transaction id in 32 bits and recovery widens it back to compare
-/// against the main log's winners, so an id past `u32::MAX` cannot be
-/// recorded faithfully: the prepare fails, rather than log an id recovery
-/// would match against the wrong local transaction.
-fn participant_record(gtid: u64, top: TopId, comp: &[Invocation]) -> Result<WalRecord, SemccError> {
-    let subtree = u32::try_from(top.0).map_err(|_| {
-        SemccError::Durability(format!(
-            "participant log: local transaction id {} does not fit the record's 32-bit field",
-            top.0
-        ))
-    })?;
-    Ok(WalRecord::SubCommit { top: gtid, subtree, comp: comp.to_vec() })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn participant_record_refuses_a_local_id_past_32_bits() {
-        let rec = participant_record(7, TopId(u64::from(u32::MAX)), &[]).unwrap();
-        assert_eq!(rec, WalRecord::SubCommit { top: 7, subtree: u32::MAX, comp: vec![] });
-        let err = participant_record(7, TopId(u64::from(u32::MAX) + 1), &[]).unwrap_err();
-        assert!(matches!(err, SemccError::Durability(_)), "typed, not truncated: {err:?}");
-    }
 }

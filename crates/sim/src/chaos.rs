@@ -531,6 +531,8 @@ fn record_kind(rec: &WalRecord) -> &'static str {
         WalRecord::TopCommit { .. } => "TopCommit",
         WalRecord::TopAbort { .. } => "TopAbort",
         WalRecord::RecoveryMark { .. } => "RecoveryMark",
+        WalRecord::Prepared { .. } => "Prepared",
+        WalRecord::Resolved { .. } => "Resolved",
     }
 }
 
@@ -718,13 +720,13 @@ fn check_slice(
 pub struct FleetCutReport {
     /// Consistent cuts recovered and audited, both shards together.
     pub cuts: usize,
-    /// Cuts that keep a piece's leaves but not its participant record.
+    /// Cuts that keep a piece's leaves but not its `Prepared` record.
     pub leaves_without_prepare: usize,
-    /// Cuts that keep a participant record but not the local commit.
+    /// Cuts that keep a `Prepared` record but not the local commit.
     pub prepare_without_commit: usize,
     /// Cuts that keep a local commit but not its decision.
     pub commit_without_decision: usize,
-    /// Cuts that keep a decision but not the shard's resolution marker.
+    /// Cuts that keep a decision but not the shard's `Resolved` marker.
     pub decision_without_marker: usize,
     /// Cuts whose recovery compensated a piece under presumed abort.
     pub presumed_abort: usize,
@@ -785,25 +787,25 @@ impl Log {
     }
 }
 
-/// Shard `s`'s three logs as a crash now would leave them: the
-/// coordinator's decision log, the shard's main and participant logs.
-fn shard_logs(coord: &Coordinator, s: usize) -> Result<[Log; 3], String> {
-    let (main, part) = coord.shards()[s].log_images().ok_or("the shard is down")?;
-    Ok([Log::of(coord.decision_image())?, Log::of(main)?, Log::of(part)?])
+/// Shard `s`'s two logs as a crash now would leave them: the
+/// coordinator's decision log and the shard's own.
+fn shard_logs(coord: &Coordinator, s: usize) -> Result<[Log; 2], String> {
+    let main = coord.shards()[s].log_images().ok_or("the shard is down")?;
+    Ok([Log::of(coord.decision_image())?, Log::of(main)?])
 }
 
 /// Run the scripted batch on a two-shard fleet with one client and no
 /// latency, once under each [`CommitProtocol`]: every log of a shard is
 /// appended in submission order, since a submission returns only once its
 /// decision is logged and its pieces resolved. Then audit, for each
-/// protocol and shard, every consistent cut of (decision log, main log,
-/// participant log) at frame boundaries:
+/// protocol and shard, every consistent cut of (decision log, shard log)
+/// at frame boundaries:
 ///
 /// * recovery through [`recover_logs`], with the decisions parsed by
 ///   [`parse_decisions`], leaves zero [`Residue`] and a slice equal to the
 ///   serial replay of the shard's pieces of the cut's committed gtids;
-/// * every consistent cut of what that recovery appended to the shard's
-///   two logs recovers again to the same canonical state.
+/// * every prefix of what that recovery appended to the shard's log
+///   recovers again to the same canonical state.
 ///
 /// Both protocols write in the same order, so one consistency relation
 /// ([`cuts`]) covers both. A failure names the protocol, the shard, the
@@ -828,7 +830,7 @@ fn audit_fleet_cuts_under(protocol: CommitProtocol) -> Result<FleetCutReport, St
         ..Default::default()
     });
     let fresh = Database::build(&db_params).map_err(|e| e.to_string())?;
-    let (mut specs, mut marks) = (BTreeMap::new(), vec![[[0; 3]; 2]]);
+    let (mut specs, mut marks) = (BTreeMap::new(), vec![[[0; 2]; 2]]);
     for spec in cut_batch(&fresh, coord.partition()) {
         specs.insert(coord.submit(&spec, protocol).0, spec);
         // Per shard, the records in each of its logs after this submission.
@@ -842,25 +844,25 @@ fn audit_fleet_cuts_under(protocol: CommitProtocol) -> Result<FleetCutReport, St
     let mut report = FleetCutReport::default();
     // Recover the cut keeping the first `cut[i]` records of each log; the
     // recovered engine must hold nothing, and no undo of it may fail.
-    let recover = |logs: [&Log; 3], cut: [usize; 3]| {
+    let recover = |logs: [&Log; 2], cut: [usize; 2]| {
         let decisions = parse_decisions(&logs[0].cut(cut[0]))?;
-        let (main, part) = (logs[1].cut(cut[1]), logs[2].cut(cut[2]));
+        let main = logs[1].cut(cut[1]);
         let (stack, recovery) =
-            recover_logs(&db_params, ProtocolConfig::semantic(), &main, &part, &decisions)?;
+            recover_logs(&db_params, ProtocolConfig::semantic(), &main, &decisions)?;
         Residue::of(&stack.engine).check()?;
         check_no_failed_undo(&stack.engine)?;
         Ok::<_, String>((decisions, stack, recovery))
     };
     for s in 0..2 {
         let logs = shard_logs(&coord, s)?;
-        let local = pieces_of(&logs[2].records);
+        let local = pieces_of(&logs[1].records);
         let slice = |stack: &ShardStack| {
             canonical_shard_state(stack.engine.storage().as_ref(), fresh.items_set, 2, s)
         };
         let mut first = true;
         for (k, pair) in marks.windows(2).enumerate() {
             let (from, to) = (pair[0][s], pair[1][s]);
-            if from[1..] == to[1..] {
+            if from[1] == to[1] {
                 continue; // nothing of this submission reached the shard
             }
             let window = std::array::from_fn(|i| &logs[i].records[from[i]..to[i]]);
@@ -888,16 +890,12 @@ fn audit_fleet_cuts_under(protocol: CommitProtocol) -> Result<FleetCutReport, St
                 report.cuts += 1;
                 report.presumed_abort += usize::from(recovery.compensated > 0);
 
-                // What the recovery appended, cut at every consistent point.
+                // What the recovery appended, cut after every record.
                 let want = slice(&stack);
                 let main = Log::of(stack.wal.surviving_image())?;
-                let part = Log::of(stack.part_log.surviving_image())?;
-                let appended = [&[][..], &main.records[cut[1]..], &part.records[cut[2]..]];
-                for ([_, m, p], _) in cuts(appended, &local).into_iter().skip(1) {
-                    let at = |e: String| at(format!("recovery's appends cut at {:?}: {e}", (m, p)));
-                    let (_, again, _) =
-                        recover([&logs[0], &main, &part], [cut[0], cut[1] + m, cut[2] + p])
-                            .map_err(at)?;
+                for m in cut[1] + 1..=main.records.len() {
+                    let at = |e: String| at(format!("recovery's appends cut at {m}: {e}"));
+                    let (_, again, _) = recover([&logs[0], &main], [cut[0], m]).map_err(at)?;
                     if slice(&again) != want {
                         return Err(at("state != the first recovery's".into()));
                     }
@@ -910,41 +908,35 @@ fn audit_fleet_cuts_under(protocol: CommitProtocol) -> Result<FleetCutReport, St
     Ok(report)
 }
 
-/// The local transaction id of each piece a participant log prepared, by
-/// gtid.
-fn pieces_of(part: &[WalRecord]) -> BTreeMap<u64, u64> {
+/// The local transaction id of each piece a shard's log prepared, by gtid.
+fn pieces_of(log: &[WalRecord]) -> BTreeMap<u64, u64> {
     let piece = |r: &WalRecord| match r {
-        WalRecord::SubCommit { top, subtree, .. } => Some((*top, u64::from(*subtree))),
+        WalRecord::Prepared { gtid, local, .. } => Some((*gtid, *local)),
         _ => None,
     };
-    part.iter().filter_map(piece).collect()
+    log.iter().filter_map(piece).collect()
 }
 
 /// Where a record of a window sits: (log, position).
 type At = (usize, usize);
 
-/// Whether `r` is the participant record of the piece with local id `t`.
-fn prepares(r: &WalRecord, t: u64) -> bool {
-    matches!(r, WalRecord::SubCommit { subtree, .. } if u64::from(*subtree) == t)
-}
-
-/// Every consistent cut of the records one submission (or one recovery)
-/// appended to a shard's decision log (0), main log (1) and participant
-/// log (2) — `window[i]` — as the number it keeps of each, with the
-/// [`FleetCutReport`] classes it falls in. `local` maps each gtid prepared
-/// on the shard to its piece's local id.
+/// Every consistent cut of the records one submission appended to the
+/// coordinator's decision log (0) and a shard's log (1) — `window[i]` — as
+/// the number it keeps of each, with the [`FleetCutReport`] classes it
+/// falls in. `local` maps each gtid prepared on the shard to its piece's
+/// local id.
 ///
 /// A cut is consistent when no kept record has a dropped predecessor, a
-/// record of another log that was durable before it was written:
+/// record of the other log that was durable before it was written:
 ///
-/// * a local `TopCommit` needs its participant `SubCommit`;
 /// * a decision needs that shard's local `TopCommit` of the gtid;
-/// * a resolution marker, and any main-log record of a piece after its
-///   local commit (its compensation), need the gtid's decision;
-/// * an abort marker needs the piece's closing `TopAbort`, synced first.
+/// * a `Resolved` marker, and any record of a piece after its local
+///   commit (its compensation), need the gtid's decision.
 ///
-/// Within one log a cut is a prefix, so no other order is checked.
-fn cuts(window: [&[WalRecord]; 3], local: &BTreeMap<u64, u64>) -> Vec<([usize; 3], [bool; 4])> {
+/// Within one log a cut is a prefix, so the shard's own order — leaves,
+/// `Prepared`, local commit, compensation, its `TopAbort`, marker — needs
+/// no edge, and the first two classes are prefixes of the shard's log.
+fn cuts(window: [&[WalRecord]; 2], local: &BTreeMap<u64, u64>) -> Vec<([usize; 2], [bool; 4])> {
     // (record, its predecessor, the class of cuts keeping only the latter).
     let mut edges: Vec<(At, At, Option<usize>)> = Vec::new();
     let find = |log: usize, f: &dyn Fn(&WalRecord) -> bool| {
@@ -957,10 +949,11 @@ fn cuts(window: [&[WalRecord]; 3], local: &BTreeMap<u64, u64>) -> Vec<([usize; 3
         let (before, class) = match r {
             WalRecord::TopCommit { top } => {
                 committed.insert(*top);
-                (find(2, &|p| prepares(p, *top)), Some(1))
+                continue;
             }
+            WalRecord::Resolved { gtid: g, .. } => (decision(*g), Some(3)),
             r if committed.contains(&r.top()) => (gtid(r.top()).and_then(decision), None),
-            _ => (None, None),
+            _ => continue,
         };
         edges.extend(before.map(|b| ((1, i), b, class)));
     }
@@ -968,40 +961,30 @@ fn cuts(window: [&[WalRecord]; 3], local: &BTreeMap<u64, u64>) -> Vec<([usize; 3
         let top = |t: u64| find(1, &|m| *m == WalRecord::TopCommit { top: t });
         edges.extend(local.get(&r.top()).and_then(|&t| top(t)).map(|b| ((0, i), b, Some(2))));
     }
-    for (i, r) in window[2].iter().enumerate() {
-        let (WalRecord::TopCommit { top: g } | WalRecord::TopAbort { top: g }) = r else {
-            continue;
-        };
-        edges.extend(decision(*g).map(|b| ((2, i), b, Some(3))));
-        if matches!(r, WalRecord::TopAbort { .. }) {
-            let closed = |t: u64| find(1, &|m| *m == WalRecord::TopAbort { top: t });
-            edges.extend(local.get(g).and_then(|&t| closed(t)).map(|b| ((2, i), b, None)));
-        }
-    }
 
     let mut out = Vec::new();
-    for d in 0..=window[0].len() {
-        for m in 0..=window[1].len() {
-            for p in 0..=window[2].len() {
-                let keep = [d, m, p];
-                let kept = |(log, i): (usize, usize)| i < keep[log];
-                if edges.iter().any(|&(after, before, _)| kept(after) && !kept(before)) {
-                    continue;
-                }
-                let unprepared = |r: &WalRecord| match r {
-                    WalRecord::LeafRedo { top, .. } => {
-                        !window[2][..p].iter().any(|q| prepares(q, *top))
-                    }
-                    _ => false,
-                };
-                let mut hits = [window[1][..m].iter().any(unprepared), false, false, false];
-                for &(after, before, class) in &edges {
-                    if let Some(c) = class {
-                        hits[c] |= kept(before) && !kept(after);
-                    }
-                }
-                out.push((keep, hits));
+    for m in 0..=window[1].len() {
+        let (kept, dropped) = window[1].split_at(m);
+        let prepared = |t: u64| {
+            kept.iter().any(|r| matches!(r, WalRecord::Prepared { local, .. } if *local == t))
+        };
+        let leaves =
+            kept.iter().any(|r| matches!(r, WalRecord::LeafRedo { top, .. } if !prepared(*top)));
+        let uncommitted =
+            dropped.iter().any(|r| matches!(r, WalRecord::TopCommit { top } if prepared(*top)));
+        for d in 0..=window[0].len() {
+            let keep = [d, m];
+            let kept = |(log, i): At| i < keep[log];
+            if edges.iter().any(|&(after, before, _)| kept(after) && !kept(before)) {
+                continue;
             }
+            let mut hits = [leaves, uncommitted, false, false];
+            for &(after, before, class) in &edges {
+                if let Some(c) = class {
+                    hits[c] |= kept(before) && !kept(after);
+                }
+            }
+            out.push((keep, hits));
         }
     }
     out
@@ -1113,16 +1096,14 @@ mod tests {
 
     /// The enumerator counts what a hand count gives. Each shard's piece of
     /// the cross-shard shipment ships one order on the escrow schema, so
-    /// its main log holds 5 records (the status leaf, the `ChangeStatus`
-    /// intent, the escrow leaf, the `ShipOrder` `SubCommit`, the local
-    /// `TopCommit`), its participant log 2 (the `SubCommit`, the commit
-    /// marker) and the decision log 1. Without the decision the marker is
-    /// out, and a kept local commit needs the participant record: main
-    /// prefixes 0–4 without the record (5) and 0–5 with it (6). With the
+    /// its log holds 7 records (the status leaf, the `ChangeStatus` intent,
+    /// the escrow leaf, the `ShipOrder` `SubCommit`, the `Prepared`, the
+    /// local `TopCommit`, the `Resolved` marker) and the decision log 1.
+    /// Without the decision the marker is out: prefixes 0–6 (7). With the
     /// decision the local commit is in: with and without the marker (2).
-    /// 13 in all, the empty cut among them.
+    /// 9 in all, the empty cut among them.
     #[test]
-    fn a_one_transaction_cross_shard_run_has_thirteen_consistent_cuts_per_shard() {
+    fn a_one_transaction_cross_shard_run_has_nine_consistent_cuts_per_shard() {
         let coord = Coordinator::new(FleetConfig {
             n_shards: 2,
             db_params: cut_fleet(),
@@ -1134,8 +1115,8 @@ mod tests {
         for s in 0..2 {
             let logs = shard_logs(&coord, s).unwrap();
             let window = std::array::from_fn(|i| &logs[i].records[..]);
-            let cuts = cuts(window, &pieces_of(&logs[2].records));
-            assert_eq!(cuts.len(), 13, "shard {s}: {cuts:?}");
+            let cuts = cuts(window, &pieces_of(&logs[1].records));
+            assert_eq!(cuts.len(), 9, "shard {s}: {cuts:?}");
         }
     }
 
@@ -1145,20 +1126,22 @@ mod tests {
         let main = [
             WalRecord::LeafRedo { top: 5, subtree: 1, op },
             WalRecord::SubCommit { top: 5, subtree: 1, comp: vec![] },
+            WalRecord::Prepared { gtid: 1, local: 5, comp: vec![] },
             WalRecord::TopCommit { top: 5 },
-        ];
-        let part = [
-            WalRecord::SubCommit { top: 1, subtree: 5, comp: vec![] },
-            WalRecord::TopCommit { top: 1 },
+            WalRecord::Resolved { gtid: 1, commit: true },
         ];
         let decision = [WalRecord::TopCommit { top: 1 }];
-        let cuts = cuts([&decision[..], &main[..], &part[..]], &pieces_of(&part));
-        let consistent = |keep| cuts.iter().any(|(k, _)| *k == keep);
-        assert!(!consistent([0, 3, 0]), "a local commit, no participant record");
-        assert!(consistent([0, 3, 1]));
-        assert!(!consistent([1, 2, 1]), "a decision, no local commit");
-        assert!(!consistent([0, 3, 2]), "a marker, no decision");
-        assert!(consistent([1, 3, 2]));
+        let cuts = cuts([&decision[..], &main[..]], &pieces_of(&main));
+        let classes = |keep| cuts.iter().find(|(k, _)| *k == keep).map(|(_, hits)| *hits);
+        // One log: every cut keeping the local commit keeps the record
+        // before it, and each prefix short of it is a class of its own.
+        assert_eq!(classes([0, 2]), Some([true, false, false, false]), "leaves, no record");
+        assert_eq!(classes([0, 3]), Some([false, true, false, false]), "a record, no commit");
+        assert_eq!(classes([0, 4]), Some([false, false, true, false]), "a commit, no decision");
+        assert_eq!(classes([1, 3]), None, "a decision, no local commit");
+        assert_eq!(classes([0, 5]), None, "a marker, no decision");
+        assert_eq!(classes([1, 4]), Some([false, false, false, true]), "a decision, no marker");
+        assert_eq!(classes([1, 5]), Some([false; 4]));
     }
 
     /// The re-cut of a progress log that recovery wrote behind a

@@ -72,8 +72,8 @@ fn partial_fleet_kill_recovers_without_losing_acked_commits() {
 }
 
 /// Every crash window of the cross-shard commit at once, under both
-/// protocols: each consistent cut of a finished two-shard run's decision,
-/// main and participant logs, and each cut of what shard recovery appends,
+/// protocols: each consistent cut of a finished two-shard run's decision
+/// log and shard log, and each cut of what shard recovery appends,
 /// recovers to the committed prefix. Every class of cut must be reached
 /// under each protocol, so the audit cannot pass by auditing nothing.
 #[test]
@@ -83,8 +83,8 @@ fn every_consistent_cut_of_a_two_shard_run_recovers_to_its_committed_prefix() {
     assert_eq!(reports.len(), 2, "one report per protocol");
     for (protocol, report) in reports {
         for (class, n) in [
-            ("a piece's leaves without its participant record", report.leaves_without_prepare),
-            ("a participant record without the local commit", report.prepare_without_commit),
+            ("a piece's leaves without its prepare record", report.leaves_without_prepare),
+            ("a prepare record without the local commit", report.prepare_without_commit),
             ("a local commit without a decision", report.commit_without_decision),
             ("a decision without its resolution marker", report.decision_without_marker),
             ("a presumed-abort compensation", report.presumed_abort),
@@ -98,7 +98,7 @@ fn every_consistent_cut_of_a_two_shard_run_recovers_to_its_committed_prefix() {
 // ---- crash windows, one cut each ---------------------------------------
 //
 // Each named crash window of the cross-shard commit protocol as the cut it
-// leaves of a shard's (decision, main, participant) logs, recovered by the
+// leaves of a shard's (decision, shard) logs, recovered by the
 // function shard recovery runs on decisions parsed as the coordinator
 // parses them. The audit above enumerates every such cut.
 
@@ -122,10 +122,9 @@ fn ship(coord: &Coordinator, db: &Database, orders: &[(usize, usize)]) -> u64 {
     coord.submit(&spec, CommitProtocol::OpenNested).0
 }
 
-/// Shard `s`'s logs as the run left them: decision, main, participant.
-fn shard_logs(coord: &Coordinator, s: usize) -> [LogImage; 3] {
-    let (main, part) = coord.shards()[s].log_images().expect("the shard is up");
-    [coord.decision_image(), main, part]
+/// Shard `s`'s logs as the run left them: the decision log, its own.
+fn shard_logs(coord: &Coordinator, s: usize) -> [LogImage; 2] {
+    [coord.decision_image(), coord.shards()[s].log_images().expect("the shard is up")]
 }
 
 fn records(log: &LogImage) -> Vec<WalRecord> {
@@ -134,13 +133,13 @@ fn records(log: &LogImage) -> Vec<WalRecord> {
 
 /// Recover `logs` cut to their first `keep[i]` records; the recovered
 /// engine must hold nothing.
-fn recover_cut(logs: &[LogImage; 3], keep: [usize; 3]) -> (ShardStack, ShardRecoveryReport) {
-    let [decision, main, part] = std::array::from_fn(|i| {
+fn recover_cut(logs: &[LogImage; 2], keep: [usize; 2]) -> (ShardStack, ShardRecoveryReport) {
+    let [decision, main] = std::array::from_fn(|i| {
         logs[i].cut(keep[i].checked_sub(1).map_or(0, |k| logs[i].frame_ends()[k]))
     });
     let decisions = parse_decisions(&decision).unwrap();
     let semantic = ProtocolConfig::semantic();
-    let (stack, report) = recover_logs(&escrow_params(), semantic, &main, &part, &decisions)
+    let (stack, report) = recover_logs(&escrow_params(), semantic, &main, &decisions)
         .unwrap_or_else(|e| panic!("cut {keep:?}: {e}"));
     Residue::of(&stack.engine).check().unwrap_or_else(|e| panic!("cut {keep:?}: {e}"));
     (stack, report)
@@ -150,25 +149,30 @@ fn slice(stack: &ShardStack, db: &Database, s: usize) -> CanonicalDb {
     canonical_shard_state(stack.engine.storage().as_ref(), db.items_set, 2, s).unwrap()
 }
 
+/// The number of records of `log` before the first one `is`.
+fn before(log: &LogImage, is: fn(&WalRecord) -> bool) -> usize {
+    records(log).iter().position(is).unwrap()
+}
+
 /// The number of records of `log` up to and including the first local
 /// commit.
 fn through_local_commit(log: &LogImage) -> usize {
-    1 + records(log).iter().position(|r| matches!(r, WalRecord::TopCommit { .. })).unwrap()
+    1 + before(log, |r| matches!(r, WalRecord::TopCommit { .. }))
 }
 
-/// Crash window 1: a shard dies *before* writing the participant record.
-/// The piece is a local loser and, with no decision logged, globally
-/// aborted; nothing is left in doubt.
+/// Crash window 1: a shard dies *before* writing the piece's `Prepared`
+/// record. The piece is a local loser and, with no decision logged,
+/// globally aborted; nothing is left in doubt.
 #[test]
-fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
+fn crash_window_before_prepare_aborts_globally_with_nothing_in_doubt() {
     let (coord, db) = escrow_fleet();
     ship(&coord, &db, &[(0, 0), (1, 0)]);
     for s in 0..2 {
         let logs = shard_logs(&coord, s);
-        let fresh = slice(&recover_cut(&logs, [0; 3]).0, &db, s);
-        // Every prefix of the piece's main-log records short of its commit.
-        for m in 1..through_local_commit(&logs[1]) {
-            let (stack, report) = recover_cut(&logs, [0, m, 0]);
+        let fresh = slice(&recover_cut(&logs, [0; 2]).0, &db, s);
+        // Every prefix of the piece's records short of its `Prepared`.
+        for m in 1..=before(&logs[1], |r| matches!(r, WalRecord::Prepared { .. })) {
+            let (stack, report) = recover_cut(&logs, [0, m]);
             assert!(report.resolved.is_empty(), "shard {s}, cut {m}: in doubt: {report:?}");
             assert_eq!(slice(&stack, &db, s), fresh, "shard {s}, cut {m}: the piece is a loser");
         }
@@ -179,15 +183,16 @@ fn crash_before_prepare_aborts_globally_with_nothing_in_doubt() {
 /// logged but before the resolution reached it. Recovery resolves the
 /// in-doubt piece, and only it, from the decision log and keeps it.
 #[test]
-fn crash_after_decision_resolves_in_doubt_from_decision_log() {
+fn crash_window_after_decision_resolves_in_doubt_from_decision_log() {
     let (coord, db) = escrow_fleet();
     ship(&coord, &db, &[(0, 0), (1, 0)]);
     let gtid = ship(&coord, &db, &[(0, 1), (1, 1)]);
     for s in 0..2 {
         let logs = shard_logs(&coord, s);
-        let [d, m, p] = logs.each_ref().map(|log| records(log).len());
-        let (full, _) = recover_cut(&logs, [d, m, p]);
-        let (stack, report) = recover_cut(&logs, [d, m, p - 1]);
+        let [d, m] = logs.each_ref().map(|log| records(log).len());
+        let (full, _) = recover_cut(&logs, [d, m]);
+        // The last record is the piece's `Resolved` marker.
+        let (stack, report) = recover_cut(&logs, [d, m - 1]);
         assert_eq!(report.resolved, [(gtid, true)], "shard {s}");
         assert_eq!(slice(&stack, &db, s), slice(&full, &db, s), "shard {s}: the piece is kept");
     }
@@ -198,16 +203,15 @@ fn crash_after_decision_resolves_in_doubt_from_decision_log() {
 /// shard: a piece is kept if the decision reached it, and compensated
 /// under presumed abort if not.
 #[test]
-fn coordinator_crash_mid_commit_redrives_from_decision_log() {
+fn crash_window_coordinator_mid_commit_redrives_from_decision_log() {
     let (coord, db) = escrow_fleet();
     let gtid = ship(&coord, &db, &[(0, 0), (1, 0)]);
     for s in 0..2 {
         let logs = shard_logs(&coord, s);
-        let [d, m, p] = logs.each_ref().map(|log| records(log).len());
-        let [fresh, full] =
-            [[0; 3], [d, m, p]].map(|keep| slice(&recover_cut(&logs, keep).0, &db, s));
+        let [d, m] = logs.each_ref().map(|log| records(log).len());
+        let [fresh, full] = [[0; 2], [d, m]].map(|keep| slice(&recover_cut(&logs, keep).0, &db, s));
         for (decided, want) in [(0, fresh), (d, full)] {
-            let (stack, report) = recover_cut(&logs, [decided, m, p - 1]);
+            let (stack, report) = recover_cut(&logs, [decided, m - 1]);
             assert_eq!(report.resolved, [(gtid, decided > 0)], "shard {s}, decision {decided}");
             assert_eq!(report.compensated, usize::from(decided == 0), "shard {s}: {report:?}");
             assert_eq!(slice(&stack, &db, s), want, "shard {s}, decision {decided}");
@@ -220,7 +224,7 @@ fn coordinator_crash_mid_commit_redrives_from_decision_log() {
 /// Every cut of what that recovery appended recovers to the first
 /// recovery's state: no inverse runs twice, which the escrow stock shows.
 #[test]
-fn double_crash_during_shard_recovery_converges() {
+fn crash_window_double_crash_during_shard_recovery_converges() {
     let (coord, db) = escrow_fleet();
     // Shard 1's stock goes 3 → 0. Then shard 0's piece commits and shard
     // 1's fails its bound: a global abort.
@@ -229,15 +233,15 @@ fn double_crash_during_shard_recovery_converges() {
     let logs = shard_logs(&coord, 0);
     let (d, commit) = (records(&logs[0]).len(), through_local_commit(&logs[1]));
     // The abort is decided; the piece's compensation and marker are lost.
-    let (first, report) = recover_cut(&logs, [d, commit, 1]);
+    let (first, report) = recover_cut(&logs, [d, commit]);
     assert_eq!((report.resolved, report.compensated), (vec![(gtid, false)], 1));
     let want = slice(&first, &db, 0);
-    assert_eq!(want, slice(&recover_cut(&logs, [0; 3]).0, &db, 0), "the stock is given back");
+    assert_eq!(want, slice(&recover_cut(&logs, [0; 2]).0, &db, 0), "the stock is given back");
 
-    let again = [logs[0].clone(), first.wal.surviving_image(), first.part_log.surviving_image()];
-    let [m, p] = [&again[1], &again[2]].map(|log| records(log).len());
-    // The marker follows the compensation's last record, synced first.
-    let recuts: Vec<[usize; 3]> = (commit..=m).map(|k| [d, k, 1]).chain([[d, m, p]]).collect();
+    let again = [logs[0].clone(), first.wal.surviving_image()];
+    // Every prefix of what the recovery appended: its mark, the
+    // compensation, the piece's `TopAbort`, then the marker.
+    let recuts: Vec<[usize; 2]> = (commit..=records(&again[1]).len()).map(|k| [d, k]).collect();
     assert!(recuts.len() >= 3, "the compensation appends records: {recuts:?}");
     for keep in recuts {
         assert_eq!(slice(&recover_cut(&again, keep).0, &db, 0), want, "recut {keep:?}");
@@ -318,8 +322,8 @@ fn transport_faults_are_absorbed_by_retry_and_idempotence() {
 /// The 2PC baseline reaches the same committed state on a healthy fleet —
 /// it is a correctness peer, only slower under contention: every shard's
 /// slice is the serial replay of its pieces of the committed gtids, with
-/// zero residue, and each committed gtid is marked committed in the
-/// participant log of every shard it touched.
+/// zero residue, and each committed gtid is marked committed in the log
+/// of every shard it touched.
 #[test]
 fn two_phase_baseline_converges_on_healthy_fleet() {
     guarded("2pc/healthy", || {
@@ -359,10 +363,9 @@ fn two_phase_baseline_converges_on_healthy_fleet() {
                 })
                 .expect("the shard is up")
                 .unwrap_or_else(|e| panic!("shard {s}: {e}"));
-            let (_, part) = shard.log_images().expect("the shard is up");
-            let marked = records(&part);
+            let marked = records(&shard.log_images().expect("the shard is up"));
             for (g, _) in &touched {
-                let marker = WalRecord::TopCommit { top: *g };
+                let marker = WalRecord::Resolved { gtid: *g, commit: true };
                 assert!(marked.contains(&marker), "shard {s}: gtid {g} has no commit marker");
             }
         }
