@@ -22,13 +22,14 @@
 //! conflicts.
 //!
 //! Objects are found by id, not by hash: the store is 64 latched shards,
-//! shard `k` holding the ids ≡ `k` (mod 64) in a dense slot table indexed
-//! by `id / 64`. Ids come from one counter and are never reused, so the
-//! table is dense, a deleted object leaves an empty slot (the tombstone a
-//! checkpoint delta reports), and every live id is below the counter:
-//! creations draw from it, restores advance it first and a loaded dump
-//! brings its own. A lookup is one bounds-checked index, and objects
-//! created together sit in neighbouring slots.
+//! each holding whole runs of 64 consecutive ids in a dense slot table, so
+//! id `i` lives in shard `(i / 64) % 64`. Ids come from one counter and are
+//! never reused, so the table is dense, a deleted object leaves an empty
+//! slot (the tombstone a checkpoint delta reports), and every live id is
+//! below the counter: creations draw from it, restores advance it first and
+//! a loaded dump brings its own. A lookup is one bounds-checked index, and
+//! objects created together (an item, its orders, their atoms) share one
+//! shard's table, in adjacent slots, under one latch.
 //!
 //! The store performs **no concurrency control** beyond short internal
 //! latches making each operation individually atomic; isolation is the lock

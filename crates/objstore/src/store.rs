@@ -25,11 +25,11 @@ const DIRTY_LIST_FLOOR: usize = 1024;
 /// One latch's worth of the store: the objects plus the dirty tracking
 /// that [`Storage::checkpoint_delta`] drains, all under the same latch.
 ///
-/// Shard `k` holds the ids ≡ `k` (mod [`SHARD_COUNT`]) in a dense slot
-/// table: id `i` lives in slot `i / SHARD_COUNT`, so finding an object is
-/// one bounds-checked index, and objects created together (an item, its
-/// orders, their atoms) sit in nearby slots. Ids are never reused, so a
-/// deleted object leaves an empty slot, its tombstone. The table holds no
+/// A shard holds whole runs of [`BLOCK`] consecutive ids in a dense slot
+/// table (see [`place`]), so finding an object is one bounds-checked index,
+/// and objects created together (an item, its orders, their atoms) share
+/// one table, in adjacent slots, under one latch. Ids are never reused, so
+/// a deleted object leaves an empty slot, its tombstone. The table holds no
 /// id at or past the store's `next_id`: creations draw from it, a restore
 /// advances it first, and [`MemoryStore::load_dump`] installs the dump's
 /// ids below the dump's own. A read past the end of the table finds no
@@ -50,14 +50,20 @@ struct Shard {
     tracking: bool,
 }
 
-/// The slot of `id` in its shard's table.
-fn slot_of(id: ObjectId) -> usize {
-    id.0 as usize / SHARD_COUNT
+/// Consecutive ids that one shard owns as a run (see [`place`]).
+const BLOCK: usize = 64;
+
+/// Where `id` lives: its shard, and its slot in that shard's table. Run `r`
+/// of [`BLOCK`] ids goes to shard `r % SHARD_COUNT`, after the shard's
+/// earlier runs; [`id_at`] is the inverse, and is monotone in the slot.
+fn place(id: ObjectId) -> (usize, usize) {
+    let id = id.0 as usize;
+    ((id / BLOCK) % SHARD_COUNT, id / (BLOCK * SHARD_COUNT) * BLOCK + id % BLOCK)
 }
 
 /// The id in `slot` of shard `k`.
-fn id_at(slot: usize, k: usize) -> ObjectId {
-    ObjectId((slot * SHARD_COUNT + k) as u64)
+fn id_at(k: usize, slot: usize) -> ObjectId {
+    ObjectId((slot / BLOCK * BLOCK * SHARD_COUNT + k * BLOCK + slot % BLOCK) as u64)
 }
 
 /// List `id` as dirty — or, with the list at its bound for a shard of
@@ -74,7 +80,7 @@ fn list_dirty(dirty: &mut Vec<ObjectId>, tracking: &mut bool, live: usize, id: O
 
 impl Shard {
     fn get(&self, id: ObjectId) -> Option<&StoredObject> {
-        self.slots.get(slot_of(id))?.as_ref()
+        self.slots.get(place(id).1)?.as_ref()
     }
 
     /// Install `obj` under `id`, whose slot is empty, dirty from birth.
@@ -83,7 +89,7 @@ impl Shard {
             list_dirty(&mut self.dirty, &mut self.tracking, self.live, id);
         }
         obj.dirty = self.tracking;
-        let slot = slot_of(id);
+        let slot = place(id).1;
         if slot >= self.slots.len() {
             self.slots.resize_with(slot + 1, || None);
         }
@@ -99,7 +105,7 @@ impl Shard {
     /// Remove `id`; its list entry (the one it had if dirty, a fresh one
     /// otherwise) now reads as a tombstone.
     fn remove(&mut self, id: ObjectId) -> Option<StoredObject> {
-        let removed = self.slots.get_mut(slot_of(id))?.take()?;
+        let removed = self.slots.get_mut(place(id).1)?.take()?;
         self.live -= 1;
         if self.tracking && !removed.dirty {
             list_dirty(&mut self.dirty, &mut self.tracking, self.live, id);
@@ -110,7 +116,7 @@ impl Shard {
     /// The live objects of this shard, shard `k`, id-ascending.
     fn objects(&self, k: usize) -> impl Iterator<Item = (ObjectId, &StoredObject)> {
         let full = self.slots.iter().enumerate();
-        full.filter_map(move |(slot, obj)| Some((id_at(slot, k), obj.as_ref()?)))
+        full.filter_map(move |(slot, obj)| Some((id_at(k, slot), obj.as_ref()?)))
     }
 }
 
@@ -179,7 +185,7 @@ impl MemoryStore {
     }
 
     fn shard(&self, o: ObjectId) -> &RwLock<Shard> {
-        &self.shards[(o.0 as usize) % SHARD_COUNT]
+        &self.shards[place(o).0]
     }
 
     fn alloc_id(&self) -> ObjectId {
@@ -222,7 +228,7 @@ impl MemoryStore {
     ) -> Result<R> {
         let mut shard = self.shard(o).write();
         let Shard { slots, live, dirty, tracking } = &mut *shard;
-        let obj = slots.get_mut(slot_of(o)).and_then(Option::as_mut);
+        let obj = slots.get_mut(place(o).1).and_then(Option::as_mut);
         let obj = obj.ok_or(SemccError::NoSuchObject(o))?;
         let before = obj.version;
         let out = f(obj);
@@ -686,13 +692,13 @@ impl Storage for MemoryStore {
                 for (slot, obj) in slots.iter_mut().enumerate() {
                     if let Some(obj) = obj {
                         obj.dirty = false;
-                        objects.push(dump_object(id_at(slot, k), obj));
+                        objects.push(dump_object(id_at(k, slot), obj));
                     }
                 }
                 continue;
             }
             for id in dirty.drain(..) {
-                match slots.get_mut(slot_of(id)).and_then(Option::as_mut) {
+                match slots.get_mut(place(id).1).and_then(Option::as_mut) {
                     // Listed twice (deleted, then restored under its id):
                     // the first visit already captured it.
                     Some(obj) if !obj.dirty => {}
@@ -727,6 +733,47 @@ mod tests {
         s.delete(o).unwrap();
         assert_eq!(s.get(o).unwrap_err(), SemccError::NoSuchObject(o));
         assert_eq!(s.delete(o).unwrap_err(), SemccError::NoSuchObject(o));
+    }
+
+    #[test]
+    fn placement_is_one_to_one_and_a_shard_walks_its_ids_ascending() {
+        let ids = 0..(3 * BLOCK * SHARD_COUNT + BLOCK) as u64;
+        let mut seen = std::collections::BTreeSet::new();
+        for id in ids.clone().map(ObjectId) {
+            let (k, slot) = place(id);
+            assert!(k < SHARD_COUNT);
+            assert_eq!(id_at(k, slot), id, "id_at inverts place");
+            assert!(seen.insert((k, slot)), "{id:?} shares ({k}, {slot})");
+        }
+        let s = MemoryStore::new();
+        for id in ids.map(ObjectId) {
+            s.restore_atomic(id, TYPE_ATOMIC, Value::Unit).unwrap();
+        }
+        for (k, shard) in s.shards.iter().enumerate() {
+            let walked: Vec<ObjectId> = shard.read().objects(k).map(|(id, _)| id).collect();
+            assert!(walked.windows(2).all(|w| w[0] < w[1]), "shard {k} walks ascending");
+            assert!(walked.iter().all(|&id| place(id).0 == k));
+        }
+    }
+
+    #[test]
+    fn a_tuple_and_its_atoms_share_one_shard_in_adjacent_slots() {
+        let s = MemoryStore::new();
+        let fields = [("a", Value::Int(1)), ("b", Value::Int(2)), ("c", Value::Int(3))];
+        let mut clustered = 0;
+        for _ in 0..2 * BLOCK {
+            let (t, atoms) = s.create_tuple_with_atoms(TYPE_TUPLE, &fields).unwrap();
+            let first = atoms[0].0 as usize;
+            if first / BLOCK != t.0 as usize / BLOCK {
+                continue; // straddles a block boundary
+            }
+            clustered += 1;
+            let places: Vec<(usize, usize)> = atoms.iter().chain([&t]).map(|&o| place(o)).collect();
+            assert!(places.iter().all(|p| p.0 == places[0].0), "one shard: {places:?}");
+            let slots: Vec<usize> = places.iter().map(|p| p.1).collect();
+            assert!(slots.windows(2).all(|w| w[1] == w[0] + 1), "adjacent slots: {slots:?}");
+        }
+        assert!(clustered > BLOCK, "most tuples sit inside one block");
     }
 
     #[test]

@@ -210,7 +210,9 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
         (any::<usize>(), any::<i64>()).prop_map(|(i, v)| TableOp::Put(i, v)),
         any::<usize>().prop_map(TableOp::Delete),
         (any::<usize>(), any::<i64>()).prop_map(|(i, v)| TableOp::Restore(i, v)),
-        ((0u64..500), any::<i64>()).prop_map(|(g, v)| TableOp::RestoreAhead(g, v)),
+        // Past a full round of the shards' runs (4 096 ids), so that a run
+        // reaches every shard and a shard's second run.
+        ((0u64..5000), any::<i64>()).prop_map(|(g, v)| TableOp::RestoreAhead(g, v)),
         Just(TableOp::LoadDump),
         Just(TableOp::Checkpoint),
     ]

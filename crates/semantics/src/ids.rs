@@ -167,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn id_hasher_spreads_one_store_shards_ids_over_the_buckets() {
+    fn id_hasher_spreads_one_held_key_shards_ids_over_the_buckets() {
         use std::hash::BuildHasher;
         // One shard of the kernel's held-key index (or of the registry)
         // holds only top ids ≡ c (mod 64): here c = 5. Object ids of the
